@@ -1,10 +1,15 @@
 """Backend selection for the hot iteration kernels.
 
-The inner solve loops are compiled with numba when it is importable and the
-environment variable ``FRACROOTS_DISABLE_NUMBA`` is not set to a truthy value
-(``1``, ``true``, ``yes``, ``on``).  Without numba the package falls back to
-the pure numpy drivers in :mod:`fracroots.solver`; results agree between the
-two backends to floating-point noise, only speed differs.
+The scalar loops in :mod:`fracroots._kernels` are compiled with numba when it
+is importable (the optional ``jit`` extra) and the environment variable
+``FRACROOTS_DISABLE_NUMBA`` is not set to a truthy value (``1``, ``true``,
+``yes``, ``on``); otherwise the same source runs interpreted.
+
+Order sweeps always run the scalar kernel.  Single threshold solves use it
+only under numba and run the generic driver in :mod:`fracroots.solver`
+otherwise.  Both paths give the same statuses, iteration counts and iterates;
+only speed differs.  The README's "~20 us" per solve is a numba-only figure;
+measured numbers come from the benchmark in ``perfbench/README.md``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ if NUMBA_REQUESTED:
         from numba import njit
 
         NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # numba is an optional extra
         NUMBA_ENABLED = False
 else:
     NUMBA_ENABLED = False

@@ -2,7 +2,7 @@
 
 Every function here is written in plain scalar Python so the exact same
 source runs compiled or interpreted.  The threshold-model residual lives
-here (and only here) so the generic numpy path and the fused jit loop can
+here (and only here) so the generic numpy driver and the fused loop can
 never drift apart.
 
 Status codes returned by :func:`solve_reduced` (kept in sync with
@@ -123,3 +123,21 @@ if NUMBA_ENABLED:
     p_entry = njit(cache=True)(p_entry)
     reduced_residual_checked = njit(cache=True)(reduced_residual_checked)
     solve_reduced = njit(cache=True)(solve_reduced)
+else:
+    # Python's float ``**`` raises OverflowError where compiled code yields
+    # inf.  These interpreted twins give the compiled result instead, so both
+    # backends return the same status codes on the same inputs.
+    _frac_unit_deriv_unguarded = frac_unit_deriv
+    _reduced_residual_unguarded = reduced_residual_checked
+
+    def frac_unit_deriv(beta, x):
+        try:
+            return _frac_unit_deriv_unguarded(beta, x)
+        except OverflowError:
+            return math.copysign(math.inf, x) / math.gamma(1.0 - beta)
+
+    def reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2):
+        try:
+            return _reduced_residual_unguarded(a1, a2, a3, a4, a5, a6, a7, x1, x2)
+        except OverflowError:
+            return NONFINITE, math.nan, math.nan

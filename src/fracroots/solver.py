@@ -183,9 +183,7 @@ def fpn_step(f: Callable, x, alpha, epsilon: float) -> np.ndarray:
     residual is returned unchanged.
     """
     x = np.asarray(x, dtype=float)
-    fx = _evaluate(f, x)
-    entries = p_matrix(alpha, x, epsilon).entries
-    return x - entries * fx
+    return fpn_update(alpha, epsilon)(x, _evaluate(f, x))
 
 
 def fpn_update(alpha, epsilon: float) -> Callable:
@@ -220,16 +218,7 @@ def fd_jacobian(f: Callable, x, h: Optional[float] = None) -> np.ndarray:
 def newton_step(f: Callable, x, h: Optional[float] = None) -> np.ndarray:
     """Classical Newton update x - J^{-1} f(x) over the finite-difference Jacobian."""
     x = np.asarray(x, dtype=float)
-    fx = _evaluate(f, x)
-    jac = fd_jacobian(f, x, h)
-    cond = np.linalg.cond(jac)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularJacobian(f"Jacobian condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
-    try:
-        delta = np.linalg.solve(jac, fx)
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobian(str(exc)) from exc
-    return x - delta
+    return newton_update(f, h)(x, _evaluate(f, x))
 
 
 def newton_update(f: Callable, h: Optional[float] = None) -> Callable:
@@ -286,11 +275,17 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
         replaced by the extrapolated point when the residual stays evaluable
         there.  Off by default.
 
+    A residual with a ``fused_solve(x0, settings, keep_trace)`` method runs
+    the default iteration (no ``step``, no ``accelerate``) through that
+    method instead of this loop; it must return the outcome this loop would.
     The outcome always encodes failures in its status instead of raising.
     """
     x = np.asarray(x0, dtype=float).ravel()
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
+    fused_solve = getattr(f, "fused_solve", None)
+    if fused_solve is not None and step is None and not accelerate:
+        return fused_solve(x, settings, keep_trace)
     if step is None:
         step = fpn_update(settings.alpha, settings.epsilon)
 
@@ -436,6 +431,30 @@ def collect_roots(converged, skipped, dedup_tolerance: float) -> RootSet:
                    skipped=tuple(sorted(skipped, key=lambda s: s.alpha)))
 
 
+def sweep(solve_one: Callable, grid, dedup_tolerance: float) -> RootSet:
+    """Solve once per order of the grid and collect the distinct roots.
+
+    ``solve_one(alpha)`` returns the SolveOutcome for one FractionalOrder.
+    ``grid`` defaults to :func:`default_alpha_grid` and must not be empty.
+    Converged outcomes are deduplicated by :func:`collect_roots`; every other
+    order lands in the skipped list with its failure status.
+    """
+    if grid is None:
+        grid = default_alpha_grid()
+    grid = [FractionalOrder.coerce(a) for a in grid]
+    if not grid:
+        raise ValueError("sweep grid is empty")
+    converged = []
+    skipped = []
+    for alpha in grid:
+        out = solve_one(alpha)
+        if out.converged:
+            converged.append((out.x_final, alpha.value, out))
+        else:
+            skipped.append(SkippedAlpha(alpha=alpha.value, status=out.status))
+    return collect_roots(converged, skipped, dedup_tolerance)
+
+
 def alpha_sweep(f: Callable, x0, grid=None, settings: Optional[SolverSettings] = None,
                 dedup_tolerance: float = 1e-3) -> RootSet:
     """Run the pseudo-Newton iteration for every order in the grid.
@@ -445,19 +464,7 @@ def alpha_sweep(f: Callable, x0, grid=None, settings: Optional[SolverSettings] =
     initial condition is reused throughout, which is the whole point: the
     order, not the start, selects the root.
     """
-    if grid is None:
-        grid = default_alpha_grid()
-    grid = [FractionalOrder.coerce(a) for a in grid]
-    if not grid:
-        raise ValueError("sweep grid is empty")
     if settings is None:
-        settings = SolverSettings(alpha=grid[0])
-    converged = []
-    skipped = []
-    for alpha in grid:
-        out = fixed_point_solve(f, x0, replace(settings, alpha=alpha))
-        if out.converged:
-            converged.append((out.x_final, alpha.value, out))
-        else:
-            skipped.append(SkippedAlpha(alpha=alpha.value, status=out.status))
-    return collect_roots(converged, skipped, dedup_tolerance)
+        settings = SolverSettings()
+    return sweep(lambda alpha: fixed_point_solve(f, x0, replace(settings, alpha=alpha)),
+                 grid, dedup_tolerance)

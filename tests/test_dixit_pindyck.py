@@ -12,10 +12,9 @@ from fracroots import (DegenerateThresholds, Decision, EconomicPrimitives,
                        ThresholdProblem, ThresholdSolveFailed,
                        back_substitute, classify_income, derive_constants,
                        full_residual, full_residual_scale, make_residual,
-                       fixed_point_solve, norm2, reduced_residual,
-                       solve_thresholds, sweep_thresholds)
-from fracroots._accel import NUMBA_ENABLED
-from fracroots.dixit_pindyck import _label_thresholds
+                       default_alpha_grid, fixed_point_solve, norm2,
+                       reduced_residual, solve_thresholds, sweep_thresholds)
+from fracroots.dixit_pindyck import _kernel_outcome, _label_thresholds
 from fracroots import reference
 
 #: Full-precision initial residual norms of the bundled scenarios, frozen
@@ -250,22 +249,45 @@ class TestSolveThresholds:
                              SolverSettings(alpha=row.alpha))
 
 
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="agreement test needs the jit backend")
-class TestBackendAgreement:
+class TestKernelAgreement:
+    """The scalar kernel, as it runs on this backend, against the generic driver."""
+
     @pytest.mark.parametrize("row", reference.ROWS, ids=lambda r: f"row{r.index}")
-    def test_fused_kernel_matches_generic_driver(self, row):
+    def test_every_sweep_order_matches_generic_driver(self, row):
+        problem = reference.scenario_problem(row)
+        f = make_residual(problem.constants)
+        for alpha in default_alpha_grid():
+            settings = SolverSettings(alpha=alpha)
+            kernel = _kernel_outcome(problem, settings, keep_trace=True)
+            generic = fixed_point_solve(f, problem.x0, settings, keep_trace=True)
+            where = f"alpha {alpha.value}"
+            assert kernel.status is generic.status, where
+            assert kernel.iterations == generic.iterations, where
+            if generic.converged:
+                assert np.array_equal(kernel.x_final, generic.x_final), where
+            # Same iterates up to the last evaluable point; the norms differ
+            # only by summation order (np.dot against scalar sums).
+            assert kernel.trace.iterates.shape == generic.trace.iterates.shape, where
+            assert np.allclose(kernel.trace.iterates, generic.trace.iterates,
+                               rtol=1e-12, atol=0), where
+            assert np.allclose(kernel.trace.residual_norms,
+                               generic.trace.residual_norms, rtol=1e-12, atol=0), where
+
+    @pytest.mark.parametrize("row", reference.ROWS, ids=lambda r: f"row{r.index}")
+    def test_reference_solve_matches_generic_driver(self, row):
         problem = reference.scenario_problem(row)
         settings = SolverSettings(alpha=row.alpha)
-        fused = solve_thresholds(problem, settings)
+        kernel = _kernel_outcome(problem, settings, keep_trace=False)
         generic = fixed_point_solve(make_residual(problem.constants),
                                     problem.x0, settings)
         assert generic.status is Status.CONVERGED
-        assert generic.iterations == fused.outcome.iterations
-        assert np.allclose(generic.x_final, [fused.H, fused.L], rtol=1e-12, atol=0)
+        assert kernel.status is Status.CONVERGED
+        assert generic.iterations == kernel.iterations
+        assert np.allclose(generic.x_final, kernel.x_final, rtol=1e-12, atol=0)
         assert generic.final_residual_norm == pytest.approx(
-            fused.outcome.final_residual_norm, rel=1e-9)
+            kernel.final_residual_norm, rel=1e-9)
         assert generic.final_step_norm == pytest.approx(
-            fused.outcome.final_step_norm, rel=1e-9)
+            kernel.final_step_norm, rel=1e-9)
 
 
 class TestSweepThresholds:
@@ -279,6 +301,48 @@ class TestSweepThresholds:
         assert max(hit.x) == pytest.approx(row.solution[0], rel=1e-6)
         assert min(hit.x) == pytest.approx(row.solution[1], rel=1e-6)
         assert row.alpha in hit.found_by
+
+    @pytest.mark.parametrize("x0, grid, status", [
+        # x1 ** (a3 + a4) overflows in the residual at the start.
+        ((1e200, 1.0), [0.25, 0.5], Status.EVALUATION_FAILED),
+        # |x1| ** (-1.5) overflows in the multiplier of the first step.
+        ((1e-300, 1.0), [0.25, 1.5], Status.DIVERGED),
+    ])
+    def test_overflow_gives_the_generic_drivers_status(self, x0, grid, status):
+        constants = reference.scenario_problem(reference.ROWS[0]).constants
+        problem = ThresholdProblem(constants=constants, x0=x0)
+        roots = sweep_thresholds(problem, grid=grid)
+        assert not roots.roots
+        assert [s.status for s in roots.skipped] == [status] * len(grid)
+        for alpha in grid:
+            settings = SolverSettings(alpha=alpha)
+            kernel = _kernel_outcome(problem, settings, keep_trace=False)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                generic = fixed_point_solve(make_residual(constants), problem.x0, settings)
+            assert (kernel.status, kernel.iterations) == (generic.status, generic.iterations)
+
+    def test_every_order_is_a_driver_solve(self, monkeypatch):
+        # The kernel runs behind fixed_point_solve, so whatever wraps the
+        # driver sees each order's status and iteration count.
+        from fracroots import dixit_pindyck
+        seen = []
+
+        def counting(*args, **kwargs):
+            out = fixed_point_solve(*args, **kwargs)
+            seen.append((out.status, out.iterations))
+            return out
+
+        monkeypatch.setattr(dixit_pindyck, "fixed_point_solve", counting)
+        problem = reference.scenario_problem(reference.ROWS[0])
+        grid = default_alpha_grid()
+        roots = sweep_thresholds(problem, grid=grid)
+        assert len(seen) == len(grid)
+        expected = [(o.status, o.iterations) for o in
+                    (_kernel_outcome(problem, SolverSettings(alpha=a), False) for a in grid)]
+        assert seen == expected
+        assert sum(s is Status.CONVERGED for s, _ in seen) == \
+            sum(len(r.found_by) for r in roots.roots)
 
     def test_empty_grid_rejected(self):
         row = reference.ROWS[0]

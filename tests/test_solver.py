@@ -109,6 +109,25 @@ class TestFixedPointSolve:
         with pytest.raises(ValueError):
             fixed_point_solve(lambda x: x, np.array([math.inf]), SolverSettings())
 
+    def test_fused_solve_takes_over_only_the_default_iteration(self):
+        class Fused:
+            calls = []
+
+            def __call__(self, x):
+                return x * x - 4.0
+
+            def fused_solve(self, x0, settings, keep_trace):
+                self.calls.append((x0.tolist(), settings.alpha.value, keep_trace))
+                return fixed_point_solve(lambda x: self(x), x0, settings, keep_trace=keep_trace)
+
+        f = Fused()
+        out = fixed_point_solve(f, [3.0], SolverSettings(alpha=0.5), keep_trace=True)
+        assert Fused.calls == [([3.0], 0.5, True)]
+        assert out.status is Status.CONVERGED and out.trace is not None
+        fixed_point_solve(f, np.array([3.0]), SolverSettings(), accelerate=True)
+        fixed_point_solve(f, np.array([3.0]), SolverSettings(), step=lambda x, fx: x - fx / 4.0)
+        assert len(Fused.calls) == 1
+
 
 class TestSolverSettings:
     def test_defaults(self):
