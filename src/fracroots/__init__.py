@@ -4,9 +4,9 @@ The iteration x_{i+1} = x_i - P(x_i) f(x_i) multiplies the residual by a
 diagonal matrix of fractional derivatives of the unit constant, so it needs
 no derivatives of f at all, and sweeping the fractional order discovers
 multiple roots from a single initial condition.  The package ships the
-generic solver, a classical Newton baseline, delta-squared acceleration, a
-convergence-order diagnostic, and the Dixit-Pindyck investment-threshold
-model as a built-in application with a reproduction CLI.
+generic solver, a classical Newton baseline, a convergence-order diagnostic,
+and the Dixit-Pindyck investment-threshold model as a built-in application
+with a reproduction CLI.
 
 Quick start::
 
@@ -33,10 +33,10 @@ from .errors import (ConfigError, DegenerateThresholds, DomainError,
 from .kernel import (FractionalOrder, PDiagonal, beta_select,
                      constant_frac_deriv, gamma, p_matrix)
 from .solver import (IterationTrace, RootRecord, RootSet, SkippedAlpha,
-                     SolverSettings, SolveOutcome, Status, aitken_accelerate,
-                     alpha_sweep, default_alpha_grid, estimate_order,
-                     fd_jacobian, fixed_point_solve, fpn_step, fpn_update,
-                     newton_step, newton_update, norm2)
+                     SolverSettings, SolveOutcome, Status, alpha_sweep,
+                     default_alpha_grid, estimate_order, fd_jacobian,
+                     fixed_point_solve, fpn_step, fpn_update, newton_step,
+                     newton_update, norm2)
 
 __version__ = "0.1.0"
 
@@ -52,9 +52,8 @@ __all__ = [
     "FractionalOrder", "PDiagonal", "beta_select", "constant_frac_deriv",
     "gamma", "p_matrix",
     "IterationTrace", "RootRecord", "RootSet", "SkippedAlpha",
-    "SolverSettings", "SolveOutcome", "Status", "aitken_accelerate",
-    "alpha_sweep", "default_alpha_grid", "estimate_order", "fd_jacobian",
-    "fixed_point_solve", "fpn_step", "fpn_update", "newton_step",
-    "newton_update", "norm2",
+    "SolverSettings", "SolveOutcome", "Status", "alpha_sweep",
+    "default_alpha_grid", "estimate_order", "fd_jacobian", "fixed_point_solve",
+    "fpn_step", "fpn_update", "newton_step", "newton_update", "norm2",
     "NUMBA_ENABLED", "backend_name", "__version__",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from ._accel import NUMBA_ENABLED, njit
+from ._accel import NUMBA_ENABLED
 
 DEGENERATE_GAP = 1e-30
 
@@ -81,16 +81,18 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
 
     Fills the preallocated trace arrays (``xs``: (max_iter+1, 2), ``steps``:
     (max_iter,), ``residuals``: (max_iter+1,)) up to the last point where the
-    residual was evaluable, and returns
+    residual was evaluable (the start alone, with a NaN residual norm, when
+    it fails there), and returns
     ``(status, n, x1, x2, step_norm, residual_norm)``.
     """
+    xs[0, 0] = x01
+    xs[0, 1] = x02
     code, f1, f2 = reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x01, x02)
     if code != OK:
+        residuals[0] = math.nan
         return 3, 0, x01, x02, math.nan, math.nan
     x1 = x01
     x2 = x02
-    xs[0, 0] = x1
-    xs[0, 1] = x2
     residuals[0] = math.sqrt(f1 * f1 + f2 * f2)
     step = math.nan
     res = residuals[0]
@@ -119,6 +121,8 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
 
 
 if NUMBA_ENABLED:
+    from numba import njit
+
     frac_unit_deriv = njit(cache=True)(frac_unit_deriv)
     p_entry = njit(cache=True)(p_entry)
     reduced_residual_checked = njit(cache=True)(reduced_residual_checked)

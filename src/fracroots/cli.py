@@ -2,9 +2,9 @@
 
 Configuration comes from a YAML file; command-line flags override file
 values, which override built-in defaults.  No environment variables are
-consulted for command behaviour (FRACROOTS_DISABLE_NUMBA only switches the
-numerically equivalent slow backend in).  Machine-readable output is
-deterministic: identical inputs give byte-identical files.
+consulted.  Every invalid input exits with code 1 through ConfigError, named
+for its field.  Machine-readable output is deterministic: identical inputs
+give byte-identical files.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -66,10 +66,22 @@ class ScenarioConfig:
     def settings(self) -> SolverSettings:
         if self.alpha is None:
             raise ConfigError("solver.alpha", "missing required field (or pass --alpha)")
-        return SolverSettings(alpha=self.alpha, epsilon=self.epsilon,
-                              tol_step=self.tol_step, tol_residual=self.tol_residual,
-                              max_iter=self.max_iter,
-                              divergence_bound=self.divergence_bound)
+        values = dict(alpha=self.alpha, epsilon=self.epsilon, tol_step=self.tol_step,
+                      tol_residual=self.tol_residual, max_iter=self.max_iter,
+                      divergence_bound=self.divergence_bound)
+        # Each field is checked on its own, so the error names the bad one.
+        for name, value in values.items():
+            try:
+                SolverSettings(**{name: value})
+            except ValueError as exc:
+                raise ConfigError(f"solver.{name}", str(exc)) from exc
+        return SolverSettings(**values)
+
+    def problem(self) -> ThresholdProblem:
+        try:
+            return ThresholdProblem(constants=self.constants, x0=self.x0)
+        except ValueError as exc:  # x0 is checked finite on load
+            raise ConfigError("constants.a6", str(exc)) from exc
 
 
 def _section(data: dict, name: str) -> dict:
@@ -129,6 +141,8 @@ def load_config(path: str) -> ScenarioConfig:
     initial = _section(data, "initial")
     x0 = np.array([_number("initial", "H0", initial.get("H0")),
                    _number("initial", "L0", initial.get("L0"))])
+    if not np.all(np.isfinite(x0)):
+        raise ConfigError("initial", f"H0 and L0 must be finite, got {x0.tolist()}")
 
     solver = _section(data, "solver")
     config = ScenarioConfig(constants=constants, x0=x0)
@@ -138,7 +152,10 @@ def load_config(path: str) -> ScenarioConfig:
         if name in solver:
             setattr(config, name, _number("solver", name, solver.get(name)))
     if "max_iter" in solver:
-        config.max_iter = int(_number("solver", "max_iter", solver.get("max_iter")))
+        max_iter = _number("solver", "max_iter", solver.get("max_iter"))
+        if not max_iter.is_integer():
+            raise ConfigError("solver.max_iter", f"must be an integer, got {max_iter!r}")
+        config.max_iter = int(max_iter)
 
     sweep = _section(data, "sweep")
     if "grid_step" in sweep:
@@ -278,7 +295,7 @@ def _render_solution(config: ScenarioConfig, sol) -> str:
 def _cmd_solve(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     settings = config.settings()
-    problem = ThresholdProblem(constants=config.constants, x0=config.x0)
+    problem = config.problem()
     try:
         sol = solve_thresholds(problem, settings, keep_trace=config.trace)
     except ThresholdSolveFailed as exc:
@@ -385,13 +402,9 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep.grid_step",
                           f"grid step {config.grid_step!r} leaves no valid orders "
                           "after excluding the integer bands")
-    problem = ThresholdProblem(constants=config.constants, x0=config.x0)
-    settings = SolverSettings(alpha=grid[0], epsilon=config.epsilon,
-                              tol_step=config.tol_step,
-                              tol_residual=config.tol_residual,
-                              max_iter=config.max_iter,
-                              divergence_bound=config.divergence_bound)
-    roots = sweep_thresholds(problem, grid=grid, settings=settings)
+    # Every grid order replaces the configured one, which is not checked.
+    roots = sweep_thresholds(config.problem(), grid=grid,
+                             settings=replace(config, alpha=grid[0]).settings())
 
     print(f"order sweep over {len(grid)} grid points "
           f"(step {config.grid_step:g}, backend: {backend_name()})")

@@ -323,12 +323,6 @@ def _solve_outcome(problem: ThresholdProblem, settings: SolverSettings,
     return fixed_point_solve(residual, problem.x0, settings, keep_trace=keep_trace)
 
 
-def _kernel_outcome(problem: ThresholdProblem, settings: SolverSettings,
-                    keep_trace: bool) -> SolveOutcome:
-    """One reduced-system solve through the scalar kernel, compiled or not."""
-    return KernelResidual(problem.constants).fused_solve(problem.x0, settings, keep_trace)
-
-
 def _label_thresholds(x1: float, x2: float) -> tuple:
     """Order a converged pair as (H, L); flag when the labels had to swap."""
     if x1 >= x2:

@@ -23,9 +23,6 @@ from .kernel import FractionalOrder, p_matrix
 #: Condition-number ceiling beyond which the Newton linear solve is refused.
 CONDITION_LIMIT = 1e12
 
-#: Aitken denominators below this magnitude leave the component untouched.
-AITKEN_GUARD = 1e-30
-
 
 class Status(enum.Enum):
     CONVERGED = "converged"
@@ -238,24 +235,9 @@ def newton_update(f: Callable, h: Optional[float] = None) -> Callable:
     return step
 
 
-def aitken_accelerate(last3) -> np.ndarray:
-    """Component-wise delta-squared extrapolation of three consecutive iterates.
-
-    Components whose second difference is below the guard are passed through
-    from the newest iterate unchanged, so degenerate directions never divide
-    by (numerical) zero.
-    """
-    x0, x1, x2 = (np.asarray(v, dtype=float) for v in last3)
-    den = x2 - 2.0 * x1 + x0
-    out = x2.copy()
-    usable = np.abs(den) >= AITKEN_GUARD
-    out[usable] = x0[usable] - (x1[usable] - x0[usable]) ** 2 / den[usable]
-    return out
-
-
 def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
-                      step: Optional[Callable] = None, keep_trace: bool = False,
-                      accelerate: bool = False) -> SolveOutcome:
+                      step: Optional[Callable] = None,
+                      keep_trace: bool = False) -> SolveOutcome:
     """Run a fixed-point iteration until converged, capped, diverged or failed.
 
     Parameters
@@ -269,25 +251,26 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
         Optional iteration map (x, f(x)) -> next x; defaults to the
         fractional pseudo-Newton update built from the settings.
     keep_trace
-        Attach the full IterationTrace to the outcome.
-    accelerate
-        Opt-in restarted delta-squared acceleration: every third iterate is
-        replaced by the extrapolated point when the residual stays evaluable
-        there.  Off by default.
+        Attach the full IterationTrace to the outcome.  A residual that fails
+        at x0 gives the trace of x0 alone, with a NaN residual norm.
 
     A residual with a ``fused_solve(x0, settings, keep_trace)`` method runs
-    the default iteration (no ``step``, no ``accelerate``) through that
-    method instead of this loop; it must return the outcome this loop would.
-    The outcome always encodes failures in its status instead of raising.
+    the default iteration (no ``step``) through that method instead of this
+    loop; it must return the outcome this loop would.  The outcome always
+    encodes failures in its status instead of raising.
     """
     x = np.asarray(x0, dtype=float).ravel()
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
-    fused_solve = getattr(f, "fused_solve", None)
-    if fused_solve is not None and step is None and not accelerate:
-        return fused_solve(x, settings, keep_trace)
     if step is None:
+        fused_solve = getattr(f, "fused_solve", None)
+        if fused_solve is not None:
+            return fused_solve(x, settings, keep_trace)
         step = fpn_update(settings.alpha, settings.epsilon)
+    if keep_trace:
+        iterates = [x.copy()]
+        step_norms: list = []
+        residual_norms: list = []
 
     def outcome(status, x_final, n, step_norm, res_norm):
         trace = None
@@ -304,27 +287,19 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
     try:
         fx = _evaluate(f, x)
     except NonRealEvaluation:
+        if keep_trace:
+            residual_norms.append(math.nan)
         return outcome(Status.EVALUATION_FAILED, x, 0, math.nan, math.nan)
-
-    iterates = [x.copy()]
-    step_norms: list = []
-    residual_norms = [norm2(fx)]
+    step_norm = math.nan
+    res_norm = norm2(fx)
+    if keep_trace:
+        residual_norms.append(res_norm)
 
     for i in range(1, settings.max_iter + 1):
         try:
             x_next = np.asarray(step(x, fx), dtype=float)
         except (NonRealEvaluation, SingularJacobian):
-            return outcome(Status.EVALUATION_FAILED, x, i - 1,
-                           step_norms[-1] if step_norms else math.nan,
-                           residual_norms[-1])
-        if accelerate and i % 3 == 0 and len(iterates) >= 2:
-            candidate = aitken_accelerate((iterates[-2], iterates[-1], x_next))
-            try:
-                _evaluate(f, candidate)
-            except NonRealEvaluation:
-                pass
-            else:
-                x_next = candidate
+            return outcome(Status.EVALUATION_FAILED, x, i - 1, step_norm, res_norm)
         step_norm = norm2(x_next - x)
         if not np.all(np.isfinite(x_next)) or norm2(x_next) > settings.divergence_bound:
             return outcome(Status.DIVERGED, x_next, i, step_norm, math.nan)
@@ -333,15 +308,15 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
         except NonRealEvaluation:
             return outcome(Status.EVALUATION_FAILED, x_next, i, step_norm, math.nan)
         res_norm = norm2(fx_next)
-        iterates.append(x_next.copy())
-        step_norms.append(step_norm)
-        residual_norms.append(res_norm)
+        if keep_trace:
+            iterates.append(x_next.copy())
+            step_norms.append(step_norm)
+            residual_norms.append(res_norm)
         x, fx = x_next, fx_next
         if step_norm <= settings.tol_step and res_norm <= settings.tol_residual:
             return outcome(Status.CONVERGED, x, i, step_norm, res_norm)
 
-    return outcome(Status.MAX_ITERATIONS, x, settings.max_iter,
-                   step_norms[-1], residual_norms[-1])
+    return outcome(Status.MAX_ITERATIONS, x, settings.max_iter, step_norm, res_norm)
 
 
 def estimate_order(norms: Sequence[float]) -> float:

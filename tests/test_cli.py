@@ -82,6 +82,15 @@ class TestSolveCommand:
         assert code == 2
         assert "evaluation_failed" in err
 
+    def test_trace_of_a_failing_start_exits_2(self, tmp_path, capsys):
+        payload = {**ROW2, "initial": {"H0": -1, "L0": 20},
+                   "output": {"trace": True}}
+        code = main(["solve", "--config", write_config(tmp_path, payload)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "evaluation_failed" in err
+        assert "Traceback" not in err
+
     def test_nonconvergent_exits_2(self, tmp_path, capsys):
         payload = {**ROW2, "solver": {"alpha": 0.25628, "max_iter": 5}}
         code = main(["solve", "--config", write_config(tmp_path, payload)])
@@ -101,6 +110,25 @@ class TestSolveCommand:
     def test_usage_error_exit_1(self, capsys):
         assert main(["solve"]) == 1
         assert main(["no-such-command"]) == 1
+
+    @pytest.mark.parametrize("command, payload, flags, field", [
+        ("solve", ROW2, ["--max-iter", "0"], "solver.max_iter"),
+        ("solve", ROW2, ["--alpha", "1.0"], "solver.alpha"),
+        ("solve", ROW2, ["--alpha", "nan"], "solver.alpha"),
+        ("solve", ROW2, ["--epsilon", "-1"], "solver.epsilon"),
+        ("solve", {**ROW2, "constants": {**ROW2["constants"], "a6": 1.0}}, [],
+         "constants.a6"),
+        ("sweep", {**ROW2, "constants": {**ROW2["constants"], "a6": 1.0}}, [],
+         "constants.a6"),
+        ("solve", {**ROW2, "solver": {"alpha": 0.25628, "max_iter": 1.5}}, [],
+         "solver.max_iter"),
+    ], ids=["max-iter-0", "alpha-integer", "alpha-nan", "epsilon-negative",
+            "a6-below-a7-solve", "a6-below-a7-sweep", "max-iter-fraction"])
+    def test_invalid_input_is_a_config_error(self, tmp_path, capsys, command,
+                                             payload, flags, field):
+        code = main([command, "--config", write_config(tmp_path, payload), *flags])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"config error: {field}:")
 
 
 class TestMachineOutput:

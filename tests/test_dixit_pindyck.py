@@ -1,11 +1,15 @@
 """Threshold-model tests: constants, residuals, back-substitution, solves."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import fracroots
 from fracroots import (DegenerateThresholds, Decision, EconomicPrimitives,
                        InvalidPrimitives, ModelConstants, NonRealEvaluation,
                        SolverSettings, Status, ThresholdOrderingWarning,
@@ -14,7 +18,7 @@ from fracroots import (DegenerateThresholds, Decision, EconomicPrimitives,
                        full_residual, full_residual_scale, make_residual,
                        default_alpha_grid, fixed_point_solve, norm2,
                        reduced_residual, solve_thresholds, sweep_thresholds)
-from fracroots.dixit_pindyck import _kernel_outcome, _label_thresholds
+from fracroots.dixit_pindyck import KernelResidual, _label_thresholds
 from fracroots import reference
 
 #: Full-precision initial residual norms of the bundled scenarios, frozen
@@ -258,7 +262,8 @@ class TestKernelAgreement:
         f = make_residual(problem.constants)
         for alpha in default_alpha_grid():
             settings = SolverSettings(alpha=alpha)
-            kernel = _kernel_outcome(problem, settings, keep_trace=True)
+            kernel = KernelResidual(problem.constants).fused_solve(
+                problem.x0, settings, keep_trace=True)
             generic = fixed_point_solve(f, problem.x0, settings, keep_trace=True)
             where = f"alpha {alpha.value}"
             assert kernel.status is generic.status, where
@@ -277,7 +282,8 @@ class TestKernelAgreement:
     def test_reference_solve_matches_generic_driver(self, row):
         problem = reference.scenario_problem(row)
         settings = SolverSettings(alpha=row.alpha)
-        kernel = _kernel_outcome(problem, settings, keep_trace=False)
+        kernel = KernelResidual(problem.constants).fused_solve(
+            problem.x0, settings, keep_trace=False)
         generic = fixed_point_solve(make_residual(problem.constants),
                                     problem.x0, settings)
         assert generic.status is Status.CONVERGED
@@ -316,11 +322,19 @@ class TestSweepThresholds:
         assert [s.status for s in roots.skipped] == [status] * len(grid)
         for alpha in grid:
             settings = SolverSettings(alpha=alpha)
-            kernel = _kernel_outcome(problem, settings, keep_trace=False)
+            kernel = KernelResidual(constants).fused_solve(problem.x0, settings,
+                                                          keep_trace=True)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                generic = fixed_point_solve(make_residual(constants), problem.x0, settings)
+                generic = fixed_point_solve(make_residual(constants), problem.x0,
+                                            settings, keep_trace=True)
             assert (kernel.status, kernel.iterations) == (generic.status, generic.iterations)
+            # Both fail at or right after the start, so the trace is x0 alone.
+            for trace in (kernel.trace, generic.trace):
+                assert np.array_equal(trace.iterates, [problem.x0])
+                assert trace.step_norms.size == 0
+            np.testing.assert_allclose(kernel.trace.residual_norms,
+                                       generic.trace.residual_norms, rtol=1e-12)
 
     def test_every_order_is_a_driver_solve(self, monkeypatch):
         # The kernel runs behind fixed_point_solve, so whatever wraps the
@@ -338,8 +352,10 @@ class TestSweepThresholds:
         grid = default_alpha_grid()
         roots = sweep_thresholds(problem, grid=grid)
         assert len(seen) == len(grid)
+        kernel = KernelResidual(problem.constants)
         expected = [(o.status, o.iterations) for o in
-                    (_kernel_outcome(problem, SolverSettings(alpha=a), False) for a in grid)]
+                    (kernel.fused_solve(problem.x0, SolverSettings(alpha=a), False)
+                     for a in grid)]
         assert seen == expected
         assert sum(s is Status.CONVERGED for s, _ in seen) == \
             sum(len(r.found_by) for r in roots.roots)
@@ -348,6 +364,32 @@ class TestSweepThresholds:
         row = reference.ROWS[0]
         with pytest.raises(ValueError):
             sweep_thresholds(reference.scenario_problem(row), grid=[])
+
+    def test_interpreted_kernel_without_numba(self):
+        # With numba unimportable the kernel runs interpreted, overflow
+        # guards included; on a machine with numba only this test runs it.
+        script = """
+import sys
+sys.modules["numba"] = None
+import fracroots
+from fracroots import ThresholdProblem, Status, reference, sweep_thresholds
+assert fracroots.backend_name() == "numpy"
+row = reference.ROWS[0]
+problem = reference.scenario_problem(row)
+roots = sweep_thresholds(problem, grid=[row.alpha])
+assert [r.outcome.iterations for r in roots.roots] == [78], roots
+for x0, alpha, status in (((1e200, 1.0), 0.25, Status.EVALUATION_FAILED),
+                          ((1e-300, 1.0), 1.5, Status.DIVERGED)):
+    moved = ThresholdProblem(constants=problem.constants, x0=x0)
+    skipped = sweep_thresholds(moved, grid=[alpha]).skipped
+    assert [s.status for s in skipped] == [status], skipped
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fracroots.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
 
 
 @pytest.fixture(scope="module")

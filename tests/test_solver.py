@@ -1,17 +1,14 @@
-"""Solver-level tests: steps, the driver, the baseline, acceleration, sweeps."""
+"""Solver-level tests: steps, the driver, the baseline, order estimates, sweeps."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings
-from hypothesis import strategies as st
 
 from fracroots import (FractionalOrder, InsufficientData, SingularJacobian,
-                       SolverSettings, Status, aitken_accelerate, alpha_sweep,
-                       default_alpha_grid, estimate_order, fd_jacobian,
-                       fixed_point_solve, fpn_step, newton_step, newton_update,
-                       norm2)
+                       SolverSettings, Status, alpha_sweep, default_alpha_grid,
+                       estimate_order, fd_jacobian, fixed_point_solve, fpn_step,
+                       newton_step, newton_update, norm2)
 
 
 def linear_root_residual(matrix, root):
@@ -69,9 +66,13 @@ class TestFixedPointSolve:
                 raise ValueError("left the domain")
             return x - 10.0
 
-        out = fixed_point_solve(f, np.array([-1.0]), SolverSettings())
+        out = fixed_point_solve(f, np.array([-1.0]), SolverSettings(), keep_trace=True)
         assert out.status is Status.EVALUATION_FAILED
         assert out.iterations == 0
+        # The trace holds the start alone, whose residual does not exist.
+        assert out.trace.iterates.tolist() == [[-1.0]]
+        assert out.trace.step_norms.size == 0
+        assert np.isnan(out.trace.residual_norms).tolist() == [True]
 
     def test_converged_predicates_recompute(self):
         settings = SolverSettings(alpha=0.9)
@@ -95,16 +96,6 @@ class TestFixedPointSolve:
         for i in range(out.iterations + 1):
             assert norm2(f(tr.iterates[i])) == tr.residual_norms[i]
 
-    def test_aitken_option_still_converges(self):
-        f = lambda x: x**2 - 2.0
-        plain = fixed_point_solve(f, np.array([3.0]), SolverSettings(alpha=0.9))
-        accel = fixed_point_solve(f, np.array([3.0]), SolverSettings(alpha=0.9),
-                                  accelerate=True)
-        assert plain.status is Status.CONVERGED
-        assert accel.status is Status.CONVERGED
-        assert accel.iterations <= plain.iterations
-        assert accel.x_final[0] == pytest.approx(math.sqrt(2.0), rel=1e-4)
-
     def test_rejects_non_finite_start(self):
         with pytest.raises(ValueError):
             fixed_point_solve(lambda x: x, np.array([math.inf]), SolverSettings())
@@ -124,7 +115,6 @@ class TestFixedPointSolve:
         out = fixed_point_solve(f, [3.0], SolverSettings(alpha=0.5), keep_trace=True)
         assert Fused.calls == [([3.0], 0.5, True)]
         assert out.status is Status.CONVERGED and out.trace is not None
-        fixed_point_solve(f, np.array([3.0]), SolverSettings(), accelerate=True)
         fixed_point_solve(f, np.array([3.0]), SolverSettings(), step=lambda x, fx: x - fx / 4.0)
         assert len(Fused.calls) == 1
 
@@ -204,36 +194,6 @@ class TestNewtonStep:
                                 step=newton_update(f))
         assert out.status is Status.CONVERGED
         assert out.x_final[0] == pytest.approx(math.sqrt(2.0), rel=1e-10)
-
-
-class TestAitken:
-    def test_geometric_scalar_to_zero(self):
-        assert aitken_accelerate(([1.0], [0.5], [0.25]))[0] == 0.0
-
-    def test_geometric_scalar_to_one(self):
-        assert aitken_accelerate(([2.0], [1.5], [1.25]))[0] == 1.0
-
-    def test_constant_sequence_passes_through(self):
-        out = aitken_accelerate((np.array([3.0, -1.0]),) * 3)
-        assert np.array_equal(out, np.array([3.0, -1.0]))
-
-    @hyp_settings(max_examples=200)
-    @given(
-        limit=st.floats(min_value=-50.0, max_value=50.0),
-        ratio=st.floats(min_value=-0.9, max_value=0.9).filter(lambda r: abs(r) > 1e-3),
-        scale=st.floats(min_value=0.1, max_value=10.0),
-    )
-    def test_exact_on_geometric_sequences(self, limit, ratio, scale):
-        seq = [np.array([limit + scale * ratio**k]) for k in range(3)]
-        out = aitken_accelerate(seq)
-        assert abs(out[0] - limit) <= 1e-8 * (1.0 + abs(limit))
-
-    def test_vector_geometric_mixed_ratios(self):
-        limit = np.array([2.0, -3.0])
-        ratios = np.array([0.5, -0.25])
-        seq = [limit + 0.7 * ratios**k for k in range(3)]
-        out = aitken_accelerate(seq)
-        assert np.allclose(out, limit, rtol=0, atol=1e-12)
 
 
 class TestEstimateOrder:
