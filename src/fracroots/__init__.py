@@ -18,7 +18,7 @@ Quick start::
     assert out.converged
 """
 
-from ._accel import NUMBA_ENABLED, backend_name
+from ._accel import backend_name
 from .dixit_pindyck import (Decision, EconomicPrimitives, ModelConstants,
                             ThresholdOrderingWarning, ThresholdProblem,
                             ThresholdSolution, back_substitute,
@@ -55,5 +55,5 @@ __all__ = [
     "SolverSettings", "SolveOutcome", "Status", "alpha_sweep",
     "default_alpha_grid", "estimate_order", "fd_jacobian", "fixed_point_solve",
     "fpn_step", "fpn_update", "newton_step", "newton_update", "norm2",
-    "NUMBA_ENABLED", "backend_name", "__version__",
+    "backend_name", "__version__",
 ]

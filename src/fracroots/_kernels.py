@@ -1,9 +1,10 @@
-"""Scalar hot-loop kernels, compiled with numba when the backend allows.
+"""Scalar hot-loop kernels, in plain interpreted Python.
 
-Every function here is written in plain scalar Python so the exact same
-source runs compiled or interpreted.  The threshold-model residual lives
-here (and only here) so the generic numpy driver and the fused loop can
-never drift apart.
+The threshold-model residual lives here (and only here) so the generic
+numpy driver and the fused loop can never drift apart.  Python's float
+``**`` raises OverflowError where IEEE arithmetic would give inf; the power
+sites below catch it, so an overflow becomes a status code or an infinite
+multiplier entry instead of an exception.
 
 Status codes returned by :func:`solve_reduced` (kept in sync with
 ``solver.Status``): 0 converged, 1 iteration cap, 2 diverged, 3 evaluation
@@ -13,8 +14,6 @@ failed.
 from __future__ import annotations
 
 import math
-
-from ._accel import NUMBA_ENABLED
 
 DEGENERATE_GAP = 1e-30
 
@@ -33,7 +32,11 @@ def frac_unit_deriv(beta, x):
     """
     if beta == 1.0:
         return 0.0
-    core = abs(x) ** (-beta) / math.gamma(1.0 - beta)
+    try:
+        core = abs(x) ** (-beta)
+    except OverflowError:
+        core = math.inf
+    core = core / math.gamma(1.0 - beta)
     if x < 0.0:
         return -core
     return core
@@ -61,15 +64,18 @@ def reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2):
     if x1 <= 0.0 or x2 <= 0.0:
         return NONPOSITIVE, 0.0, 0.0
     s = a3 + a4
-    t1 = x1 ** s
-    t2 = x2 ** s
-    if abs(t1 - t2) < DEGENERATE_GAP:
-        return DEGENERATE, 0.0, 0.0
-    den = a1 * a2 * (t1 - t2)
-    g13 = x2 ** a3 - x1 ** a3
-    g14 = x1 ** a4 - x2 ** a4
-    f1 = a5 * x1 - a6 + a5 * (a1 * x1 ** a2 * g13 + a2 * x1 * x2 ** a3 * g14) / den
-    f2 = a5 * x2 - a7 + a5 * (a1 * x2 ** a2 * g13 + a2 * x1 ** a3 * x2 * g14) / den
+    try:
+        t1 = x1 ** s
+        t2 = x2 ** s
+        if abs(t1 - t2) < DEGENERATE_GAP:
+            return DEGENERATE, 0.0, 0.0
+        den = a1 * a2 * (t1 - t2)
+        g13 = x2 ** a3 - x1 ** a3
+        g14 = x1 ** a4 - x2 ** a4
+        f1 = a5 * x1 - a6 + a5 * (a1 * x1 ** a2 * g13 + a2 * x1 * x2 ** a3 * g14) / den
+        f2 = a5 * x2 - a7 + a5 * (a1 * x2 ** a2 * g13 + a2 * x1 ** a3 * x2 * g14) / den
+    except OverflowError:
+        return NONFINITE, math.nan, math.nan
     if not (math.isfinite(f1) and math.isfinite(f2)):
         return NONFINITE, f1, f2
     return OK, f1, f2
@@ -118,30 +124,3 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
         if step <= tol_step and res <= tol_res:
             return 0, i, x1, x2, step, res
     return 1, max_iter, x1, x2, step, res
-
-
-if NUMBA_ENABLED:
-    from numba import njit
-
-    frac_unit_deriv = njit(cache=True)(frac_unit_deriv)
-    p_entry = njit(cache=True)(p_entry)
-    reduced_residual_checked = njit(cache=True)(reduced_residual_checked)
-    solve_reduced = njit(cache=True)(solve_reduced)
-else:
-    # Python's float ``**`` raises OverflowError where compiled code yields
-    # inf.  These interpreted twins give the compiled result instead, so both
-    # backends return the same status codes on the same inputs.
-    _frac_unit_deriv_unguarded = frac_unit_deriv
-    _reduced_residual_unguarded = reduced_residual_checked
-
-    def frac_unit_deriv(beta, x):
-        try:
-            return _frac_unit_deriv_unguarded(beta, x)
-        except OverflowError:
-            return math.copysign(math.inf, x) / math.gamma(1.0 - beta)
-
-    def reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2):
-        try:
-            return _reduced_residual_unguarded(a1, a2, a3, a4, a5, a6, a7, x1, x2)
-        except OverflowError:
-            return NONFINITE, math.nan, math.nan

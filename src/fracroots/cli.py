@@ -98,7 +98,10 @@ def _number(section: str, name: str, raw) -> float:
         raise ConfigError(f"{section}.{name}", "missing required field")
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"{section}.{name}", f"must be a number, got {raw!r}")
-    return float(raw)
+    try:
+        return float(raw)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigError(f"{section}.{name}", "integer is too large for a float") from exc
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -148,14 +151,9 @@ def load_config(path: str) -> ScenarioConfig:
     config = ScenarioConfig(constants=constants, x0=x0)
     if "alpha" in solver:
         config.alpha = _number("solver", "alpha", solver.get("alpha"))
-    for name in ("epsilon", "tol_step", "tol_residual", "divergence_bound"):
+    for name in ("epsilon", "tol_step", "tol_residual", "max_iter", "divergence_bound"):
         if name in solver:
             setattr(config, name, _number("solver", name, solver.get(name)))
-    if "max_iter" in solver:
-        max_iter = _number("solver", "max_iter", solver.get("max_iter"))
-        if not max_iter.is_integer():
-            raise ConfigError("solver.max_iter", f"must be an integer, got {max_iter!r}")
-        config.max_iter = int(max_iter)
 
     sweep = _section(data, "sweep")
     if "grid_step" in sweep:
@@ -310,19 +308,9 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _warm_backend() -> None:
-    """Trigger jit compilation outside the timed sections."""
-    row = reference.ROWS[0]
-    constants = reference.scenario_constants(row.a6, row.a7)
-    problem = ThresholdProblem(constants=constants, x0=row.x0)
-    reduced_residual(constants, np.array(row.x0))
-    solve_thresholds(problem, SolverSettings(alpha=row.alpha))
-
-
 def _cmd_reproduce(args) -> int:
     print(f"re-solving the {len(reference.ROWS)} bundled scenarios "
           f"(backend: {backend_name()})")
-    _warm_backend()
     all_ok = True
     csv_rows = []
     print()
@@ -395,9 +383,10 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    if not config.grid_step > 0:
-        raise ConfigError("sweep.grid_step", f"must be positive, got {config.grid_step!r}")
-    grid = default_alpha_grid(step=config.grid_step)
+    try:
+        grid = default_alpha_grid(step=config.grid_step)
+    except ValueError as exc:
+        raise ConfigError("sweep.grid_step", str(exc)) from exc
     if not grid:
         raise ConfigError("sweep.grid_step",
                           f"grid step {config.grid_step!r} leaves no valid orders "

@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from ._accel import NUMBA_ENABLED
 from .errors import (DegenerateThresholds, InvalidPrimitives,
                      NonRealEvaluation, ThresholdSolveFailed)
 from .solver import (STATUS_FROM_CODE, IterationTrace, RootSet, SolverSettings,
@@ -46,6 +45,8 @@ class ThresholdOrderingWarning(UserWarning):
 class EconomicPrimitives:
     """Raw model inputs.
 
+    All six must be finite.
+
     mu      mean growth rate of income
     sigma   volatility of income (> 0)
     l       long-run real interest rate (> mu, so discounting converges)
@@ -63,7 +64,10 @@ class EconomicPrimitives:
 
     def __post_init__(self):
         for name in ("mu", "sigma", "l", "c", "kappa", "chi"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise InvalidPrimitives(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
         if not self.sigma > 0.0:
             raise InvalidPrimitives(f"sigma must be positive, got {self.sigma!r}")
         if not self.l > 0.0:
@@ -117,11 +121,6 @@ class ModelConstants:
         return cls(a1=a1, a2=a2, a3=a3, a4=a4, a5=a5, a6=a6, a7=a7,
                    rho=(float(a1) + float(a2)) / 2.0)
 
-    def with_triggers(self, a6, a7) -> "ModelConstants":
-        """Same structural constants with a new scenario pair (a6, a7)."""
-        return ModelConstants(a1=self.a1, a2=self.a2, a3=self.a3, a4=self.a4,
-                              a5=self.a5, a6=float(a6), a7=float(a7), rho=self.rho)
-
 
 def derive_constants(p: EconomicPrimitives) -> ModelConstants:
     """Compute a1..a7 and rho from the economic primitives.
@@ -129,20 +128,32 @@ def derive_constants(p: EconomicPrimitives) -> ModelConstants:
     rho = sqrt((mu/sigma^2 - 1/2)^2 + 2 l / sigma^2); the four exponent
     constants are rho shifted by +/- mu/sigma^2 and +/- 1/2, a5 is the
     perpetuity factor 1/(l - mu), and a6, a7 are the capitalised cost plus
-    the expansion cost and minus the closing cost respectively.
+    the expansion cost and minus the closing cost respectively.  Primitives
+    whose constants overflow, underflow to a zero divisor or come out
+    non-finite or inconsistent raise InvalidPrimitives.
     """
-    m = p.mu / p.sigma**2
-    rho = math.sqrt((m - 0.5) ** 2 + 2.0 * p.l / p.sigma**2)
-    return ModelConstants(
-        a1=m - 0.5 + rho,
-        a2=-m + 0.5 + rho,
-        a3=m + 0.5 + rho,
-        a4=-m - 0.5 + rho,
-        a5=1.0 / (p.l - p.mu),
-        a6=p.c / p.l + p.kappa,
-        a7=p.c / p.l - p.chi,
-        rho=rho,
-    )
+    try:
+        m = p.mu / p.sigma**2
+        rho = math.sqrt((m - 0.5) ** 2 + 2.0 * p.l / p.sigma**2)
+        values = dict(
+            a1=m - 0.5 + rho,
+            a2=-m + 0.5 + rho,
+            a3=m + 0.5 + rho,
+            a4=-m - 0.5 + rho,
+            a5=1.0 / (p.l - p.mu),
+            a6=p.c / p.l + p.kappa,
+            a7=p.c / p.l - p.chi,
+            rho=rho,
+        )
+    except ArithmeticError as exc:
+        raise InvalidPrimitives(f"constants cannot be derived from {p}: {exc}") from exc
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidPrimitives(f"derived constant {name} is not finite ({value!r}) for {p}")
+    try:
+        return ModelConstants(**values)
+    except ValueError as exc:
+        raise InvalidPrimitives(f"derived constants are invalid for {p}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -312,15 +323,14 @@ def full_residual_scale(constants: ModelConstants, H: float, L: float) -> float:
 
 def _solve_outcome(problem: ThresholdProblem, settings: SolverSettings,
                    keep_trace: bool) -> SolveOutcome:
-    """One reduced-system solve: the fused kernel under numba, else the generic driver.
+    """One reduced-system solve through the generic driver.
 
-    Interpreted, the kernel is also several times faster than the generic
-    driver; single solves stay on the driver until the scenario benchmark's
-    memory stops growing with its op rate (see ROADMAP.md).
+    The scalar kernel (:class:`KernelResidual`) gives the same outcome several
+    times faster; single solves stay on the driver until the scenario
+    benchmark's memory stops growing with its op rate (see ROADMAP.md).
     """
-    residual = KernelResidual(problem.constants) if NUMBA_ENABLED \
-        else make_residual(problem.constants)
-    return fixed_point_solve(residual, problem.x0, settings, keep_trace=keep_trace)
+    return fixed_point_solve(make_residual(problem.constants), problem.x0, settings,
+                             keep_trace=keep_trace)
 
 
 def _label_thresholds(x1: float, x2: float) -> tuple:
@@ -363,7 +373,7 @@ def sweep_thresholds(problem: ThresholdProblem, grid=None,
                      dedup_tolerance: float = 1e-3) -> RootSet:
     """Order sweep over one scenario from its single initial condition.
 
-    Every order runs through the scalar kernel, compiled or interpreted.
+    Every order runs through the scalar kernel.
     """
     if settings is None:
         settings = SolverSettings()

@@ -23,6 +23,10 @@ from .kernel import FractionalOrder, p_matrix
 #: Condition-number ceiling beyond which the Newton linear solve is refused.
 CONDITION_LIMIT = 1e12
 
+#: Cap on (upper - lower) / step in :func:`default_alpha_grid`, so that the
+#: size of an order sweep is bounded before any grid point is built.
+MAX_GRID_POINTS = 10_000
+
 
 class Status(enum.Enum):
     CONVERGED = "converged"
@@ -31,7 +35,7 @@ class Status(enum.Enum):
     EVALUATION_FAILED = "evaluation_failed"
 
 
-#: Integer codes used by the compiled kernels, in Status order.
+#: Integer status codes returned by ``_kernels.solve_reduced``, in Status order.
 STATUS_FROM_CODE = {
     0: Status.CONVERGED,
     1: Status.MAX_ITERATIONS,
@@ -58,7 +62,8 @@ class SolverSettings:
         Convergence requires BOTH the step norm and the residual norm under
         their tolerance after the same iteration.
     max_iter
-        Iteration cap.
+        Iteration cap, a whole number (an integral float such as 500.0 is
+        accepted; bools are not).
     divergence_bound
         Abort with Diverged once the iterate norm exceeds this.
     """
@@ -77,6 +82,9 @@ class SolverSettings:
             object.__setattr__(self, name, value)
             if not value > 0.0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
+        if isinstance(self.max_iter, (bool, np.bool_)) \
+                or not float(self.max_iter).is_integer():
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         object.__setattr__(self, "max_iter", int(self.max_iter))
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
@@ -350,10 +358,15 @@ def default_alpha_grid(step: float = 0.05, lower: float = -2.0, upper: float = 2
     """Sweep grid over [lower, upper] skipping a band around every integer.
 
     The band half-width keeps every grid point clear of the integer orders
-    the kernel cannot take.
+    the kernel cannot take.  A step that is not finite and positive, or that
+    would cut the range into more than MAX_GRID_POINTS intervals, is refused
+    before any point is built.
     """
-    if not step > 0.0:
-        raise ValueError("step must be positive")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
+    if not (upper - lower) / step <= MAX_GRID_POINTS:
+        raise ValueError(f"step {step!r} would cut [{lower!r}, {upper!r}] into more "
+                         f"than {MAX_GRID_POINTS} intervals")
     grid = []
     k = 0
     while True:

@@ -27,7 +27,7 @@ def _report(name: str, ok: bool, detail: str = ""):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_backend():
-    """Compile the jit kernels outside any timed section."""
+    """Run one residual and one solve before any timed section (imports, caches)."""
     row = reference.ROWS[0]
     problem = reference.scenario_problem(row)
     fr.reduced_residual(problem.constants, np.array(row.x0))

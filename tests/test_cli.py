@@ -3,14 +3,16 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
-from fracroots import SolverSettings, solve_thresholds
+from fracroots import ConfigError, SolverSettings, solve_thresholds
 from fracroots import reference
-from fracroots.cli import CSV_HEADER, main
+from fracroots.cli import CSV_HEADER, load_config, main
 
 ROW2 = {
     "constants": {"a1": 0.5355, "a2": 1.5808, "a3": 1.5355, "a4": 0.5808,
@@ -25,6 +27,10 @@ PRIMITIVES = {
     "initial": {"H0": 1.0, "L0": 3.0},
     "solver": {"alpha": 0.9, "max_iter": 2000},
 }
+
+
+def primitives_with(**fields):
+    return {**PRIMITIVES, "primitives": {**PRIMITIVES["primitives"], **fields}}
 
 
 def write_config(tmp_path, payload, name="scenario.yaml"):
@@ -122,8 +128,17 @@ class TestSolveCommand:
          "constants.a6"),
         ("solve", {**ROW2, "solver": {"alpha": 0.25628, "max_iter": 1.5}}, [],
          "solver.max_iter"),
+        ("sweep", ROW2, ["--grid-step", "1e-300"], "sweep.grid_step"),
+        ("sweep", ROW2, ["--grid-step", "1e-7"], "sweep.grid_step"),
+        ("sweep", ROW2, ["--grid-step", "inf"], "sweep.grid_step"),
+        ("solve", primitives_with(sigma=1e-200), [], "primitives"),
+        ("solve", primitives_with(sigma=1e200), [], "primitives"),
+        ("solve", primitives_with(sigma=math.inf), [], "primitives"),
+        ("solve", primitives_with(mu=-math.inf), [], "primitives"),
     ], ids=["max-iter-0", "alpha-integer", "alpha-nan", "epsilon-negative",
-            "a6-below-a7-solve", "a6-below-a7-sweep", "max-iter-fraction"])
+            "a6-below-a7-solve", "a6-below-a7-sweep", "max-iter-fraction",
+            "grid-step-1e-300", "grid-step-1e-7", "grid-step-inf",
+            "sigma-underflow", "sigma-overflow", "sigma-inf", "mu-minus-inf"])
     def test_invalid_input_is_a_config_error(self, tmp_path, capsys, command,
                                              payload, flags, field):
         code = main([command, "--config", write_config(tmp_path, payload), *flags])
@@ -238,3 +253,61 @@ class TestSweepCommand:
         assert "order sweep over 2 grid points" in out
         assert "distinct roots found: 0" in out
         assert "evaluation_failed" in out
+
+
+#: Field values of every kind a YAML document can hold: extreme and
+#: non-finite floats, huge integers, bools, strings and nulls.
+ANY_VALUE = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, -1e-300, 1e300, -1e300,
+                     1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+    st.integers(),
+    st.sampled_from([10**400, -10**400]),
+    st.sampled_from([True, False, None, "", "1.5", ".inf"]),
+)
+
+
+FUZZ_SOLVER = {"alpha": 0.5, "epsilon": 1e-4, "tol_step": 1e-5, "tol_residual": 1e-4,
+               "max_iter": 500, "divergence_bound": 1e10}
+#: Valid documents, one per model section, with every solver field set.
+FUZZ_BASES = [
+    {"constants": ROW2["constants"], "initial": ROW2["initial"], "solver": FUZZ_SOLVER},
+    {"primitives": PRIMITIVES["primitives"], "initial": PRIMITIVES["initial"],
+     "solver": FUZZ_SOLVER},
+]
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """A valid document with up to four fields replaced by any value or left out."""
+    base = draw(st.sampled_from(FUZZ_BASES))
+    doc = {section: dict(fields) for section, fields in base.items()}
+    for _ in range(draw(st.integers(0, 4))):
+        section = draw(st.sampled_from(sorted(base)))
+        name = draw(st.sampled_from(sorted(base[section])))
+        if draw(st.integers(0, 4)) == 0:
+            doc[section].pop(name, None)
+        else:
+            doc[section][name] = draw(ANY_VALUE)
+    return doc
+
+
+class TestInputBoundaryFuzz:
+    @given(doc=fuzzed_documents())
+    @example(doc=primitives_with(sigma=1e-200))
+    @example(doc=primitives_with(sigma=1e200))
+    @example(doc=primitives_with(sigma=math.inf))
+    @example(doc=primitives_with(mu=-math.inf))
+    @example(doc={**ROW2, "constants": {**ROW2["constants"], "a5": 10**400}})
+    @settings(max_examples=200, deadline=None)
+    def test_only_config_errors_escape(self, tmp_path_factory, doc):
+        # Loading and validation only, no solves: every bad document must
+        # come back as a ConfigError naming its section.
+        path = tmp_path_factory.getbasetemp() / "fuzzed.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        try:
+            config = load_config(str(path))
+            config.settings()
+            config.problem()
+        except ConfigError as exc:
+            assert exc.field.split(".")[0] in {"config", *doc}

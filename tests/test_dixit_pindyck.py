@@ -1,15 +1,11 @@
 """Threshold-model tests: constants, residuals, back-substitution, solves."""
 
 import math
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
 import pytest
 
-import fracroots
 from fracroots import (DegenerateThresholds, Decision, EconomicPrimitives,
                        InvalidPrimitives, ModelConstants, NonRealEvaluation,
                        SolverSettings, Status, ThresholdOrderingWarning,
@@ -254,7 +250,7 @@ class TestSolveThresholds:
 
 
 class TestKernelAgreement:
-    """The scalar kernel, as it runs on this backend, against the generic driver."""
+    """The scalar kernel against the generic driver."""
 
     @pytest.mark.parametrize("row", reference.ROWS, ids=lambda r: f"row{r.index}")
     def test_every_sweep_order_matches_generic_driver(self, row):
@@ -364,32 +360,6 @@ class TestSweepThresholds:
         row = reference.ROWS[0]
         with pytest.raises(ValueError):
             sweep_thresholds(reference.scenario_problem(row), grid=[])
-
-    def test_interpreted_kernel_without_numba(self):
-        # With numba unimportable the kernel runs interpreted, overflow
-        # guards included; on a machine with numba only this test runs it.
-        script = """
-import sys
-sys.modules["numba"] = None
-import fracroots
-from fracroots import ThresholdProblem, Status, reference, sweep_thresholds
-assert fracroots.backend_name() == "numpy"
-row = reference.ROWS[0]
-problem = reference.scenario_problem(row)
-roots = sweep_thresholds(problem, grid=[row.alpha])
-assert [r.outcome.iterations for r in roots.roots] == [78], roots
-for x0, alpha, status in (((1e200, 1.0), 0.25, Status.EVALUATION_FAILED),
-                          ((1e-300, 1.0), 1.5, Status.DIVERGED)):
-    moved = ThresholdProblem(constants=problem.constants, x0=x0)
-    skipped = sweep_thresholds(moved, grid=[alpha]).skipped
-    assert [s.status for s in skipped] == [status], skipped
-"""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(fracroots.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        run = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
 
 
 @pytest.fixture(scope="module")

@@ -134,10 +134,15 @@ class TestSolverSettings:
     @pytest.mark.parametrize("kwargs", [
         dict(epsilon=0.0), dict(tol_step=-1e-5), dict(tol_residual=0.0),
         dict(max_iter=0), dict(divergence_bound=0.0), dict(alpha=1.0),
+        dict(max_iter=1.5), dict(max_iter=True), dict(max_iter=math.nan),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SolverSettings(**kwargs)
+
+    def test_integral_max_iter_accepted(self):
+        for value in (7, np.int64(7), 7.0):
+            assert SolverSettings(max_iter=value).max_iter == 7
 
 
 class TestFdJacobian:
@@ -236,6 +241,9 @@ class TestAlphaGrid:
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
             default_alpha_grid(step=0.0)
+        # Refused before any point is built: this step would never finish.
+        with pytest.raises(ValueError, match="10000"):
+            default_alpha_grid(step=1e-300)
 
 
 class TestAlphaSweep:
