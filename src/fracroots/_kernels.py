@@ -89,19 +89,24 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
     (max_iter,), ``residuals``: (max_iter+1,)) up to the last point where the
     residual was evaluable (the start alone, with a NaN residual norm, when
     it fails there), and returns
-    ``(status, n, x1, x2, step_norm, residual_norm)``.
+    ``(status, n, x1, x2, step_norm, residual_norm)``.  Passing None for all
+    three arrays keeps no trace.
     """
-    xs[0, 0] = x01
-    xs[0, 1] = x02
+    trace = xs is not None
+    if trace:
+        xs[0, 0] = x01
+        xs[0, 1] = x02
     code, f1, f2 = reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x01, x02)
     if code != OK:
-        residuals[0] = math.nan
+        if trace:
+            residuals[0] = math.nan
         return 3, 0, x01, x02, math.nan, math.nan
     x1 = x01
     x2 = x02
-    residuals[0] = math.sqrt(f1 * f1 + f2 * f2)
+    res = math.sqrt(f1 * f1 + f2 * f2)
+    if trace:
+        residuals[0] = res
     step = math.nan
-    res = residuals[0]
     for i in range(1, max_iter + 1):
         n1 = x1 - p_entry(alpha, x1, eps) * f1
         n2 = x2 - p_entry(alpha, x2, eps) * f2
@@ -117,10 +122,11 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
         if code != OK:
             return 3, i, x1, x2, step, math.nan
         res = math.sqrt(f1 * f1 + f2 * f2)
-        xs[i, 0] = x1
-        xs[i, 1] = x2
-        steps[i - 1] = step
-        residuals[i] = res
+        if trace:
+            xs[i, 0] = x1
+            xs[i, 1] = x2
+            steps[i - 1] = step
+            residuals[i] = res
         if step <= tol_step and res <= tol_res:
             return 0, i, x1, x2, step, res
     return 1, max_iter, x1, x2, step, res

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import yaml
 
 from . import reference
 from ._accel import backend_name
@@ -62,6 +61,8 @@ class ScenarioConfig:
     out_format: str = "table"
     trace: bool = False
     out_path: Optional[str] = None
+    #: The section the constants came from, named when they cannot be solved.
+    model_section: str = "constants"
 
     def settings(self) -> SolverSettings:
         if self.alpha is None:
@@ -81,7 +82,8 @@ class ScenarioConfig:
         try:
             return ThresholdProblem(constants=self.constants, x0=self.x0)
         except ValueError as exc:  # x0 is checked finite on load
-            raise ConfigError("constants.a6", str(exc)) from exc
+            field = "constants.a6" if self.model_section == "constants" else "primitives"
+            raise ConfigError(field, str(exc)) from exc
 
 
 def _section(data: dict, name: str) -> dict:
@@ -106,6 +108,8 @@ def _number(section: str, name: str, raw) -> float:
 
 def load_config(path: str) -> ScenarioConfig:
     """Parse and validate a scenario file."""
+    import yaml  # only the commands that read a config pay for this import
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
@@ -148,7 +152,8 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError("initial", f"H0 and L0 must be finite, got {x0.tolist()}")
 
     solver = _section(data, "solver")
-    config = ScenarioConfig(constants=constants, x0=x0)
+    config = ScenarioConfig(constants=constants, x0=x0,
+                            model_section="constants" if has_constants else "primitives")
     if "alpha" in solver:
         config.alpha = _number("solver", "alpha", solver.get("alpha"))
     for name in ("epsilon", "tol_step", "tol_residual", "max_iter", "divergence_bound"):

@@ -86,8 +86,9 @@ class ModelConstants:
     """The seven system constants a1..a7 plus the discriminant root rho.
 
     The exponent constants are coupled: a3 = a1 + 1, a2 = a4 + 1 and
-    a1 + a2 = a3 + a4 = 2 rho.  Construction enforces those identities, so a
-    ModelConstants instance is always an internally consistent system.
+    a1 + a2 = a3 + a4 = 2 rho.  Construction enforces those identities and
+    that every constant is finite, so a ModelConstants instance is always an
+    internally consistent system.
     """
 
     a1: float
@@ -101,7 +102,10 @@ class ModelConstants:
 
     def __post_init__(self):
         for name in ("a1", "a2", "a3", "a4", "a5", "a6", "a7", "rho"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
         if not (self.a1 > 0.0 and self.a2 > 0.0):
             raise ValueError("a1 and a2 must be positive (exponent signs of the value function)")
         scale = max(1.0, abs(self.rho))
@@ -241,9 +245,9 @@ class KernelResidual:
     def fused_solve(self, x0, settings: SolverSettings, keep_trace: bool) -> SolveOutcome:
         c = self.constants
         n_max = settings.max_iter
-        xs = np.empty((n_max + 1, 2))
-        steps = np.empty(n_max)
-        residuals = np.empty(n_max + 1)
+        xs = steps = residuals = None
+        if keep_trace:
+            xs, steps, residuals = np.empty((n_max + 1, 2)), np.empty(n_max), np.empty(n_max + 1)
         code, n, x1, x2, step_norm, res_norm = _kernels.solve_reduced(
             c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7, float(x0[0]), float(x0[1]),
             settings.alpha.value, settings.epsilon,

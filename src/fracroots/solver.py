@@ -2,10 +2,11 @@
 
 The driver iterates x_{i+1} = step(x_i, f(x_i)) until both the step norm and
 the residual norm fall under their tolerances.  The default step is the
-pseudo-Newton update x - P(x) * f(x) with the diagonal multiplier from
-:mod:`fracroots.kernel`; a classical Newton step over a finite-difference
-Jacobian is provided as the baseline, and an order-sweep driver discovers
-multiple roots from a single initial condition.
+pseudo-Newton update x - P(x) * f(x) with the diagonal multiplier of
+:mod:`fracroots.kernel`, built entry by entry from the scalar kernel; a
+classical Newton step over a finite-difference Jacobian is provided as the
+baseline, and an order-sweep driver discovers multiple roots from a single
+initial condition.
 """
 
 from __future__ import annotations
@@ -17,11 +18,17 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .errors import InsufficientData, NonRealEvaluation, SingularJacobian
-from .kernel import FractionalOrder, p_matrix
+# p_matrix stays importable from here: the benchmark's tracer wraps solver.p_matrix.
+from .kernel import FractionalOrder, p_matrix  # noqa: F401
 
 #: Condition-number ceiling beyond which the Newton linear solve is refused.
 CONDITION_LIMIT = 1e12
+
+#: Cap on SolverSettings.max_iter, so that the settings bound the cost of a
+#: solve and the size of its trace.
+MAX_ITER = 1_000_000
 
 #: Cap on (upper - lower) / step in :func:`default_alpha_grid`, so that the
 #: size of an order sweep is bounded before any grid point is built.
@@ -62,8 +69,8 @@ class SolverSettings:
         Convergence requires BOTH the step norm and the residual norm under
         their tolerance after the same iteration.
     max_iter
-        Iteration cap, a whole number (an integral float such as 500.0 is
-        accepted; bools are not).
+        Iteration cap, a whole number from 1 to MAX_ITER (an integral float
+        such as 500.0 is accepted; bools are not).
     divergence_bound
         Abort with Diverged once the iterate norm exceeds this.
     """
@@ -82,12 +89,13 @@ class SolverSettings:
             object.__setattr__(self, name, value)
             if not value > 0.0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
-        if isinstance(self.max_iter, (bool, np.bool_)) \
-                or not float(self.max_iter).is_integer():
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        object.__setattr__(self, "max_iter", int(self.max_iter))
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        max_iter = self.max_iter
+        if isinstance(max_iter, (bool, np.bool_)) or not (
+                isinstance(max_iter, (int, np.integer)) or float(max_iter).is_integer()):
+            raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+        object.__setattr__(self, "max_iter", int(max_iter))
+        if not 1 <= self.max_iter <= MAX_ITER:
+            raise ValueError(f"max_iter must lie in [1, {MAX_ITER}], got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -166,8 +174,14 @@ class RootSet:
         return [r.x for r in self.roots]
 
 
-def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate a residual, normalising every failure to NonRealEvaluation."""
+def _evaluate(f: Callable, x: np.ndarray) -> tuple:
+    """Evaluate a residual; return ``(f(x), ||f(x)||_2)``.
+
+    Every evaluation failure, a non-finite entry included, is normalised to
+    NonRealEvaluation.  The norm takes one dot product; a finite sum of
+    squares means every entry is finite, so the entries are only scanned when
+    it is not (a finite residual whose squares overflow keeps an inf norm).
+    """
     try:
         fx = np.asarray(f(x), dtype=float).ravel()
     except NonRealEvaluation:
@@ -176,9 +190,10 @@ def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
         raise NonRealEvaluation(str(exc)) from exc
     if fx.shape != x.shape:
         raise ValueError(f"residual has shape {fx.shape}, expected {x.shape}")
-    if not np.all(np.isfinite(fx)):
+    squares = float(np.dot(fx, fx))
+    if not math.isfinite(squares) and not np.isfinite(fx).all():
         raise NonRealEvaluation("residual evaluated to a non-finite value")
-    return fx
+    return fx, math.sqrt(squares)
 
 
 def fpn_step(f: Callable, x, alpha, epsilon: float) -> np.ndarray:
@@ -188,15 +203,24 @@ def fpn_step(f: Callable, x, alpha, epsilon: float) -> np.ndarray:
     residual is returned unchanged.
     """
     x = np.asarray(x, dtype=float)
-    return fpn_update(alpha, epsilon)(x, _evaluate(f, x))
+    return fpn_update(alpha, epsilon)(x, _evaluate(f, x)[0])
 
 
 def fpn_update(alpha, epsilon: float) -> Callable:
-    """Step closure (x, fx) -> next iterate for the driver's hot loop."""
-    alpha = FractionalOrder.coerce(alpha)
+    """Step closure (x, fx) -> next iterate for the driver's hot loop.
+
+    The order and epsilon are checked once, here; each step then builds the
+    diagonal of P(x) entry by entry with the scalar kernel, which gives the
+    entries of :func:`~fracroots.kernel.p_matrix` without its per-call checks.
+    """
+    alpha = FractionalOrder.coerce(alpha).value
+    epsilon = float(epsilon)
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    p_entry = _kernels.p_entry
 
     def step(x: np.ndarray, fx: np.ndarray) -> np.ndarray:
-        return x - p_matrix(alpha, x, epsilon).entries * fx
+        return x - np.array([p_entry(alpha, v, epsilon) for v in x.tolist()]) * fx
 
     return step
 
@@ -216,14 +240,14 @@ def fd_jacobian(f: Callable, x, h: Optional[float] = None) -> np.ndarray:
     for k in range(n):
         bump = np.zeros(n)
         bump[k] = h
-        jac[:, k] = (_evaluate(f, x + bump) - _evaluate(f, x - bump)) / (2.0 * h)
+        jac[:, k] = (_evaluate(f, x + bump)[0] - _evaluate(f, x - bump)[0]) / (2.0 * h)
     return jac
 
 
 def newton_step(f: Callable, x, h: Optional[float] = None) -> np.ndarray:
     """Classical Newton update x - J^{-1} f(x) over the finite-difference Jacobian."""
     x = np.asarray(x, dtype=float)
-    return newton_update(f, h)(x, _evaluate(f, x))
+    return newton_update(f, h)(x, _evaluate(f, x)[0])
 
 
 def newton_update(f: Callable, h: Optional[float] = None) -> Callable:
@@ -266,6 +290,12 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
     the default iteration (no ``step``) through that method instead of this
     loop; it must return the outcome this loop would.  The outcome always
     encodes failures in its status instead of raising.
+
+    Each iteration takes one dot product per vector (residual, step and
+    iterate).  An iterate diverges when its norm exceeds the bound or when it
+    has a non-finite entry; the entries are scanned only when its sum of
+    squares is not finite, so a finite iterate whose squares overflow
+    diverges only under a finite bound.
     """
     x = np.asarray(x0, dtype=float).ravel()
     if not np.all(np.isfinite(x)):
@@ -293,38 +323,41 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
                             final_residual_norm=res_norm, trace=trace)
 
     try:
-        fx = _evaluate(f, x)
+        fx, res_norm = _evaluate(f, x)
     except NonRealEvaluation:
         if keep_trace:
             residual_norms.append(math.nan)
         return outcome(Status.EVALUATION_FAILED, x, 0, math.nan, math.nan)
     step_norm = math.nan
-    res_norm = norm2(fx)
     if keep_trace:
         residual_norms.append(res_norm)
 
-    for i in range(1, settings.max_iter + 1):
+    max_iter, bound = settings.max_iter, settings.divergence_bound
+    tol_step, tol_residual = settings.tol_step, settings.tol_residual
+    for i in range(1, max_iter + 1):
         try:
             x_next = np.asarray(step(x, fx), dtype=float)
         except (NonRealEvaluation, SingularJacobian):
             return outcome(Status.EVALUATION_FAILED, x, i - 1, step_norm, res_norm)
-        step_norm = norm2(x_next - x)
-        if not np.all(np.isfinite(x_next)) or norm2(x_next) > settings.divergence_bound:
+        delta = x_next - x
+        step_norm = math.sqrt(float(np.dot(delta, delta)))
+        size = float(np.dot(x_next, x_next))
+        if math.sqrt(size) > bound or (not math.isfinite(size)
+                                       and not np.isfinite(x_next).all()):
             return outcome(Status.DIVERGED, x_next, i, step_norm, math.nan)
         try:
-            fx_next = _evaluate(f, x_next)
+            fx_next, res_norm = _evaluate(f, x_next)
         except NonRealEvaluation:
             return outcome(Status.EVALUATION_FAILED, x_next, i, step_norm, math.nan)
-        res_norm = norm2(fx_next)
         if keep_trace:
             iterates.append(x_next.copy())
             step_norms.append(step_norm)
             residual_norms.append(res_norm)
         x, fx = x_next, fx_next
-        if step_norm <= settings.tol_step and res_norm <= settings.tol_residual:
+        if step_norm <= tol_step and res_norm <= tol_residual:
             return outcome(Status.CONVERGED, x, i, step_norm, res_norm)
 
-    return outcome(Status.MAX_ITERATIONS, x, settings.max_iter, step_norm, res_norm)
+    return outcome(Status.MAX_ITERATIONS, x, max_iter, step_norm, res_norm)
 
 
 def estimate_order(norms: Sequence[float]) -> float:

@@ -4,12 +4,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
+import fracroots
 from fracroots import ConfigError, SolverSettings, solve_thresholds
 from fracroots import reference
 from fracroots.cli import CSV_HEADER, load_config, main
@@ -135,10 +139,17 @@ class TestSolveCommand:
         ("solve", primitives_with(sigma=1e200), [], "primitives"),
         ("solve", primitives_with(sigma=math.inf), [], "primitives"),
         ("solve", primitives_with(mu=-math.inf), [], "primitives"),
+        ("solve", primitives_with(kappa=0, chi=0), [], "primitives"),
+        ("solve", {**ROW2, "constants": {**ROW2["constants"], "a5": math.inf}}, [],
+         "constants"),
+        ("sweep", {**ROW2, "solver": {"alpha": 0.25628, "max_iter": 1e15}}, [],
+         "solver.max_iter"),
+        ("solve", ROW2, ["--max-iter", str(10**400)], "solver.max_iter"),
     ], ids=["max-iter-0", "alpha-integer", "alpha-nan", "epsilon-negative",
             "a6-below-a7-solve", "a6-below-a7-sweep", "max-iter-fraction",
             "grid-step-1e-300", "grid-step-1e-7", "grid-step-inf",
-            "sigma-underflow", "sigma-overflow", "sigma-inf", "mu-minus-inf"])
+            "sigma-underflow", "sigma-overflow", "sigma-inf", "mu-minus-inf",
+            "no-switching-cost", "a5-inf", "max-iter-1e15", "max-iter-huge-flag"])
     def test_invalid_input_is_a_config_error(self, tmp_path, capsys, command,
                                              payload, flags, field):
         code = main([command, "--config", write_config(tmp_path, payload), *flags])
@@ -220,6 +231,16 @@ class TestReproduceTables:
             assert record["status"] == "converged"
             assert int(record["iters"]) <= 300
 
+    def test_yaml_is_imported_only_to_read_a_config(self):
+        src = os.path.dirname(os.path.dirname(fracroots.__file__))
+        script = ("import contextlib, io, sys; from fracroots import cli\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    code = cli.main(['reproduce-tables'])\n"
+                  "print(code, 'yaml' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
+
 
 class TestSweepCommand:
     def test_default_grid_finds_reference_root(self, tmp_path, capsys):
@@ -299,6 +320,8 @@ class TestInputBoundaryFuzz:
     @example(doc=primitives_with(sigma=math.inf))
     @example(doc=primitives_with(mu=-math.inf))
     @example(doc={**ROW2, "constants": {**ROW2["constants"], "a5": 10**400}})
+    @example(doc={**ROW2, "constants": {**ROW2["constants"], "a5": math.inf}})
+    @example(doc=primitives_with(kappa=0, chi=0))
     @settings(max_examples=200, deadline=None)
     def test_only_config_errors_escape(self, tmp_path_factory, doc):
         # Loading and validation only, no solves: every bad document must

@@ -1,6 +1,7 @@
 """Threshold-model tests: constants, residuals, back-substitution, solves."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,8 @@ from fracroots import (DegenerateThresholds, Decision, EconomicPrimitives,
                        default_alpha_grid, fixed_point_solve, norm2,
                        reduced_residual, solve_thresholds, sweep_thresholds)
 from fracroots.dixit_pindyck import KernelResidual, _label_thresholds
-from fracroots import reference
+from fracroots.solver import MAX_ITER
+from fracroots import _kernels, reference
 
 #: Full-precision initial residual norms of the bundled scenarios, frozen
 #: from the implementation after verifying the published 6-digit values.
@@ -93,6 +95,14 @@ class TestModelConstants:
         with pytest.raises(ValueError):
             ModelConstants.from_values(a1=-0.5, a2=0.5, a3=0.5, a4=-0.5,
                                        a5=1.0, a6=2.0, a7=1.0)
+
+    @pytest.mark.parametrize("name, value", [("a5", math.inf), ("a6", math.nan),
+                                             ("a7", -math.inf)])
+    def test_non_finite_constant_rejected(self, name, value):
+        values = dict(reference.STRUCTURAL, a6=451474.0, a7=396499.0)
+        values[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ModelConstants.from_values(**values)
 
     def test_trigger_ordering_enforced_by_problem(self):
         constants = reference.scenario_constants(100.0, 200.0)
@@ -290,6 +300,35 @@ class TestKernelAgreement:
             kernel.final_residual_norm, rel=1e-9)
         assert generic.final_step_norm == pytest.approx(
             kernel.final_step_norm, rel=1e-9)
+
+
+class TestKernelTrace:
+    """The kernel keeps a trace only when one is asked for."""
+
+    @pytest.mark.parametrize("x0", [(15.0, 20.0), (5.0, 5.0), (1e-300, 1.0)],
+                             ids=["converges", "fails-at-start", "diverges"])
+    def test_solve_reduced_without_trace_arrays_returns_the_same(self, x0):
+        c = reference.scenario_constants(451474.0, 396499.0)
+        for alpha in (0.26131, 1.5):
+            args = (c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7, x0[0], x0[1], alpha,
+                    1e-4, 1e-5, 1e-4, 500, 1e10)
+            traced = _kernels.solve_reduced(*args, np.empty((501, 2)), np.empty(500),
+                                            np.empty(501))
+            assert _kernels.solve_reduced(*args, None, None, None) == traced
+
+    def test_untraced_solve_allocates_no_trace(self):
+        # The cap allows a million iterations: a trace would take 32 MB.
+        row = reference.ROWS[0]
+        problem = reference.scenario_problem(row)
+        settings = SolverSettings(alpha=row.alpha, max_iter=MAX_ITER)
+        tracemalloc.start()
+        try:
+            out = KernelResidual(problem.constants).fused_solve(problem.x0, settings, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out.status, out.iterations) == (Status.CONVERGED, row.iterations)
+        assert peak < 100_000
 
 
 class TestSweepThresholds:

@@ -8,7 +8,8 @@ import pytest
 from fracroots import (FractionalOrder, InsufficientData, SingularJacobian,
                        SolverSettings, Status, alpha_sweep, default_alpha_grid,
                        estimate_order, fd_jacobian, fixed_point_solve, fpn_step,
-                       newton_step, newton_update, norm2)
+                       fpn_update, newton_step, newton_update, norm2, p_matrix)
+from fracroots.solver import MAX_ITER
 
 
 def linear_root_residual(matrix, root):
@@ -32,6 +33,17 @@ class TestFpnStep:
         out = fpn_step(lambda x: x**2 - 2.0, np.array([1.0]), FractionalOrder(0.5), 1e-4)
         expected = 1.0 + (1.0 / math.sqrt(math.pi) + 1e-4)
         assert out[0] == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", [-1.5, 0.26131, 0.9])
+    def test_step_uses_the_p_matrix_entries(self, alpha):
+        x = np.array([3.0, 0.0, -2.5, 1e-3])
+        fx = np.array([0.5, -1.0, 2.0, 7.0])
+        expected = x - p_matrix(alpha, x, 1e-4).entries * fx
+        assert np.array_equal(fpn_update(alpha, 1e-4)(x, fx), expected)
+
+    def test_nonpositive_epsilon_rejected(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            fpn_step(lambda x: x, np.array([1.0]), FractionalOrder(0.5), 0.0)
 
     def test_zero_component_moves_by_epsilon_times_residual(self):
         out = fpn_step(lambda x: x - 5.0, np.array([0.0]), FractionalOrder(0.5), 1e-4)
@@ -73,6 +85,45 @@ class TestFixedPointSolve:
         assert out.trace.iterates.tolist() == [[-1.0]]
         assert out.trace.step_norms.size == 0
         assert np.isnan(out.trace.residual_norms).tolist() == [True]
+
+    @pytest.mark.parametrize("f, x0", [
+        (lambda x: np.array([math.nan]), [1.0]),
+        (lambda x: np.array([math.inf, 1.0]), [1.0, 1.0]),
+        (lambda x: np.array([math.nan]) if x[0] < 1.0 else x - 0.5, [1.0]),
+    ], ids=["nan-at-start", "inf-at-start", "nan-after-a-step"])
+    def test_non_finite_residual_is_an_evaluation_failure(self, f, x0):
+        out = fixed_point_solve(f, np.array(x0), SolverSettings())
+        assert out.status is Status.EVALUATION_FAILED
+        assert math.isnan(out.final_residual_norm)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_residual_whose_squares_overflow_has_an_inf_norm(self):
+        out = fixed_point_solve(lambda x: np.array([1e200, 1e200]), np.array([1.0, 2.0]),
+                                SolverSettings(alpha=0.5, divergence_bound=math.inf,
+                                               max_iter=3))
+        assert out.status is Status.MAX_ITERATIONS
+        assert out.iterations == 3
+        assert out.final_residual_norm == math.inf
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_iterate_diverges_under_an_infinite_bound(self):
+        out = fixed_point_solve(lambda x: x, np.array([1e200]),
+                                SolverSettings(alpha=-1.5, divergence_bound=math.inf))
+        assert out.status is Status.DIVERGED
+        assert out.iterations == 1
+        assert out.x_final.tolist() == [-math.inf]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_iterate_whose_squares_overflow_passes_an_infinite_bound(self):
+        out = fixed_point_solve(lambda x: x, np.array([1e160, 1e160]),
+                                SolverSettings(alpha=0.5, divergence_bound=math.inf,
+                                               max_iter=5))
+        assert out.status is Status.MAX_ITERATIONS
+        assert np.all(np.isfinite(out.x_final))
+        assert out.final_residual_norm == math.inf
+        bounded = fixed_point_solve(lambda x: x, np.array([1e160, 1e160]),
+                                    SolverSettings(alpha=0.5, max_iter=5))
+        assert (bounded.status, bounded.iterations) == (Status.DIVERGED, 1)
 
     def test_converged_predicates_recompute(self):
         settings = SolverSettings(alpha=0.9)
@@ -135,6 +186,7 @@ class TestSolverSettings:
         dict(epsilon=0.0), dict(tol_step=-1e-5), dict(tol_residual=0.0),
         dict(max_iter=0), dict(divergence_bound=0.0), dict(alpha=1.0),
         dict(max_iter=1.5), dict(max_iter=True), dict(max_iter=math.nan),
+        dict(max_iter=MAX_ITER + 1), dict(max_iter=1e15), dict(max_iter=10**400),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -143,6 +195,7 @@ class TestSolverSettings:
     def test_integral_max_iter_accepted(self):
         for value in (7, np.int64(7), 7.0):
             assert SolverSettings(max_iter=value).max_iter == 7
+        assert SolverSettings(max_iter=MAX_ITER).max_iter == MAX_ITER
 
 
 class TestFdJacobian:
@@ -284,6 +337,37 @@ class TestAlphaSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             alpha_sweep(lambda x: x, np.array([1.0]), grid=[])
+
+    #: Per residual: its start, the status counts over the default grid, and
+    #: each root's (best alpha, number of orders that found it, iterations),
+    #: recorded from the driver before its norms took one dot per vector.
+    GOLDEN = {
+        "x*x-1": (lambda x: x * x - 1.0, [2.0],
+                  {"converged": 19, "diverged": 33, "max_iterations": 24},
+                  [(0.25, 5, 29), (0.55, 14, 5)]),
+        "cos(x)": (np.cos, [1.0],
+                   {"converged": 36, "max_iterations": 40},
+                   [(0.1, 11, 286), (1.45, 19, 56), (0.2, 6, 89)]),
+        "(x-1)(x-2)(x+1.5)": (lambda x: (x - 1.0) * (x - 2.0) * (x + 1.5), [0.5],
+                              {"converged": 29, "diverged": 22, "max_iterations": 25},
+                              [(1.45, 19, 16), (0.6, 10, 5)]),
+        "[x^2+y^2-4, xy-1]": (
+            lambda v: np.array([v[0] * v[0] + v[1] * v[1] - 4.0, v[0] * v[1] - 1.0]),
+            [-1.0, 1.5],
+            {"converged": 4, "diverged": 59, "max_iterations": 13},
+            [(0.85, 2, 237), (0.7, 2, 20)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_generic_residuals_match_recorded_sweeps(self, name):
+        f, x0, counts, roots = self.GOLDEN[name]
+        found = alpha_sweep(f, np.array(x0))
+        statuses = {"converged": sum(len(r.found_by) for r in found.roots)}
+        for skip in found.skipped:
+            statuses[skip.status.value] = statuses.get(skip.status.value, 0) + 1
+        assert statuses == counts
+        assert [(r.alpha, len(r.found_by), r.outcome.iterations)
+                for r in found.roots] == roots
 
     def test_roots_sorted_canonically(self):
         roots = alpha_sweep(lambda x: x * x - 1.0, np.array([2.0]))
