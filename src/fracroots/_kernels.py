@@ -3,8 +3,9 @@
 The threshold-model residual lives here (and only here) so the generic
 numpy driver and the fused loop can never drift apart.  Python's float
 ``**`` raises OverflowError where IEEE arithmetic would give inf; the power
-sites below catch it, so an overflow becomes a status code or an infinite
-multiplier entry instead of an exception.
+sites below catch it, so an overflow becomes NonRealEvaluation (which the
+fused loop turns into its evaluation-failed status) or an infinite
+multiplier entry instead of a raw arithmetic error.
 
 Status codes returned by :func:`solve_reduced` (kept in sync with
 ``solver.Status``): 0 converged, 1 iteration cap, 2 diverged, 3 evaluation
@@ -15,12 +16,9 @@ from __future__ import annotations
 
 import math
 
-DEGENERATE_GAP = 1e-30
+from .errors import DegenerateThresholds, NonRealEvaluation
 
-OK = 0
-NONPOSITIVE = 1
-DEGENERATE = 2
-NONFINITE = 3
+DEGENERATE_GAP = 1e-30
 
 
 def frac_unit_deriv(beta, x):
@@ -54,31 +52,33 @@ def p_entry(alpha, x, eps):
 
 
 def reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2):
-    """Two-component threshold residual with domain checks.
+    """Two-component threshold residual with domain checks; returns ``(f1, f2)``.
 
-    Returns ``(code, f1, f2)`` where code is OK, NONPOSITIVE, DEGENERATE or
-    NONFINITE.  The residual components are the value-matching equations of
-    the four-variable system after eliminating the two value-function
-    coefficients, so their norms live on the full system's scale.
+    The residual components are the value-matching equations of the
+    four-variable system after eliminating the two value-function
+    coefficients, so their norms live on the full system's scale.  A
+    non-positive component, a power overflow or a non-finite result raises
+    NonRealEvaluation; coincident components, which collapse the elimination
+    denominator, raise DegenerateThresholds.
     """
     if x1 <= 0.0 or x2 <= 0.0:
-        return NONPOSITIVE, 0.0, 0.0
+        raise NonRealEvaluation(f"thresholds must be positive, got {(x1, x2)}")
     s = a3 + a4
     try:
         t1 = x1 ** s
         t2 = x2 ** s
         if abs(t1 - t2) < DEGENERATE_GAP:
-            return DEGENERATE, 0.0, 0.0
+            raise DegenerateThresholds(f"threshold components coincide at {(x1, x2)}")
         den = a1 * a2 * (t1 - t2)
         g13 = x2 ** a3 - x1 ** a3
         g14 = x1 ** a4 - x2 ** a4
         f1 = a5 * x1 - a6 + a5 * (a1 * x1 ** a2 * g13 + a2 * x1 * x2 ** a3 * g14) / den
         f2 = a5 * x2 - a7 + a5 * (a1 * x2 ** a2 * g13 + a2 * x1 ** a3 * x2 * g14) / den
-    except OverflowError:
-        return NONFINITE, math.nan, math.nan
+    except OverflowError as exc:
+        raise NonRealEvaluation("reduced residual evaluated to a non-finite value") from exc
     if not (math.isfinite(f1) and math.isfinite(f2)):
-        return NONFINITE, f1, f2
-    return OK, f1, f2
+        raise NonRealEvaluation("reduced residual evaluated to a non-finite value")
+    return f1, f2
 
 
 def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
@@ -96,8 +96,9 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
     if trace:
         xs[0, 0] = x01
         xs[0, 1] = x02
-    code, f1, f2 = reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x01, x02)
-    if code != OK:
+    try:
+        f1, f2 = reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x01, x02)
+    except NonRealEvaluation:
         if trace:
             residuals[0] = math.nan
         return 3, 0, x01, x02, math.nan, math.nan
@@ -118,8 +119,9 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
         if not (math.isfinite(x1) and math.isfinite(x2)) \
                 or math.sqrt(x1 * x1 + x2 * x2) > bound:
             return 2, i, x1, x2, step, math.nan
-        code, f1, f2 = reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2)
-        if code != OK:
+        try:
+            f1, f2 = reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2)
+        except NonRealEvaluation:
             return 3, i, x1, x2, step, math.nan
         res = math.sqrt(f1 * f1 + f2 * f2)
         if trace:

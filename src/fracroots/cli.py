@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -43,20 +43,20 @@ TIMING_REPEATS = 5
 
 _PRIMITIVE_FIELDS = ("mu", "sigma", "l", "c", "kappa", "chi")
 _CONSTANT_FIELDS = ("a1", "a2", "a3", "a4", "a5", "a6", "a7")
+_SOLVER_FIELDS = tuple(f.name for f in fields(SolverSettings))
 
 
 @dataclass
 class ScenarioConfig:
-    """Validated scenario configuration after file parsing and flag overrides."""
+    """Validated scenario configuration after file parsing and flag overrides.
+
+    ``solver`` holds only the solver fields that the file or a flag set;
+    every other field takes its default from :class:`SolverSettings`.
+    """
 
     constants: ModelConstants
     x0: np.ndarray
-    alpha: Optional[float] = None
-    epsilon: float = 1e-4
-    tol_step: float = 1e-5
-    tol_residual: float = 1e-4
-    max_iter: int = 500
-    divergence_bound: float = 1e10
+    solver: dict = field(default_factory=dict)
     grid_step: float = 0.05
     out_format: str = "table"
     trace: bool = False
@@ -64,18 +64,19 @@ class ScenarioConfig:
     #: The section the constants came from, named when they cannot be solved.
     model_section: str = "constants"
 
-    def settings(self) -> SolverSettings:
-        if self.alpha is None:
+    def settings(self, **given) -> SolverSettings:
+        """The solver settings, with the fields in ``given`` over the configured ones."""
+        values = {**self.solver, **given}
+        if "alpha" not in values:
             raise ConfigError("solver.alpha", "missing required field (or pass --alpha)")
-        values = dict(alpha=self.alpha, epsilon=self.epsilon, tol_step=self.tol_step,
-                      tol_residual=self.tol_residual, max_iter=self.max_iter,
-                      divergence_bound=self.divergence_bound)
-        # Each field is checked on its own, so the error names the bad one.
-        for name, value in values.items():
-            try:
-                SolverSettings(**{name: value})
-            except ValueError as exc:
-                raise ConfigError(f"solver.{name}", str(exc)) from exc
+        # Each field is checked on its own, in declaration order, so the error
+        # names the first bad one.
+        for name in _SOLVER_FIELDS:
+            if name in values:
+                try:
+                    SolverSettings(**{name: values[name]})
+                except ValueError as exc:
+                    raise ConfigError(f"solver.{name}", str(exc)) from exc
         return SolverSettings(**values)
 
     def problem(self) -> ThresholdProblem:
@@ -115,6 +116,8 @@ def load_config(path: str) -> ScenarioConfig:
             data = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config", f"{path!r} is not valid UTF-8: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError("config", f"invalid YAML in {path!r}: {exc}") from exc
     if not isinstance(data, dict):
@@ -154,11 +157,9 @@ def load_config(path: str) -> ScenarioConfig:
     solver = _section(data, "solver")
     config = ScenarioConfig(constants=constants, x0=x0,
                             model_section="constants" if has_constants else "primitives")
-    if "alpha" in solver:
-        config.alpha = _number("solver", "alpha", solver.get("alpha"))
-    for name in ("epsilon", "tol_step", "tol_residual", "max_iter", "divergence_bound"):
+    for name in _SOLVER_FIELDS:
         if name in solver:
-            setattr(config, name, _number("solver", name, solver.get(name)))
+            config.solver[name] = _number("solver", name, solver.get(name))
 
     sweep = _section(data, "sweep")
     if "grid_step" in sweep:
@@ -180,12 +181,9 @@ def load_config(path: str) -> ScenarioConfig:
 
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     """Flags beat file values; precedence is flags > file > defaults."""
-    if getattr(args, "alpha", None) is not None:
-        config.alpha = args.alpha
-    if getattr(args, "epsilon", None) is not None:
-        config.epsilon = args.epsilon
-    if getattr(args, "max_iter", None) is not None:
-        config.max_iter = args.max_iter
+    for name in ("alpha", "epsilon", "max_iter"):
+        if getattr(args, name, None) is not None:
+            config.solver[name] = getattr(args, name)
     if getattr(args, "trace", False):
         config.trace = True
     if getattr(args, "fmt", None) is not None:
@@ -249,9 +247,12 @@ def _solution_json(index, a6, a7, x0, alpha, sol) -> dict:
 def _emit(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError("out", f"cannot write {path!r}: {exc}") from exc
 
 
 def _human_solution(config: ScenarioConfig, sol) -> str:
@@ -261,7 +262,7 @@ def _human_solution(config: ScenarioConfig, sol) -> str:
         f"  backend          {backend_name()}",
         f"  a6, a7           {_g17(config.constants.a6)}, {_g17(config.constants.a7)}",
         f"  x0               ({_g17(config.x0[0])}, {_g17(config.x0[1])})",
-        f"  alpha            {_g17(config.alpha)}",
+        f"  alpha            {_g17(config.solver['alpha'])}",
         f"  status           {out.status.value}",
         f"  iterations       {out.iterations}",
         f"  H  (expand at)   {_g17(sol.H)}",
@@ -285,12 +286,11 @@ def _human_solution(config: ScenarioConfig, sol) -> str:
 
 def _render_solution(config: ScenarioConfig, sol) -> str:
     index = 1
-    a6, a7 = config.constants.a6, config.constants.a7
+    a6, a7, alpha = config.constants.a6, config.constants.a7, config.solver["alpha"]
     if config.out_format == "csv":
-        return _csv_document([_solution_csv_row(index, a6, a7, config.x0,
-                                                config.alpha, sol)])
+        return _csv_document([_solution_csv_row(index, a6, a7, config.x0, alpha, sol)])
     if config.out_format == "structured":
-        payload = _solution_json(index, a6, a7, config.x0, config.alpha, sol)
+        payload = _solution_json(index, a6, a7, config.x0, alpha, sol)
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     return _human_solution(config, sol)
 
@@ -398,7 +398,7 @@ def _cmd_sweep(args) -> int:
                           "after excluding the integer bands")
     # Every grid order replaces the configured one, which is not checked.
     roots = sweep_thresholds(config.problem(), grid=grid,
-                             settings=replace(config, alpha=grid[0]).settings())
+                             settings=config.settings(alpha=grid[0]))
 
     print(f"order sweep over {len(grid)} grid points "
           f"(step {config.grid_step:g}, backend: {backend_name()})")

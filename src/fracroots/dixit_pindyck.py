@@ -24,8 +24,8 @@ import numpy as np
 from . import _kernels
 from .errors import (DegenerateThresholds, InvalidPrimitives,
                      NonRealEvaluation, ThresholdSolveFailed)
-from .solver import (STATUS_FROM_CODE, IterationTrace, RootSet, SolverSettings,
-                     SolveOutcome, Status, fixed_point_solve, norm2, sweep)
+from .solver import (STATUS_FROM_CODE, RootSet, SolverSettings, SolveOutcome,
+                     fixed_point_solve, norm2, sweep)
 
 #: Tolerance on the exact algebraic identities the constants must satisfy.
 IDENTITY_TOL = 1e-9
@@ -206,15 +206,8 @@ def reduced_residual(constants: ModelConstants, x) -> np.ndarray:
     if x.shape != (2,):
         raise ValueError("x must be a 2-vector")
     c = constants
-    code, f1, f2 = _kernels.reduced_residual_checked(
-        c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7, float(x[0]), float(x[1]))
-    if code == _kernels.NONPOSITIVE:
-        raise NonRealEvaluation(f"thresholds must be positive, got {tuple(x)}")
-    if code == _kernels.DEGENERATE:
-        raise DegenerateThresholds(f"threshold components coincide at {tuple(x)}")
-    if code == _kernels.NONFINITE:
-        raise NonRealEvaluation("reduced residual evaluated to a non-finite value")
-    return np.array([f1, f2])
+    return np.array(_kernels.reduced_residual_checked(
+        c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7, float(x[0]), float(x[1])))
 
 
 def make_residual(constants: ModelConstants):
@@ -227,11 +220,12 @@ def make_residual(constants: ModelConstants):
 
 
 class KernelResidual:
-    """The reduced residual, whose default driver solve runs the scalar kernel.
+    """The reduced residual, whose untraced default driver solve runs the scalar kernel.
 
     Called, it is :func:`make_residual`'s residual.  ``fixed_point_solve``
-    hands the plain pseudo-Newton iteration to :meth:`fused_solve`, which
-    gives the driver's status, iteration count and iterates.
+    hands the plain pseudo-Newton iteration without a trace to
+    :meth:`fused_solve`, which gives the driver's status, iteration count and
+    final iterate; a traced solve runs the driver loop over the same residual.
     """
 
     __slots__ = ("constants",)
@@ -242,28 +236,16 @@ class KernelResidual:
     def __call__(self, x) -> np.ndarray:
         return reduced_residual(self.constants, x)
 
-    def fused_solve(self, x0, settings: SolverSettings, keep_trace: bool) -> SolveOutcome:
+    def fused_solve(self, x0, settings: SolverSettings) -> SolveOutcome:
         c = self.constants
-        n_max = settings.max_iter
-        xs = steps = residuals = None
-        if keep_trace:
-            xs, steps, residuals = np.empty((n_max + 1, 2)), np.empty(n_max), np.empty(n_max + 1)
         code, n, x1, x2, step_norm, res_norm = _kernels.solve_reduced(
             c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7, float(x0[0]), float(x0[1]),
             settings.alpha.value, settings.epsilon,
-            settings.tol_step, settings.tol_residual, n_max,
-            settings.divergence_bound, xs, steps, residuals)
-        status = STATUS_FROM_CODE[code]
-        trace = None
-        if keep_trace:
-            # Failed statuses keep only the prefix where the residual existed.
-            last = n if status in (Status.CONVERGED, Status.MAX_ITERATIONS) else max(n - 1, 0)
-            trace = IterationTrace(iterates=xs[:last + 1].copy(),
-                                   step_norms=steps[:last].copy(),
-                                   residual_norms=residuals[:last + 1].copy())
-        return SolveOutcome(status=status, x_final=np.array([x1, x2]), iterations=n,
-                            final_step_norm=step_norm, final_residual_norm=res_norm,
-                            trace=trace)
+            settings.tol_step, settings.tol_residual, settings.max_iter,
+            settings.divergence_bound, None, None, None)
+        return SolveOutcome(status=STATUS_FROM_CODE[code], x_final=np.array([x1, x2]),
+                            iterations=n, final_step_norm=step_norm,
+                            final_residual_norm=res_norm)
 
 
 def back_substitute(constants: ModelConstants, x) -> tuple:

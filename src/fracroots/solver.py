@@ -286,10 +286,11 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
         Attach the full IterationTrace to the outcome.  A residual that fails
         at x0 gives the trace of x0 alone, with a NaN residual norm.
 
-    A residual with a ``fused_solve(x0, settings, keep_trace)`` method runs
-    the default iteration (no ``step``) through that method instead of this
-    loop; it must return the outcome this loop would.  The outcome always
-    encodes failures in its status instead of raising.
+    A residual with a ``fused_solve(x0, settings)`` method runs the untraced
+    default iteration (no ``step``, no ``keep_trace``) through that method
+    instead of this loop; it must return the outcome this loop would.  A
+    traced solve always runs this loop, which alone builds traces.  The
+    outcome always encodes failures in its status instead of raising.
 
     Each iteration takes one dot product per vector (residual, step and
     iterate).  An iterate diverges when its norm exceeds the bound or when it
@@ -302,8 +303,8 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
         raise ValueError("x0 must be finite")
     if step is None:
         fused_solve = getattr(f, "fused_solve", None)
-        if fused_solve is not None:
-            return fused_solve(x, settings, keep_trace)
+        if fused_solve is not None and not keep_trace:
+            return fused_solve(x, settings)
         step = fpn_update(settings.alpha, settings.epsilon)
     if keep_trace:
         iterates = [x.copy()]

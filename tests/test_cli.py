@@ -1,5 +1,6 @@
 """CLI tests: config validation, exit codes, output formats, determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -116,6 +117,21 @@ class TestSolveCommand:
         code = main(["solve", "--config", str(tmp_path / "absent.yaml")])
         assert code == 1
         assert "cannot read" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "utf16.yaml"
+        path.write_bytes(b"\xff\xfe" + yaml.safe_dump(ROW2).encode("utf-16-le"))
+        code = main(["solve", "--config", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: config:")
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "reproduce-tables"])
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys, command):
+        config = [] if command == "reproduce-tables" else [
+            "--config", write_config(tmp_path, ROW2)]
+        code = main([command, *config, "--out", str(tmp_path / "absent" / "out.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: out:")
 
     def test_usage_error_exit_1(self, capsys):
         assert main(["solve"]) == 1
@@ -313,15 +329,27 @@ def fuzzed_documents(draw):
     return doc
 
 
+#: Documents that once ended in a traceback; both fuzzes always run them.
+KNOWN_BAD_DOCUMENTS = [
+    primitives_with(sigma=1e-200),
+    primitives_with(sigma=1e200),
+    primitives_with(sigma=math.inf),
+    primitives_with(mu=-math.inf),
+    {**ROW2, "constants": {**ROW2["constants"], "a5": 10**400}},
+    {**ROW2, "constants": {**ROW2["constants"], "a5": math.inf}},
+    primitives_with(kappa=0, chi=0),
+]
+
+
+def with_known_bad_documents(test):
+    for doc in reversed(KNOWN_BAD_DOCUMENTS):
+        test = example(doc=doc)(test)
+    return test
+
+
 class TestInputBoundaryFuzz:
     @given(doc=fuzzed_documents())
-    @example(doc=primitives_with(sigma=1e-200))
-    @example(doc=primitives_with(sigma=1e200))
-    @example(doc=primitives_with(sigma=math.inf))
-    @example(doc=primitives_with(mu=-math.inf))
-    @example(doc={**ROW2, "constants": {**ROW2["constants"], "a5": 10**400}})
-    @example(doc={**ROW2, "constants": {**ROW2["constants"], "a5": math.inf}})
-    @example(doc=primitives_with(kappa=0, chi=0))
+    @with_known_bad_documents
     @settings(max_examples=200, deadline=None)
     def test_only_config_errors_escape(self, tmp_path_factory, doc):
         # Loading and validation only, no solves: every bad document must
@@ -334,3 +362,16 @@ class TestInputBoundaryFuzz:
             config.problem()
         except ConfigError as exc:
             assert exc.field.split(".")[0] in {"config", *doc}
+
+    @given(doc=fuzzed_documents())
+    @with_known_bad_documents
+    @settings(max_examples=200, deadline=None)
+    def test_main_returns_an_exit_code(self, tmp_path_factory, doc):
+        # End to end, solve included; the flag bounds the cost of each solve.
+        path = tmp_path_factory.getbasetemp() / "fuzzed-main.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", "--config", str(path), "--max-iter", "200"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

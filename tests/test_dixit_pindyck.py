@@ -16,7 +16,7 @@ from fracroots import (DegenerateThresholds, Decision, EconomicPrimitives,
                        default_alpha_grid, fixed_point_solve, norm2,
                        reduced_residual, solve_thresholds, sweep_thresholds)
 from fracroots.dixit_pindyck import KernelResidual, _label_thresholds
-from fracroots.solver import MAX_ITER
+from fracroots.solver import MAX_ITER, STATUS_FROM_CODE, IterationTrace
 from fracroots import _kernels, reference
 
 #: Full-precision initial residual norms of the bundled scenarios, frozen
@@ -125,7 +125,7 @@ class TestReducedResidual:
 
     def test_degenerate_diagonal(self):
         c = reference.scenario_constants(451474.0, 396499.0)
-        with pytest.raises(DegenerateThresholds):
+        with pytest.raises(DegenerateThresholds, match=r"coincide at \(5\.0, 5\.0\)"):
             reduced_residual(c, np.array([5.0, 5.0]))
 
     @pytest.mark.parametrize("x", [(-1.0, 2.0), (2.0, -1.0), (0.0, 3.0)])
@@ -259,6 +259,26 @@ class TestSolveThresholds:
                              SolverSettings(alpha=row.alpha))
 
 
+def kernel_trace(constants, x0, settings) -> IterationTrace:
+    """The scalar kernel's own trace: ``_kernels.solve_reduced`` with trace arrays.
+
+    The arrays are filled up to the last point where the residual was
+    evaluable, so a failed solve keeps one iterate fewer than its count.
+    """
+    c = constants
+    n_max = settings.max_iter
+    xs, steps, residuals = np.empty((n_max + 1, 2)), np.empty(n_max), np.empty(n_max + 1)
+    code, n = _kernels.solve_reduced(
+        c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7, float(x0[0]), float(x0[1]),
+        settings.alpha.value, settings.epsilon, settings.tol_step,
+        settings.tol_residual, n_max, settings.divergence_bound,
+        xs, steps, residuals)[:2]
+    last = n if STATUS_FROM_CODE[code] in (Status.CONVERGED, Status.MAX_ITERATIONS) \
+        else max(n - 1, 0)
+    return IterationTrace(iterates=xs[:last + 1], step_norms=steps[:last],
+                          residual_norms=residuals[:last + 1])
+
+
 class TestKernelAgreement:
     """The scalar kernel against the generic driver."""
 
@@ -268,8 +288,8 @@ class TestKernelAgreement:
         f = make_residual(problem.constants)
         for alpha in default_alpha_grid():
             settings = SolverSettings(alpha=alpha)
-            kernel = KernelResidual(problem.constants).fused_solve(
-                problem.x0, settings, keep_trace=True)
+            kernel = KernelResidual(problem.constants).fused_solve(problem.x0, settings)
+            trace = kernel_trace(problem.constants, problem.x0, settings)
             generic = fixed_point_solve(f, problem.x0, settings, keep_trace=True)
             where = f"alpha {alpha.value}"
             assert kernel.status is generic.status, where
@@ -278,18 +298,17 @@ class TestKernelAgreement:
                 assert np.array_equal(kernel.x_final, generic.x_final), where
             # Same iterates up to the last evaluable point; the norms differ
             # only by summation order (np.dot against scalar sums).
-            assert kernel.trace.iterates.shape == generic.trace.iterates.shape, where
-            assert np.allclose(kernel.trace.iterates, generic.trace.iterates,
+            assert trace.iterates.shape == generic.trace.iterates.shape, where
+            assert np.allclose(trace.iterates, generic.trace.iterates,
                                rtol=1e-12, atol=0), where
-            assert np.allclose(kernel.trace.residual_norms,
+            assert np.allclose(trace.residual_norms,
                                generic.trace.residual_norms, rtol=1e-12, atol=0), where
 
     @pytest.mark.parametrize("row", reference.ROWS, ids=lambda r: f"row{r.index}")
     def test_reference_solve_matches_generic_driver(self, row):
         problem = reference.scenario_problem(row)
         settings = SolverSettings(alpha=row.alpha)
-        kernel = KernelResidual(problem.constants).fused_solve(
-            problem.x0, settings, keep_trace=False)
+        kernel = KernelResidual(problem.constants).fused_solve(problem.x0, settings)
         generic = fixed_point_solve(make_residual(problem.constants),
                                     problem.x0, settings)
         assert generic.status is Status.CONVERGED
@@ -323,12 +342,29 @@ class TestKernelTrace:
         settings = SolverSettings(alpha=row.alpha, max_iter=MAX_ITER)
         tracemalloc.start()
         try:
-            out = KernelResidual(problem.constants).fused_solve(problem.x0, settings, False)
+            out = KernelResidual(problem.constants).fused_solve(problem.x0, settings)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert (out.status, out.iterations) == (Status.CONVERGED, row.iterations)
         assert peak < 100_000
+
+    def test_traced_solve_grows_with_the_iterations_not_the_cap(self):
+        # A trace sized for the cap would take 32 MB; the driver loop grows
+        # its trace as it goes.
+        row = reference.ROWS[0]
+        problem = reference.scenario_problem(row)
+        settings = SolverSettings(alpha=row.alpha, max_iter=MAX_ITER)
+        tracemalloc.start()
+        try:
+            out = fixed_point_solve(KernelResidual(problem.constants), problem.x0,
+                                    settings, keep_trace=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out.status, out.iterations) == (Status.CONVERGED, row.iterations)
+        assert out.trace.iterates.shape == (row.iterations + 1, 2)
+        assert peak < 1_000_000
 
 
 class TestSweepThresholds:
@@ -357,18 +393,18 @@ class TestSweepThresholds:
         assert [s.status for s in roots.skipped] == [status] * len(grid)
         for alpha in grid:
             settings = SolverSettings(alpha=alpha)
-            kernel = KernelResidual(constants).fused_solve(problem.x0, settings,
-                                                          keep_trace=True)
+            kernel = KernelResidual(constants).fused_solve(problem.x0, settings)
+            trace = kernel_trace(constants, problem.x0, settings)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 generic = fixed_point_solve(make_residual(constants), problem.x0,
                                             settings, keep_trace=True)
             assert (kernel.status, kernel.iterations) == (generic.status, generic.iterations)
             # Both fail at or right after the start, so the trace is x0 alone.
-            for trace in (kernel.trace, generic.trace):
-                assert np.array_equal(trace.iterates, [problem.x0])
-                assert trace.step_norms.size == 0
-            np.testing.assert_allclose(kernel.trace.residual_norms,
+            for each in (trace, generic.trace):
+                assert np.array_equal(each.iterates, [problem.x0])
+                assert each.step_norms.size == 0
+            np.testing.assert_allclose(trace.residual_norms,
                                        generic.trace.residual_norms, rtol=1e-12)
 
     def test_every_order_is_a_driver_solve(self, monkeypatch):
@@ -389,7 +425,7 @@ class TestSweepThresholds:
         assert len(seen) == len(grid)
         kernel = KernelResidual(problem.constants)
         expected = [(o.status, o.iterations) for o in
-                    (kernel.fused_solve(problem.x0, SolverSettings(alpha=a), False)
+                    (kernel.fused_solve(problem.x0, SolverSettings(alpha=a))
                      for a in grid)]
         assert seen == expected
         assert sum(s is Status.CONVERGED for s, _ in seen) == \

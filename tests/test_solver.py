@@ -158,14 +158,17 @@ class TestFixedPointSolve:
             def __call__(self, x):
                 return x * x - 4.0
 
-            def fused_solve(self, x0, settings, keep_trace):
-                self.calls.append((x0.tolist(), settings.alpha.value, keep_trace))
-                return fixed_point_solve(lambda x: self(x), x0, settings, keep_trace=keep_trace)
+            def fused_solve(self, x0, settings):
+                self.calls.append((x0.tolist(), settings.alpha.value))
+                return fixed_point_solve(lambda x: self(x), x0, settings)
 
         f = Fused()
-        out = fixed_point_solve(f, [3.0], SolverSettings(alpha=0.5), keep_trace=True)
-        assert Fused.calls == [([3.0], 0.5, True)]
-        assert out.status is Status.CONVERGED and out.trace is not None
+        out = fixed_point_solve(f, [3.0], SolverSettings(alpha=0.5))
+        assert Fused.calls == [([3.0], 0.5)]
+        assert out.status is Status.CONVERGED and out.trace is None
+        # A traced solve and an explicit step both run the driver loop.
+        traced = fixed_point_solve(f, [3.0], SolverSettings(alpha=0.5), keep_trace=True)
+        assert traced.status is Status.CONVERGED and traced.trace is not None
         fixed_point_solve(f, np.array([3.0]), SolverSettings(), step=lambda x, fx: x - fx / 4.0)
         assert len(Fused.calls) == 1
 
