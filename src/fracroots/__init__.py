@@ -30,8 +30,7 @@ from .errors import (ConfigError, DegenerateThresholds, DomainError,
                      FracrootsError, InsufficientData, InvalidPrimitives,
                      NonRealEvaluation, PoleArgument, SingularJacobian,
                      ThresholdSolveFailed)
-from .kernel import (FractionalOrder, PDiagonal, beta_select,
-                     constant_frac_deriv, gamma, p_matrix)
+from .kernel import FractionalOrder, constant_frac_deriv, gamma, p_matrix
 from .solver import (IterationTrace, RootRecord, RootSet, SkippedAlpha,
                      SolverSettings, SolveOutcome, Status, alpha_sweep,
                      default_alpha_grid, estimate_order, fd_jacobian,
@@ -49,8 +48,7 @@ __all__ = [
     "ConfigError", "DegenerateThresholds", "DomainError", "FracrootsError",
     "InsufficientData", "InvalidPrimitives", "NonRealEvaluation",
     "PoleArgument", "SingularJacobian", "ThresholdSolveFailed",
-    "FractionalOrder", "PDiagonal", "beta_select", "constant_frac_deriv",
-    "gamma", "p_matrix",
+    "FractionalOrder", "constant_frac_deriv", "gamma", "p_matrix",
     "IterationTrace", "RootRecord", "RootSet", "SkippedAlpha",
     "SolverSettings", "SolveOutcome", "Status", "alpha_sweep",
     "default_alpha_grid", "estimate_order", "fd_jacobian", "fixed_point_solve",

@@ -244,6 +244,17 @@ def _solution_json(index, a6, a7, x0, alpha, sol) -> dict:
     return payload
 
 
+def _check_out(path: Optional[str]) -> None:
+    """Refuse an unwritable ``--out`` before any solve; appending keeps its contents."""
+    if path is None:
+        return
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise ConfigError("out", f"cannot write {path!r}: {exc}") from exc
+
+
 def _emit(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -314,6 +325,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    _check_out(args.out)
     print(f"re-solving the {len(reference.ROWS)} bundled scenarios "
           f"(backend: {backend_name()})")
     all_ok = True
@@ -397,8 +409,9 @@ def _cmd_sweep(args) -> int:
                           f"grid step {config.grid_step!r} leaves no valid orders "
                           "after excluding the integer bands")
     # Every grid order replaces the configured one, which is not checked.
-    roots = sweep_thresholds(config.problem(), grid=grid,
-                             settings=config.settings(alpha=grid[0]))
+    problem, settings = config.problem(), config.settings(alpha=grid[0])
+    _check_out(args.out)
+    roots = sweep_thresholds(problem, grid=grid, settings=settings)
 
     print(f"order sweep over {len(grid)} grid points "
           f"(step {config.grid_step:g}, backend: {backend_name()})")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,7 +25,7 @@ from . import _kernels
 from .errors import (DegenerateThresholds, InvalidPrimitives,
                      NonRealEvaluation, ThresholdSolveFailed)
 from .solver import (STATUS_FROM_CODE, RootSet, SolverSettings, SolveOutcome,
-                     fixed_point_solve, norm2, sweep)
+                     alpha_sweep, fixed_point_solve, norm2)
 
 #: Tolerance on the exact algebraic identities the constants must satisfy.
 IDENTITY_TOL = 1e-9
@@ -307,18 +307,6 @@ def full_residual_scale(constants: ModelConstants, H: float, L: float) -> float:
         + 2.0 * abs(constants.a5) * max(H, L)
 
 
-def _solve_outcome(problem: ThresholdProblem, settings: SolverSettings,
-                   keep_trace: bool) -> SolveOutcome:
-    """One reduced-system solve through the generic driver.
-
-    The scalar kernel (:class:`KernelResidual`) gives the same outcome several
-    times faster; single solves stay on the driver until the scenario
-    benchmark's memory stops growing with its op rate (see ROADMAP.md).
-    """
-    return fixed_point_solve(make_residual(problem.constants), problem.x0, settings,
-                             keep_trace=keep_trace)
-
-
 def _label_thresholds(x1: float, x2: float) -> tuple:
     """Order a converged pair as (H, L); flag when the labels had to swap."""
     if x1 >= x2:
@@ -338,7 +326,10 @@ def solve_thresholds(problem: ThresholdProblem,
     """
     if settings is None:
         settings = SolverSettings()
-    out = _solve_outcome(problem, settings, keep_trace)
+    # The generic driver, though KernelResidual gives the same outcome faster:
+    # the scenario benchmark's memory grows with its op rate (ROADMAP item 6).
+    out = fixed_point_solve(make_residual(problem.constants), problem.x0, settings,
+                            keep_trace=keep_trace)
     if not out.converged:
         raise ThresholdSolveFailed(out)
     x1, x2 = float(out.x_final[0]), float(out.x_final[1])
@@ -359,14 +350,10 @@ def sweep_thresholds(problem: ThresholdProblem, grid=None,
                      dedup_tolerance: float = 1e-3) -> RootSet:
     """Order sweep over one scenario from its single initial condition.
 
-    Every order runs through the scalar kernel.
+    Every order runs through the scalar kernel (:class:`KernelResidual`).
     """
-    if settings is None:
-        settings = SolverSettings()
-    residual = KernelResidual(problem.constants)
-    return sweep(lambda alpha: fixed_point_solve(residual, problem.x0,
-                                                 replace(settings, alpha=alpha)),
-                 grid, dedup_tolerance)
+    return alpha_sweep(KernelResidual(problem.constants), problem.x0, grid, settings,
+                       dedup_tolerance)
 
 
 def classify_income(income: float, sol: ThresholdSolution) -> Decision:

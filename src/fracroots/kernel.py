@@ -57,29 +57,6 @@ class FractionalOrder:
         return cls(float(value))
 
 
-@dataclass(frozen=True)
-class PDiagonal:
-    """Diagonal of the multiplier matrix plus the per-component order used.
-
-    The matrix is diagonal by construction; :meth:`as_matrix` materialises it
-    densely for callers that want to verify exactly that.
-    """
-
-    entries: np.ndarray
-    order_used: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        orders = np.asarray(self.order_used, dtype=float)
-        if entries.shape != orders.shape or entries.ndim != 1:
-            raise ValueError("entries and order_used must be 1-d arrays of equal length")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "order_used", orders)
-
-    def as_matrix(self) -> np.ndarray:
-        return np.diag(self.entries)
-
-
 def gamma(z: float) -> float:
     """Gamma function on the real line, guarding the non-positive integer poles.
 
@@ -90,16 +67,6 @@ def gamma(z: float) -> float:
     if _nearest_integer_gap(z) <= INTEGER_GUARD and round(z) <= 0:
         raise PoleArgument(f"gamma pole at non-positive integer, got z={z!r}")
     return math.gamma(z)
-
-
-def beta_select(alpha, component: float) -> float:
-    """Order selector: the fractional order on nonzero components, 1 on zeros.
-
-    The classical branch at zero avoids the kernel's singularity at x = 0.
-    """
-    if component == 0.0:
-        return 1.0
-    return FractionalOrder.coerce(alpha).value
 
 
 def constant_frac_deriv(beta: float, x: float) -> float:
@@ -121,22 +88,24 @@ def constant_frac_deriv(beta: float, x: float) -> float:
     return _kernels.frac_unit_deriv(beta, x)
 
 
-def p_matrix(alpha, x, epsilon: float) -> PDiagonal:
-    """Diagonal pseudo-Newton multiplier evaluated at the point x.
-
-    Entry k is constant_frac_deriv(beta_select(alpha, x[k]), x[k]) + epsilon;
-    zero components therefore contribute exactly epsilon.
-    """
-    alpha = FractionalOrder.coerce(alpha)
+def checked_epsilon(epsilon) -> float:
+    """The multiplier's regularisation constant as a float, refused unless finite and positive."""
     epsilon = float(epsilon)
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
+    return epsilon
+
+
+def p_matrix(alpha, x, epsilon: float) -> np.ndarray:
+    """Diagonal of the pseudo-Newton multiplier at the point x, as a 1-d array.
+
+    Entry k is ``_kernels.p_entry(alpha, x[k], epsilon)``, which owns the
+    zero rule: constant_frac_deriv(alpha, x[k]) + epsilon, or exactly
+    epsilon where x[k] is zero.
+    """
+    alpha = FractionalOrder.coerce(alpha).value
+    epsilon = checked_epsilon(epsilon)
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("x must be a 1-d vector")
-    entries = np.empty(x.shape[0])
-    orders = np.empty(x.shape[0])
-    for k in range(x.shape[0]):
-        orders[k] = beta_select(alpha, x[k])
-        entries[k] = _kernels.p_entry(alpha.value, x[k], epsilon)
-    return PDiagonal(entries=entries, order_used=orders)
+    return np.array([_kernels.p_entry(alpha, v, epsilon) for v in x.tolist()], dtype=float)

@@ -5,8 +5,8 @@ the residual norm fall under their tolerances.  The default step is the
 pseudo-Newton update x - P(x) * f(x) with the diagonal multiplier of
 :mod:`fracroots.kernel`, built entry by entry from the scalar kernel; a
 classical Newton step over a finite-difference Jacobian is provided as the
-baseline, and an order-sweep driver discovers multiple roots from a single
-initial condition.
+baseline, and :func:`alpha_sweep`, the one order-sweep loop, discovers
+multiple roots from a single initial condition.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from . import _kernels
 from .errors import InsufficientData, NonRealEvaluation, SingularJacobian
 # p_matrix stays importable from here: the benchmark's tracer wraps solver.p_matrix.
-from .kernel import FractionalOrder, p_matrix  # noqa: F401
+from .kernel import FractionalOrder, checked_epsilon, p_matrix  # noqa: F401
 
 #: Condition-number ceiling beyond which the Newton linear solve is refused.
 CONDITION_LIMIT = 1e12
@@ -64,7 +64,7 @@ class SolverSettings:
     alpha
         Fractional order of the pseudo-Newton step (float or FractionalOrder).
     epsilon
-        Diagonal regularisation of the multiplier matrix.
+        Diagonal regularisation of the multiplier matrix (finite, > 0).
     tol_step, tol_residual
         Convergence requires BOTH the step norm and the residual norm under
         their tolerance after the same iteration.
@@ -84,7 +84,8 @@ class SolverSettings:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", FractionalOrder.coerce(self.alpha))
-        for name in ("epsilon", "tol_step", "tol_residual", "divergence_bound"):
+        object.__setattr__(self, "epsilon", checked_epsilon(self.epsilon))
+        for name in ("tol_step", "tol_residual", "divergence_bound"):
             value = float(getattr(self, name))
             object.__setattr__(self, name, value)
             if not value > 0.0:
@@ -170,9 +171,6 @@ class RootSet:
     dedup_tolerance: float
     skipped: tuple = field(default_factory=tuple)
 
-    def vectors(self) -> list:
-        return [r.x for r in self.roots]
-
 
 def _evaluate(f: Callable, x: np.ndarray) -> tuple:
     """Evaluate a residual; return ``(f(x), ||f(x)||_2)``.
@@ -214,9 +212,7 @@ def fpn_update(alpha, epsilon: float) -> Callable:
     entries of :func:`~fracroots.kernel.p_matrix` without its per-call checks.
     """
     alpha = FractionalOrder.coerce(alpha).value
-    epsilon = float(epsilon)
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    epsilon = checked_epsilon(epsilon)
     p_entry = _kernels.p_entry
 
     def step(x: np.ndarray, fx: np.ndarray) -> np.ndarray:
@@ -296,7 +292,9 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
     iterate).  An iterate diverges when its norm exceeds the bound or when it
     has a non-finite entry; the entries are scanned only when its sum of
     squares is not finite, so a finite iterate whose squares overflow
-    diverges only under a finite bound.
+    diverges only under a finite bound.  The status and norms report such
+    overflow, so numpy's overflow and invalid-value warnings are silenced
+    for the whole loop, the residual's calls included.
     """
     x = np.asarray(x0, dtype=float).ravel()
     if not np.all(np.isfinite(x)):
@@ -323,40 +321,42 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
                             iterations=n, final_step_norm=step_norm,
                             final_residual_norm=res_norm, trace=trace)
 
-    try:
-        fx, res_norm = _evaluate(f, x)
-    except NonRealEvaluation:
-        if keep_trace:
-            residual_norms.append(math.nan)
-        return outcome(Status.EVALUATION_FAILED, x, 0, math.nan, math.nan)
-    step_norm = math.nan
-    if keep_trace:
-        residual_norms.append(res_norm)
-
-    max_iter, bound = settings.max_iter, settings.divergence_bound
-    tol_step, tol_residual = settings.tol_step, settings.tol_residual
-    for i in range(1, max_iter + 1):
+    # Entered once per solve: np.errstate costs more than one np.dot.
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            x_next = np.asarray(step(x, fx), dtype=float)
-        except (NonRealEvaluation, SingularJacobian):
-            return outcome(Status.EVALUATION_FAILED, x, i - 1, step_norm, res_norm)
-        delta = x_next - x
-        step_norm = math.sqrt(float(np.dot(delta, delta)))
-        size = float(np.dot(x_next, x_next))
-        if math.sqrt(size) > bound or (not math.isfinite(size)
-                                       and not np.isfinite(x_next).all()):
-            return outcome(Status.DIVERGED, x_next, i, step_norm, math.nan)
-        try:
-            fx_next, res_norm = _evaluate(f, x_next)
+            fx, res_norm = _evaluate(f, x)
         except NonRealEvaluation:
-            return outcome(Status.EVALUATION_FAILED, x_next, i, step_norm, math.nan)
+            if keep_trace:
+                residual_norms.append(math.nan)
+            return outcome(Status.EVALUATION_FAILED, x, 0, math.nan, math.nan)
+        step_norm = math.nan
         if keep_trace:
-            iterates.append(x_next.copy())
-            step_norms.append(step_norm)
             residual_norms.append(res_norm)
-        x, fx = x_next, fx_next
-        if step_norm <= tol_step and res_norm <= tol_residual:
-            return outcome(Status.CONVERGED, x, i, step_norm, res_norm)
+
+        max_iter, bound = settings.max_iter, settings.divergence_bound
+        tol_step, tol_residual = settings.tol_step, settings.tol_residual
+        for i in range(1, max_iter + 1):
+            try:
+                x_next = np.asarray(step(x, fx), dtype=float)
+            except (NonRealEvaluation, SingularJacobian):
+                return outcome(Status.EVALUATION_FAILED, x, i - 1, step_norm, res_norm)
+            delta = x_next - x
+            step_norm = math.sqrt(float(np.dot(delta, delta)))
+            size = float(np.dot(x_next, x_next))
+            if math.sqrt(size) > bound or (not math.isfinite(size)
+                                           and not np.isfinite(x_next).all()):
+                return outcome(Status.DIVERGED, x_next, i, step_norm, math.nan)
+            try:
+                fx_next, res_norm = _evaluate(f, x_next)
+            except NonRealEvaluation:
+                return outcome(Status.EVALUATION_FAILED, x_next, i, step_norm, math.nan)
+            if keep_trace:
+                iterates.append(x_next.copy())
+                step_norms.append(step_norm)
+                residual_norms.append(res_norm)
+            x, fx = x_next, fx_next
+            if step_norm <= tol_step and res_norm <= tol_residual:
+                return outcome(Status.CONVERGED, x, i, step_norm, res_norm)
 
     return outcome(Status.MAX_ITERATIONS, x, max_iter, step_norm, res_norm)
 
@@ -453,14 +453,19 @@ def collect_roots(converged, skipped, dedup_tolerance: float) -> RootSet:
                    skipped=tuple(sorted(skipped, key=lambda s: s.alpha)))
 
 
-def sweep(solve_one: Callable, grid, dedup_tolerance: float) -> RootSet:
-    """Solve once per order of the grid and collect the distinct roots.
+def alpha_sweep(f: Callable, x0, grid=None, settings: Optional[SolverSettings] = None,
+                dedup_tolerance: float = 1e-3) -> RootSet:
+    """Run the pseudo-Newton iteration for every order in the grid.
 
-    ``solve_one(alpha)`` returns the SolveOutcome for one FractionalOrder.
-    ``grid`` defaults to :func:`default_alpha_grid` and must not be empty.
-    Converged outcomes are deduplicated by :func:`collect_roots`; every other
-    order lands in the skipped list with its failure status.
+    ``grid`` defaults to :func:`default_alpha_grid` and must not be empty;
+    each of its orders replaces the one in ``settings``.  Converged outcomes
+    are deduplicated and sorted canonically by :func:`collect_roots`; every
+    other grid point lands in the skipped list with its failure status.  The
+    same initial condition is reused throughout, which is the whole point:
+    the order, not the start, selects the root.
     """
+    if settings is None:
+        settings = SolverSettings()
     if grid is None:
         grid = default_alpha_grid()
     grid = [FractionalOrder.coerce(a) for a in grid]
@@ -469,24 +474,9 @@ def sweep(solve_one: Callable, grid, dedup_tolerance: float) -> RootSet:
     converged = []
     skipped = []
     for alpha in grid:
-        out = solve_one(alpha)
+        out = fixed_point_solve(f, x0, replace(settings, alpha=alpha))
         if out.converged:
             converged.append((out.x_final, alpha.value, out))
         else:
             skipped.append(SkippedAlpha(alpha=alpha.value, status=out.status))
     return collect_roots(converged, skipped, dedup_tolerance)
-
-
-def alpha_sweep(f: Callable, x0, grid=None, settings: Optional[SolverSettings] = None,
-                dedup_tolerance: float = 1e-3) -> RootSet:
-    """Run the pseudo-Newton iteration for every order in the grid.
-
-    Converged outcomes are deduplicated and sorted canonically; every other
-    grid point lands in the skipped list with its failure status.  The same
-    initial condition is reused throughout, which is the whole point: the
-    order, not the start, selects the root.
-    """
-    if settings is None:
-        settings = SolverSettings()
-    return sweep(lambda alpha: fixed_point_solve(f, x0, replace(settings, alpha=alpha)),
-                 grid, dedup_tolerance)

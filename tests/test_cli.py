@@ -102,6 +102,15 @@ class TestSolveCommand:
         assert "evaluation_failed" in err
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_iterate_is_a_status_without_warnings(self, tmp_path, capsys):
+        # The first step lands near 4e305, whose square overflows in the
+        # driver's norms; the status reports it and numpy stays silent.
+        code = main(["solve", "--config", write_config(tmp_path, ROW2),
+                     "--epsilon", "1e300"])
+        assert code == 2
+        assert "diverged" in capsys.readouterr().err
+
     def test_nonconvergent_exits_2(self, tmp_path, capsys):
         payload = {**ROW2, "solver": {"alpha": 0.25628, "max_iter": 5}}
         code = main(["solve", "--config", write_config(tmp_path, payload)])
@@ -131,7 +140,10 @@ class TestSolveCommand:
             "--config", write_config(tmp_path, ROW2)]
         code = main([command, *config, "--out", str(tmp_path / "absent" / "out.csv")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("config error: out:")
+        captured = capsys.readouterr()
+        # Found before the first solve, so no report reaches stdout.
+        assert captured.out == ""
+        assert captured.err.startswith("config error: out:")
 
     def test_usage_error_exit_1(self, capsys):
         assert main(["solve"]) == 1
@@ -142,6 +154,7 @@ class TestSolveCommand:
         ("solve", ROW2, ["--alpha", "1.0"], "solver.alpha"),
         ("solve", ROW2, ["--alpha", "nan"], "solver.alpha"),
         ("solve", ROW2, ["--epsilon", "-1"], "solver.epsilon"),
+        ("solve", ROW2, ["--epsilon", "inf"], "solver.epsilon"),
         ("solve", {**ROW2, "constants": {**ROW2["constants"], "a6": 1.0}}, [],
          "constants.a6"),
         ("sweep", {**ROW2, "constants": {**ROW2["constants"], "a6": 1.0}}, [],
@@ -161,7 +174,7 @@ class TestSolveCommand:
         ("sweep", {**ROW2, "solver": {"alpha": 0.25628, "max_iter": 1e15}}, [],
          "solver.max_iter"),
         ("solve", ROW2, ["--max-iter", str(10**400)], "solver.max_iter"),
-    ], ids=["max-iter-0", "alpha-integer", "alpha-nan", "epsilon-negative",
+    ], ids=["max-iter-0", "alpha-integer", "alpha-nan", "epsilon-negative", "epsilon-inf",
             "a6-below-a7-solve", "a6-below-a7-sweep", "max-iter-fraction",
             "grid-step-1e-300", "grid-step-1e-7", "grid-step-inf",
             "sigma-underflow", "sigma-overflow", "sigma-inf", "mu-minus-inf",

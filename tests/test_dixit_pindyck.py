@@ -410,7 +410,7 @@ class TestSweepThresholds:
     def test_every_order_is_a_driver_solve(self, monkeypatch):
         # The kernel runs behind fixed_point_solve, so whatever wraps the
         # driver sees each order's status and iteration count.
-        from fracroots import dixit_pindyck
+        from fracroots import solver
         seen = []
 
         def counting(*args, **kwargs):
@@ -418,7 +418,7 @@ class TestSweepThresholds:
             seen.append((out.status, out.iterations))
             return out
 
-        monkeypatch.setattr(dixit_pindyck, "fixed_point_solve", counting)
+        monkeypatch.setattr(solver, "fixed_point_solve", counting)
         problem = reference.scenario_problem(reference.ROWS[0])
         grid = default_alpha_grid()
         roots = sweep_thresholds(problem, grid=grid)

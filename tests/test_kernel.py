@@ -1,4 +1,4 @@
-"""Kernel-level tests: gamma, the order selector and the diagonal multiplier.
+"""Kernel-level tests: gamma, the order, the kernel and the diagonal multiplier.
 
 mpmath at 50 digits is the independent accuracy oracle throughout; the
 implementation never touches it.
@@ -9,10 +9,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from fracroots import (DomainError, FractionalOrder, PoleArgument, beta_select,
+from fracroots import (DomainError, FractionalOrder, PoleArgument,
                        constant_frac_deriv, gamma, p_matrix)
 
 mpmath.mp.dps = 50
@@ -82,24 +80,6 @@ class TestFractionalOrder:
         assert FractionalOrder.coerce(0.5) == a
 
 
-class TestBetaSelect:
-    def test_nonzero_component_uses_alpha(self):
-        assert beta_select(FractionalOrder(0.26131), 15.0) == 0.26131
-
-    def test_zero_component_uses_one(self):
-        assert beta_select(FractionalOrder(0.26131), 0.0) == 1.0
-
-    def test_negative_component_uses_alpha(self):
-        assert beta_select(FractionalOrder(-1.5), -3.7) == -1.5
-
-    @given(st.floats(min_value=-1.99, max_value=1.99).filter(
-               lambda a: abs(a - round(a)) > 1e-6),
-           st.floats(allow_nan=False, allow_infinity=False, width=32))
-    def test_selector_property(self, alpha, component):
-        expected = 1.0 if component == 0.0 else alpha
-        assert beta_select(FractionalOrder(alpha), component) == expected
-
-
 class TestConstantFracDeriv:
     def test_classical_order_returns_zero(self):
         assert constant_frac_deriv(1.0, 0.0) == 0.0
@@ -157,20 +137,18 @@ class TestConstantFracDeriv:
 class TestPMatrix:
     def test_mixed_point(self):
         diag = p_matrix(FractionalOrder(0.5), np.array([1.0, 0.0]), 1e-4)
-        assert diag.entries[0] == pytest.approx(0.5642895835477563, rel=1e-12)
-        assert diag.entries[1] == 1e-4
-        assert diag.order_used.tolist() == [0.5, 1.0]
+        assert diag[0] == pytest.approx(0.5642895835477563, rel=1e-12)
+        assert diag[1] == 1e-4
 
     def test_all_zero_point_collapses_to_epsilon(self):
         diag = p_matrix(FractionalOrder(0.5), np.array([0.0, 0.0]), 1e-4)
-        assert diag.entries.tolist() == [1e-4, 1e-4]
-        assert diag.order_used.tolist() == [1.0, 1.0]
+        assert diag.tolist() == [1e-4, 1e-4]
 
     def test_first_step_multipliers_of_reference_row(self):
         # alpha and x0 of the first bundled scenario, against the oracle
         alpha = 0.26131
         diag = p_matrix(FractionalOrder(alpha), np.array([15.0, 20.0]), 1e-4)
-        for entry, x in zip(diag.entries, (15.0, 20.0)):
+        for entry, x in zip(diag, (15.0, 20.0)):
             assert entry == pytest.approx(oracle_kernel(alpha, x) + 1e-4, rel=1e-12)
 
     def test_zero_rule_is_exact_for_any_alpha(self):
@@ -181,16 +159,8 @@ class TestPMatrix:
                 continue
             eps = float(10.0 ** rng.uniform(-8, -2))
             diag = p_matrix(FractionalOrder(alpha), np.array([0.0, 3.0, 0.0]), eps)
-            assert diag.entries[0] == eps
-            assert diag.entries[2] == eps
-
-    def test_dense_materialisation_is_diagonal(self):
-        diag = p_matrix(FractionalOrder(0.5), np.array([1.0, 2.0, 3.0]), 1e-4)
-        dense = diag.as_matrix()
-        assert dense.shape == (3, 3)
-        assert np.array_equal(np.diag(dense), diag.entries)
-        off = dense - np.diag(np.diag(dense))
-        assert np.all(off == 0.0)
+            assert diag[0] == eps
+            assert diag[2] == eps
 
     def test_sign_symmetry_of_magnitudes(self):
         # the kernel part flips sign with x, so entries mirror around epsilon
@@ -198,8 +168,18 @@ class TestPMatrix:
         x = np.array([0.7, 12.0, 3000.0])
         plus = p_matrix(FractionalOrder(0.6), x, eps)
         minus = p_matrix(FractionalOrder(0.6), -x, eps)
-        assert np.allclose(plus.entries - eps, -(minus.entries - eps), rtol=0, atol=0)
+        assert np.allclose(plus - eps, -(minus - eps), rtol=0, atol=0)
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
             p_matrix(FractionalOrder(0.5), np.array([1.0]), 0.0)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_epsilon_must_be_finite(self, eps):
+        with pytest.raises(ValueError, match="epsilon"):
+            p_matrix(FractionalOrder(0.5), np.array([1.0]), eps)
+
+    def test_returns_the_diagonal_as_a_float_vector(self):
+        diag = p_matrix(FractionalOrder(0.5), np.array([1.0, 2.0, 3.0]), 1e-4)
+        assert isinstance(diag, np.ndarray)
+        assert (diag.dtype, diag.shape) == (np.dtype(float), (3,))

@@ -38,12 +38,16 @@ class TestFpnStep:
     def test_step_uses_the_p_matrix_entries(self, alpha):
         x = np.array([3.0, 0.0, -2.5, 1e-3])
         fx = np.array([0.5, -1.0, 2.0, 7.0])
-        expected = x - p_matrix(alpha, x, 1e-4).entries * fx
+        expected = x - p_matrix(alpha, x, 1e-4) * fx
         assert np.array_equal(fpn_update(alpha, 1e-4)(x, fx), expected)
 
     def test_nonpositive_epsilon_rejected(self):
         with pytest.raises(ValueError, match="epsilon"):
             fpn_step(lambda x: x, np.array([1.0]), FractionalOrder(0.5), 0.0)
+
+    def test_infinite_epsilon_rejected(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            fpn_update(FractionalOrder(0.5), math.inf)
 
     def test_zero_component_moves_by_epsilon_times_residual(self):
         out = fpn_step(lambda x: x - 5.0, np.array([0.0]), FractionalOrder(0.5), 1e-4)
@@ -96,7 +100,7 @@ class TestFixedPointSolve:
         assert out.status is Status.EVALUATION_FAILED
         assert math.isnan(out.final_residual_norm)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_residual_whose_squares_overflow_has_an_inf_norm(self):
         out = fixed_point_solve(lambda x: np.array([1e200, 1e200]), np.array([1.0, 2.0]),
                                 SolverSettings(alpha=0.5, divergence_bound=math.inf,
@@ -105,7 +109,7 @@ class TestFixedPointSolve:
         assert out.iterations == 3
         assert out.final_residual_norm == math.inf
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_iterate_diverges_under_an_infinite_bound(self):
         out = fixed_point_solve(lambda x: x, np.array([1e200]),
                                 SolverSettings(alpha=-1.5, divergence_bound=math.inf))
@@ -113,7 +117,7 @@ class TestFixedPointSolve:
         assert out.iterations == 1
         assert out.x_final.tolist() == [-math.inf]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_iterate_whose_squares_overflow_passes_an_infinite_bound(self):
         out = fixed_point_solve(lambda x: x, np.array([1e160, 1e160]),
                                 SolverSettings(alpha=0.5, divergence_bound=math.inf,
@@ -190,6 +194,7 @@ class TestSolverSettings:
         dict(max_iter=0), dict(divergence_bound=0.0), dict(alpha=1.0),
         dict(max_iter=1.5), dict(max_iter=True), dict(max_iter=math.nan),
         dict(max_iter=MAX_ITER + 1), dict(max_iter=1e15), dict(max_iter=10**400),
+        dict(epsilon=math.inf),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
