@@ -51,10 +51,23 @@ STATUS_FROM_CODE = {
 }
 
 
+def _sum_squares(values) -> float:
+    """Sum of the squares of a float sequence, added in entry order.
+
+    Every norm in the package is the square root of this sum, in the order
+    of ``_kernels.solve_reduced`` (``f1 * f1 + f2 * f2``), so a norm
+    recomputed from a trace, or taken by the fused loop, is bitwise equal
+    to the driver's.
+    """
+    total = 0.0
+    for v in values:
+        total += v * v
+    return total
+
+
 def norm2(v) -> float:
-    """Euclidean norm as sqrt of the dot product, shared by all drivers."""
-    v = np.asarray(v, dtype=float).ravel()
-    return math.sqrt(float(np.dot(v, v)))
+    """Euclidean norm, the square root of :func:`_sum_squares` over the entries."""
+    return math.sqrt(_sum_squares(np.asarray(v, dtype=float).ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -173,12 +186,13 @@ class RootSet:
 
 
 def _evaluate(f: Callable, x: np.ndarray) -> tuple:
-    """Evaluate a residual; return ``(f(x), ||f(x)||_2)``.
+    """Evaluate a residual; return ``(f(x), f(x).tolist(), ||f(x)||_2)``.
 
     Every evaluation failure, a non-finite entry included, is normalised to
-    NonRealEvaluation.  The norm takes one dot product; a finite sum of
-    squares means every entry is finite, so the entries are only scanned when
-    it is not (a finite residual whose squares overflow keeps an inf norm).
+    NonRealEvaluation.  The norm is the square root of :func:`_sum_squares`;
+    a finite sum of squares means every entry is finite, so the entries are
+    only scanned when it is not (a finite residual whose squares overflow
+    keeps an inf norm).
     """
     try:
         fx = np.asarray(f(x), dtype=float).ravel()
@@ -188,10 +202,11 @@ def _evaluate(f: Callable, x: np.ndarray) -> tuple:
         raise NonRealEvaluation(str(exc)) from exc
     if fx.shape != x.shape:
         raise ValueError(f"residual has shape {fx.shape}, expected {x.shape}")
-    squares = float(np.dot(fx, fx))
-    if not math.isfinite(squares) and not np.isfinite(fx).all():
+    rs = fx.tolist()
+    squares = _sum_squares(rs)
+    if not math.isfinite(squares) and not all(map(math.isfinite, rs)):
         raise NonRealEvaluation("residual evaluated to a non-finite value")
-    return fx, math.sqrt(squares)
+    return fx, rs, math.sqrt(squares)
 
 
 def fpn_step(f: Callable, x, alpha, epsilon: float) -> np.ndarray:
@@ -205,18 +220,22 @@ def fpn_step(f: Callable, x, alpha, epsilon: float) -> np.ndarray:
 
 
 def fpn_update(alpha, epsilon: float) -> Callable:
-    """Step closure (x, fx) -> next iterate for the driver's hot loop.
+    """Step closure (x, fx) -> next iterate, on 1-d float arrays.
 
-    The order and epsilon are checked once, here; each step then builds the
-    diagonal of P(x) entry by entry with the scalar kernel, which gives the
-    entries of :func:`~fracroots.kernel.p_matrix` without its per-call checks.
+    The array form of the driver's default update: each entry is
+    ``v - p_entry(alpha, v, epsilon) * r`` on the entries of ``x`` and
+    ``fx``, with the scalar kernel's ``p_entry`` (the entries of
+    :func:`~fracroots.kernel.p_matrix` without its per-call checks), returned
+    as one new array; no ufunc runs.  The order and epsilon are checked once,
+    here.
     """
     alpha = FractionalOrder.coerce(alpha).value
     epsilon = checked_epsilon(epsilon)
     p_entry = _kernels.p_entry
 
     def step(x: np.ndarray, fx: np.ndarray) -> np.ndarray:
-        return x - np.array([p_entry(alpha, v, epsilon) for v in x.tolist()]) * fx
+        return np.array([v - p_entry(alpha, v, epsilon) * r
+                         for v, r in zip(x.tolist(), fx.tolist())])
 
     return step
 
@@ -288,13 +307,19 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
     traced solve always runs this loop, which alone builds traces.  The
     outcome always encodes failures in its status instead of raising.
 
-    Each iteration takes one dot product per vector (residual, step and
-    iterate).  An iterate diverges when its norm exceeds the bound or when it
-    has a non-finite entry; the entries are scanned only when its sum of
-    squares is not finite, so a finite iterate whose squares overflow
-    diverges only under a finite bound.  The status and norms report such
-    overflow, so numpy's overflow and invalid-value warnings are silenced
-    for the whole loop, the residual's calls included.
+    The iterate and the residual are carried as float lists next to the
+    array handed to ``f``.  The default step is :func:`fpn_update`'s
+    per-entry update on those lists; an explicit ``step`` gets and returns
+    arrays, and a result of another shape than x0's raises ValueError.  One
+    pass over the entries then adds up the squares of the step and of the new
+    iterate, so numpy runs only in ``f`` and an explicit ``step``.  Every
+    norm is the square root of :func:`_sum_squares`, summed in entry order
+    like the fused loop's.  An iterate diverges when its norm exceeds the
+    bound or when it has a non-finite entry; the entries are scanned only
+    when its sum of squares is not finite, so a finite iterate whose squares
+    overflow diverges only under a finite bound.  The status and norms report
+    such overflow, so numpy's overflow and invalid-value warnings are
+    silenced for the whole loop, the residual's calls included.
     """
     x = np.asarray(x0, dtype=float).ravel()
     if not np.all(np.isfinite(x)):
@@ -303,9 +328,11 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
         fused_solve = getattr(f, "fused_solve", None)
         if fused_solve is not None and not keep_trace:
             return fused_solve(x, settings)
-        step = fpn_update(settings.alpha, settings.epsilon)
+        alpha, epsilon = settings.alpha.value, settings.epsilon
+        p_entry = _kernels.p_entry
+    xs = x.tolist()
     if keep_trace:
-        iterates = [x.copy()]
+        iterates = [xs]
         step_norms: list = []
         residual_norms: list = []
 
@@ -321,10 +348,10 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
                             iterations=n, final_step_norm=step_norm,
                             final_residual_norm=res_norm, trace=trace)
 
-    # Entered once per solve: np.errstate costs more than one np.dot.
+    # Entered once per solve: np.errstate costs about half an iteration.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            fx, res_norm = _evaluate(f, x)
+            fx, rs, res_norm = _evaluate(f, x)
         except NonRealEvaluation:
             if keep_trace:
                 residual_norms.append(math.nan)
@@ -336,25 +363,36 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
         max_iter, bound = settings.max_iter, settings.divergence_bound
         tol_step, tol_residual = settings.tol_step, settings.tol_residual
         for i in range(1, max_iter + 1):
-            try:
-                x_next = np.asarray(step(x, fx), dtype=float)
-            except (NonRealEvaluation, SingularJacobian):
-                return outcome(Status.EVALUATION_FAILED, x, i - 1, step_norm, res_norm)
-            delta = x_next - x
-            step_norm = math.sqrt(float(np.dot(delta, delta)))
-            size = float(np.dot(x_next, x_next))
+            if step is None:
+                xs_next = [v - p_entry(alpha, v, epsilon) * r for v, r in zip(xs, rs)]
+            else:
+                try:
+                    stepped = np.asarray(step(x, fx), dtype=float)
+                except (NonRealEvaluation, SingularJacobian):
+                    return outcome(Status.EVALUATION_FAILED, x, i - 1, step_norm, res_norm)
+                if stepped.shape != x.shape:
+                    raise ValueError(f"step returned shape {stepped.shape}, "
+                                     f"expected {x.shape}")
+                xs_next = stepped.tolist()
+            step_squares = size = 0.0
+            for v, w in zip(xs, xs_next):
+                d = w - v
+                step_squares += d * d
+                size += w * w
+            step_norm = math.sqrt(step_squares)
             if math.sqrt(size) > bound or (not math.isfinite(size)
-                                           and not np.isfinite(x_next).all()):
-                return outcome(Status.DIVERGED, x_next, i, step_norm, math.nan)
+                                           and not all(map(math.isfinite, xs_next))):
+                return outcome(Status.DIVERGED, xs_next, i, step_norm, math.nan)
+            x_next = np.array(xs_next)
             try:
-                fx_next, res_norm = _evaluate(f, x_next)
+                fx, rs, res_norm = _evaluate(f, x_next)
             except NonRealEvaluation:
                 return outcome(Status.EVALUATION_FAILED, x_next, i, step_norm, math.nan)
             if keep_trace:
-                iterates.append(x_next.copy())
+                iterates.append(xs_next)
                 step_norms.append(step_norm)
                 residual_norms.append(res_norm)
-            x, fx = x_next, fx_next
+            x, xs = x_next, xs_next
             if step_norm <= tol_step and res_norm <= tol_residual:
                 return outcome(Status.CONVERGED, x, i, step_norm, res_norm)
 

@@ -241,11 +241,9 @@ class TestSolveThresholds:
         tr = sol.outcome.trace
         f = make_residual(problem.constants)
         for i in range(sol.outcome.iterations):
-            recomputed = norm2(tr.iterates[i + 1] - tr.iterates[i])
-            assert recomputed == pytest.approx(tr.step_norms[i], rel=1e-12)
+            assert norm2(tr.iterates[i + 1] - tr.iterates[i]) == tr.step_norms[i]
         for i in range(sol.outcome.iterations + 1):
-            assert norm2(f(tr.iterates[i])) == pytest.approx(
-                tr.residual_norms[i], rel=1e-12)
+            assert norm2(f(tr.iterates[i])) == tr.residual_norms[i]
 
     def test_label_helper(self):
         assert _label_thresholds(2.0, 1.0) == (2.0, 1.0, False)
@@ -279,8 +277,14 @@ def kernel_trace(constants, x0, settings) -> IterationTrace:
                           residual_norms=residuals[:last + 1])
 
 
+def bitwise_equal(a, b) -> bool:
+    """Exact equality of floats or float arrays, NaN equal to NaN."""
+    return np.array_equal(a, b, equal_nan=True)
+
+
 class TestKernelAgreement:
-    """The scalar kernel against the generic driver."""
+    """The scalar kernel against the generic driver: both sum squares in entry
+    order, so iterates and norms are equal, not just close."""
 
     @pytest.mark.parametrize("row", reference.ROWS, ids=lambda r: f"row{r.index}")
     def test_every_sweep_order_matches_generic_driver(self, row):
@@ -294,15 +298,15 @@ class TestKernelAgreement:
             where = f"alpha {alpha.value}"
             assert kernel.status is generic.status, where
             assert kernel.iterations == generic.iterations, where
-            if generic.converged:
-                assert np.array_equal(kernel.x_final, generic.x_final), where
-            # Same iterates up to the last evaluable point; the norms differ
-            # only by summation order (np.dot against scalar sums).
-            assert trace.iterates.shape == generic.trace.iterates.shape, where
-            assert np.allclose(trace.iterates, generic.trace.iterates,
-                               rtol=1e-12, atol=0), where
-            assert np.allclose(trace.residual_norms,
-                               generic.trace.residual_norms, rtol=1e-12, atol=0), where
+            assert bitwise_equal(kernel.x_final, generic.x_final), where
+            assert bitwise_equal(kernel.final_step_norm, generic.final_step_norm), where
+            assert bitwise_equal(kernel.final_residual_norm,
+                                 generic.final_residual_norm), where
+            # Same iterates and norms up to the last evaluable point.
+            assert bitwise_equal(trace.iterates, generic.trace.iterates), where
+            assert bitwise_equal(trace.step_norms, generic.trace.step_norms), where
+            assert bitwise_equal(trace.residual_norms,
+                                 generic.trace.residual_norms), where
 
     @pytest.mark.parametrize("row", reference.ROWS, ids=lambda r: f"row{r.index}")
     def test_reference_solve_matches_generic_driver(self, row):
@@ -314,11 +318,9 @@ class TestKernelAgreement:
         assert generic.status is Status.CONVERGED
         assert kernel.status is Status.CONVERGED
         assert generic.iterations == kernel.iterations
-        assert np.allclose(generic.x_final, kernel.x_final, rtol=1e-12, atol=0)
-        assert generic.final_residual_norm == pytest.approx(
-            kernel.final_residual_norm, rel=1e-9)
-        assert generic.final_step_norm == pytest.approx(
-            kernel.final_step_norm, rel=1e-9)
+        assert bitwise_equal(generic.x_final, kernel.x_final)
+        assert generic.final_residual_norm == kernel.final_residual_norm
+        assert generic.final_step_norm == kernel.final_step_norm
 
 
 class TestKernelTrace:
@@ -404,8 +406,10 @@ class TestSweepThresholds:
             for each in (trace, generic.trace):
                 assert np.array_equal(each.iterates, [problem.x0])
                 assert each.step_norms.size == 0
-            np.testing.assert_allclose(trace.residual_norms,
-                                       generic.trace.residual_norms, rtol=1e-12)
+            assert bitwise_equal(kernel.x_final, generic.x_final)
+            assert bitwise_equal(kernel.final_step_norm, generic.final_step_norm)
+            assert bitwise_equal(kernel.final_residual_norm, generic.final_residual_norm)
+            assert bitwise_equal(trace.residual_norms, generic.trace.residual_norms)
 
     def test_every_order_is_a_driver_solve(self, monkeypatch):
         # The kernel runs behind fixed_point_solve, so whatever wraps the

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings, strategies as st
 
-from fracroots import (FractionalOrder, InsufficientData, SingularJacobian,
-                       SolverSettings, Status, alpha_sweep, default_alpha_grid,
-                       estimate_order, fd_jacobian, fixed_point_solve, fpn_step,
-                       fpn_update, newton_step, newton_update, norm2, p_matrix)
+from fracroots import (FractionalOrder, InsufficientData, NonRealEvaluation,
+                       SingularJacobian, SolverSettings, Status, alpha_sweep,
+                       default_alpha_grid, estimate_order, fd_jacobian,
+                       fixed_point_solve, fpn_step, fpn_update, newton_step,
+                       newton_update, norm2, p_matrix)
 from fracroots.solver import MAX_ITER
 
 
@@ -139,17 +141,33 @@ class TestFixedPointSolve:
         assert norm2(tr.iterates[-1] - tr.iterates[-2]) <= settings.tol_step
 
     def test_trace_consistency_recompute_is_exact(self):
-        f = lambda x: x**2 - 2.0
-        out = fixed_point_solve(f, np.array([3.0]), SolverSettings(alpha=0.5),
-                                keep_trace=True)
-        tr = out.trace
-        assert tr.iterates.shape[0] == out.iterations + 1
-        assert tr.step_norms.shape[0] == out.iterations
-        assert tr.residual_norms.shape[0] == out.iterations + 1
-        for i in range(out.iterations):
-            assert norm2(tr.iterates[i + 1] - tr.iterates[i]) == tr.step_norms[i]
-        for i in range(out.iterations + 1):
-            assert norm2(f(tr.iterates[i])) == tr.residual_norms[i]
+        cases = [
+            (lambda x: x**2 - 2.0, [3.0], 0.5),
+            (lambda v: np.array([v[0] * v[0] + v[1] * v[1] - 4.0, v[0] * v[1] - 1.0]),
+             [-1.0, 1.5], 0.7),
+        ]
+        for f, x0, alpha in cases:
+            out = fixed_point_solve(f, np.array(x0), SolverSettings(alpha=alpha),
+                                    keep_trace=True)
+            assert out.status is Status.CONVERGED
+            tr = out.trace
+            assert tr.iterates.shape == (out.iterations + 1, len(x0))
+            assert tr.step_norms.shape[0] == out.iterations
+            assert tr.residual_norms.shape[0] == out.iterations + 1
+            for i in range(out.iterations):
+                assert norm2(tr.iterates[i + 1] - tr.iterates[i]) == tr.step_norms[i]
+            for i in range(out.iterations + 1):
+                assert norm2(f(tr.iterates[i])) == tr.residual_norms[i]
+
+    def test_step_returning_a_longer_vector_is_refused(self):
+        with pytest.raises(ValueError, match=r"step returned shape \(2,\), expected \(1,\)"):
+            fixed_point_solve(lambda x: x - 1.0, np.array([2.0]), SolverSettings(),
+                              step=lambda x, fx: np.append(x - fx / 4.0, 0.0))
+
+    def test_step_returning_a_scalar_is_refused(self):
+        with pytest.raises(ValueError, match=r"step returned shape \(\), expected \(2,\)"):
+            fixed_point_solve(lambda x: x - 1.0, np.array([2.0, 3.0]), SolverSettings(),
+                              step=lambda x, fx: float(x[0] - fx[0] / 4.0))
 
     def test_rejects_non_finite_start(self):
         with pytest.raises(ValueError):
@@ -175,6 +193,119 @@ class TestFixedPointSolve:
         assert traced.status is Status.CONVERGED and traced.trace is not None
         fixed_point_solve(f, np.array([3.0]), SolverSettings(), step=lambda x, fx: x - fx / 4.0)
         assert len(Fused.calls) == 1
+
+
+def numpy_reference_solve(f, x0, settings):
+    """The driver loop in whole-array numpy arithmetic, kept as a reference.
+
+    The step is ``x - p_matrix(...) * f(x)``, each norm the square root of
+    one ``np.dot``; the status rules are the driver's.  Returns the status,
+    the iteration count, the final iterate, the final step and residual
+    norms and the trace's iterates, step norms and residual norms.
+    """
+    def evaluate(x):
+        try:
+            fx = np.asarray(f(x), dtype=float).ravel()
+        except (ArithmeticError, ValueError) as exc:
+            raise NonRealEvaluation(str(exc)) from exc
+        squares = float(np.dot(fx, fx))
+        if not math.isfinite(squares) and not np.isfinite(fx).all():
+            raise NonRealEvaluation("non-finite residual")
+        return fx, math.sqrt(squares)
+
+    x = np.asarray(x0, dtype=float).ravel()
+    iterates, steps, residuals = [x], [], []
+
+    def result(status, x_final, n, step_norm, res_norm):
+        return (status, n, np.asarray(x_final), step_norm, res_norm,
+                np.array(iterates), steps, residuals)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            fx, res_norm = evaluate(x)
+        except NonRealEvaluation:
+            residuals.append(math.nan)
+            return result(Status.EVALUATION_FAILED, x, 0, math.nan, math.nan)
+        residuals.append(res_norm)
+        step_norm = math.nan
+        for i in range(1, settings.max_iter + 1):
+            x_next = x - p_matrix(settings.alpha, x, settings.epsilon) * fx
+            delta = x_next - x
+            step_norm = math.sqrt(float(np.dot(delta, delta)))
+            size = float(np.dot(x_next, x_next))
+            if math.sqrt(size) > settings.divergence_bound or (
+                    not math.isfinite(size) and not np.isfinite(x_next).all()):
+                return result(Status.DIVERGED, x_next, i, step_norm, math.nan)
+            try:
+                fx, res_norm = evaluate(x_next)
+            except NonRealEvaluation:
+                return result(Status.EVALUATION_FAILED, x_next, i, step_norm, math.nan)
+            iterates.append(x_next)
+            steps.append(step_norm)
+            residuals.append(res_norm)
+            x = x_next
+            if step_norm <= settings.tol_step and res_norm <= settings.tol_residual:
+                return result(Status.CONVERGED, x, i, step_norm, res_norm)
+    return result(Status.MAX_ITERATIONS, x, settings.max_iter, step_norm, res_norm)
+
+
+#: Entries for starts and coefficients: moderate values plus exact zeros
+#: (the multiplier's zero-component rule), values whose squares overflow,
+#: and subnormal-scale values whose multiplier entry overflows.
+ENTRIES = st.one_of(
+    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e160, -1e160, 1e200, 1e-300]),
+)
+
+
+@st.composite
+def driver_problems(draw):
+    """A random affine or quadratic residual on n = 1..5 with its start and settings."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    vector = st.lists(ENTRIES, min_size=n, max_size=n).map(np.array)
+    matrix = np.array([draw(vector) for _ in range(n)])
+    shift = draw(vector)
+    if draw(st.booleans()):
+        def f(x):
+            return matrix @ x + shift
+    else:
+        curvature = draw(vector)
+
+        def f(x):
+            return curvature * x * x + matrix @ x + shift
+    settings = SolverSettings(
+        alpha=draw(st.sampled_from([a.value for a in default_alpha_grid()])),
+        max_iter=draw(st.integers(min_value=1, max_value=60)),
+        divergence_bound=draw(st.sampled_from([1e10, math.inf])))
+    return f, draw(vector), settings
+
+
+def same_norm(a, b):
+    return (math.isnan(a) and math.isnan(b)) or a == pytest.approx(b, rel=1e-14, abs=0.0)
+
+
+class TestDriverAgainstNumpyReference:
+    """The float-list driver loop against the whole-array numpy loop."""
+
+    @given(problem=driver_problems())
+    @hypothesis_settings(max_examples=300, deadline=None)
+    def test_same_statuses_iterates_and_norms(self, problem):
+        f, x0, settings = problem
+        (status, n, x_final, step_norm, res_norm,
+         iterates, steps, residuals) = numpy_reference_solve(f, x0, settings)
+        out = fixed_point_solve(f, x0, settings, keep_trace=True)
+        assert (out.status, out.iterations) == (status, n)
+        assert out.x_final.tobytes() == x_final.tobytes()
+        assert out.trace.iterates.tobytes() == iterates.tobytes()
+        assert same_norm(out.final_step_norm, step_norm)
+        assert same_norm(out.final_residual_norm, res_norm)
+        assert len(out.trace.step_norms) == len(steps)
+        assert all(map(same_norm, out.trace.step_norms.tolist(), steps))
+        assert len(out.trace.residual_norms) == len(residuals)
+        assert all(map(same_norm, out.trace.residual_norms.tolist(), residuals))
+        untraced = fixed_point_solve(f, x0, settings)
+        assert (untraced.status, untraced.iterations) == (status, n)
+        assert untraced.x_final.tobytes() == x_final.tobytes()
 
 
 class TestSolverSettings:
