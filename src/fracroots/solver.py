@@ -216,26 +216,25 @@ def fpn_step(f: Callable, x, alpha, epsilon: float) -> np.ndarray:
     residual is returned unchanged.
     """
     x = np.asarray(x, dtype=float)
-    return fpn_update(alpha, epsilon)(x, _evaluate(f, x)[0])
+    return np.array(fpn_update(alpha, epsilon)(x.tolist(), _evaluate(f, x)[1]))
 
 
 def fpn_update(alpha, epsilon: float) -> Callable:
-    """Step closure (x, fx) -> next iterate, on 1-d float arrays.
+    """Step closure (xs, rs) -> next iterate, the driver's default step.
 
-    The array form of the driver's default update: each entry is
-    ``v - p_entry(alpha, v, epsilon) * r`` on the entries of ``x`` and
-    ``fx``, with the scalar kernel's ``p_entry`` (the entries of
-    :func:`~fracroots.kernel.p_matrix` without its per-call checks), returned
-    as one new array; no ufunc runs.  The order and epsilon are checked once,
-    here.
+    ``xs`` and ``rs`` are the iterate and the residual as float sequences;
+    each entry of the returned list is ``v - p_entry(alpha, v, epsilon) * r``,
+    with the scalar kernel's ``p_entry`` (the entries of
+    :func:`~fracroots.kernel.p_matrix` without its per-call checks).  Arrays
+    work too, so the closure can be passed as an explicit ``step``.  The
+    order and epsilon are checked once, here.
     """
     alpha = FractionalOrder.coerce(alpha).value
     epsilon = checked_epsilon(epsilon)
     p_entry = _kernels.p_entry
 
-    def step(x: np.ndarray, fx: np.ndarray) -> np.ndarray:
-        return np.array([v - p_entry(alpha, v, epsilon) * r
-                         for v, r in zip(x.tolist(), fx.tolist())])
+    def step(xs, rs) -> list:
+        return [v - p_entry(alpha, v, epsilon) * r for v, r in zip(xs, rs)]
 
     return step
 
@@ -309,7 +308,7 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
 
     The iterate and the residual are carried as float lists next to the
     array handed to ``f``.  The default step is :func:`fpn_update`'s
-    per-entry update on those lists; an explicit ``step`` gets and returns
+    closure, called on those lists; an explicit ``step`` gets and returns
     arrays, and a result of another shape than x0's raises ValueError.  One
     pass over the entries then adds up the squares of the step and of the new
     iterate, so numpy runs only in ``f`` and an explicit ``step``.  Every
@@ -328,8 +327,7 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
         fused_solve = getattr(f, "fused_solve", None)
         if fused_solve is not None and not keep_trace:
             return fused_solve(x, settings)
-        alpha, epsilon = settings.alpha.value, settings.epsilon
-        p_entry = _kernels.p_entry
+        update = fpn_update(settings.alpha, settings.epsilon)
     xs = x.tolist()
     if keep_trace:
         iterates = [xs]
@@ -364,7 +362,7 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
         tol_step, tol_residual = settings.tol_step, settings.tol_residual
         for i in range(1, max_iter + 1):
             if step is None:
-                xs_next = [v - p_entry(alpha, v, epsilon) * r for v, r in zip(xs, rs)]
+                xs_next = update(xs, rs)
             else:
                 try:
                     stepped = np.asarray(step(x, fx), dtype=float)
