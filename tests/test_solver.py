@@ -169,6 +169,30 @@ class TestFixedPointSolve:
             fixed_point_solve(lambda x: x - 1.0, np.array([2.0, 3.0]), SolverSettings(),
                               step=lambda x, fx: float(x[0] - fx[0] / 4.0))
 
+    def test_default_step_is_the_fpn_update_closure(self, monkeypatch):
+        # The default iteration calls the closure fpn_update returns once per
+        # step, so a probe on fpn_update sees every step of the driver.
+        from fracroots import solver
+        build, calls = solver.fpn_update, []
+
+        def counting(alpha, epsilon):
+            inner = build(alpha, epsilon)
+
+            def step(xs, rs):
+                calls.append(xs)
+                return inner(xs, rs)
+
+            return step
+
+        monkeypatch.setattr(solver, "fpn_update", counting)
+        f, x0, settings = (lambda x: x * x - 2.0), np.array([1.0]), SolverSettings(alpha=0.5)
+        out = fixed_point_solve(f, x0, settings)
+        assert len(calls) == out.iterations > 0
+        explicit = fixed_point_solve(f, x0, settings,
+                                     step=build(settings.alpha, settings.epsilon))
+        assert (explicit.status, explicit.iterations) == (out.status, out.iterations)
+        assert np.array_equal(explicit.x_final, out.x_final)
+
     def test_rejects_non_finite_start(self):
         with pytest.raises(ValueError):
             fixed_point_solve(lambda x: x, np.array([math.inf]), SolverSettings())
@@ -344,6 +368,10 @@ class TestFdJacobian:
         b = rng.uniform(-1, 1, size=4)
         jac = fd_jacobian(lambda x: matrix @ x + b, rng.uniform(-2, 2, size=4))
         assert np.max(np.abs(jac - matrix)) < 1e-6
+
+    def test_non_finite_evaluation_raises(self):
+        with pytest.raises(NonRealEvaluation, match="non-finite"):
+            fd_jacobian(lambda x: np.where(x > 1.0, np.inf, x), np.array([1.0, 0.0]))
 
     def test_separable_powers(self):
         f = lambda x: np.array([x[0] ** 2, x[1] ** 3])
