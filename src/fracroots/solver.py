@@ -255,8 +255,8 @@ def fd_jacobian(f: Callable, x, h: Optional[float] = None) -> np.ndarray:
 
     The default step is max(1e-6, 1e-8 * ||x||_inf), which keeps the stencil
     scaled on large iterates without collapsing near the origin.  A failing
-    or non-finite evaluation raises NonRealEvaluation, as in the driver; no
-    norm is taken, so the 2n evaluations cost no O(n) Python loop each.
+    or non-finite evaluation raises NonRealEvaluation, as in the driver; the
+    2n evaluations take no norm, which the Jacobian does not need.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
