@@ -28,7 +28,7 @@ from .dixit_pindyck import (EconomicPrimitives, ModelConstants,
                             sweep_thresholds)
 from .errors import (ConfigError, FracrootsError, InvalidPrimitives,
                      ThresholdSolveFailed)
-from .solver import SolverSettings, default_alpha_grid, norm2
+from .solver import DEFAULT_GRID_STEP, SolverSettings, default_alpha_grid, norm2
 
 CSV_HEADER = "row,a6,a7,x0_1,x0_2,alpha,H,L,A,B,step_norm,residual_norm,iters,status"
 
@@ -42,7 +42,7 @@ FULL_RESIDUAL_REL_BOUND = 1e-3
 TIMING_REPEATS = 5
 
 _PRIMITIVE_FIELDS = ("mu", "sigma", "l", "c", "kappa", "chi")
-_CONSTANT_FIELDS = ("a1", "a2", "a3", "a4", "a5", "a6", "a7")
+_CONSTANT_FIELDS = tuple(f.name for f in fields(ModelConstants))
 _SOLVER_FIELDS = tuple(f.name for f in fields(SolverSettings))
 
 
@@ -57,7 +57,7 @@ class ScenarioConfig:
     constants: ModelConstants
     x0: np.ndarray
     solver: dict = field(default_factory=dict)
-    grid_step: float = 0.05
+    grid_step: float = DEFAULT_GRID_STEP
     out_format: str = "table"
     trace: bool = False
     out_path: Optional[str] = None
@@ -136,7 +136,7 @@ def load_config(path: str) -> ScenarioConfig:
         values = {name: _number("constants", name, section.get(name))
                   for name in _CONSTANT_FIELDS}
         try:
-            constants = ModelConstants.from_values(**values)
+            constants = ModelConstants(**values)
         except ValueError as exc:
             raise ConfigError("constants", str(exc)) from exc
     else:
@@ -310,6 +310,7 @@ def _cmd_solve(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     settings = config.settings()
     problem = config.problem()
+    _check_out(config.out_path)
     try:
         sol = solve_thresholds(problem, settings, keep_trace=config.trace)
     except ThresholdSolveFailed as exc:
@@ -475,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="order sweep for multiple roots of one scenario")
     sweep.add_argument("--config", required=True, help="YAML scenario file")
     sweep.add_argument("--grid-step", dest="grid_step", type=float,
-                       help="grid spacing over [-2, 2] (default 0.05)")
+                       help=f"grid spacing over [-2, 2] (default {DEFAULT_GRID_STEP:g})")
     sweep.add_argument("--out", help="write found roots as CSV to this file")
 
     return parser

@@ -83,12 +83,12 @@ class EconomicPrimitives:
 
 @dataclass(frozen=True)
 class ModelConstants:
-    """The seven system constants a1..a7 plus the discriminant root rho.
+    """The seven system constants a1..a7; the discriminant root rho is derived.
 
     The exponent constants are coupled: a3 = a1 + 1, a2 = a4 + 1 and
-    a1 + a2 = a3 + a4 = 2 rho.  Construction enforces those identities and
-    that every constant is finite, so a ModelConstants instance is always an
-    internally consistent system.
+    a3 + a4 = a1 + a2 = 2 rho, which defines the property rho.  Construction
+    enforces those identities and that every constant and rho are finite, so
+    a ModelConstants instance is always an internally consistent system.
     """
 
     a1: float
@@ -98,36 +98,34 @@ class ModelConstants:
     a5: float
     a6: float
     a7: float
-    rho: float
 
     def __post_init__(self):
-        for name in ("a1", "a2", "a3", "a4", "a5", "a6", "a7", "rho"):
+        for name in ("a1", "a2", "a3", "a4", "a5", "a6", "a7"):
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
+        if not math.isfinite(self.rho):  # an infinite scale would pass every identity
+            raise ValueError(f"rho = (a1 + a2) / 2 must be finite, got {self.rho!r}")
         if not (self.a1 > 0.0 and self.a2 > 0.0):
             raise ValueError("a1 and a2 must be positive (exponent signs of the value function)")
         scale = max(1.0, abs(self.rho))
         checks = (
             ("a3 - a1", self.a3 - self.a1 - 1.0),
             ("a2 - a4", self.a2 - self.a4 - 1.0),
-            ("a1 + a2 - 2 rho", self.a1 + self.a2 - 2.0 * self.rho),
             ("a3 + a4 - 2 rho", self.a3 + self.a4 - 2.0 * self.rho),
         )
         for label, gap in checks:
             if abs(gap) > IDENTITY_TOL * scale:
                 raise ValueError(f"constants violate {label} identity by {gap:.3e}")
 
-    @classmethod
-    def from_values(cls, a1, a2, a3, a4, a5, a6, a7) -> "ModelConstants":
-        """Accept the seven constants directly; rho is implied by a1 + a2."""
-        return cls(a1=a1, a2=a2, a3=a3, a4=a4, a5=a5, a6=a6, a7=a7,
-                   rho=(float(a1) + float(a2)) / 2.0)
+    @property
+    def rho(self) -> float:
+        return (self.a1 + self.a2) / 2.0
 
 
 def derive_constants(p: EconomicPrimitives) -> ModelConstants:
-    """Compute a1..a7 and rho from the economic primitives.
+    """Compute a1..a7 from the economic primitives.
 
     rho = sqrt((mu/sigma^2 - 1/2)^2 + 2 l / sigma^2); the four exponent
     constants are rho shifted by +/- mu/sigma^2 and +/- 1/2, a5 is the
@@ -139,7 +137,7 @@ def derive_constants(p: EconomicPrimitives) -> ModelConstants:
     try:
         m = p.mu / p.sigma**2
         rho = math.sqrt((m - 0.5) ** 2 + 2.0 * p.l / p.sigma**2)
-        values = dict(
+        return ModelConstants(
             a1=m - 0.5 + rho,
             a2=-m + 0.5 + rho,
             a3=m + 0.5 + rho,
@@ -147,15 +145,9 @@ def derive_constants(p: EconomicPrimitives) -> ModelConstants:
             a5=1.0 / (p.l - p.mu),
             a6=p.c / p.l + p.kappa,
             a7=p.c / p.l - p.chi,
-            rho=rho,
         )
     except ArithmeticError as exc:
         raise InvalidPrimitives(f"constants cannot be derived from {p}: {exc}") from exc
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise InvalidPrimitives(f"derived constant {name} is not finite ({value!r}) for {p}")
-    try:
-        return ModelConstants(**values)
     except ValueError as exc:
         raise InvalidPrimitives(f"derived constants are invalid for {p}: {exc}") from exc
 
@@ -188,10 +180,14 @@ class ThresholdSolution:
     L: float
     A: float
     B: float
-    reduced_residual_norm: float
     full_residual_norm: float
     outcome: SolveOutcome
     relabeled: bool = False
+
+    @property
+    def reduced_residual_norm(self) -> float:
+        """The reduced system's final residual norm, ``outcome.final_residual_norm``."""
+        return self.outcome.final_residual_norm
 
 
 def reduced_residual(constants: ModelConstants, x) -> np.ndarray:
@@ -314,8 +310,7 @@ def _label_thresholds(x1: float, x2: float) -> tuple:
     return x2, x1, True
 
 
-def solve_thresholds(problem: ThresholdProblem,
-                     settings: Optional[SolverSettings] = None,
+def solve_thresholds(problem: ThresholdProblem, settings: SolverSettings,
                      keep_trace: bool = False) -> ThresholdSolution:
     """Solve one scenario end to end.
 
@@ -324,8 +319,6 @@ def solve_thresholds(problem: ThresholdProblem,
     non-converged outcome raises ThresholdSolveFailed carrying the outcome;
     evaluation problems never escape as raw arithmetic errors.
     """
-    if settings is None:
-        settings = SolverSettings()
     # The generic driver, though KernelResidual gives the same outcome faster:
     # the scenario benchmark's memory grows with its op rate (ROADMAP item 6).
     out = fixed_point_solve(make_residual(problem.constants), problem.x0, settings,
@@ -339,21 +332,17 @@ def solve_thresholds(problem: ThresholdProblem,
                       "threshold; labels were swapped", ThresholdOrderingWarning)
     A, B = back_substitute(problem.constants, out.x_final)
     full = full_residual(problem.constants, H, L, A, B)
-    return ThresholdSolution(H=H, L=L, A=A, B=B,
-                             reduced_residual_norm=out.final_residual_norm,
-                             full_residual_norm=norm2(full),
+    return ThresholdSolution(H=H, L=L, A=A, B=B, full_residual_norm=norm2(full),
                              outcome=out, relabeled=relabeled)
 
 
 def sweep_thresholds(problem: ThresholdProblem, grid=None,
-                     settings: Optional[SolverSettings] = None,
-                     dedup_tolerance: float = 1e-3) -> RootSet:
+                     settings: Optional[SolverSettings] = None) -> RootSet:
     """Order sweep over one scenario from its single initial condition.
 
     Every order runs through the scalar kernel (:class:`KernelResidual`).
     """
-    return alpha_sweep(KernelResidual(problem.constants), problem.x0, grid, settings,
-                       dedup_tolerance)
+    return alpha_sweep(KernelResidual(problem.constants), problem.x0, grid, settings)
 
 
 def classify_income(income: float, sol: ThresholdSolution) -> Decision:

@@ -26,6 +26,9 @@ from .errors import DomainError, PoleArgument
 #: Width of the numerical guard band around integers.
 INTEGER_GUARD = 1e-12
 
+#: A fractional order lies in [-ORDER_BOUND, ORDER_BOUND].
+ORDER_BOUND = 2.0
+
 
 def _nearest_integer_gap(value: float) -> float:
     return abs(value - round(value))
@@ -45,8 +48,8 @@ class FractionalOrder:
     def __post_init__(self):
         v = float(self.value)
         object.__setattr__(self, "value", v)
-        if not math.isfinite(v) or not -2.0 <= v <= 2.0:
-            raise ValueError(f"fractional order must lie in [-2, 2], got {v!r}")
+        if not math.isfinite(v) or not -ORDER_BOUND <= v <= ORDER_BOUND:
+            raise ValueError(f"fractional order must lie in [-{ORDER_BOUND:g}, {ORDER_BOUND:g}], got {v!r}")
         if _nearest_integer_gap(v) <= INTEGER_GUARD:
             raise ValueError(f"fractional order must not be an integer, got {v!r}")
 

@@ -49,7 +49,7 @@ ROWS = (
 
 def scenario_constants(a6: float, a7: float) -> ModelConstants:
     """Structural constants combined with one scenario's trigger pair."""
-    return ModelConstants.from_values(a6=a6, a7=a7, **STRUCTURAL)
+    return ModelConstants(a6=a6, a7=a7, **STRUCTURAL)
 
 
 def scenario_problem(row: ReferenceRow) -> ThresholdProblem:

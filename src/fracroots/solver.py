@@ -21,7 +21,7 @@ import numpy as np
 from . import _kernels
 from .errors import InsufficientData, NonRealEvaluation, SingularJacobian
 # p_matrix stays importable from here: the benchmark's tracer wraps solver.p_matrix.
-from .kernel import FractionalOrder, checked_epsilon, p_matrix  # noqa: F401
+from .kernel import ORDER_BOUND, FractionalOrder, checked_epsilon, p_matrix  # noqa: F401
 
 #: Condition-number ceiling beyond which the Newton linear solve is refused.
 CONDITION_LIMIT = 1e12
@@ -33,6 +33,14 @@ MAX_ITER = 1_000_000
 #: Cap on (upper - lower) / step in :func:`default_alpha_grid`, so that the
 #: size of an order sweep is bounded before any grid point is built.
 MAX_GRID_POINTS = 10_000
+
+#: Default spacing of :func:`default_alpha_grid`, and the half-width of the
+#: band it skips around every integer.
+DEFAULT_GRID_STEP = 0.05
+INTEGER_BAND = 0.01
+
+#: Relative distance under which two converged sweep hits are one root.
+DEDUP_TOLERANCE = 1e-3
 
 
 class Status(enum.Enum):
@@ -250,19 +258,17 @@ def fpn_update(alpha, epsilon: float) -> Callable:
     return step
 
 
-def fd_jacobian(f: Callable, x, h: Optional[float] = None) -> np.ndarray:
+def fd_jacobian(f: Callable, x) -> np.ndarray:
     """Central-difference Jacobian, column k from f(x +/- h e_k).
 
-    The default step is max(1e-6, 1e-8 * ||x||_inf), which keeps the stencil
+    The step is h = max(1e-6, 1e-8 * ||x||_inf), which keeps the stencil
     scaled on large iterates without collapsing near the origin.  A failing
     or non-finite evaluation raises NonRealEvaluation, as in the driver; the
     2n evaluations take no norm, which the Jacobian does not need.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    if h is None:
-        h = max(1e-6, 1e-8 * float(np.max(np.abs(x))))
-    h = float(h)
+    h = max(1e-6, 1e-8 * float(np.max(np.abs(x))))
 
     def evaluate(point):
         fx = _residual(f, point)
@@ -278,17 +284,17 @@ def fd_jacobian(f: Callable, x, h: Optional[float] = None) -> np.ndarray:
     return jac
 
 
-def newton_step(f: Callable, x, h: Optional[float] = None) -> np.ndarray:
+def newton_step(f: Callable, x) -> np.ndarray:
     """Classical Newton update x - J^{-1} f(x) over the finite-difference Jacobian."""
     x = np.asarray(x, dtype=float)
-    return newton_update(f, h)(x, _evaluate(f, x)[0])
+    return newton_update(f)(x, _evaluate(f, x)[0])
 
 
-def newton_update(f: Callable, h: Optional[float] = None) -> Callable:
+def newton_update(f: Callable) -> Callable:
     """Step closure running the classical Newton baseline inside the driver."""
 
     def step(x: np.ndarray, fx: np.ndarray) -> np.ndarray:
-        jac = fd_jacobian(f, x, h)
+        jac = fd_jacobian(f, x)
         cond = np.linalg.cond(jac)
         if not np.isfinite(cond) or cond > CONDITION_LIMIT:
             raise SingularJacobian(f"Jacobian condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
@@ -443,15 +449,16 @@ def estimate_order(norms: Sequence[float]) -> float:
     return math.log(e2 / e1) / math.log(e1 / e0)
 
 
-def default_alpha_grid(step: float = 0.05, lower: float = -2.0, upper: float = 2.0,
-                       exclusion: float = 0.01) -> list:
-    """Sweep grid over [lower, upper] skipping a band around every integer.
+def default_alpha_grid(step: float = DEFAULT_GRID_STEP) -> list:
+    """Sweep grid over the order range [-ORDER_BOUND, ORDER_BOUND] = [-2, 2].
 
-    The band half-width keeps every grid point clear of the integer orders
-    the kernel cannot take.  A step that is not finite and positive, or that
-    would cut the range into more than MAX_GRID_POINTS intervals, is refused
-    before any point is built.
+    Points lie ``step`` apart from -2; those within INTEGER_BAND of an integer
+    are skipped, which keeps every point clear of the integer orders the
+    kernel cannot take.  A step that is not finite and positive, or that would
+    cut the range into more than MAX_GRID_POINTS intervals, is refused before
+    any point is built.
     """
+    lower, upper = -ORDER_BOUND, ORDER_BOUND
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
     if not (upper - lower) / step <= MAX_GRID_POINTS:
@@ -464,7 +471,7 @@ def default_alpha_grid(step: float = 0.05, lower: float = -2.0, upper: float = 2
         if value > upper + 1e-12:
             break
         k += 1
-        if abs(value - round(value)) <= exclusion:
+        if abs(value - round(value)) <= INTEGER_BAND:
             continue
         grid.append(FractionalOrder(value))
     return grid
@@ -509,16 +516,15 @@ def collect_roots(converged, skipped, dedup_tolerance: float) -> RootSet:
                    skipped=tuple(sorted(skipped, key=lambda s: s.alpha)))
 
 
-def alpha_sweep(f: Callable, x0, grid=None, settings: Optional[SolverSettings] = None,
-                dedup_tolerance: float = 1e-3) -> RootSet:
+def alpha_sweep(f: Callable, x0, grid=None, settings: Optional[SolverSettings] = None) -> RootSet:
     """Run the pseudo-Newton iteration for every order in the grid.
 
     ``grid`` defaults to :func:`default_alpha_grid` and must not be empty;
     each of its orders replaces the one in ``settings``.  Converged outcomes
-    are deduplicated and sorted canonically by :func:`collect_roots`; every
-    other grid point lands in the skipped list with its failure status.  The
-    same initial condition is reused throughout, which is the whole point:
-    the order, not the start, selects the root.
+    are deduplicated within DEDUP_TOLERANCE and sorted canonically by
+    :func:`collect_roots`; every other grid point lands in the skipped list
+    with its failure status.  The same initial condition is reused throughout,
+    which is the whole point: the order, not the start, selects the root.
     """
     if settings is None:
         settings = SolverSettings()
@@ -535,4 +541,4 @@ def alpha_sweep(f: Callable, x0, grid=None, settings: Optional[SolverSettings] =
             converged.append((out.x_final, alpha.value, out))
         else:
             skipped.append(SkippedAlpha(alpha=alpha.value, status=out.status))
-    return collect_roots(converged, skipped, dedup_tolerance)
+    return collect_roots(converged, skipped, DEDUP_TOLERANCE)

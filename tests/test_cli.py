@@ -134,10 +134,15 @@ class TestSolveCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("config error: config:")
 
-    @pytest.mark.parametrize("command", ["solve", "sweep", "reproduce-tables"])
-    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys, command):
-        config = [] if command == "reproduce-tables" else [
-            "--config", write_config(tmp_path, ROW2)]
+    @pytest.mark.parametrize("command, payload", [
+        ("solve", ROW2),
+        # A solve that does not converge must not be reached either.
+        ("solve", {**ROW2, "solver": {"alpha": 0.9, "max_iter": 5}}),
+        ("sweep", ROW2),
+        ("reproduce-tables", None),
+    ], ids=["solve", "solve-not-converging", "sweep", "reproduce-tables"])
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys, command, payload):
+        config = [] if payload is None else ["--config", write_config(tmp_path, payload)]
         code = main([command, *config, "--out", str(tmp_path / "absent" / "out.csv")])
         assert code == 1
         captured = capsys.readouterr()
@@ -171,6 +176,9 @@ class TestSolveCommand:
         ("solve", primitives_with(kappa=0, chi=0), [], "primitives"),
         ("solve", {**ROW2, "constants": {**ROW2["constants"], "a5": math.inf}}, [],
          "constants"),
+        ("solve", {**ROW2, "constants": {"a1": 1e308, "a2": 1e308, "a3": 1e308 + 1,
+                                         "a4": 1e308 - 1, "a5": 1.0, "a6": 2.0, "a7": 1.0}},
+         [], "constants"),
         ("sweep", {**ROW2, "solver": {"alpha": 0.25628, "max_iter": 1e15}}, [],
          "solver.max_iter"),
         ("solve", ROW2, ["--max-iter", str(10**400)], "solver.max_iter"),
@@ -178,7 +186,8 @@ class TestSolveCommand:
             "a6-below-a7-solve", "a6-below-a7-sweep", "max-iter-fraction",
             "grid-step-1e-300", "grid-step-1e-7", "grid-step-inf",
             "sigma-underflow", "sigma-overflow", "sigma-inf", "mu-minus-inf",
-            "no-switching-cost", "a5-inf", "max-iter-1e15", "max-iter-huge-flag"])
+            "no-switching-cost", "a5-inf", "half-sum-overflow", "max-iter-1e15",
+            "max-iter-huge-flag"])
     def test_invalid_input_is_a_config_error(self, tmp_path, capsys, command,
                                              payload, flags, field):
         code = main([command, "--config", write_config(tmp_path, payload), *flags])

@@ -88,13 +88,17 @@ class TestModelConstants:
 
     def test_inconsistent_exponents_rejected(self):
         with pytest.raises(ValueError):
-            ModelConstants.from_values(a1=0.5, a2=1.5, a3=2.5, a4=0.5,
-                                       a5=1.0, a6=2.0, a7=1.0)
+            ModelConstants(a1=0.5, a2=1.5, a3=2.5, a4=0.5, a5=1.0, a6=2.0, a7=1.0)
+
+    def test_overflowing_half_sum_rejected(self):
+        # a1 + a2 overflows; an infinite rho would scale every identity gap to 0.
+        with pytest.raises(ValueError):
+            ModelConstants(a1=1e308, a2=1e308, a3=1e308 + 1, a4=1e308 - 1,
+                           a5=1.0, a6=2.0, a7=1.0)
 
     def test_nonpositive_a1_rejected(self):
         with pytest.raises(ValueError):
-            ModelConstants.from_values(a1=-0.5, a2=0.5, a3=0.5, a4=-0.5,
-                                       a5=1.0, a6=2.0, a7=1.0)
+            ModelConstants(a1=-0.5, a2=0.5, a3=0.5, a4=-0.5, a5=1.0, a6=2.0, a7=1.0)
 
     @pytest.mark.parametrize("name, value", [("a5", math.inf), ("a6", math.nan),
                                              ("a7", -math.inf)])
@@ -102,7 +106,7 @@ class TestModelConstants:
         values = dict(reference.STRUCTURAL, a6=451474.0, a7=396499.0)
         values[name] = value
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            ModelConstants.from_values(**values)
+            ModelConstants(**values)
 
     def test_trigger_ordering_enforced_by_problem(self):
         constants = reference.scenario_constants(100.0, 200.0)
