@@ -35,7 +35,7 @@ from .solver import (IterationTrace, RootRecord, RootSet, SkippedAlpha,
                      SolverSettings, SolveOutcome, Status, alpha_sweep,
                      default_alpha_grid, estimate_order, fd_jacobian,
                      fixed_point_solve, fpn_step, fpn_update, newton_step,
-                     newton_update, norm2)
+                     norm2)
 
 __version__ = "0.1.0"
 
@@ -52,6 +52,6 @@ __all__ = [
     "IterationTrace", "RootRecord", "RootSet", "SkippedAlpha",
     "SolverSettings", "SolveOutcome", "Status", "alpha_sweep",
     "default_alpha_grid", "estimate_order", "fd_jacobian", "fixed_point_solve",
-    "fpn_step", "fpn_update", "newton_step", "newton_update", "norm2",
+    "fpn_step", "fpn_update", "newton_step", "norm2",
     "backend_name", "__version__",
 ]

@@ -1,7 +1,7 @@
 """Scalar hot-loop kernels, in plain interpreted Python.
 
 The threshold-model residual lives here (and only here) so the generic
-numpy driver and the fused loop can never drift apart.  Python's float
+driver and the fused loop can never drift apart.  Python's float
 ``**`` raises OverflowError where IEEE arithmetic would give inf; the power
 sites below catch it, so an overflow becomes NonRealEvaluation (which the
 fused loop turns into its evaluation-failed status) or an infinite

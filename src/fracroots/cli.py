@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -244,15 +245,21 @@ def _solution_json(index, a6, a7, x0, alpha, sol) -> dict:
     return payload
 
 
-def _check_out(path: Optional[str]) -> None:
-    """Refuse an unwritable ``--out`` before any solve; appending keeps its contents."""
+def _check_out(path: Optional[str]) -> bool:
+    """Refuse an unwritable ``--out`` before any solve; appending keeps its contents.
+
+    Returns whether the check created the file, so that a command that ends
+    without writing it can remove it again.
+    """
     if path is None:
-        return
+        return False
+    existed = os.path.lexists(path)
     try:
         with open(path, "a", encoding="utf-8"):
             pass
     except OSError as exc:
         raise ConfigError("out", f"cannot write {path!r}: {exc}") from exc
+    return not existed
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -310,10 +317,13 @@ def _cmd_solve(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     settings = config.settings()
     problem = config.problem()
-    _check_out(config.out_path)
+    created = _check_out(config.out_path)
     try:
         sol = solve_thresholds(problem, settings, keep_trace=config.trace)
     except ThresholdSolveFailed as exc:
+        # A failed solve writes no report, so it leaves no empty file behind.
+        if created:
+            os.remove(config.out_path)
         out = exc.outcome
         print(f"solve failed: status {out.status.value} after {out.iterations} "
               f"iterations (x = {out.x_final.tolist()})", file=sys.stderr)

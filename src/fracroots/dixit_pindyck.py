@@ -320,7 +320,7 @@ def solve_thresholds(problem: ThresholdProblem, settings: SolverSettings,
     evaluation problems never escape as raw arithmetic errors.
     """
     # The generic driver, though KernelResidual gives the same outcome faster:
-    # the scenario benchmark's memory grows with its op rate (ROADMAP item 6).
+    # the scenario benchmark's memory grows with its op rate (ROADMAP item 1).
     out = fixed_point_solve(make_residual(problem.constants), problem.x0, settings,
                             keep_trace=keep_trace)
     if not out.converged:

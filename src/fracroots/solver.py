@@ -1,12 +1,11 @@
 """Fixed-point iteration machinery built around the fractional pseudo-Newton step.
 
-The driver iterates x_{i+1} = step(x_i, f(x_i)) until both the step norm and
-the residual norm fall under their tolerances.  The default step is the
-pseudo-Newton update x - P(x) * f(x) with the diagonal multiplier of
-:mod:`fracroots.kernel`, built entry by entry from the scalar kernel; a
-classical Newton step over a finite-difference Jacobian is provided as the
-baseline, and :func:`alpha_sweep`, the one order-sweep loop, discovers
-multiple roots from a single initial condition.
+The driver iterates the pseudo-Newton update x_{i+1} = x_i - P(x_i) f(x_i),
+with the diagonal multiplier of :mod:`fracroots.kernel` built entry by entry
+from the scalar kernel, until both the step norm and the residual norm fall
+under their tolerances.  A classical Newton step over a finite-difference
+Jacobian is provided as the baseline, and :func:`alpha_sweep`, the one
+order-sweep loop, discovers multiple roots from a single initial condition.
 """
 
 from __future__ import annotations
@@ -212,7 +211,7 @@ def _residual(f: Callable, x: np.ndarray) -> np.ndarray:
 
 
 def _evaluate(f: Callable, x: np.ndarray) -> tuple:
-    """Evaluate a residual; return ``(f(x), f(x).tolist(), ||f(x)||_2)``.
+    """Evaluate a residual; return ``(f(x).tolist(), ||f(x)||_2)``.
 
     Every evaluation failure, a non-finite entry included, is normalised to
     NonRealEvaluation.  The norm is the square root of :func:`_sum_squares`;
@@ -220,12 +219,11 @@ def _evaluate(f: Callable, x: np.ndarray) -> tuple:
     only scanned when it is not (a finite residual whose squares overflow
     keeps an inf norm).
     """
-    fx = _residual(f, x)
-    rs = fx.tolist()
+    rs = _residual(f, x).tolist()
     squares = _sum_squares(rs)
     if not math.isfinite(squares) and not all(map(math.isfinite, rs)):
         raise NonRealEvaluation("residual evaluated to a non-finite value")
-    return fx, rs, math.sqrt(squares)
+    return rs, math.sqrt(squares)
 
 
 def fpn_step(f: Callable, x, alpha, epsilon: float) -> np.ndarray:
@@ -235,17 +233,16 @@ def fpn_step(f: Callable, x, alpha, epsilon: float) -> np.ndarray:
     residual is returned unchanged.
     """
     x = np.asarray(x, dtype=float)
-    return np.array(fpn_update(alpha, epsilon)(x.tolist(), _evaluate(f, x)[1]))
+    return np.array(fpn_update(alpha, epsilon)(x.tolist(), _evaluate(f, x)[0]))
 
 
 def fpn_update(alpha, epsilon: float) -> Callable:
-    """Step closure (xs, rs) -> next iterate, the driver's default step.
+    """Step closure (xs, rs) -> next iterate, the driver's step.
 
     ``xs`` and ``rs`` are the iterate and the residual as float sequences;
     each entry of the returned list is ``v - p_entry(alpha, v, epsilon) * r``,
     with the scalar kernel's ``p_entry`` (the entries of
-    :func:`~fracroots.kernel.p_matrix` without its per-call checks).  Arrays
-    work too, so the closure can be passed as an explicit ``step``.  The
+    :func:`~fracroots.kernel.p_matrix` without its per-call checks).  The
     order and epsilon are checked once, here.
     """
     alpha = FractionalOrder.coerce(alpha).value
@@ -285,32 +282,27 @@ def fd_jacobian(f: Callable, x) -> np.ndarray:
 
 
 def newton_step(f: Callable, x) -> np.ndarray:
-    """Classical Newton update x - J^{-1} f(x) over the finite-difference Jacobian."""
+    """Classical Newton update x - J^{-1} f(x) over the finite-difference Jacobian.
+
+    A failing or non-finite ``f(x)`` raises NonRealEvaluation, and a Jacobian
+    whose condition estimate exceeds CONDITION_LIMIT raises SingularJacobian.
+    """
     x = np.asarray(x, dtype=float)
-    return newton_update(f)(x, _evaluate(f, x)[0])
-
-
-def newton_update(f: Callable) -> Callable:
-    """Step closure running the classical Newton baseline inside the driver."""
-
-    def step(x: np.ndarray, fx: np.ndarray) -> np.ndarray:
-        jac = fd_jacobian(f, x)
-        cond = np.linalg.cond(jac)
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-            raise SingularJacobian(f"Jacobian condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
-        try:
-            delta = np.linalg.solve(jac, fx)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc)) from exc
-        return x - delta
-
-    return step
+    fx = np.array(_evaluate(f, x)[0])
+    jac = fd_jacobian(f, x)
+    cond = np.linalg.cond(jac)
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        raise SingularJacobian(f"Jacobian condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
+    try:
+        delta = np.linalg.solve(jac, fx)
+    except np.linalg.LinAlgError as exc:
+        raise SingularJacobian(str(exc)) from exc
+    return x - delta
 
 
 def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
-                      step: Optional[Callable] = None,
                       keep_trace: bool = False) -> SolveOutcome:
-    """Run a fixed-point iteration until converged, capped, diverged or failed.
+    """Run the pseudo-Newton iteration until converged, capped, diverged or failed.
 
     Parameters
     f
@@ -318,42 +310,37 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
     x0
         Finite starting point.
     settings
-        Tolerances, iteration cap and (for the default step) alpha / epsilon.
-    step
-        Optional iteration map (x, f(x)) -> next x; defaults to the
-        fractional pseudo-Newton update built from the settings.
+        Tolerances, iteration cap, alpha and epsilon.
     keep_trace
         Attach the full IterationTrace to the outcome.  A residual that fails
         at x0 gives the trace of x0 alone, with a NaN residual norm.
 
     A residual with a ``fused_solve(x0, settings)`` method runs the untraced
-    default iteration (no ``step``, no ``keep_trace``) through that method
-    instead of this loop; it must return the outcome this loop would.  A
-    traced solve always runs this loop, which alone builds traces.  The
-    outcome always encodes failures in its status instead of raising.
+    iteration (no ``keep_trace``) through that method instead of this loop;
+    it must return the outcome this loop would.  A traced solve always runs
+    this loop, which alone builds traces.  The outcome always encodes
+    failures in its status instead of raising.
 
-    The iterate and the residual are carried as float lists next to the
-    array handed to ``f``.  The default step is :func:`fpn_update`'s
-    closure, called on those lists; an explicit ``step`` gets and returns
-    arrays, and a result of another shape than x0's raises ValueError.  One
-    pass over the entries then adds up the squares of the step and of the new
-    iterate, so numpy runs only in ``f`` and an explicit ``step``.  Every
-    norm is the square root of :func:`_sum_squares`, summed in entry order
-    like the fused loop's.  An iterate diverges when its norm exceeds the
-    bound or when it has a non-finite entry; the entries are scanned only
-    when its sum of squares is not finite, so a finite iterate whose squares
-    overflow diverges only under a finite bound.  The status and norms report
-    such overflow, so numpy's overflow and invalid-value warnings are
-    silenced for the whole loop, the residual's calls included.
+    The iterate and the residual are carried as float lists, and an array is
+    built from the iterate only for the call of ``f``.  Each step is one call
+    of :func:`fpn_update`'s closure on those lists.  One pass over the
+    entries then adds up the squares of the step and of the new iterate, so
+    numpy runs only in ``f``.  Every norm is the square root of
+    :func:`_sum_squares`, summed in entry order like the fused loop's.  An
+    iterate diverges when its norm exceeds the bound or when it has a
+    non-finite entry; the entries are scanned only when its sum of squares is
+    not finite, so a finite iterate whose squares overflow diverges only
+    under a finite bound.  The status and norms report such overflow, so
+    numpy's overflow and invalid-value warnings are silenced for the whole
+    loop, the residual's calls included.
     """
     x = np.asarray(x0, dtype=float).ravel()
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
-    if step is None:
-        fused_solve = getattr(f, "fused_solve", None)
-        if fused_solve is not None and not keep_trace:
-            return fused_solve(x, settings)
-        update = fpn_update(settings.alpha, settings.epsilon)
+    fused_solve = getattr(f, "fused_solve", None)
+    if fused_solve is not None and not keep_trace:
+        return fused_solve(x, settings)
+    update = fpn_update(settings.alpha, settings.epsilon)
     xs = x.tolist()
     if keep_trace:
         iterates = [xs]
@@ -375,7 +362,7 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
     # Entered once per solve: np.errstate costs about half an iteration.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            fx, rs, res_norm = _evaluate(f, x)
+            rs, res_norm = _evaluate(f, x)
         except NonRealEvaluation:
             if keep_trace:
                 residual_norms.append(math.nan)
@@ -387,17 +374,7 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
         max_iter, bound = settings.max_iter, settings.divergence_bound
         tol_step, tol_residual = settings.tol_step, settings.tol_residual
         for i in range(1, max_iter + 1):
-            if step is None:
-                xs_next = update(xs, rs)
-            else:
-                try:
-                    stepped = np.asarray(step(x, fx), dtype=float)
-                except (NonRealEvaluation, SingularJacobian):
-                    return outcome(Status.EVALUATION_FAILED, x, i - 1, step_norm, res_norm)
-                if stepped.shape != x.shape:
-                    raise ValueError(f"step returned shape {stepped.shape}, "
-                                     f"expected {x.shape}")
-                xs_next = stepped.tolist()
+            xs_next = update(xs, rs)
             step_squares = size = 0.0
             for v, w in zip(xs, xs_next):
                 d = w - v
@@ -407,20 +384,19 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
             if math.sqrt(size) > bound or (not math.isfinite(size)
                                            and not all(map(math.isfinite, xs_next))):
                 return outcome(Status.DIVERGED, xs_next, i, step_norm, math.nan)
-            x_next = np.array(xs_next)
             try:
-                fx, rs, res_norm = _evaluate(f, x_next)
+                rs, res_norm = _evaluate(f, np.array(xs_next))
             except NonRealEvaluation:
-                return outcome(Status.EVALUATION_FAILED, x_next, i, step_norm, math.nan)
+                return outcome(Status.EVALUATION_FAILED, xs_next, i, step_norm, math.nan)
             if keep_trace:
                 iterates.append(xs_next)
                 step_norms.append(step_norm)
                 residual_norms.append(res_norm)
-            x, xs = x_next, xs_next
+            xs = xs_next
             if step_norm <= tol_step and res_norm <= tol_residual:
-                return outcome(Status.CONVERGED, x, i, step_norm, res_norm)
+                return outcome(Status.CONVERGED, xs, i, step_norm, res_norm)
 
-    return outcome(Status.MAX_ITERATIONS, x, max_iter, step_norm, res_norm)
+    return outcome(Status.MAX_ITERATIONS, xs, max_iter, step_norm, res_norm)
 
 
 def estimate_order(norms: Sequence[float]) -> float:

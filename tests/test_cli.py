@@ -150,6 +150,17 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err.startswith("config error: out:")
 
+    def test_failed_solve_leaves_out_as_it_was(self, tmp_path, capsys):
+        config = write_config(tmp_path, {**ROW2, "solver": {"alpha": 0.9, "max_iter": 5}})
+        fresh = tmp_path / "fresh.csv"
+        assert main(["solve", "--config", config, "--out", str(fresh)]) == 2
+        assert not fresh.exists()
+        kept = tmp_path / "kept.csv"
+        kept.write_bytes(b"earlier,report\r\n")
+        assert main(["solve", "--config", config, "--out", str(kept)]) == 2
+        assert kept.read_bytes() == b"earlier,report\r\n"
+        assert capsys.readouterr().err.count("solve failed: status max_iterations") == 2
+
     def test_usage_error_exit_1(self, capsys):
         assert main(["solve"]) == 1
         assert main(["no-such-command"]) == 1

@@ -10,7 +10,7 @@ from fracroots import (FractionalOrder, InsufficientData, NonRealEvaluation,
                        SingularJacobian, SolverSettings, Status, alpha_sweep,
                        default_alpha_grid, estimate_order, fd_jacobian,
                        fixed_point_solve, fpn_step, fpn_update, newton_step,
-                       newton_update, norm2, p_matrix)
+                       norm2, p_matrix)
 from fracroots.solver import MAX_ITER
 
 
@@ -159,19 +159,9 @@ class TestFixedPointSolve:
             for i in range(out.iterations + 1):
                 assert norm2(f(tr.iterates[i])) == tr.residual_norms[i]
 
-    def test_step_returning_a_longer_vector_is_refused(self):
-        with pytest.raises(ValueError, match=r"step returned shape \(2,\), expected \(1,\)"):
-            fixed_point_solve(lambda x: x - 1.0, np.array([2.0]), SolverSettings(),
-                              step=lambda x, fx: np.append(x - fx / 4.0, 0.0))
-
-    def test_step_returning_a_scalar_is_refused(self):
-        with pytest.raises(ValueError, match=r"step returned shape \(\), expected \(2,\)"):
-            fixed_point_solve(lambda x: x - 1.0, np.array([2.0, 3.0]), SolverSettings(),
-                              step=lambda x, fx: float(x[0] - fx[0] / 4.0))
-
     def test_default_step_is_the_fpn_update_closure(self, monkeypatch):
-        # The default iteration calls the closure fpn_update returns once per
-        # step, so a probe on fpn_update sees every step of the driver.
+        # The driver calls the closure fpn_update returns once per step, so a
+        # probe on fpn_update sees every step of the driver.
         from fracroots import solver
         build, calls = solver.fpn_update, []
 
@@ -188,10 +178,6 @@ class TestFixedPointSolve:
         f, x0, settings = (lambda x: x * x - 2.0), np.array([1.0]), SolverSettings(alpha=0.5)
         out = fixed_point_solve(f, x0, settings)
         assert len(calls) == out.iterations > 0
-        explicit = fixed_point_solve(f, x0, settings,
-                                     step=build(settings.alpha, settings.epsilon))
-        assert (explicit.status, explicit.iterations) == (out.status, out.iterations)
-        assert np.array_equal(explicit.x_final, out.x_final)
 
     def test_rejects_non_finite_start(self):
         with pytest.raises(ValueError):
@@ -212,10 +198,9 @@ class TestFixedPointSolve:
         out = fixed_point_solve(f, [3.0], SolverSettings(alpha=0.5))
         assert Fused.calls == [([3.0], 0.5)]
         assert out.status is Status.CONVERGED and out.trace is None
-        # A traced solve and an explicit step both run the driver loop.
+        # A traced solve runs the driver loop.
         traced = fixed_point_solve(f, [3.0], SolverSettings(alpha=0.5), keep_trace=True)
         assert traced.status is Status.CONVERGED and traced.trace is not None
-        fixed_point_solve(f, np.array([3.0]), SolverSettings(), step=lambda x, fx: x - fx / 4.0)
         assert len(Fused.calls) == 1
 
 
@@ -413,12 +398,15 @@ class TestNewtonStep:
         with pytest.raises(SingularJacobian):
             newton_step(lambda x: x**2, np.array([0.0]))
 
-    def test_driver_with_newton_update(self):
-        f = lambda x: x**2 - 2.0
-        out = fixed_point_solve(f, np.array([1.5]), SolverSettings(max_iter=20),
-                                step=newton_update(f))
-        assert out.status is Status.CONVERGED
-        assert out.x_final[0] == pytest.approx(math.sqrt(2.0), rel=1e-10)
+    def test_non_finite_residual_at_x_raises(self):
+        # A pole exactly at x: f(x) is inf while f(x +/- h) is finite.
+        def f(x):
+            with np.errstate(divide="ignore"):
+                return 1.0 / (x - 2.0)
+
+        assert np.isfinite(fd_jacobian(f, np.array([2.0]))).all()
+        with pytest.raises(NonRealEvaluation, match="non-finite"):
+            newton_step(f, np.array([2.0]))
 
 
 class TestEstimateOrder:
