@@ -1,7 +1,9 @@
 """Scalar hot-loop kernels, in plain interpreted Python.
 
-The threshold-model residual lives here (and only here) so the generic
-driver and the fused loop can never drift apart.  Python's float
+The threshold-model residual and the multiplier's entry rule live here (and
+only here) so the generic driver and the fused loop can never drift apart.
+:func:`multiplier` computes what a solve holds fixed, -alpha and
+gamma(1 - alpha), once when it is built, not per entry.  Python's float
 ``**`` raises OverflowError where IEEE arithmetic would give inf; the power
 sites below catch it, so an overflow becomes NonRealEvaluation (which the
 fused loop turns into its evaluation-failed status) or an infinite
@@ -21,34 +23,38 @@ from .errors import DegenerateThresholds, NonRealEvaluation
 DEGENERATE_GAP = 1e-30
 
 
-def frac_unit_deriv(beta, x):
-    """Order-beta derivative of the unit constant at x.
+def multiplier(alpha, eps):
+    """Entry rule of the pseudo-Newton multiplier at order alpha, as ``entry(x)``.
 
-    Classical order (beta = 1) gives 0.  Otherwise |x|**(-beta) / gamma(1-beta),
-    with the sign of x carried through so the update map stays odd in x and
-    negative iterates keep a real, sign-aware multiplier.
+    ``entry(x)`` is sign(x) * |x|**(-alpha) / gamma(1 - alpha) + eps, the
+    order-alpha derivative of the unit constant plus the regularisation; the
+    sign of x is carried through so the update map stays odd in x and
+    negative iterates keep a real, sign-aware multiplier.  Zero components
+    take the classical order-1 branch, so the entry collapses to eps exactly.
+    A power that overflows gives an infinite core.
+
+    alpha is fixed for a whole solve (a parallel-chord iteration), so -alpha
+    and gamma(1 - alpha) are computed once, here.  The core is divided by the
+    gamma value: multiplying by its reciprocal would change the last bit of
+    some entries.  With eps = -0.0, which adds nothing to any float (the sign
+    of zero included), ``entry`` is the bare derivative of the unit constant.
     """
-    if beta == 1.0:
-        return 0.0
-    try:
-        core = abs(x) ** (-beta)
-    except OverflowError:
-        core = math.inf
-    core = core / math.gamma(1.0 - beta)
-    if x < 0.0:
-        return -core
-    return core
+    power = -alpha
+    g = math.gamma(1.0 - alpha)
 
+    def entry(x):
+        if x == 0.0:
+            return eps
+        try:
+            core = abs(x) ** power
+        except OverflowError:
+            core = math.inf
+        core = core / g
+        if x < 0.0:
+            return -core + eps
+        return core + eps
 
-def p_entry(alpha, x, eps):
-    """One diagonal entry of the pseudo-Newton multiplier matrix.
-
-    Zero components take the classical order-1 branch, so the entry
-    collapses to eps exactly.
-    """
-    if x == 0.0:
-        return eps
-    return frac_unit_deriv(alpha, x) + eps
+    return entry
 
 
 def reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2):
@@ -70,10 +76,12 @@ def reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2):
         if abs(t1 - t2) < DEGENERATE_GAP:
             raise DegenerateThresholds(f"threshold components coincide at {(x1, x2)}")
         den = a1 * a2 * (t1 - t2)
-        g13 = x2 ** a3 - x1 ** a3
+        p1 = x1 ** a3
+        p2 = x2 ** a3
+        g13 = p2 - p1
         g14 = x1 ** a4 - x2 ** a4
-        f1 = a5 * x1 - a6 + a5 * (a1 * x1 ** a2 * g13 + a2 * x1 * x2 ** a3 * g14) / den
-        f2 = a5 * x2 - a7 + a5 * (a1 * x2 ** a2 * g13 + a2 * x1 ** a3 * x2 * g14) / den
+        f1 = a5 * x1 - a6 + a5 * (a1 * x1 ** a2 * g13 + a2 * x1 * p2 * g14) / den
+        f2 = a5 * x2 - a7 + a5 * (a1 * x2 ** a2 * g13 + a2 * p1 * x2 * g14) / den
     except OverflowError as exc:
         raise NonRealEvaluation("reduced residual evaluated to a non-finite value") from exc
     if not (math.isfinite(f1) and math.isfinite(f2)):
@@ -93,6 +101,7 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
     three arrays keeps no trace.
     """
     trace = xs is not None
+    entry = multiplier(alpha, eps)
     if trace:
         xs[0, 0] = x01
         xs[0, 1] = x02
@@ -109,8 +118,8 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
         residuals[0] = res
     step = math.nan
     for i in range(1, max_iter + 1):
-        n1 = x1 - p_entry(alpha, x1, eps) * f1
-        n2 = x2 - p_entry(alpha, x2, eps) * f2
+        n1 = x1 - entry(x1) * f1
+        n2 = x2 - entry(x2) * f2
         d1 = n1 - x1
         d2 = n2 - x2
         step = math.sqrt(d1 * d1 + d2 * d2)

@@ -60,6 +60,12 @@ class FractionalOrder:
         return cls(float(value))
 
 
+def _refuse_pole(z: float) -> None:
+    """Raise PoleArgument when gamma(z) sits on or numerically at a pole."""
+    if _nearest_integer_gap(z) <= INTEGER_GUARD and round(z) <= 0:
+        raise PoleArgument(f"gamma pole at non-positive integer, got z={z!r}")
+
+
 def gamma(z: float) -> float:
     """Gamma function on the real line, guarding the non-positive integer poles.
 
@@ -67,8 +73,7 @@ def gamma(z: float) -> float:
     pinned by the oracle tests against a high-precision reference.
     """
     z = float(z)
-    if _nearest_integer_gap(z) <= INTEGER_GUARD and round(z) <= 0:
-        raise PoleArgument(f"gamma pole at non-positive integer, got z={z!r}")
+    _refuse_pole(z)
     return math.gamma(z)
 
 
@@ -87,8 +92,9 @@ def constant_frac_deriv(beta: float, x: float) -> float:
     if x == 0.0:
         raise DomainError("kernel of non-classical order is singular at x = 0")
     # Fails fast (PoleArgument) for the remaining integer orders beta >= 2.
-    gamma(1.0 - beta)
-    return _kernels.frac_unit_deriv(beta, x)
+    _refuse_pole(1.0 - beta)
+    # The multiplier's entry with eps = -0.0, which adds nothing (see _kernels.multiplier).
+    return _kernels.multiplier(beta, -0.0)(x)
 
 
 def checked_epsilon(epsilon) -> float:
@@ -102,7 +108,7 @@ def checked_epsilon(epsilon) -> float:
 def p_matrix(alpha, x, epsilon: float) -> np.ndarray:
     """Diagonal of the pseudo-Newton multiplier at the point x, as a 1-d array.
 
-    Entry k is ``_kernels.p_entry(alpha, x[k], epsilon)``, which owns the
+    Entry k is ``_kernels.multiplier(alpha, epsilon)(x[k])``, which owns the
     zero rule: constant_frac_deriv(alpha, x[k]) + epsilon, or exactly
     epsilon where x[k] is zero.
     """
@@ -111,4 +117,5 @@ def p_matrix(alpha, x, epsilon: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("x must be a 1-d vector")
-    return np.array([_kernels.p_entry(alpha, v, epsilon) for v in x.tolist()], dtype=float)
+    entry = _kernels.multiplier(alpha, epsilon)
+    return np.array([entry(v) for v in x.tolist()], dtype=float)

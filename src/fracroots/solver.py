@@ -240,17 +240,17 @@ def fpn_update(alpha, epsilon: float) -> Callable:
     """Step closure (xs, rs) -> next iterate, the driver's step.
 
     ``xs`` and ``rs`` are the iterate and the residual as float sequences;
-    each entry of the returned list is ``v - p_entry(alpha, v, epsilon) * r``,
-    with the scalar kernel's ``p_entry`` (the entries of
-    :func:`~fracroots.kernel.p_matrix` without its per-call checks).  The
-    order and epsilon are checked once, here.
+    each entry of the returned list is ``v - entry(v) * r``, where ``entry``
+    is the scalar kernel's :func:`~fracroots._kernels.multiplier` for this
+    order and epsilon (the entries of :func:`~fracroots.kernel.p_matrix`
+    without its per-call checks).  The order and epsilon are checked, and
+    gamma(1 - alpha) is computed, once, here.
     """
     alpha = FractionalOrder.coerce(alpha).value
-    epsilon = checked_epsilon(epsilon)
-    p_entry = _kernels.p_entry
+    entry = _kernels.multiplier(alpha, checked_epsilon(epsilon))
 
     def step(xs, rs) -> list:
-        return [v - p_entry(alpha, v, epsilon) * r for v, r in zip(xs, rs)]
+        return [v - entry(v) * r for v, r in zip(xs, rs)]
 
     return step
 
@@ -335,13 +335,13 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
     loop, the residual's calls included.
     """
     x = np.asarray(x0, dtype=float).ravel()
-    if not np.all(np.isfinite(x)):
+    xs = x.tolist()
+    if not all(map(math.isfinite, xs)):
         raise ValueError("x0 must be finite")
     fused_solve = getattr(f, "fused_solve", None)
     if fused_solve is not None and not keep_trace:
         return fused_solve(x, settings)
     update = fpn_update(settings.alpha, settings.epsilon)
-    xs = x.tolist()
     if keep_trace:
         iterates = [xs]
         step_norms: list = []
@@ -453,6 +453,11 @@ def default_alpha_grid(step: float = DEFAULT_GRID_STEP) -> list:
     return grid
 
 
+#: The default grid, built once for :func:`alpha_sweep`; orders are immutable,
+#: so every sweep can share them.
+_DEFAULT_GRID = tuple(default_alpha_grid())
+
+
 def same_root(a, b, tolerance: float) -> bool:
     """Dedup predicate: distance below tolerance relative to root magnitude."""
     a = np.asarray(a, dtype=float)
@@ -504,9 +509,7 @@ def alpha_sweep(f: Callable, x0, grid=None, settings: Optional[SolverSettings] =
     """
     if settings is None:
         settings = SolverSettings()
-    if grid is None:
-        grid = default_alpha_grid()
-    grid = [FractionalOrder.coerce(a) for a in grid]
+    grid = _DEFAULT_GRID if grid is None else [FractionalOrder.coerce(a) for a in grid]
     if not grid:
         raise ValueError("sweep grid is empty")
     converged = []

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings as hypothesis_settings, strategies as st
 
 from fracroots import (DegenerateThresholds, Decision, EconomicPrimitives,
                        InvalidPrimitives, ModelConstants, NonRealEvaluation,
@@ -142,6 +143,63 @@ class TestReducedResidual:
         c = reference.scenario_constants(451474.0, 396499.0)
         with pytest.raises(NonRealEvaluation):
             reduced_residual(c, np.array([1e300, 1.0]))
+
+
+def residual_with_repeated_powers(a1, a2, a3, a4, a5, a6, a7, x1, x2):
+    """The checked reduced residual as written with x1**a3 and x2**a3 each taken twice."""
+    if x1 <= 0.0 or x2 <= 0.0:
+        raise NonRealEvaluation(f"thresholds must be positive, got {(x1, x2)}")
+    s = a3 + a4
+    try:
+        t1 = x1 ** s
+        t2 = x2 ** s
+        if abs(t1 - t2) < _kernels.DEGENERATE_GAP:
+            raise DegenerateThresholds(f"threshold components coincide at {(x1, x2)}")
+        den = a1 * a2 * (t1 - t2)
+        g13 = x2 ** a3 - x1 ** a3
+        g14 = x1 ** a4 - x2 ** a4
+        f1 = a5 * x1 - a6 + a5 * (a1 * x1 ** a2 * g13 + a2 * x1 * x2 ** a3 * g14) / den
+        f2 = a5 * x2 - a7 + a5 * (a1 * x2 ** a2 * g13 + a2 * x1 ** a3 * x2 * g14) / den
+    except OverflowError as exc:
+        raise NonRealEvaluation("reduced residual evaluated to a non-finite value") from exc
+    if not (math.isfinite(f1) and math.isfinite(f2)):
+        raise NonRealEvaluation("reduced residual evaluated to a non-finite value")
+    return f1, f2
+
+
+def checked_outcome(fn, *args):
+    """``fn(*args)`` as float hex strings, or the type and message of what it raised."""
+    try:
+        return tuple(v.hex() for v in fn(*args))
+    except NonRealEvaluation as exc:
+        return type(exc), str(exc)
+
+
+THRESHOLD_POINTS = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e6),
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1.0, 5.0, 1e150, 1e300, 1e308]))
+
+
+class TestReducedResidualBitwise:
+    """The kernel's residual against the same expression with its repeated powers.
+
+    Values compare as float hex; a raised error (overflow, coincident or
+    non-positive components) must have the same type and message.
+    """
+
+    @given(row=st.sampled_from(reference.ROWS), x1=THRESHOLD_POINTS, x2=THRESHOLD_POINTS)
+    @hypothesis_settings(max_examples=400, deadline=None)
+    @example(row=reference.ROWS[0], x1=41844.57090443, x2=11857.32126593)
+    @example(row=reference.ROWS[0], x1=5.0, x2=5.0)
+    @example(row=reference.ROWS[0], x1=1e300, x2=1.0)
+    @example(row=reference.ROWS[0], x1=-1.0, x2=2.0)
+    @example(row=reference.ROWS[0], x1=2.0, x2=0.0)
+    def test_values_and_errors_match(self, row, x1, x2):
+        c = reference.scenario_constants(row.a6, row.a7)
+        args = (c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7, x1, x2)
+        assert (checked_outcome(_kernels.reduced_residual_checked, *args)
+                == checked_outcome(residual_with_repeated_powers, *args))
 
 
 class TestBackSubstitute:

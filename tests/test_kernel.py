@@ -9,9 +9,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings as hypothesis_settings, strategies as st
 
 from fracroots import (DomainError, FractionalOrder, PoleArgument,
-                       constant_frac_deriv, gamma, p_matrix)
+                       constant_frac_deriv, default_alpha_grid, gamma, p_matrix)
+from fracroots import _kernels
 
 mpmath.mp.dps = 50
 
@@ -25,6 +27,33 @@ def oracle_kernel(beta: float, x: float) -> float:
     b = mpmath.mpf(beta)
     mag = abs(mpmath.mpf(x)) ** (-b) / mpmath.gamma(1 - b)
     return float(-mag if x < 0 else mag)
+
+
+def per_entry_unit_deriv(beta, x):
+    """The kernel's order-beta derivative of the unit constant, gamma taken per call."""
+    try:
+        core = abs(x) ** (-beta)
+    except OverflowError:
+        core = math.inf
+    core = core / math.gamma(1.0 - beta)
+    if x < 0.0:
+        return -core
+    return core
+
+
+def per_entry_multiplier(alpha, x, eps):
+    """One multiplier entry as computed entry by entry: eps at zero, else the derivative + eps."""
+    if x == 0.0:
+        return eps
+    return per_entry_unit_deriv(alpha, x) + eps
+
+
+GRID_ORDERS = [a.value for a in default_alpha_grid()]
+
+#: Zero, the subnormal extremes, and two points whose power leaves the float
+#: range under orders above about 1.03: for 1e-300 it overflows to inf, for
+#: 1e308 it underflows to zero.  Each in both signs.
+EDGE_POINTS = [0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e308, -1e308]
 
 
 class TestGamma:
@@ -132,6 +161,39 @@ class TestConstantFracDeriv:
             assert constant_frac_deriv(beta, x) == pytest.approx(
                 oracle_kernel(beta, x), rel=1e-12)
             checked += 1
+
+
+class TestMultiplierBitwise:
+    """The once-per-solve multiplier against the per-entry arithmetic it replaced.
+
+    Compared with float.hex, so the sign of zero counts.
+    """
+
+    @given(x=st.one_of(st.sampled_from(EDGE_POINTS),
+                       st.floats(allow_nan=False, allow_infinity=False)),
+           eps=st.one_of(st.just(1e-4), st.floats(min_value=5e-324, max_value=1e300)))
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @example(x=-1e-300, eps=1e-4)
+    @example(x=1e308, eps=5e-324)
+    def test_entry_matches_per_entry_arithmetic(self, x, eps):
+        for alpha in GRID_ORDERS:
+            expected = per_entry_multiplier(alpha, x, eps).hex()
+            assert _kernels.multiplier(alpha, eps)(x).hex() == expected, alpha
+            assert p_matrix(alpha, np.array([x]), eps)[0].hex() == expected, alpha
+
+    @given(x=st.one_of(st.sampled_from(EDGE_POINTS[1:]),
+                       st.floats(allow_nan=False).filter(lambda v: v != 0.0)),
+           beta=st.one_of(st.sampled_from(GRID_ORDERS),
+                          st.floats(min_value=-2.0, max_value=2.0).filter(
+                              lambda b: abs(b - round(b)) > 1e-9)))
+    @hypothesis_settings(max_examples=300, deadline=None)
+    def test_constant_frac_deriv_matches_per_call_arithmetic(self, x, beta):
+        assert constant_frac_deriv(beta, x).hex() == per_entry_unit_deriv(beta, x).hex()
+
+    @pytest.mark.parametrize("x, expected", [(1e308, "-0x0.0p+0"), (-1e308, "0x0.0p+0")])
+    def test_underflowed_derivative_keeps_the_sign_of_zero(self, x, expected):
+        # |x|**(-1.5) underflows to 0, and gamma(-0.5) < 0 flips its sign.
+        assert constant_frac_deriv(1.5, x).hex() == expected
 
 
 class TestPMatrix:

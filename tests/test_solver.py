@@ -183,6 +183,24 @@ class TestFixedPointSolve:
         with pytest.raises(ValueError):
             fixed_point_solve(lambda x: x, np.array([math.inf]), SolverSettings())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("keep_trace", [False, True], ids=["fused", "driver"])
+    def test_non_finite_start_is_refused_before_either_path(self, bad, keep_trace):
+        class Fused:
+            calls = []
+
+            def __call__(self, x):
+                self.calls.append("f")
+                return x * x - 4.0
+
+            def fused_solve(self, x0, settings):
+                self.calls.append("fused_solve")
+
+        f = Fused()
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            fixed_point_solve(f, [3.0, bad], SolverSettings(), keep_trace=keep_trace)
+        assert Fused.calls == []
+
     def test_fused_solve_takes_over_only_the_default_iteration(self):
         class Fused:
             calls = []
@@ -454,7 +472,33 @@ class TestAlphaGrid:
             default_alpha_grid(step=1e-300)
 
 
+def root_set_key(roots) -> tuple:
+    """Everything a RootSet reports, with arrays as lists, so two sets compare with ==."""
+    return (
+        tuple((r.x.tolist(), r.alpha, r.found_by, r.outcome.status, r.outcome.iterations,
+               r.outcome.x_final.tolist(), r.outcome.final_step_norm,
+               r.outcome.final_residual_norm) for r in roots.roots),
+        roots.skipped, roots.dedup_tolerance)
+
+
 class TestAlphaSweep:
+    def test_default_grid_is_the_explicit_default_grid(self):
+        f, x0 = (lambda x: x * x - 1.0), np.array([2.0])
+        assert root_set_key(alpha_sweep(f, x0)) == root_set_key(
+            alpha_sweep(f, x0, default_alpha_grid()))
+
+    def test_caller_changes_to_the_default_grid_do_not_leak(self):
+        f, x0 = (lambda x: x * x - 1.0), np.array([2.0])
+        expected = root_set_key(alpha_sweep(f, x0))
+        fresh = default_alpha_grid()
+        mutated = default_alpha_grid()
+        mutated.reverse()
+        del mutated[3:]
+        mutated[0] = FractionalOrder(0.5)
+        assert default_alpha_grid() == fresh
+        assert len(fresh) == 76
+        assert root_set_key(alpha_sweep(f, x0)) == expected
+
     def test_unique_root_collapses(self):
         roots = alpha_sweep(lambda x: x - 3.0, np.array([1.0]),
                             grid=default_alpha_grid(step=0.25))
