@@ -18,8 +18,6 @@ import time
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-import numpy as np
-
 from . import reference
 from ._accel import backend_name
 from .dixit_pindyck import (EconomicPrimitives, ModelConstants,
@@ -42,28 +40,32 @@ FULL_RESIDUAL_REL_BOUND = 1e-3
 #: Timed calls per initial residual; the fastest must take under 1 ms.
 TIMING_REPEATS = 5
 
-_PRIMITIVE_FIELDS = ("mu", "sigma", "l", "c", "kappa", "chi")
-_CONSTANT_FIELDS = tuple(f.name for f in fields(ModelConstants))
-_SOLVER_FIELDS = tuple(f.name for f in fields(SolverSettings))
+#: Every section a scenario file may hold, with the keys it may hold.
+_SECTIONS = {
+    "constants": tuple(f.name for f in fields(ModelConstants)),
+    "primitives": tuple(f.name for f in fields(EconomicPrimitives)),
+    "initial": ("H0", "L0"),
+    "solver": tuple(f.name for f in fields(SolverSettings)),
+    "sweep": ("grid_step",),
+    "output": ("format", "trace"),
+}
 
 
 @dataclass
 class ScenarioConfig:
     """Validated scenario configuration after file parsing and flag overrides.
 
-    ``solver`` holds only the solver fields that the file or a flag set;
-    every other field takes its default from :class:`SolverSettings`.
+    ``problem`` is built when the file is loaded.  ``solver`` holds only the
+    solver fields that the file or a flag set; every other field takes its
+    default from :class:`SolverSettings`.
     """
 
-    constants: ModelConstants
-    x0: np.ndarray
+    problem: ThresholdProblem
     solver: dict = field(default_factory=dict)
     grid_step: float = DEFAULT_GRID_STEP
     out_format: str = "table"
     trace: bool = False
     out_path: Optional[str] = None
-    #: The section the constants came from, named when they cannot be solved.
-    model_section: str = "constants"
 
     def settings(self, **given) -> SolverSettings:
         """The solver settings, with the fields in ``given`` over the configured ones."""
@@ -72,7 +74,7 @@ class ScenarioConfig:
             raise ConfigError("solver.alpha", "missing required field (or pass --alpha)")
         # Each field is checked on its own, in declaration order, so the error
         # names the first bad one.
-        for name in _SOLVER_FIELDS:
+        for name in _SECTIONS["solver"]:
             if name in values:
                 try:
                     SolverSettings(**{name: values[name]})
@@ -80,20 +82,17 @@ class ScenarioConfig:
                     raise ConfigError(f"solver.{name}", str(exc)) from exc
         return SolverSettings(**values)
 
-    def problem(self) -> ThresholdProblem:
-        try:
-            return ThresholdProblem(constants=self.constants, x0=self.x0)
-        except ValueError as exc:  # x0 is checked finite on load
-            field = "constants.a6" if self.model_section == "constants" else "primitives"
-            raise ConfigError(field, str(exc)) from exc
-
 
 def _section(data: dict, name: str) -> dict:
+    """Section ``name`` of the file, or {} when absent; refuses keys not in ``_SECTIONS``."""
     value = data.get(name)
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ConfigError(name, "must be a mapping")
+    for key in value:
+        if key not in _SECTIONS[name]:
+            raise ConfigError(f"{name}.{key}", "unknown field")
     return value
 
 
@@ -109,7 +108,11 @@ def _number(section: str, name: str, raw) -> float:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Parse and validate a scenario file."""
+    """Parse and validate a scenario file.
+
+    Every section's keys are checked before any value, and the problem is
+    built here, so a config that loads holds a solvable ThresholdProblem.
+    """
     import yaml  # only the commands that read a config pay for this import
 
     try:
@@ -123,50 +126,47 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError("config", f"invalid YAML in {path!r}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config", "top level must be a mapping")
-    unknown = set(data) - {"constants", "primitives", "initial", "solver", "sweep", "output"}
+    unknown = [name for name in data if name not in _SECTIONS]
     if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown section")
+        raise ConfigError(str(unknown[0]), "unknown section")
 
-    has_constants = "constants" in data
-    has_primitives = "primitives" in data
-    if has_constants == has_primitives:
+    if ("constants" in data) == ("primitives" in data):
         raise ConfigError("config", "exactly one of 'constants' or 'primitives' must be present")
+    model = "constants" if "constants" in data else "primitives"
+    sections = {name: _section(data, name) for name in _SECTIONS}
 
-    if has_constants:
-        section = _section(data, "constants")
-        values = {name: _number("constants", name, section.get(name))
-                  for name in _CONSTANT_FIELDS}
+    values = {name: _number(model, name, sections[model].get(name)) for name in _SECTIONS[model]}
+    if model == "constants":
         try:
             constants = ModelConstants(**values)
         except ValueError as exc:
             raise ConfigError("constants", str(exc)) from exc
     else:
-        section = _section(data, "primitives")
-        values = {name: _number("primitives", name, section.get(name))
-                  for name in _PRIMITIVE_FIELDS}
         try:
             constants = derive_constants(EconomicPrimitives(**values))
         except InvalidPrimitives as exc:
             raise ConfigError("primitives", str(exc)) from exc
 
-    initial = _section(data, "initial")
-    x0 = np.array([_number("initial", "H0", initial.get("H0")),
-                   _number("initial", "L0", initial.get("L0"))])
-    if not np.all(np.isfinite(x0)):
-        raise ConfigError("initial", f"H0 and L0 must be finite, got {x0.tolist()}")
+    initial = sections["initial"]
+    x0 = [_number("initial", name, initial.get(name)) for name in _SECTIONS["initial"]]
+    if not all(map(math.isfinite, x0)):
+        raise ConfigError("initial", f"H0 and L0 must be finite, got {x0}")
+    try:
+        problem = ThresholdProblem(constants=constants, x0=x0)
+    except ValueError as exc:  # x0 is finite, so only a6 <= a7 is left
+        raise ConfigError("constants.a6" if model == "constants" else "primitives",
+                          str(exc)) from exc
 
-    solver = _section(data, "solver")
-    config = ScenarioConfig(constants=constants, x0=x0,
-                            model_section="constants" if has_constants else "primitives")
-    for name in _SOLVER_FIELDS:
-        if name in solver:
-            config.solver[name] = _number("solver", name, solver.get(name))
+    solver = sections["solver"]
+    config = ScenarioConfig(problem=problem, solver={
+        name: _number("solver", name, solver[name])
+        for name in _SECTIONS["solver"] if name in solver})
 
-    sweep = _section(data, "sweep")
+    sweep = sections["sweep"]
     if "grid_step" in sweep:
-        config.grid_step = _number("sweep", "grid_step", sweep.get("grid_step"))
+        config.grid_step = _number("sweep", "grid_step", sweep["grid_step"])
 
-    output = _section(data, "output")
+    output = sections["output"]
     if "format" in output:
         fmt = output.get("format")
         if fmt not in ("table", "csv", "structured"):
@@ -209,20 +209,20 @@ def _csv_document(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solution_csv_row(index, a6, a7, x0, alpha, sol) -> tuple:
-    out = sol.outcome
-    return (index, a6, a7, x0[0], x0[1], alpha, sol.H, sol.L, sol.A, sol.B,
-            out.final_step_norm, out.final_residual_norm, out.iterations,
-            out.status.value)
+def _csv_row(index, problem, alpha, H, L, A, B, outcome) -> tuple:
+    """The values of one CSV_HEADER row, in its column order."""
+    return (index, problem.constants.a6, problem.constants.a7, problem.x0[0], problem.x0[1],
+            alpha, H, L, A, B, outcome.final_step_norm, outcome.final_residual_norm,
+            outcome.iterations, outcome.status.value)
 
 
-def _solution_json(index, a6, a7, x0, alpha, sol) -> dict:
+def _solution_json(problem, alpha, sol) -> dict:
     out = sol.outcome
     payload = {
-        "row": index,
-        "a6": a6,
-        "a7": a7,
-        "x0": [x0[0], x0[1]],
+        "row": 1,
+        "a6": problem.constants.a6,
+        "a7": problem.constants.a7,
+        "x0": [problem.x0[0], problem.x0[1]],
         "alpha": alpha,
         "H": sol.H,
         "L": sol.L,
@@ -275,11 +275,12 @@ def _emit(text: str, path: Optional[str]) -> None:
 
 def _human_solution(config: ScenarioConfig, sol) -> str:
     out = sol.outcome
+    constants, x0 = config.problem.constants, config.problem.x0
     lines = [
         "threshold solve",
         f"  backend          {backend_name()}",
-        f"  a6, a7           {_g17(config.constants.a6)}, {_g17(config.constants.a7)}",
-        f"  x0               ({_g17(config.x0[0])}, {_g17(config.x0[1])})",
+        f"  a6, a7           {_g17(constants.a6)}, {_g17(constants.a7)}",
+        f"  x0               ({_g17(x0[0])}, {_g17(x0[1])})",
         f"  alpha            {_g17(config.solver['alpha'])}",
         f"  status           {out.status.value}",
         f"  iterations       {out.iterations}",
@@ -303,12 +304,12 @@ def _human_solution(config: ScenarioConfig, sol) -> str:
 
 
 def _render_solution(config: ScenarioConfig, sol) -> str:
-    index = 1
-    a6, a7, alpha = config.constants.a6, config.constants.a7, config.solver["alpha"]
+    problem, alpha = config.problem, config.solver["alpha"]
     if config.out_format == "csv":
-        return _csv_document([_solution_csv_row(index, a6, a7, config.x0, alpha, sol)])
+        return _csv_document([_csv_row(1, problem, alpha, sol.H, sol.L, sol.A, sol.B,
+                                       sol.outcome)])
     if config.out_format == "structured":
-        payload = _solution_json(index, a6, a7, config.x0, alpha, sol)
+        payload = _solution_json(problem, alpha, sol)
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     return _human_solution(config, sol)
 
@@ -316,10 +317,9 @@ def _render_solution(config: ScenarioConfig, sol) -> str:
 def _cmd_solve(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     settings = config.settings()
-    problem = config.problem()
     created = _check_out(config.out_path)
     try:
-        sol = solve_thresholds(problem, settings, keep_trace=config.trace)
+        sol = solve_thresholds(config.problem, settings, keep_trace=config.trace)
     except ThresholdSolveFailed as exc:
         # A failed solve writes no report, so it leaves no empty file behind.
         if created:
@@ -347,17 +347,17 @@ def _cmd_reproduce(args) -> int:
           f"{'reference':>12} {'computed':>16} {'rel dev':>10}")
     results = []
     for row in reference.ROWS:
-        constants = reference.scenario_constants(row.a6, row.a7)
+        problem = reference.scenario_problem(row)
         # The best of several calls, so one host stall cannot fail a correct row.
         dt = math.inf
         for _ in range(TIMING_REPEATS):
             t0 = time.perf_counter()
-            f0 = norm2(reduced_residual(constants, np.array(row.x0)))
+            f0 = norm2(reduced_residual(problem.constants, problem.x0))
             dt = min(dt, time.perf_counter() - t0)
         rel = abs(f0 - row.f0_norm) / row.f0_norm
         ok = rel <= F0_REL_BOUND and dt < 1e-3
         all_ok &= ok
-        results.append((row, constants))
+        results.append((row, problem))
         print(f"{row.index:>3} {row.a6:>10.0f} {row.a7:>10.0f} "
               f"{'(%g, %g)' % row.x0:>12} {row.f0_norm:>12.6g} "
               f"{f0:>16.10g} {rel:>10.2e} {'ok' if ok else 'FAIL'}")
@@ -368,8 +368,7 @@ def _cmd_reproduce(args) -> int:
           f"residual {RESIDUAL_BOUND:g}, n <= {ITERATION_BOUND})")
     print(f"{'row':>3} {'alpha':>8} {'component':>10} {'reference':>18} "
           f"{'computed':>20} {'rel dev':>10}")
-    for row, constants in results:
-        problem = ThresholdProblem(constants=constants, x0=row.x0)
+    for row, problem in results:
         settings = SolverSettings(alpha=row.alpha)
         try:
             t0 = time.perf_counter()
@@ -383,7 +382,8 @@ def _cmd_reproduce(args) -> int:
         out = sol.outcome
         rel_h = abs(sol.H - row.solution[0]) / abs(row.solution[0])
         rel_l = abs(sol.L - row.solution[1]) / abs(row.solution[1])
-        full_rel = sol.full_residual_norm / full_residual_scale(constants, sol.H, sol.L)
+        full_rel = sol.full_residual_norm / full_residual_scale(problem.constants,
+                                                                sol.H, sol.L)
         ok = (rel_h <= SOLUTION_REL_BOUND and rel_l <= SOLUTION_REL_BOUND
               and out.final_residual_norm <= RESIDUAL_BOUND
               and out.iterations <= ITERATION_BOUND and dt < 1.0
@@ -399,8 +399,8 @@ def _cmd_reproduce(args) -> int:
         print(f"{'':>3} {'':>8} {'iters':>10} {out.iterations} "
               f"(ref {row.iterations}); full-system rel residual {full_rel:.2e} "
               f"-> {'ok' if ok else 'FAIL'}")
-        csv_rows.append(_solution_csv_row(row.index, row.a6, row.a7, row.x0,
-                                          row.alpha, sol))
+        csv_rows.append(_csv_row(row.index, problem, row.alpha, sol.H, sol.L, sol.A, sol.B,
+                                 out))
 
     print()
     print("all bounds hold" if all_ok else "some bounds FAILED")
@@ -415,12 +415,8 @@ def _cmd_sweep(args) -> int:
         grid = default_alpha_grid(step=config.grid_step)
     except ValueError as exc:
         raise ConfigError("sweep.grid_step", str(exc)) from exc
-    if not grid:
-        raise ConfigError("sweep.grid_step",
-                          f"grid step {config.grid_step!r} leaves no valid orders "
-                          "after excluding the integer bands")
     # Every grid order replaces the configured one, which is not checked.
-    problem, settings = config.problem(), config.settings(alpha=grid[0])
+    problem, settings = config.problem, config.settings(alpha=grid[0])
     _check_out(args.out)
     roots = sweep_thresholds(problem, grid=grid, settings=settings)
 
@@ -430,18 +426,14 @@ def _cmd_sweep(args) -> int:
     csv_rows = []
     for k, record in enumerate(roots.roots, start=1):
         out = record.outcome
-        coeff_a, coeff_b = back_substitute(config.constants, record.x)
+        coeff_a, coeff_b = back_substitute(problem.constants, record.x)
         print(f"  root {k}: x = ({_g17(record.x[0])}, {_g17(record.x[1])})")
         print(f"    best alpha {record.alpha:g}: residual norm "
               f"{out.final_residual_norm:.5e}, {out.iterations} iterations")
         print(f"    found by {len(record.found_by)} orders: "
               + ", ".join(f"{a:g}" for a in record.found_by))
-        csv_rows.append((k, config.constants.a6, config.constants.a7,
-                         config.x0[0], config.x0[1], record.alpha,
-                         float(max(record.x)), float(min(record.x)),
-                         coeff_a, coeff_b, out.final_step_norm,
-                         out.final_residual_norm, out.iterations,
-                         out.status.value))
+        csv_rows.append(_csv_row(k, problem, record.alpha, float(max(record.x)),
+                                 float(min(record.x)), coeff_a, coeff_b, out))
     by_status: dict = {}
     for skip in roots.skipped:
         by_status.setdefault(skip.status.value, []).append(skip.alpha)

@@ -192,12 +192,15 @@ class RootSet:
     skipped: tuple = field(default_factory=tuple)
 
 
-def _residual(f: Callable, x: np.ndarray) -> np.ndarray:
-    """``f(x)`` as a flat float array of x's shape.
+def _evaluate(f: Callable, x: np.ndarray) -> tuple:
+    """Evaluate a residual; return ``(f(x).tolist(), ||f(x)||_2)``.
 
-    A call that fails is normalised to NonRealEvaluation, and a result of
-    another shape raises ValueError.  The entries are not checked: callers
-    reject non-finite ones.
+    A call that fails, or a non-finite entry, is normalised to
+    NonRealEvaluation, and a result of another shape than x raises
+    ValueError.  The norm is the square root of :func:`_sum_squares`; a
+    finite sum of squares means every entry is finite, so the entries are
+    only scanned when it is not (a finite residual whose squares overflow
+    keeps an inf norm).
     """
     try:
         fx = np.asarray(f(x), dtype=float).ravel()
@@ -207,19 +210,7 @@ def _residual(f: Callable, x: np.ndarray) -> np.ndarray:
         raise NonRealEvaluation(str(exc)) from exc
     if fx.shape != x.shape:
         raise ValueError(f"residual has shape {fx.shape}, expected {x.shape}")
-    return fx
-
-
-def _evaluate(f: Callable, x: np.ndarray) -> tuple:
-    """Evaluate a residual; return ``(f(x).tolist(), ||f(x)||_2)``.
-
-    Every evaluation failure, a non-finite entry included, is normalised to
-    NonRealEvaluation.  The norm is the square root of :func:`_sum_squares`;
-    a finite sum of squares means every entry is finite, so the entries are
-    only scanned when it is not (a finite residual whose squares overflow
-    keeps an inf norm).
-    """
-    rs = _residual(f, x).tolist()
+    rs = fx.tolist()
     squares = _sum_squares(rs)
     if not math.isfinite(squares) and not all(map(math.isfinite, rs)):
         raise NonRealEvaluation("residual evaluated to a non-finite value")
@@ -260,24 +251,17 @@ def fd_jacobian(f: Callable, x) -> np.ndarray:
 
     The step is h = max(1e-6, 1e-8 * ||x||_inf), which keeps the stencil
     scaled on large iterates without collapsing near the origin.  A failing
-    or non-finite evaluation raises NonRealEvaluation, as in the driver; the
-    2n evaluations take no norm, which the Jacobian does not need.
+    or non-finite evaluation raises NonRealEvaluation, as in the driver.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     h = max(1e-6, 1e-8 * float(np.max(np.abs(x))))
-
-    def evaluate(point):
-        fx = _residual(f, point)
-        if not np.isfinite(fx).all():
-            raise NonRealEvaluation("residual evaluated to a non-finite value")
-        return fx
-
     jac = np.empty((n, n))
     for k in range(n):
         bump = np.zeros(n)
         bump[k] = h
-        jac[:, k] = (evaluate(x + bump) - evaluate(x - bump)) / (2.0 * h)
+        jac[:, k] = (np.array(_evaluate(f, x + bump)[0])
+                     - np.array(_evaluate(f, x - bump)[0])) / (2.0 * h)
     return jac
 
 
@@ -403,18 +387,20 @@ def estimate_order(norms: Sequence[float]) -> float:
     """Empirical convergence order from the tail of an error or step-norm sequence.
 
     Uses p = log(e_k+1 / e_k) / log(e_k / e_k-1) on the last three entries of
-    the trailing strictly positive, strictly decreasing run.  Raises
-    InsufficientData (with the reason) when that run is shorter than four
-    entries, which covers both short and non-monotone tails.
+    the trailing strictly positive, strictly decreasing run; a NaN ends that
+    run.  Raises InsufficientData (with the reason) when the run is shorter
+    than four entries, which covers both short and non-monotone tails, and
+    when a ratio of those entries underflows to 0, whose logarithm is
+    undefined.
     """
     seq = [float(v) for v in norms]
     if len(seq) < 4:
         raise InsufficientData(f"need at least 4 entries, got {len(seq)}")
     run = 0
     for k in range(len(seq) - 1, -1, -1):
-        if seq[k] <= 0.0:
+        if not seq[k] > 0.0:
             break
-        if run > 0 and seq[k] <= seq[k + 1]:
+        if run > 0 and not seq[k] > seq[k + 1]:
             break
         run += 1
     if run < 4:
@@ -422,7 +408,10 @@ def estimate_order(norms: Sequence[float]) -> float:
             f"trailing strictly decreasing run has {run} entries, need 4 "
             "(sequence tail is too short or non-monotone)")
     e0, e1, e2 = seq[-3], seq[-2], seq[-1]
-    return math.log(e2 / e1) / math.log(e1 / e0)
+    late, early = e2 / e1, e1 / e0
+    if late == 0.0 or early == 0.0:
+        raise InsufficientData("a ratio of the last three entries underflows to 0")
+    return math.log(late) / math.log(early)
 
 
 def default_alpha_grid(step: float = DEFAULT_GRID_STEP) -> list:
@@ -432,7 +421,7 @@ def default_alpha_grid(step: float = DEFAULT_GRID_STEP) -> list:
     are skipped, which keeps every point clear of the integer orders the
     kernel cannot take.  A step that is not finite and positive, or that would
     cut the range into more than MAX_GRID_POINTS intervals, is refused before
-    any point is built.
+    any point is built, and one that leaves no point is refused after.
     """
     lower, upper = -ORDER_BOUND, ORDER_BOUND
     if not (math.isfinite(step) and step > 0.0):
@@ -450,6 +439,9 @@ def default_alpha_grid(step: float = DEFAULT_GRID_STEP) -> list:
         if abs(value - round(value)) <= INTEGER_BAND:
             continue
         grid.append(FractionalOrder(value))
+    if not grid:
+        raise ValueError(f"grid step {step!r} leaves no valid orders "
+                         "after excluding the integer bands")
     return grid
 
 

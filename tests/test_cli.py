@@ -40,7 +40,8 @@ def primitives_with(**fields):
 
 def write_config(tmp_path, payload, name="scenario.yaml"):
     path = tmp_path / name
-    path.write_text(yaml.safe_dump(payload), encoding="utf-8")
+    # In the payload's own key order, which may mix key types.
+    path.write_text(yaml.safe_dump(payload, sort_keys=False), encoding="utf-8")
     return str(path)
 
 
@@ -193,12 +194,22 @@ class TestSolveCommand:
         ("sweep", {**ROW2, "solver": {"alpha": 0.25628, "max_iter": 1e15}}, [],
          "solver.max_iter"),
         ("solve", ROW2, ["--max-iter", str(10**400)], "solver.max_iter"),
+        ("solve", {**ROW2, "solver": {"alpha": 0.25628, "tol_residul": 1.0e-12}}, [],
+         "solver.tol_residul"),
+        ("sweep", {**ROW2, "constants": {**ROW2["constants"], "a8": 1.0}}, [],
+         "constants.a8"),
+        # The problem is built on load, before the solver section is read.
+        ("solve", {**ROW2, "constants": {**ROW2["constants"], "a6": 1.0},
+                   "solver": {"alpha": 0.25628, "max_iter": 0}}, [], "constants.a6"),
+        # The first unknown section in file order; keys of two types cannot be sorted.
+        ("solve", {**ROW2, 1: {"x": 1}, "foo": {"x": 1}}, [], "1"),
     ], ids=["max-iter-0", "alpha-integer", "alpha-nan", "epsilon-negative", "epsilon-inf",
             "a6-below-a7-solve", "a6-below-a7-sweep", "max-iter-fraction",
             "grid-step-1e-300", "grid-step-1e-7", "grid-step-inf",
             "sigma-underflow", "sigma-overflow", "sigma-inf", "mu-minus-inf",
             "no-switching-cost", "a5-inf", "half-sum-overflow", "max-iter-1e15",
-            "max-iter-huge-flag"])
+            "max-iter-huge-flag", "solver-misspelt-key", "constants-a8",
+            "a6-below-a7-before-solver", "unknown-sections-of-mixed-type"])
     def test_invalid_input_is_a_config_error(self, tmp_path, capsys, command,
                                              payload, flags, field):
         code = main([command, "--config", write_config(tmp_path, payload), *flags])
@@ -305,7 +316,8 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "distinct roots found: 1" in out
-        record = next(csv.DictReader(open(out_path, encoding="utf-8")))
+        with open(out_path, encoding="utf-8") as fh:
+            record = next(csv.DictReader(fh))
         assert float(record["H"]) == pytest.approx(41844.57090443, rel=1e-4)
         assert float(record["L"]) == pytest.approx(11857.32126593, rel=1e-4)
 
@@ -347,9 +359,19 @@ FUZZ_BASES = [
 ]
 
 
+#: The keys of every section that FUZZ_BASES hold.
+FUZZ_FIELDS = {section: set(fields) for base in FUZZ_BASES for section, fields in base.items()}
+#: Keys misspelt, from another section, or not strings.
+STRAY_KEYS = ["tol_residul", "a8", "H0", "sweep", 1, 2.5, None]
+
+
 @st.composite
 def fuzzed_documents(draw):
-    """A valid document with up to four fields replaced by any value or left out."""
+    """A valid document with up to four fields replaced by any value or left out.
+
+    Sometimes one key from STRAY_KEYS is added too, at the top level or in a
+    section other than the one it belongs to.
+    """
     base = draw(st.sampled_from(FUZZ_BASES))
     doc = {section: dict(fields) for section, fields in base.items()}
     for _ in range(draw(st.integers(0, 4))):
@@ -359,7 +381,29 @@ def fuzzed_documents(draw):
             doc[section].pop(name, None)
         else:
             doc[section][name] = draw(ANY_VALUE)
+    if draw(st.integers(0, 2)) == 0:
+        key = draw(st.sampled_from(STRAY_KEYS))
+        place = draw(st.sampled_from([None, *sorted(base)]))
+        if place is None and key != "sweep":
+            doc[key] = draw(ANY_VALUE)
+        elif place is not None and key not in base[place]:
+            doc[place][key] = draw(ANY_VALUE)
     return doc
+
+
+def stray_field(doc):
+    """The field path under which the stray key of ``doc`` is refused, or None.
+
+    Unknown sections are refused before any section's keys are checked.
+    """
+    for name in doc:
+        if name not in FUZZ_FIELDS:
+            return str(name)
+    for name, section in doc.items():
+        for key in section:
+            if key not in FUZZ_FIELDS[name]:
+                return f"{name}.{key}"
+    return None
 
 
 #: Documents that once ended in a traceback; both fuzzes always run them.
@@ -386,15 +430,19 @@ class TestInputBoundaryFuzz:
     @settings(max_examples=200, deadline=None)
     def test_only_config_errors_escape(self, tmp_path_factory, doc):
         # Loading and validation only, no solves: every bad document must
-        # come back as a ConfigError naming its section.
+        # come back as a ConfigError naming its section, or its stray key.
         path = tmp_path_factory.getbasetemp() / "fuzzed.yaml"
-        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+        stray = stray_field(doc)
         try:
-            config = load_config(str(path))
-            config.settings()
-            config.problem()
+            load_config(str(path)).settings()
         except ConfigError as exc:
-            assert exc.field.split(".")[0] in {"config", *doc}
+            if stray is None:
+                assert exc.field.split(".")[0] in {"config", *doc}
+            else:
+                assert exc.field == stray
+        else:
+            assert stray is None
 
     @given(doc=fuzzed_documents())
     @with_known_bad_documents
@@ -402,7 +450,7 @@ class TestInputBoundaryFuzz:
     def test_main_returns_an_exit_code(self, tmp_path_factory, doc):
         # End to end, solve included; the flag bounds the cost of each solve.
         path = tmp_path_factory.getbasetemp() / "fuzzed-main.yaml"
-        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["solve", "--config", str(path), "--max-iter", "200"])

@@ -450,6 +450,15 @@ class TestEstimateOrder:
         with pytest.raises(InsufficientData):
             estimate_order([1.0, 0.5, 0.25, 0.0])
 
+    def test_nan_ends_the_run(self):
+        with pytest.raises(InsufficientData, match="run has 0 entries"):
+            estimate_order([4.0, 3.0, 2.0, math.nan])
+
+    def test_ratio_underflowing_to_zero_raises(self):
+        # 1e-300 / 1e299 underflows to 0, whose logarithm is undefined.
+        with pytest.raises(InsufficientData, match="underflows to 0"):
+            estimate_order([1e300, 5e299, 1e299, 1e-300])
+
 
 class TestAlphaGrid:
     def test_default_grid_contents(self):
@@ -470,6 +479,9 @@ class TestAlphaGrid:
         # Refused before any point is built: this step would never finish.
         with pytest.raises(ValueError, match="10000"):
             default_alpha_grid(step=1e-300)
+        # Every point of this step lies on an integer band.
+        with pytest.raises(ValueError, match="leaves no valid orders"):
+            default_alpha_grid(step=4.0)
 
 
 def root_set_key(roots) -> tuple:
