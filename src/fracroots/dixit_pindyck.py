@@ -24,7 +24,7 @@ import numpy as np
 from . import _kernels
 from .errors import (DegenerateThresholds, InvalidPrimitives,
                      NonRealEvaluation, ThresholdSolveFailed)
-from .solver import (STATUS_FROM_CODE, RootSet, SolverSettings, SolveOutcome,
+from .solver import (STATUS_FROM_CODE, RootSet, SolverSettings, SolveOutcome, Status,
                      alpha_sweep, fixed_point_solve, norm2)
 
 #: Tolerance on the exact algebraic identities the constants must satisfy.
@@ -233,6 +233,11 @@ class KernelResidual:
         return reduced_residual(self.constants, x)
 
     def fused_solve(self, x0, settings: SolverSettings) -> SolveOutcome:
+        if len(x0) != 2:
+            # The residual refuses any other start, so the driver fails at x0.
+            return SolveOutcome(status=Status.EVALUATION_FAILED,
+                                x_final=np.asarray(x0, dtype=float), iterations=0,
+                                final_step_norm=math.nan, final_residual_norm=math.nan)
         c = self.constants
         code, n, x1, x2, step_norm, res_norm = _kernels.solve_reduced(
             c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7, float(x0[0]), float(x0[1]),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -70,6 +70,12 @@ def _sum_squares(values) -> float:
     for v in values:
         total += v * v
     return total
+
+
+def _same_bits(xs, ys) -> bool:
+    """Whether two lists of finite floats are equal entry by entry, the sign of zero included."""
+    return xs == ys and all(math.copysign(1.0, v) == math.copysign(1.0, w)
+                            for v, w in zip(xs, ys))
 
 
 def norm2(v) -> float:
@@ -290,7 +296,8 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
 
     Parameters
     f
-        Residual whose zero is sought; must return a vector of x0's length.
+        Residual whose zero is sought; must return a vector of x0's length,
+        and must be a function of x alone (see the cycle stop below).
     x0
         Finite starting point.
     settings
@@ -317,6 +324,20 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
     under a finite bound.  The status and norms report such overflow, so
     numpy's overflow and invalid-value warnings are silenced for the whole
     loop, the residual's calls included.
+
+    Cycle stop: when an iteration fails the convergence test with the same
+    step norm as the iteration before, its iterate is compared with the two
+    before it, entry by entry with the sign of zero.  If it repeats one of
+    them bit for bit, the orbit has entered a cycle of period 1 or 2 and
+    repeats it for ever: every later step and residual norm is one the
+    convergence test has already refused, and no later iterate can diverge
+    or fail to evaluate.  The solve then returns at once what the loop would
+    return at ``max_iter``: MAX_ITERATIONS, the iterate and residual norm of
+    that iteration's phase of the cycle, and the cycle's step norm; a trace
+    is filled to ``max_iter`` with the cycle.  This holds only for a
+    residual that is a function of x: one that keeps state between calls may
+    be called fewer times than there are iterations.  Longer cycles run to
+    ``max_iter``.
     """
     x = np.asarray(x0, dtype=float).ravel()
     xs = x.tolist()
@@ -357,6 +378,10 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
 
         max_iter, bound = settings.max_iter, settings.divergence_bound
         tol_step, tol_residual = settings.tol_step, settings.tol_residual
+        # For the cycle stop: the iterate before xs, and the step and residual
+        # norms before the current ones, in plain locals.
+        xs_back = xs
+        last_step = last_res = math.nan
         for i in range(1, max_iter + 1):
             xs_next = update(xs, rs)
             step_squares = size = 0.0
@@ -364,10 +389,11 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
                 d = w - v
                 step_squares += d * d
                 size += w * w
-            step_norm = math.sqrt(step_squares)
+            last_step, step_norm = step_norm, math.sqrt(step_squares)
             if math.sqrt(size) > bound or (not math.isfinite(size)
                                            and not all(map(math.isfinite, xs_next))):
                 return outcome(Status.DIVERGED, xs_next, i, step_norm, math.nan)
+            last_res = res_norm
             try:
                 rs, res_norm = _evaluate(f, np.array(xs_next))
             except NonRealEvaluation:
@@ -376,9 +402,24 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
                 iterates.append(xs_next)
                 step_norms.append(step_norm)
                 residual_norms.append(res_norm)
-            xs = xs_next
             if step_norm <= tol_step and res_norm <= tol_residual:
-                return outcome(Status.CONVERGED, xs, i, step_norm, res_norm)
+                return outcome(Status.CONVERGED, xs_next, i, step_norm, res_norm)
+            # Every step of a cycle of period 1 or 2 has the same norm.
+            if step_norm == last_step:
+                period = (1 if _same_bits(xs_next, xs)
+                          else 2 if _same_bits(xs_next, xs_back) else 0)
+                if period:
+                    # Phase k of the cycle is the iterate k iterations on.
+                    phases = ((xs_next, res_norm), (xs, last_res))
+                    if keep_trace:
+                        for k in range(1, max_iter - i + 1):
+                            xs_k, res_k = phases[k % period]
+                            iterates.append(xs_k)
+                            step_norms.append(step_norm)
+                            residual_norms.append(res_k)
+                    xs_end, res_end = phases[(max_iter - i) % period]
+                    return outcome(Status.MAX_ITERATIONS, xs_end, max_iter, step_norm, res_end)
+            xs_back, xs = xs, xs_next
 
     return outcome(Status.MAX_ITERATIONS, xs, max_iter, step_norm, res_norm)
 
@@ -489,6 +530,17 @@ def collect_roots(converged, skipped, dedup_tolerance: float) -> RootSet:
                    skipped=tuple(sorted(skipped, key=lambda s: s.alpha)))
 
 
+def _with_order(settings: SolverSettings, alpha: FractionalOrder) -> SolverSettings:
+    """``dataclasses.replace(settings, alpha=alpha)`` for an order that is already checked.
+
+    The other fields were checked when ``settings`` was built, so they are
+    copied as they are instead of running ``__post_init__`` again.
+    """
+    lane = object.__new__(SolverSettings)
+    lane.__dict__.update(settings.__dict__, alpha=alpha)
+    return lane
+
+
 def alpha_sweep(f: Callable, x0, grid=None, settings: Optional[SolverSettings] = None) -> RootSet:
     """Run the pseudo-Newton iteration for every order in the grid.
 
@@ -507,7 +559,7 @@ def alpha_sweep(f: Callable, x0, grid=None, settings: Optional[SolverSettings] =
     converged = []
     skipped = []
     for alpha in grid:
-        out = fixed_point_solve(f, x0, replace(settings, alpha=alpha))
+        out = fixed_point_solve(f, x0, _with_order(settings, alpha))
         if out.converged:
             converged.append((out.x_final, alpha.value, out))
         else:

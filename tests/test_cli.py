@@ -203,13 +203,18 @@ class TestSolveCommand:
                    "solver": {"alpha": 0.25628, "max_iter": 0}}, [], "constants.a6"),
         # The first unknown section in file order; keys of two types cannot be sorted.
         ("solve", {**ROW2, 1: {"x": 1}, "foo": {"x": 1}}, [], "1"),
+        ("sweep", {**ROW2, "sweep": {"grid_step": math.nan}}, [], "sweep.grid_step"),
+        ("sweep", {**ROW2, "sweep": {"grid_step": 10**400}}, [], "sweep.grid_step"),
+        ("solve", {**ROW2, "output": {"format": 1}}, [], "output.format"),
+        ("solve", {**ROW2, "output": {"trace": "yes"}}, [], "output.trace"),
     ], ids=["max-iter-0", "alpha-integer", "alpha-nan", "epsilon-negative", "epsilon-inf",
             "a6-below-a7-solve", "a6-below-a7-sweep", "max-iter-fraction",
             "grid-step-1e-300", "grid-step-1e-7", "grid-step-inf",
             "sigma-underflow", "sigma-overflow", "sigma-inf", "mu-minus-inf",
             "no-switching-cost", "a5-inf", "half-sum-overflow", "max-iter-1e15",
             "max-iter-huge-flag", "solver-misspelt-key", "constants-a8",
-            "a6-below-a7-before-solver", "unknown-sections-of-mixed-type"])
+            "a6-below-a7-before-solver", "unknown-sections-of-mixed-type",
+            "grid-step-nan", "grid-step-huge", "format-not-a-string", "trace-not-a-bool"])
     def test_invalid_input_is_a_config_error(self, tmp_path, capsys, command,
                                              payload, flags, field):
         code = main([command, "--config", write_config(tmp_path, payload), *flags])
@@ -351,11 +356,14 @@ ANY_VALUE = st.one_of(
 
 FUZZ_SOLVER = {"alpha": 0.5, "epsilon": 1e-4, "tol_step": 1e-5, "tol_residual": 1e-4,
                "max_iter": 500, "divergence_bound": 1e10}
-#: Valid documents, one per model section, with every solver field set.
+#: Valid documents, one per model section, with every solver field set, and
+#: one that holds every section and field a constants file may hold.
 FUZZ_BASES = [
     {"constants": ROW2["constants"], "initial": ROW2["initial"], "solver": FUZZ_SOLVER},
     {"primitives": PRIMITIVES["primitives"], "initial": PRIMITIVES["initial"],
      "solver": FUZZ_SOLVER},
+    {"constants": ROW2["constants"], "initial": ROW2["initial"], "solver": FUZZ_SOLVER,
+     "sweep": {"grid_step": 0.5}, "output": {"format": "csv", "trace": False}},
 ]
 
 

@@ -385,6 +385,19 @@ class TestKernelAgreement:
         assert generic.final_step_norm == kernel.final_step_norm
 
 
+    @pytest.mark.parametrize("x0", [[15.0], [15.0, 20.0, 25.0]], ids=["length-1", "length-3"])
+    def test_start_of_another_length_fails_at_the_start_on_both_paths(self, x0):
+        f = KernelResidual(reference.scenario_problem(reference.ROWS[0]).constants)
+        settings = SolverSettings(alpha=reference.ROWS[0].alpha)
+        traced = fixed_point_solve(f, x0, settings, keep_trace=True)
+        fused = fixed_point_solve(f, x0, settings)
+        assert (traced.status, traced.iterations) == (Status.EVALUATION_FAILED, 0)
+        assert (fused.status, fused.iterations) == (traced.status, traced.iterations)
+        assert fused.x_final.tobytes() == traced.x_final.tobytes() == np.array(x0).tobytes()
+        assert math.isnan(fused.final_step_norm) and math.isnan(traced.final_step_norm)
+        assert math.isnan(fused.final_residual_norm) and math.isnan(traced.final_residual_norm)
+
+
 class TestKernelTrace:
     """The kernel keeps a trace only when one is asked for."""
 

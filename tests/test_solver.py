@@ -1,5 +1,6 @@
 """Solver-level tests: steps, the driver, the baseline, order estimates, sweeps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from fracroots import (FractionalOrder, InsufficientData, NonRealEvaluation,
                        default_alpha_grid, estimate_order, fd_jacobian,
                        fixed_point_solve, fpn_step, fpn_update, newton_step,
                        norm2, p_matrix)
-from fracroots.solver import MAX_ITER
+from fracroots.solver import MAX_ITER, _with_order
 
 
 def linear_root_residual(matrix, root):
@@ -311,28 +312,67 @@ def same_norm(a, b):
     return (math.isnan(a) and math.isnan(b)) or a == pytest.approx(b, rel=1e-14, abs=0.0)
 
 
+def assert_driver_matches_numpy_reference(f, x0, settings):
+    """The driver, traced and untraced, against :func:`numpy_reference_solve`.
+
+    Statuses, iteration counts and iterates must be equal bit for bit, and
+    norms equal up to the reference's ``np.dot`` rounding.
+    """
+    (status, n, x_final, step_norm, res_norm,
+     iterates, steps, residuals) = numpy_reference_solve(f, x0, settings)
+    out = fixed_point_solve(f, x0, settings, keep_trace=True)
+    assert (out.status, out.iterations) == (status, n)
+    assert out.x_final.tobytes() == x_final.tobytes()
+    assert out.trace.iterates.tobytes() == iterates.tobytes()
+    assert same_norm(out.final_step_norm, step_norm)
+    assert same_norm(out.final_residual_norm, res_norm)
+    assert len(out.trace.step_norms) == len(steps)
+    assert all(map(same_norm, out.trace.step_norms.tolist(), steps))
+    assert len(out.trace.residual_norms) == len(residuals)
+    assert all(map(same_norm, out.trace.residual_norms.tolist(), residuals))
+    untraced = fixed_point_solve(f, x0, settings)
+    assert (untraced.status, untraced.iterations) == (status, n)
+    assert untraced.x_final.tobytes() == x_final.tobytes()
+    assert untraced.final_step_norm.hex() == out.final_step_norm.hex()
+    assert untraced.final_residual_norm.hex() == out.final_residual_norm.hex()
+
+
 class TestDriverAgainstNumpyReference:
     """The float-list driver loop against the whole-array numpy loop."""
 
     @given(problem=driver_problems())
     @hypothesis_settings(max_examples=300, deadline=None)
     def test_same_statuses_iterates_and_norms(self, problem):
-        f, x0, settings = problem
-        (status, n, x_final, step_norm, res_norm,
-         iterates, steps, residuals) = numpy_reference_solve(f, x0, settings)
-        out = fixed_point_solve(f, x0, settings, keep_trace=True)
-        assert (out.status, out.iterations) == (status, n)
-        assert out.x_final.tobytes() == x_final.tobytes()
-        assert out.trace.iterates.tobytes() == iterates.tobytes()
-        assert same_norm(out.final_step_norm, step_norm)
-        assert same_norm(out.final_residual_norm, res_norm)
-        assert len(out.trace.step_norms) == len(steps)
-        assert all(map(same_norm, out.trace.step_norms.tolist(), steps))
-        assert len(out.trace.residual_norms) == len(residuals)
-        assert all(map(same_norm, out.trace.residual_norms.tolist(), residuals))
-        untraced = fixed_point_solve(f, x0, settings)
-        assert (untraced.status, untraced.iterations) == (status, n)
-        assert untraced.x_final.tobytes() == x_final.tobytes()
+        assert_driver_matches_numpy_reference(*problem)
+
+
+class CountingResidual:
+    """A residual that counts its calls."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(x)
+
+
+def signed_zero_residual(x):
+    """A residual whose iterates repeat up to the sign of a zero, but do not cycle.
+
+    From x_0 = (-0, -0, 1e20) the first two steps only flip the zeros'
+    signs, to x_1 = (-0, +0, 1e20) and x_2 = (+0, +0, 1e20): both steps are
+    0, and x_2 equals x_1 under float ``==``.  From x_2 the first entry
+    moves.  The last entry is too large for its step to change it, so
+    the residual norm stays at least 1.
+    """
+    z1, z2, _ = x.tolist()
+    if math.copysign(1.0, z1) < 0.0 and math.copysign(1.0, z2) < 0.0:
+        return np.array([0.0, -0.0, 1.0])
+    if math.copysign(1.0, z1) < 0.0:
+        return np.array([-0.0, 0.0, 1.0])
+    return np.array([z1 - 1.0, z2, 1.0])
 
 
 class TestSolverSettings:
@@ -549,6 +589,18 @@ class TestAlphaSweep:
         with pytest.raises(ValueError):
             alpha_sweep(lambda x: x, np.array([1.0]), grid=[])
 
+    def test_lane_settings_are_the_replaced_settings(self):
+        settings = SolverSettings(epsilon=1e-3, tol_step=1e-6, max_iter=300.0,
+                                  divergence_bound=math.inf)
+        for alpha in default_alpha_grid():
+            lane = _with_order(settings, alpha)
+            replaced = dataclasses.replace(settings, alpha=alpha)
+            assert lane == replaced and hash(lane) == hash(replaced)
+            assert type(lane) is SolverSettings and lane.alpha is alpha
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                lane.alpha = FractionalOrder(0.5)
+        assert settings.alpha == FractionalOrder(0.5)
+
     #: Per residual: its start, the status counts over the default grid, and
     #: each root's (best alpha, number of orders that found it, iterations),
     #: recorded from the driver before its norms took one dot per vector.
@@ -584,3 +636,41 @@ class TestAlphaSweep:
         roots = alpha_sweep(lambda x: x * x - 1.0, np.array([2.0]))
         vectors = [tuple(r.x) for r in roots.roots]
         assert vectors == sorted(vectors)
+
+
+class TestCycleStop:
+    """A solve whose iterate repeats one of the last two ends with the full run's outcome."""
+
+    @pytest.mark.parametrize("max_iter", [499, 500])
+    @pytest.mark.parametrize("name", sorted(TestAlphaSweep.GOLDEN))
+    def test_golden_residuals_match_the_full_run(self, name, max_iter):
+        # 499 and 500 end a cycle of period 2 in either phase.
+        f, x0 = TestAlphaSweep.GOLDEN[name][:2]
+        for alpha in default_alpha_grid():
+            settings = SolverSettings(alpha=alpha, max_iter=max_iter)
+            assert_driver_matches_numpy_reference(f, np.array(x0), settings)
+
+    @pytest.mark.parametrize("alpha, period", [(-1.1, 1), (-0.9, 2)])
+    def test_calls_stop_within_two_iterations_of_cycle_entry(self, alpha, period):
+        settings = SolverSettings(alpha=alpha)
+        iterates = numpy_reference_solve(np.cos, [1.0], settings)[5]
+        rows = [row.tobytes() for row in iterates]
+        assert rows[-1] == rows[-1 - period] and (period == 1 or rows[-1] != rows[-2])
+        # The first iterate from which the full run repeats with this period.
+        entry = len(rows) - 1 - period
+        while entry > 0 and rows[entry - 1] == rows[entry - 1 + period]:
+            entry -= 1
+        for keep_trace in (False, True):
+            f = CountingResidual(np.cos)
+            out = fixed_point_solve(f, [1.0], settings, keep_trace=keep_trace)
+            assert (out.status, out.iterations) == (Status.MAX_ITERATIONS, settings.max_iter)
+            # Calls evaluate x_0 .. x_{entry + 2} at most.
+            assert f.calls <= entry + 3 < settings.max_iter
+
+    def test_repeat_up_to_the_sign_of_zero_is_not_a_cycle(self):
+        settings = SolverSettings(alpha=0.5, max_iter=20, divergence_bound=math.inf)
+        x0 = np.array([-0.0, -0.0, 1e20])
+        iterates, steps = numpy_reference_solve(signed_zero_residual, x0, settings)[5:7]
+        assert steps[:2] == [0.0, 0.0] and iterates[2].tolist() == iterates[1].tolist()
+        assert iterates[2].tobytes() != iterates[1].tobytes()
+        assert_driver_matches_numpy_reference(signed_zero_residual, x0, settings)
