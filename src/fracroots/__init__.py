@@ -18,7 +18,6 @@ Quick start::
     assert out.converged
 """
 
-from ._accel import backend_name
 from .dixit_pindyck import (Decision, EconomicPrimitives, ModelConstants,
                             ThresholdOrderingWarning, ThresholdProblem,
                             ThresholdSolution, back_substitute,
@@ -52,6 +51,5 @@ __all__ = [
     "IterationTrace", "RootRecord", "RootSet", "SkippedAlpha",
     "SolverSettings", "SolveOutcome", "Status", "alpha_sweep",
     "default_alpha_grid", "estimate_order", "fd_jacobian", "fixed_point_solve",
-    "fpn_step", "fpn_update", "newton_step", "norm2",
-    "backend_name", "__version__",
+    "fpn_step", "fpn_update", "newton_step", "norm2", "__version__",
 ]

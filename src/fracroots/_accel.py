@@ -1,9 +1,9 @@
-"""Name of the hot-loop backend, reported by the CLI and the benchmark.
+"""Name of the hot-loop backend, reported by the benchmark.
 
 The scalar loops in :mod:`fracroots._kernels` run interpreted; there is one
-backend.  Order sweeps run that kernel; single threshold solves run the
-generic driver in :mod:`fracroots.solver`.  Measured speeds come from the
-benchmark in ``perfbench/README.md``.
+backend.  Only ``perfbench/probes.py`` and ``perfbench/worker.py`` import this
+module, for their report's ``backend`` field; the next change to the
+benchmark drops that field and deletes this module.
 """
 
 from __future__ import annotations

@@ -5,6 +5,11 @@ values, which override built-in defaults.  No environment variables are
 consulted.  Every invalid input exits with code 1 through ConfigError, named
 for its field.  Machine-readable output is deterministic: identical inputs
 give byte-identical files.
+
+:func:`main` owns each run's ``--out`` file: it checks the path before
+anything else, writes the report a command returns, and removes a file its
+check created when the run ends without writing it.  The commands only
+compute, print and return their reports.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from . import reference
-from ._accel import backend_name
 from .dixit_pindyck import (EconomicPrimitives, ModelConstants,
                             ThresholdProblem, back_substitute,
                             derive_constants, full_residual_scale,
@@ -29,6 +33,8 @@ from .errors import (ConfigError, FracrootsError, InvalidPrimitives,
                      ThresholdSolveFailed)
 from .solver import DEFAULT_GRID_STEP, SolverSettings, default_alpha_grid, norm2
 
+#: Report formats of ``solve``, for ``--format`` and ``output.format``.
+FORMATS = ("table", "csv", "structured")
 CSV_HEADER = "row,a6,a7,x0_1,x0_2,alpha,H,L,A,B,step_norm,residual_norm,iters,status"
 
 #: Bounds enforced by reproduce-tables, matching the acceptance suite.
@@ -53,11 +59,11 @@ _SECTIONS = {
 
 @dataclass
 class ScenarioConfig:
-    """Validated scenario configuration after file parsing and flag overrides.
+    """Validated scenario configuration, as the file gives it.
 
     ``problem`` is built when the file is loaded.  ``solver`` holds only the
-    solver fields that the file or a flag set; every other field takes its
-    default from :class:`SolverSettings`.
+    solver fields that the file set; every other field takes its default from
+    :class:`SolverSettings`.  Flags are merged where each value is read.
     """
 
     problem: ThresholdProblem
@@ -65,10 +71,9 @@ class ScenarioConfig:
     grid_step: float = DEFAULT_GRID_STEP
     out_format: str = "table"
     trace: bool = False
-    out_path: Optional[str] = None
 
     def settings(self, **given) -> SolverSettings:
-        """The solver settings, with the fields in ``given`` over the configured ones."""
+        """The solver settings, with the fields in ``given`` (flags) over the file's."""
         values = {**self.solver, **given}
         if "alpha" not in values:
             raise ConfigError("solver.alpha", "missing required field (or pass --alpha)")
@@ -169,7 +174,7 @@ def load_config(path: str) -> ScenarioConfig:
     output = sections["output"]
     if "format" in output:
         fmt = output.get("format")
-        if fmt not in ("table", "csv", "structured"):
+        if fmt not in FORMATS:
             raise ConfigError("output.format", f"must be table, csv or structured, got {fmt!r}")
         config.out_format = fmt
     if "trace" in output:
@@ -177,22 +182,6 @@ def load_config(path: str) -> ScenarioConfig:
         if not isinstance(flag, bool):
             raise ConfigError("output.trace", f"must be a boolean, got {flag!r}")
         config.trace = flag
-    return config
-
-
-def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
-    """Flags beat file values; precedence is flags > file > defaults."""
-    for name in ("alpha", "epsilon", "max_iter"):
-        if getattr(args, name, None) is not None:
-            config.solver[name] = getattr(args, name)
-    if getattr(args, "trace", False):
-        config.trace = True
-    if getattr(args, "fmt", None) is not None:
-        config.out_format = args.fmt
-    if getattr(args, "out", None) is not None:
-        config.out_path = args.out
-    if getattr(args, "grid_step", None) is not None:
-        config.grid_step = args.grid_step
     return config
 
 
@@ -246,9 +235,9 @@ def _solution_json(problem, alpha, sol) -> dict:
 
 
 def _check_out(path: Optional[str]) -> bool:
-    """Refuse an unwritable ``--out`` before any solve; appending keeps its contents.
+    """Refuse an unwritable ``--out`` before any work; appending keeps its contents.
 
-    Returns whether the check created the file, so that a command that ends
+    Returns whether the check created the file, so that a run that ends
     without writing it can remove it again.
     """
     if path is None:
@@ -262,10 +251,7 @@ def _check_out(path: Optional[str]) -> bool:
     return not existed
 
 
-def _emit(text: str, path: Optional[str]) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
+def _emit(text: str, path: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -273,15 +259,14 @@ def _emit(text: str, path: Optional[str]) -> None:
         raise ConfigError("out", f"cannot write {path!r}: {exc}") from exc
 
 
-def _human_solution(config: ScenarioConfig, sol) -> str:
+def _human_solution(problem, alpha, sol) -> str:
     out = sol.outcome
-    constants, x0 = config.problem.constants, config.problem.x0
+    constants, x0 = problem.constants, problem.x0
     lines = [
         "threshold solve",
-        f"  backend          {backend_name()}",
         f"  a6, a7           {_g17(constants.a6)}, {_g17(constants.a7)}",
         f"  x0               ({_g17(x0[0])}, {_g17(x0[1])})",
-        f"  alpha            {_g17(config.solver['alpha'])}",
+        f"  alpha            {_g17(alpha)}",
         f"  status           {out.status.value}",
         f"  iterations       {out.iterations}",
         f"  H  (expand at)   {_g17(sol.H)}",
@@ -303,42 +288,37 @@ def _human_solution(config: ScenarioConfig, sol) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_solution(config: ScenarioConfig, sol) -> str:
-    problem, alpha = config.problem, config.solver["alpha"]
-    if config.out_format == "csv":
+def _render_solution(problem, alpha, sol, fmt) -> str:
+    if fmt == "csv":
         return _csv_document([_csv_row(1, problem, alpha, sol.H, sol.L, sol.A, sol.B,
                                        sol.outcome)])
-    if config.out_format == "structured":
+    if fmt == "structured":
         payload = _solution_json(problem, alpha, sol)
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    return _human_solution(config, sol)
+    return _human_solution(problem, alpha, sol)
 
 
-def _cmd_solve(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
-    settings = config.settings()
-    created = _check_out(config.out_path)
+def _cmd_solve(args) -> tuple:
+    config = load_config(args.config)
+    settings = config.settings(**{name: getattr(args, name)
+                                  for name in ("alpha", "epsilon", "max_iter")
+                                  if getattr(args, name) is not None})
+    problem, alpha = config.problem, settings.alpha.value
     try:
-        sol = solve_thresholds(config.problem, settings, keep_trace=config.trace)
+        sol = solve_thresholds(problem, settings, keep_trace=args.trace or config.trace)
     except ThresholdSolveFailed as exc:
-        # A failed solve writes no report, so it leaves no empty file behind.
-        if created:
-            os.remove(config.out_path)
         out = exc.outcome
         print(f"solve failed: status {out.status.value} after {out.iterations} "
               f"iterations (x = {out.x_final.tolist()})", file=sys.stderr)
-        return 2
-    text = _render_solution(config, sol)
-    _emit(text, config.out_path)
-    if config.out_path is not None:
-        sys.stdout.write(_human_solution(config, sol))
-    return 0
+        return 2, None
+    report = _render_solution(problem, alpha, sol, args.fmt or config.out_format)
+    # With --out the report goes to the file and stdout gets the table.
+    sys.stdout.write(report if args.out is None else _human_solution(problem, alpha, sol))
+    return 0, report
 
 
-def _cmd_reproduce(args) -> int:
-    _check_out(args.out)
-    print(f"re-solving the {len(reference.ROWS)} bundled scenarios "
-          f"(backend: {backend_name()})")
+def _cmd_reproduce(args) -> tuple:
+    print(f"re-solving the {len(reference.ROWS)} bundled scenarios")
     all_ok = True
     csv_rows = []
     print()
@@ -404,24 +384,21 @@ def _cmd_reproduce(args) -> int:
 
     print()
     print("all bounds hold" if all_ok else "some bounds FAILED")
-    if args.out is not None:
-        _emit(_csv_document(csv_rows), args.out)
-    return 0 if all_ok else 2
+    return (0 if all_ok else 2), _csv_document(csv_rows)
 
 
-def _cmd_sweep(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+def _cmd_sweep(args) -> tuple:
+    config = load_config(args.config)
+    step = config.grid_step if args.grid_step is None else args.grid_step
     try:
-        grid = default_alpha_grid(step=config.grid_step)
+        grid = default_alpha_grid(step=step)
     except ValueError as exc:
         raise ConfigError("sweep.grid_step", str(exc)) from exc
     # Every grid order replaces the configured one, which is not checked.
     problem, settings = config.problem, config.settings(alpha=grid[0])
-    _check_out(args.out)
     roots = sweep_thresholds(problem, grid=grid, settings=settings)
 
-    print(f"order sweep over {len(grid)} grid points "
-          f"(step {config.grid_step:g}, backend: {backend_name()})")
+    print(f"order sweep over {len(grid)} grid points (step {step:g})")
     print(f"distinct roots found: {len(roots.roots)}")
     csv_rows = []
     for k, record in enumerate(roots.roots, start=1):
@@ -440,9 +417,7 @@ def _cmd_sweep(args) -> int:
     for status, alphas in sorted(by_status.items()):
         print(f"  skipped {len(alphas)} orders with status {status}: "
               + ", ".join(f"{a:g}" for a in alphas))
-    if args.out is not None:
-        _emit(_csv_document(csv_rows), args.out)
-    return 0 if roots.roots else 2
+    return (0 if roots.roots else 2), _csv_document(csv_rows)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -467,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap override")
     solve.add_argument("--trace", action="store_true", help="include the iteration history")
     solve.add_argument("--out", help="write the report to this file instead of stdout")
-    solve.add_argument("--format", dest="fmt", choices=("table", "csv", "structured"),
+    solve.add_argument("--format", dest="fmt", choices=FORMATS,
                        help="report format (default from config, else table)")
 
     reproduce = sub.add_parser("reproduce-tables",
@@ -484,24 +459,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {"solve": _cmd_solve, "reproduce-tables": _cmd_reproduce, "sweep": _cmd_sweep}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    created = written = False
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "reproduce-tables":
-            return _cmd_reproduce(args)
-        return _cmd_sweep(args)
+        created = _check_out(args.out)
+        code, report = _COMMANDS[args.command](args)
+        if args.out is not None and report is not None:
+            _emit(report, args.out)
+            written = True
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except FracrootsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        # A run that writes no report leaves no file of its own behind.
+        if created and not written:
+            os.remove(args.out)
 
 
 def entrypoint() -> None:

@@ -269,7 +269,15 @@ def back_substitute(constants: ModelConstants, x) -> tuple:
         if abs(t1 - t2) < _kernels.DEGENERATE_GAP:
             raise DegenerateThresholds(f"threshold components coincide at {(x1, x2)}")
         a = c.a5 * (x1 ** c.a3 - x2 ** c.a3) / (c.a2 * (t1 - t2))
-        b = c.a5 * (x1 * x2) ** c.a3 * (x1 ** c.a4 - x2 ** c.a4) / (c.a1 * (t1 - t2))
+        g14 = x1 ** c.a4 - x2 ** c.a4
+        try:
+            b = c.a5 * (x1 * x2) ** c.a3 * g14 / (c.a1 * (t1 - t2))
+        except OverflowError:
+            b = math.inf
+        if not math.isfinite(b):
+            # (x1 x2)^a3 can overflow although B is finite: divide before
+            # the second power.  Only here, so finite results keep their bits.
+            b = c.a5 * g14 * (x1 ** c.a3 / (c.a1 * (t1 - t2))) * x2 ** c.a3
     except OverflowError as exc:
         raise NonRealEvaluation("power overflow in back-substitution") from exc
     if not (math.isfinite(a) and math.isfinite(b)):

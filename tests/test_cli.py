@@ -15,8 +15,8 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 import fracroots
-from fracroots import ConfigError, SolverSettings, solve_thresholds
-from fracroots import reference
+from fracroots import ConfigError, NonRealEvaluation, SolverSettings, solve_thresholds
+from fracroots import cli, reference
 from fracroots.cli import CSV_HEADER, load_config, main
 
 ROW2 = {
@@ -31,6 +31,16 @@ PRIMITIVES = {
                    "kappa": 0.1, "chi": 0.05},
     "initial": {"H0": 1.0, "L0": 3.0},
     "solver": {"alpha": 0.9, "max_iter": 2000},
+}
+
+
+#: Textbook primitives (mu = sigma = 5 %, l = 10 %) whose thresholds make
+#: (H L)^a3 overflow in back-substitution although B itself is finite.
+LARGE_EXPONENTS = {
+    "primitives": {"mu": 0.05, "sigma": 0.05, "l": 0.1, "c": 10000,
+                   "kappa": 10000, "chi": 100},
+    "initial": {"H0": 220000, "L0": 99950},
+    "solver": {"alpha": 0.25},
 }
 
 
@@ -123,6 +133,13 @@ class TestSolveCommand:
         assert code == 0
         assert "converged" in capsys.readouterr().out
 
+    def test_large_exponent_primitives_solve(self, tmp_path, capsys):
+        code = main(["solve", "--config", write_config(tmp_path, LARGE_EXPONENTS)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "  status           converged\n" in out
+        assert "  B                1.17085898084" in out
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "absent.yaml")])
         assert code == 1
@@ -141,7 +158,9 @@ class TestSolveCommand:
         ("solve", {**ROW2, "solver": {"alpha": 0.9, "max_iter": 5}}),
         ("sweep", ROW2),
         ("reproduce-tables", None),
-    ], ids=["solve", "solve-not-converging", "sweep", "reproduce-tables"])
+        # Checked before the config is read, so a bad config is not reported.
+        ("solve", {**ROW2, "solver": {"alpha": 1.0}}),
+    ], ids=["solve", "solve-not-converging", "sweep", "reproduce-tables", "solve-bad-config"])
     def test_unwritable_out_is_a_config_error(self, tmp_path, capsys, command, payload):
         config = [] if payload is None else ["--config", write_config(tmp_path, payload)]
         code = main([command, *config, "--out", str(tmp_path / "absent" / "out.csv")])
@@ -220,6 +239,100 @@ class TestSolveCommand:
         code = main([command, "--config", write_config(tmp_path, payload), *flags])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+def raise_non_real(*args, **kwargs):
+    raise NonRealEvaluation("power overflow in back-substitution")
+
+
+class TestOutFile:
+    """``main`` removes an ``--out`` file it created but never wrote.
+
+    Each failing run ends in an error; a failed solve is covered above.
+    """
+
+    FAILING_RUNS = {
+        "solve-raises": ("solve", ROW2, [], 2),
+        "solve-bad-config": ("solve", {**ROW2, "solver": {"alpha": 1.0}}, [], 1),
+        "solve-bad-flag": ("solve", ROW2, ["--max-iter", "0"], 1),
+        "sweep-raises": ("sweep", ROW2, [], 2),
+        "sweep-bad-config": ("sweep", {**ROW2, "constants": {**ROW2["constants"], "a6": 1.0}},
+                             [], 1),
+        "sweep-bad-grid-step": ("sweep", ROW2, ["--grid-step", "5.0"], 1),
+    }
+
+    def run_failing(self, monkeypatch, tmp_path, capsys, name, out):
+        command, payload, flags, expected = self.FAILING_RUNS[name]
+        if name.endswith("-raises"):
+            monkeypatch.setattr(cli, "solve_thresholds", raise_non_real)
+            monkeypatch.setattr(cli, "sweep_thresholds", raise_non_real)
+        code = main([command, "--config", write_config(tmp_path, payload), *flags,
+                     "--out", str(out)])
+        assert code == expected
+        prefix = "config error:" if expected == 1 else "error:"
+        assert capsys.readouterr().err.startswith(prefix)
+
+    @pytest.mark.parametrize("name", sorted(FAILING_RUNS))
+    def test_failed_run_leaves_no_file(self, monkeypatch, tmp_path, capsys, name):
+        out = tmp_path / "report.csv"
+        self.run_failing(monkeypatch, tmp_path, capsys, name, out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(FAILING_RUNS))
+    def test_failed_run_keeps_an_existing_file(self, monkeypatch, tmp_path, capsys, name):
+        out = tmp_path / "report.csv"
+        out.write_bytes(b"earlier,report\r\n")
+        self.run_failing(monkeypatch, tmp_path, capsys, name, out)
+        assert out.read_bytes() == b"earlier,report\r\n"
+
+    def test_failed_write_removes_the_file_and_keeps_the_table(self, monkeypatch,
+                                                                tmp_path, capsys):
+        def refuse(text, path):
+            raise ConfigError("out", f"cannot write {path!r}: disk full")
+
+        monkeypatch.setattr(cli, "_emit", refuse)
+        out = tmp_path / "report.csv"
+        code = main(["solve", "--config", write_config(tmp_path, ROW2),
+                     "--format", "csv", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert not out.exists()
+        assert captured.out.startswith("threshold solve\n")
+        assert captured.err.startswith("config error: out:")
+
+
+class TestFlagPrecedence:
+    """Flags override file values, which override defaults."""
+
+    @pytest.mark.parametrize("command, section, flags, code, stdout_starts", [
+        ("solve", {"output": {"format": "structured"}}, ["--format", "csv"], 0, CSV_HEADER),
+        ("solve", {"output": {"trace": False}}, ["--trace"], 0, "threshold solve\n"),
+        ("solve", {"solver": {"alpha": 0.25628, "epsilon": 1e-3, "max_iter": 5}},
+         ["--epsilon", "1e-4", "--max-iter", "400"], 0, "threshold solve\n"),
+        # Row 2 has no root on this coarse grid, hence exit 2.
+        ("sweep", {"sweep": {"grid_step": 0.05}}, ["--grid-step", "0.5"], 2,
+         "order sweep over 4 grid points (step 0.5)\n"),
+    ], ids=["format", "trace", "epsilon-and-max-iter", "grid-step"])
+    def test_flag_beats_file(self, monkeypatch, tmp_path, capsys, command, section,
+                             flags, code, stdout_starts):
+        calls = []
+        real_solve = cli.solve_thresholds
+
+        def spy(problem, settings, keep_trace=False):
+            calls.append((settings, keep_trace))
+            return real_solve(problem, settings, keep_trace=keep_trace)
+
+        monkeypatch.setattr(cli, "solve_thresholds", spy)
+        assert main([command, "--config", write_config(tmp_path, {**ROW2, **section}),
+                     *flags]) == code
+        out = capsys.readouterr().out
+        assert out.startswith(stdout_starts)
+        if command == "solve":
+            (settings, keep_trace), = calls
+            assert keep_trace == ("--trace" in flags)
+            assert ("trace (iteration" in out) == ("--trace" in flags)
+            assert (settings.epsilon, settings.max_iter) == (
+                (1e-4, 400) if "--epsilon" in flags else (1e-4, 500))
 
 
 class TestMachineOutput:
@@ -325,6 +438,14 @@ class TestSweepCommand:
             record = next(csv.DictReader(fh))
         assert float(record["H"]) == pytest.approx(41844.57090443, rel=1e-4)
         assert float(record["L"]) == pytest.approx(11857.32126593, rel=1e-4)
+
+    def test_large_exponent_primitives_sweep(self, tmp_path, capsys):
+        out_path = tmp_path / "roots.csv"
+        code = main(["sweep", "--config", write_config(tmp_path, LARGE_EXPONENTS),
+                     "--out", str(out_path)])
+        assert code == 0
+        assert "distinct roots found: 1" in capsys.readouterr().out
+        assert len(out_path.read_text(encoding="utf-8").splitlines()) == 2
 
     def test_grid_step_leaving_no_orders_exits_1(self, tmp_path, capsys):
         code = main(["sweep", "--config", write_config(tmp_path, ROW2),

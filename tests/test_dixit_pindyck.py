@@ -235,6 +235,67 @@ class TestBackSubstitute:
             assert b == pytest.approx(coeffs[1], rel=1e-9)
 
 
+def back_substitute_unguarded(c, x1, x2):
+    """back_substitute's closed form as written before its overflow fallback."""
+    t1 = x1 ** (c.a3 + c.a4)
+    t2 = x2 ** (c.a3 + c.a4)
+    a = c.a5 * (x1 ** c.a3 - x2 ** c.a3) / (c.a2 * (t1 - t2))
+    b = c.a5 * (x1 * x2) ** c.a3 * (x1 ** c.a4 - x2 ** c.a4) / (c.a1 * (t1 - t2))
+    return a, b
+
+
+#: Textbook primitives (mu = sigma = 5 %, l = 10 %) whose converged
+#: thresholds make (H L)^a3 overflow although B is about 1.17e162.
+LARGE_EXPONENT_PRIMITIVES = EconomicPrimitives(mu=0.05, sigma=0.05, l=0.1, c=10_000.0,
+                                               kappa=10_000.0, chi=100.0)
+
+
+def large_exponent_problems():
+    """(problem, alpha) pairs whose converged (H L)^a3 overflows: 1 + 12 cases."""
+    cases = [(ThresholdProblem(constants=derive_constants(LARGE_EXPONENT_PRIMITIVES),
+                               x0=[220_000.0, 99_950.0]), 0.25)]
+    for a1, s in [(20.0, 1e8), (39.0, 1e4), (39.0, 1e6), (60.0, 1e4)]:
+        c = ModelConstants(a1=a1, a2=1.5, a3=a1 + 1.0, a4=0.5, a5=2.0, a6=1.1 * s, a7=s)
+        for x0 in [(2 * s, s / 2), (s / 2, 2 * s), (s, 3 * s)]:
+            cases.append((ThresholdProblem(constants=c, x0=list(x0)), -0.05))
+    return cases
+
+
+class TestBackSubstituteOverflow:
+    @pytest.mark.parametrize("problem, alpha", large_exponent_problems())
+    def test_converged_scenario_back_substitutes(self, problem, alpha):
+        sol = solve_thresholds(problem, SolverSettings(alpha=alpha))
+        with pytest.raises(OverflowError):
+            back_substitute_unguarded(problem.constants, sol.H, sol.L)
+        assert math.isfinite(sol.A) and math.isfinite(sol.B)
+        scale = full_residual_scale(problem.constants, sol.H, sol.L)
+        assert sol.full_residual_norm / scale <= 1e-10
+
+    def test_finite_results_keep_their_bits(self):
+        # The fallback runs only where the closed form is not finite, so
+        # every finite result is the same float as before it existed.
+        constant_sets = [reference.scenario_constants(row.a6, row.a7)
+                         for row in reference.ROWS]
+        constant_sets += [problem.constants for problem, _ in large_exponent_problems()]
+        points = [(row.solution[0], row.solution[1]) for row in reference.ROWS]
+        grid = np.geomspace(1e-2, 1e8, 11).tolist()
+        points += [(x1, x2) for x1 in grid for x2 in grid if x1 != x2]
+        compared = 0
+        for c in constant_sets:
+            for x1, x2 in points:
+                try:
+                    old = back_substitute_unguarded(c, x1, x2)
+                except (OverflowError, ZeroDivisionError):
+                    continue
+                if not all(map(math.isfinite, old)) or abs(
+                        x1 ** (c.a3 + c.a4) - x2 ** (c.a3 + c.a4)) < _kernels.DEGENERATE_GAP:
+                    continue
+                new = back_substitute(c, np.array([x1, x2]))
+                assert [v.hex() for v in new] == [v.hex() for v in old], (c, x1, x2)
+                compared += 1
+        assert compared > 1000
+
+
 class TestFullResidual:
     def test_zero_coefficients_leave_affine_part(self):
         c = reference.scenario_constants(451474.0, 396499.0)
