@@ -1,17 +1,18 @@
-"""Scalar hot-loop kernels, in plain interpreted Python.
+"""The threshold model's scalar hot loops, in plain interpreted Python.
 
-The threshold-model residual and the multiplier's entry rule live here (and
-only here) so the generic driver and the fused loop can never drift apart.
-:func:`multiplier` computes what a solve holds fixed, -alpha and
-gamma(1 - alpha), once when it is built, not per entry.  Python's float
-``**`` raises OverflowError where IEEE arithmetic would give inf; the power
-sites below catch it, so an overflow becomes NonRealEvaluation (which the
-fused loop turns into its evaluation-failed status) or an infinite
-multiplier entry instead of a raw arithmetic error.
+The reduced threshold residual lives here (and only here), so the generic
+driver, which calls it through ``dixit_pindyck.reduced_residual``, and the
+fused loop :func:`solve_reduced` can never drift apart; the fused loop takes
+its multiplier entries from :func:`fracroots.kernel.multiplier`, as the
+driver's step does.  Python's float ``**`` raises OverflowError where IEEE
+arithmetic would give inf; the residual catches it, so an overflow becomes
+NonRealEvaluation (which the fused loop turns into its evaluation-failed
+status) instead of a raw arithmetic error.
 
-Status codes returned by :func:`solve_reduced` (kept in sync with
-``solver.Status``): 0 converged, 1 iteration cap, 2 diverged, 3 evaluation
-failed.
+The fused loop is a shortcut for untraced solves: ``fixed_point_solve`` is
+the reference it must match, status, iterations and norms bit for bit.  Its
+status codes (decoded by ``dixit_pindyck.STATUS_FROM_CODE``): 0 converged,
+1 iteration cap, 2 diverged, 3 evaluation failed.
 """
 
 from __future__ import annotations
@@ -19,42 +20,13 @@ from __future__ import annotations
 import math
 
 from .errors import DegenerateThresholds, NonRealEvaluation
+from .kernel import multiplier
 
-DEGENERATE_GAP = 1e-30
-
-
-def multiplier(alpha, eps):
-    """Entry rule of the pseudo-Newton multiplier at order alpha, as ``entry(x)``.
-
-    ``entry(x)`` is sign(x) * |x|**(-alpha) / gamma(1 - alpha) + eps, the
-    order-alpha derivative of the unit constant plus the regularisation; the
-    sign of x is carried through so the update map stays odd in x and
-    negative iterates keep a real, sign-aware multiplier.  Zero components
-    take the classical order-1 branch, so the entry collapses to eps exactly.
-    A power that overflows gives an infinite core.
-
-    alpha is fixed for a whole solve (a parallel-chord iteration), so -alpha
-    and gamma(1 - alpha) are computed once, here.  The core is divided by the
-    gamma value: multiplying by its reciprocal would change the last bit of
-    some entries.  With eps = -0.0, which adds nothing to any float (the sign
-    of zero included), ``entry`` is the bare derivative of the unit constant.
-    """
-    power = -alpha
-    g = math.gamma(1.0 - alpha)
-
-    def entry(x):
-        if x == 0.0:
-            return eps
-        try:
-            core = abs(x) ** power
-        except OverflowError:
-            core = math.inf
-        core = core / g
-        if x < 0.0:
-            return -core + eps
-        return core + eps
-
-    return entry
+#: Two thresholds are degenerate when their powers t = x**(a3 + a4) differ
+#: by at most this fraction of the larger: the elimination divides by
+#: t1 - t2, and against a 60-digit evaluation the residual's relative error
+#: reaches 4.8e-3 at |1 - x2/x1| = 1e-12 on reference row 1.
+DEGENERATE_RTOL = 1e-8
 
 
 def reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2):
@@ -64,8 +36,9 @@ def reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2):
     four-variable system after eliminating the two value-function
     coefficients, so their norms live on the full system's scale.  A
     non-positive component, a power overflow or a non-finite result raises
-    NonRealEvaluation; coincident components, which collapse the elimination
-    denominator, raise DegenerateThresholds.
+    NonRealEvaluation; components whose powers x**(a3 + a4) agree to
+    DEGENERATE_RTOL relative, which collapse the elimination denominator,
+    raise DegenerateThresholds.
     """
     if x1 <= 0.0 or x2 <= 0.0:
         raise NonRealEvaluation(f"thresholds must be positive, got {(x1, x2)}")
@@ -73,7 +46,7 @@ def reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2):
     try:
         t1 = x1 ** s
         t2 = x2 ** s
-        if abs(t1 - t2) < DEGENERATE_GAP:
+        if abs(t1 - t2) <= DEGENERATE_RTOL * (t1 if t1 > t2 else t2):
             raise DegenerateThresholds(f"threshold components coincide at {(x1, x2)}")
         den = a1 * a2 * (t1 - t2)
         p1 = x1 ** a3

@@ -24,11 +24,19 @@ import numpy as np
 from . import _kernels
 from .errors import (DegenerateThresholds, InvalidPrimitives,
                      NonRealEvaluation, ThresholdSolveFailed)
-from .solver import (STATUS_FROM_CODE, RootSet, SolverSettings, SolveOutcome, Status,
+from .solver import (RootSet, SolverSettings, SolveOutcome, Status,
                      alpha_sweep, fixed_point_solve, norm2)
 
 #: Tolerance on the exact algebraic identities the constants must satisfy.
 IDENTITY_TOL = 1e-9
+
+#: Integer status codes returned by ``_kernels.solve_reduced``, in Status order.
+STATUS_FROM_CODE = {
+    0: Status.CONVERGED,
+    1: Status.MAX_ITERATIONS,
+    2: Status.DIVERGED,
+    3: Status.EVALUATION_FAILED,
+}
 
 
 class Decision(enum.Enum):
@@ -193,10 +201,11 @@ class ThresholdSolution:
 def reduced_residual(constants: ModelConstants, x) -> np.ndarray:
     """Two-variable residual whose zero is the threshold pair (H, L).
 
-    Both components must be positive and distinct; coincident components
-    collapse the elimination denominator and raise DegenerateThresholds,
-    non-positive ones raise NonRealEvaluation (real powers with non-integer
-    exponents leave the real line there).
+    Both components must be positive and distinct; components whose powers
+    x**(a3 + a4) agree to ``_kernels.DEGENERATE_RTOL`` relative collapse the
+    elimination denominator and raise DegenerateThresholds, non-positive ones
+    raise NonRealEvaluation (real powers with non-integer exponents leave the
+    real line there).
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape != (2,):
@@ -220,8 +229,9 @@ class KernelResidual:
 
     Called, it is :func:`make_residual`'s residual.  ``fixed_point_solve``
     hands the plain pseudo-Newton iteration without a trace to
-    :meth:`fused_solve`, which gives the driver's status, iteration count and
-    final iterate; a traced solve runs the driver loop over the same residual.
+    :meth:`fused_solve`, which gives the driver's status, iteration count,
+    final iterate and norms; a traced solve runs the driver loop over the
+    same residual.
     """
 
     __slots__ = ("constants",)
@@ -234,10 +244,8 @@ class KernelResidual:
 
     def fused_solve(self, x0, settings: SolverSettings) -> SolveOutcome:
         if len(x0) != 2:
-            # The residual refuses any other start, so the driver fails at x0.
-            return SolveOutcome(status=Status.EVALUATION_FAILED,
-                                x_final=np.asarray(x0, dtype=float), iterations=0,
-                                final_step_norm=math.nan, final_residual_norm=math.nan)
+            # The fused loop takes two unknowns; the driver reports any other start.
+            return fixed_point_solve(make_residual(self.constants), x0, settings)
         c = self.constants
         code, n, x1, x2, step_norm, res_norm = _kernels.solve_reduced(
             c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7, float(x0[0]), float(x0[1]),
@@ -254,7 +262,8 @@ def back_substitute(constants: ModelConstants, x) -> tuple:
 
     The smooth-pasting equations are linear in (A, B); this is their closed
     form solution.  Swapping the two components leaves the result unchanged
-    because numerator and denominator flip sign together.
+    because numerator and denominator flip sign together.  Near-coincident
+    components raise DegenerateThresholds, as in :func:`reduced_residual`.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape != (2,):
@@ -266,7 +275,7 @@ def back_substitute(constants: ModelConstants, x) -> tuple:
     try:
         t1 = x1 ** (c.a3 + c.a4)
         t2 = x2 ** (c.a3 + c.a4)
-        if abs(t1 - t2) < _kernels.DEGENERATE_GAP:
+        if abs(t1 - t2) <= _kernels.DEGENERATE_RTOL * (t1 if t1 > t2 else t2):
             raise DegenerateThresholds(f"threshold components coincide at {(x1, x2)}")
         a = c.a5 * (x1 ** c.a3 - x2 ** c.a3) / (c.a2 * (t1 - t2))
         g14 = x1 ** c.a4 - x2 ** c.a4

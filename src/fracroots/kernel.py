@@ -11,6 +11,9 @@ kernel is extended with the sign of x (an odd continuation), which keeps the
 iteration real while preserving the update map's symmetry; zero components
 switch to the classical order 1, where the derivative of a constant is 0 and
 the multiplier entry collapses to the regularisation constant eps.
+:func:`multiplier` alone holds that formula; the generic driver's step, the
+threshold model's fused loop, :func:`p_matrix` and
+:func:`constant_frac_deriv` all evaluate it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import DomainError, PoleArgument
 
 #: Width of the numerical guard band around integers.
@@ -77,6 +79,40 @@ def gamma(z: float) -> float:
     return math.gamma(z)
 
 
+def multiplier(alpha, eps):
+    """Entry rule of the pseudo-Newton multiplier at order alpha, as ``entry(x)``.
+
+    ``entry(x)`` is sign(x) * |x|**(-alpha) / gamma(1 - alpha) + eps, the
+    order-alpha derivative of the unit constant plus the regularisation; the
+    sign of x is carried through so the update map stays odd in x and
+    negative iterates keep a real, sign-aware multiplier.  Zero components
+    take the classical order-1 branch, so the entry collapses to eps exactly.
+    A power that overflows gives an infinite core.
+
+    alpha is fixed for a whole solve (a parallel-chord iteration), so -alpha
+    and gamma(1 - alpha) are computed once, here.  The core is divided by the
+    gamma value: multiplying by its reciprocal would change the last bit of
+    some entries.  With eps = -0.0, which adds nothing to any float (the sign
+    of zero included), ``entry`` is the bare derivative of the unit constant.
+    """
+    power = -alpha
+    g = math.gamma(1.0 - alpha)
+
+    def entry(x):
+        if x == 0.0:
+            return eps
+        try:
+            core = abs(x) ** power
+        except OverflowError:
+            core = math.inf
+        core = core / g
+        if x < 0.0:
+            return -core + eps
+        return core + eps
+
+    return entry
+
+
 def constant_frac_deriv(beta: float, x: float) -> float:
     """Order-beta derivative of the unit constant, evaluated at x.
 
@@ -93,8 +129,8 @@ def constant_frac_deriv(beta: float, x: float) -> float:
         raise DomainError("kernel of non-classical order is singular at x = 0")
     # Fails fast (PoleArgument) for the remaining integer orders beta >= 2.
     _refuse_pole(1.0 - beta)
-    # The multiplier's entry with eps = -0.0, which adds nothing (see _kernels.multiplier).
-    return _kernels.multiplier(beta, -0.0)(x)
+    # The multiplier's entry with eps = -0.0, which adds nothing (see multiplier).
+    return multiplier(beta, -0.0)(x)
 
 
 def checked_epsilon(epsilon) -> float:
@@ -108,7 +144,7 @@ def checked_epsilon(epsilon) -> float:
 def p_matrix(alpha, x, epsilon: float) -> np.ndarray:
     """Diagonal of the pseudo-Newton multiplier at the point x, as a 1-d array.
 
-    Entry k is ``_kernels.multiplier(alpha, epsilon)(x[k])``, which owns the
+    Entry k is ``multiplier(alpha, epsilon)(x[k])``, which owns the
     zero rule: constant_frac_deriv(alpha, x[k]) + epsilon, or exactly
     epsilon where x[k] is zero.
     """
@@ -117,5 +153,5 @@ def p_matrix(alpha, x, epsilon: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("x must be a 1-d vector")
-    entry = _kernels.multiplier(alpha, epsilon)
+    entry = multiplier(alpha, epsilon)
     return np.array([entry(v) for v in x.tolist()], dtype=float)

@@ -1,11 +1,12 @@
 """Fixed-point iteration machinery built around the fractional pseudo-Newton step.
 
 The driver iterates the pseudo-Newton update x_{i+1} = x_i - P(x_i) f(x_i),
-with the diagonal multiplier of :mod:`fracroots.kernel` built entry by entry
-from the scalar kernel, until both the step norm and the residual norm fall
-under their tolerances.  A classical Newton step over a finite-difference
-Jacobian is provided as the baseline, and :func:`alpha_sweep`, the one
-order-sweep loop, discovers multiple roots from a single initial condition.
+with the diagonal multiplier built entry by entry by
+:func:`fracroots.kernel.multiplier`, until both the step norm and the
+residual norm fall under their tolerances.  A classical Newton step over a
+finite-difference Jacobian is provided as the baseline, and
+:func:`alpha_sweep`, the one order-sweep loop, discovers multiple roots from
+a single initial condition.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .errors import InsufficientData, NonRealEvaluation, SingularJacobian
+from .kernel import ORDER_BOUND, FractionalOrder, checked_epsilon, multiplier
 # p_matrix stays importable from here: the benchmark's tracer wraps solver.p_matrix.
-from .kernel import ORDER_BOUND, FractionalOrder, checked_epsilon, p_matrix  # noqa: F401
+from .kernel import p_matrix  # noqa: F401
 
 #: Condition-number ceiling beyond which the Newton linear solve is refused.
 CONDITION_LIMIT = 1e12
@@ -49,20 +50,11 @@ class Status(enum.Enum):
     EVALUATION_FAILED = "evaluation_failed"
 
 
-#: Integer status codes returned by ``_kernels.solve_reduced``, in Status order.
-STATUS_FROM_CODE = {
-    0: Status.CONVERGED,
-    1: Status.MAX_ITERATIONS,
-    2: Status.DIVERGED,
-    3: Status.EVALUATION_FAILED,
-}
-
-
 def _sum_squares(values) -> float:
     """Sum of the squares of a float sequence, added in entry order.
 
     Every norm in the package is the square root of this sum, in the order
-    of ``_kernels.solve_reduced`` (``f1 * f1 + f2 * f2``), so a norm
+    of the threshold model's fused loop (``f1 * f1 + f2 * f2``), so a norm
     recomputed from a trace, or taken by the fused loop, is bitwise equal
     to the driver's.
     """
@@ -238,13 +230,13 @@ def fpn_update(alpha, epsilon: float) -> Callable:
 
     ``xs`` and ``rs`` are the iterate and the residual as float sequences;
     each entry of the returned list is ``v - entry(v) * r``, where ``entry``
-    is the scalar kernel's :func:`~fracroots._kernels.multiplier` for this
-    order and epsilon (the entries of :func:`~fracroots.kernel.p_matrix`
-    without its per-call checks).  The order and epsilon are checked, and
+    is :func:`~fracroots.kernel.multiplier` for this order and epsilon (the
+    entries of :func:`~fracroots.kernel.p_matrix` without its per-call
+    checks).  The order and epsilon are checked, and
     gamma(1 - alpha) is computed, once, here.
     """
     alpha = FractionalOrder.coerce(alpha).value
-    entry = _kernels.multiplier(alpha, checked_epsilon(epsilon))
+    entry = multiplier(alpha, checked_epsilon(epsilon))
 
     def step(xs, rs) -> list:
         return [v - entry(v) * r for v, r in zip(xs, rs)]
@@ -306,11 +298,14 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
         Attach the full IterationTrace to the outcome.  A residual that fails
         at x0 gives the trace of x0 alone, with a NaN residual norm.
 
-    A residual with a ``fused_solve(x0, settings)`` method runs the untraced
-    iteration (no ``keep_trace``) through that method instead of this loop;
-    it must return the outcome this loop would.  A traced solve always runs
-    this loop, which alone builds traces.  The outcome always encodes
-    failures in its status instead of raising.
+    This loop is the reference iteration.  An untraced solve (no
+    ``keep_trace``) may take one of two shortcuts, each of which must return
+    the outcome this loop would: a residual with a ``fused_solve(x0,
+    settings)`` method runs the whole solve through that method, and the
+    cycle stop below ends an orbit that repeats.  A traced solve takes
+    neither: it runs this loop to its end and evaluates every iterate its
+    trace reports.  The outcome always encodes failures in its status
+    instead of raising.
 
     The iterate and the residual are carried as float lists, and an array is
     built from the iterate only for the call of ``f``.  Each step is one call
@@ -325,19 +320,18 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
     numpy's overflow and invalid-value warnings are silenced for the whole
     loop, the residual's calls included.
 
-    Cycle stop: when an iteration fails the convergence test with the same
-    step norm as the iteration before, its iterate is compared with the two
-    before it, entry by entry with the sign of zero.  If it repeats one of
-    them bit for bit, the orbit has entered a cycle of period 1 or 2 and
-    repeats it for ever: every later step and residual norm is one the
-    convergence test has already refused, and no later iterate can diverge
-    or fail to evaluate.  The solve then returns at once what the loop would
-    return at ``max_iter``: MAX_ITERATIONS, the iterate and residual norm of
-    that iteration's phase of the cycle, and the cycle's step norm; a trace
-    is filled to ``max_iter`` with the cycle.  This holds only for a
-    residual that is a function of x: one that keeps state between calls may
-    be called fewer times than there are iterations.  Longer cycles run to
-    ``max_iter``.
+    Cycle stop (untraced solves only): when an iteration fails the
+    convergence test with the same step norm as the iteration before, its
+    iterate is compared with the two before it, entry by entry with the sign
+    of zero.  If it repeats one of them bit for bit, the orbit has entered a
+    cycle of period 1 or 2 and repeats it for ever: every later step and
+    residual norm is one the convergence test has already refused, and no
+    later iterate can diverge or fail to evaluate.  The solve then returns at
+    once what the loop would return at ``max_iter``: MAX_ITERATIONS, the
+    iterate and residual norm of that iteration's phase of the cycle, and
+    the cycle's step norm.  This holds only for a residual that is a
+    function of x: one that keeps state between calls may be called fewer
+    times than there are iterations.  Longer cycles run to ``max_iter``.
     """
     x = np.asarray(x0, dtype=float).ravel()
     xs = x.tolist()
@@ -405,20 +399,15 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
             if step_norm <= tol_step and res_norm <= tol_residual:
                 return outcome(Status.CONVERGED, xs_next, i, step_norm, res_norm)
             # Every step of a cycle of period 1 or 2 has the same norm.
-            if step_norm == last_step:
+            if step_norm == last_step and not keep_trace:
                 period = (1 if _same_bits(xs_next, xs)
                           else 2 if _same_bits(xs_next, xs_back) else 0)
                 if period:
-                    # Phase k of the cycle is the iterate k iterations on.
-                    phases = ((xs_next, res_norm), (xs, last_res))
-                    if keep_trace:
-                        for k in range(1, max_iter - i + 1):
-                            xs_k, res_k = phases[k % period]
-                            iterates.append(xs_k)
-                            step_norms.append(step_norm)
-                            residual_norms.append(res_k)
-                    xs_end, res_end = phases[(max_iter - i) % period]
-                    return outcome(Status.MAX_ITERATIONS, xs_end, max_iter, step_norm, res_end)
+                    # max_iter - i steps on, the orbit is at xs_next, or at
+                    # xs when the period is 2 and that count is odd.
+                    if (max_iter - i) % period:
+                        xs_next, res_norm = xs, last_res
+                    return outcome(Status.MAX_ITERATIONS, xs_next, max_iter, step_norm, res_norm)
             xs_back, xs = xs, xs_next
 
     return outcome(Status.MAX_ITERATIONS, xs, max_iter, step_norm, res_norm)

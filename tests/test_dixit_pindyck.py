@@ -16,8 +16,8 @@ from fracroots import (DegenerateThresholds, Decision, EconomicPrimitives,
                        full_residual, full_residual_scale, make_residual,
                        default_alpha_grid, fixed_point_solve, norm2,
                        reduced_residual, solve_thresholds, sweep_thresholds)
-from fracroots.dixit_pindyck import KernelResidual, _label_thresholds
-from fracroots.solver import MAX_ITER, STATUS_FROM_CODE, IterationTrace
+from fracroots.dixit_pindyck import STATUS_FROM_CODE, KernelResidual, _label_thresholds
+from fracroots.solver import MAX_ITER, IterationTrace
 from fracroots import _kernels, reference
 
 #: Full-precision initial residual norms of the bundled scenarios, frozen
@@ -133,6 +133,27 @@ class TestReducedResidual:
         with pytest.raises(DegenerateThresholds, match=r"coincide at \(5\.0, 5\.0\)"):
             reduced_residual(c, np.array([5.0, 5.0]))
 
+    def test_near_coincident_components_are_degenerate(self):
+        # Against a 60-digit mpmath evaluation on row 1 at x1 = 2e4, the
+        # residual's relative error is 1.4e-8 at |1 - x2/x1| = 1e-6, 2.5e-6 at
+        # 1e-10, 4.8e-3 at 1e-12 and 0.51 at 1e-14: such a point has no
+        # trustworthy value, so it raises instead of returning one.
+        row = reference.ROWS[0]
+        c = reference.scenario_constants(row.a6, row.a7)
+        x = np.array([2e4, 2e4 * (1.0 - 1e-12)])
+        with pytest.raises(DegenerateThresholds):
+            reduced_residual(c, x)
+        with pytest.raises(DegenerateThresholds):
+            back_substitute(c, x)
+
+    def test_underflowed_powers_are_degenerate(self):
+        # Both powers underflow to 0, so t1 - t2 is 0 however far apart x1 and x2 are.
+        c = reference.scenario_constants(451474.0, 396499.0)
+        with pytest.raises(DegenerateThresholds):
+            reduced_residual(c, np.array([1e-300, 2e-300]))
+        with pytest.raises(DegenerateThresholds):
+            back_substitute(c, np.array([1e-300, 2e-300]))
+
     @pytest.mark.parametrize("x", [(-1.0, 2.0), (2.0, -1.0), (0.0, 3.0)])
     def test_nonpositive_components(self, x):
         c = reference.scenario_constants(451474.0, 396499.0)
@@ -153,7 +174,7 @@ def residual_with_repeated_powers(a1, a2, a3, a4, a5, a6, a7, x1, x2):
     try:
         t1 = x1 ** s
         t2 = x2 ** s
-        if abs(t1 - t2) < _kernels.DEGENERATE_GAP:
+        if abs(t1 - t2) <= 1e-8 * max(t1, t2):
             raise DegenerateThresholds(f"threshold components coincide at {(x1, x2)}")
         den = a1 * a2 * (t1 - t2)
         g13 = x2 ** a3 - x1 ** a3
@@ -287,8 +308,8 @@ class TestBackSubstituteOverflow:
                     old = back_substitute_unguarded(c, x1, x2)
                 except (OverflowError, ZeroDivisionError):
                     continue
-                if not all(map(math.isfinite, old)) or abs(
-                        x1 ** (c.a3 + c.a4) - x2 ** (c.a3 + c.a4)) < _kernels.DEGENERATE_GAP:
+                t1, t2 = x1 ** (c.a3 + c.a4), x2 ** (c.a3 + c.a4)
+                if not all(map(math.isfinite, old)) or abs(t1 - t2) <= 1e-8 * max(t1, t2):
                     continue
                 new = back_substitute(c, np.array([x1, x2]))
                 assert [v.hex() for v in new] == [v.hex() for v in old], (c, x1, x2)

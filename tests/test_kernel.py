@@ -4,16 +4,19 @@ mpmath at 50 digits is the independent accuracy oracle throughout; the
 implementation never touches it.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings as hypothesis_settings, strategies as st
 
+import fracroots
 from fracroots import (DomainError, FractionalOrder, PoleArgument,
                        constant_frac_deriv, default_alpha_grid, gamma, p_matrix)
-from fracroots import _kernels
+from fracroots.kernel import multiplier
 
 mpmath.mp.dps = 50
 
@@ -178,7 +181,7 @@ class TestMultiplierBitwise:
     def test_entry_matches_per_entry_arithmetic(self, x, eps):
         for alpha in GRID_ORDERS:
             expected = per_entry_multiplier(alpha, x, eps).hex()
-            assert _kernels.multiplier(alpha, eps)(x).hex() == expected, alpha
+            assert multiplier(alpha, eps)(x).hex() == expected, alpha
             assert p_matrix(alpha, np.array([x]), eps)[0].hex() == expected, alpha
 
     @given(x=st.one_of(st.sampled_from(EDGE_POINTS[1:]),
@@ -245,3 +248,30 @@ class TestPMatrix:
         diag = p_matrix(FractionalOrder(0.5), np.array([1.0, 2.0, 3.0]), 1e-4)
         assert isinstance(diag, np.ndarray)
         assert (diag.dtype, diag.shape) == (np.dtype(float), (3,))
+
+
+class TestModuleBoundaries:
+    """The generic layer holds the multiplier and imports nothing threshold-specific."""
+
+    PACKAGE = Path(fracroots.__file__).parent
+
+    def tree(self, module):
+        return ast.parse((self.PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("module", ["kernel", "solver"])
+    def test_generic_modules_do_not_import_the_threshold_kernels(self, module):
+        imported = []
+        for node in ast.walk(self.tree(module)):
+            if isinstance(node, ast.ImportFrom):
+                imported.append(node.module or "")
+                imported += [f"{node.module or ''}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [a.name for a in node.names]
+        assert imported and not [name for name in imported if "_kernels" in name]
+
+    def test_multiplier_is_defined_only_in_kernel(self):
+        defining = sorted(
+            path.stem for path in self.PACKAGE.glob("*.py")
+            if any(isinstance(node, ast.FunctionDef) and node.name == "multiplier"
+                   for node in ast.walk(self.tree(path.stem))))
+        assert defining == ["kernel"]

@@ -660,12 +660,21 @@ class TestCycleStop:
         entry = len(rows) - 1 - period
         while entry > 0 and rows[entry - 1] == rows[entry - 1 + period]:
             entry -= 1
-        for keep_trace in (False, True):
-            f = CountingResidual(np.cos)
-            out = fixed_point_solve(f, [1.0], settings, keep_trace=keep_trace)
-            assert (out.status, out.iterations) == (Status.MAX_ITERATIONS, settings.max_iter)
-            # Calls evaluate x_0 .. x_{entry + 2} at most.
-            assert f.calls <= entry + 3 < settings.max_iter
+        f = CountingResidual(np.cos)
+        out = fixed_point_solve(f, [1.0], settings)
+        assert (out.status, out.iterations) == (Status.MAX_ITERATIONS, settings.max_iter)
+        # Calls evaluate x_0 .. x_{entry + 2} at most.
+        assert f.calls <= entry + 3 < settings.max_iter
+
+    @pytest.mark.parametrize("alpha", [-1.1, -0.9])
+    def test_traced_solve_evaluates_every_iterate(self, alpha):
+        # The cycle stop serves untraced solves only: a traced solve reports
+        # no row it did not compute.
+        settings = SolverSettings(alpha=alpha)
+        f = CountingResidual(np.cos)
+        out = fixed_point_solve(f, [1.0], settings, keep_trace=True)
+        assert (out.status, out.iterations) == (Status.MAX_ITERATIONS, settings.max_iter)
+        assert f.calls == settings.max_iter + 1
 
     def test_repeat_up_to_the_sign_of_zero_is_not_a_cycle(self):
         settings = SolverSettings(alpha=0.5, max_iter=20, divergence_bound=math.inf)
