@@ -35,10 +35,10 @@ def reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2):
     The residual components are the value-matching equations of the
     four-variable system after eliminating the two value-function
     coefficients, so their norms live on the full system's scale.  A
-    non-positive component, a power overflow or a non-finite result raises
-    NonRealEvaluation; components whose powers x**(a3 + a4) agree to
-    DEGENERATE_RTOL relative, which collapse the elimination denominator,
-    raise DegenerateThresholds.
+    non-positive or infinite component, a power overflow or a non-finite
+    result raises NonRealEvaluation; components whose powers x**(a3 + a4)
+    agree to DEGENERATE_RTOL relative, which collapse the elimination
+    denominator, raise DegenerateThresholds.
     """
     if x1 <= 0.0 or x2 <= 0.0:
         raise NonRealEvaluation(f"thresholds must be positive, got {(x1, x2)}")
@@ -47,6 +47,9 @@ def reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2):
         t1 = x1 ** s
         t2 = x2 ** s
         if abs(t1 - t2) <= DEGENERATE_RTOL * (t1 if t1 > t2 else t2):
+            # An infinite power passes the test however far apart x1 and x2 are.
+            if t1 == math.inf or t2 == math.inf:
+                raise NonRealEvaluation(f"thresholds must be finite, got {(x1, x2)}")
             raise DegenerateThresholds(f"threshold components coincide at {(x1, x2)}")
         den = a1 * a2 * (t1 - t2)
         p1 = x1 ** a3

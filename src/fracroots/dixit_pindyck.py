@@ -205,7 +205,7 @@ def reduced_residual(constants: ModelConstants, x) -> np.ndarray:
     x**(a3 + a4) agree to ``_kernels.DEGENERATE_RTOL`` relative collapse the
     elimination denominator and raise DegenerateThresholds, non-positive ones
     raise NonRealEvaluation (real powers with non-integer exponents leave the
-    real line there).
+    real line there), and so do infinite ones.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape != (2,):
@@ -263,7 +263,8 @@ def back_substitute(constants: ModelConstants, x) -> tuple:
     The smooth-pasting equations are linear in (A, B); this is their closed
     form solution.  Swapping the two components leaves the result unchanged
     because numerator and denominator flip sign together.  Near-coincident
-    components raise DegenerateThresholds, as in :func:`reduced_residual`.
+    components raise DegenerateThresholds, and non-positive or infinite ones
+    NonRealEvaluation, as in :func:`reduced_residual`.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape != (2,):
@@ -276,6 +277,8 @@ def back_substitute(constants: ModelConstants, x) -> tuple:
         t1 = x1 ** (c.a3 + c.a4)
         t2 = x2 ** (c.a3 + c.a4)
         if abs(t1 - t2) <= _kernels.DEGENERATE_RTOL * (t1 if t1 > t2 else t2):
+            if t1 == math.inf or t2 == math.inf:
+                raise NonRealEvaluation(f"thresholds must be finite, got {(x1, x2)}")
             raise DegenerateThresholds(f"threshold components coincide at {(x1, x2)}")
         a = c.a5 * (x1 ** c.a3 - x2 ** c.a3) / (c.a2 * (t1 - t2))
         g14 = x1 ** c.a4 - x2 ** c.a4

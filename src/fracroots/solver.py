@@ -42,6 +42,13 @@ INTEGER_BAND = 0.01
 #: Relative distance under which two converged sweep hits are one root.
 DEDUP_TOLERANCE = 1e-3
 
+#: Lag of the untraced cycle stop in :func:`fixed_point_solve`: it catches
+#: every period that divides 4, so periods 1, 2 and 4.  Of the lags 1-64,
+#: 4 takes the fewest residual calls on the four generic sweep inputs: a
+#: longer lag catches more periods but delays the stop of the common
+#: period-1 and period-2 lanes by up to twice the lag.
+CYCLE_LAG = 4
+
 
 class Status(enum.Enum):
     CONVERGED = "converged"
@@ -320,18 +327,20 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
     numpy's overflow and invalid-value warnings are silenced for the whole
     loop, the residual's calls included.
 
-    Cycle stop (untraced solves only): when an iteration fails the
-    convergence test with the same step norm as the iteration before, its
-    iterate is compared with the two before it, entry by entry with the sign
-    of zero.  If it repeats one of them bit for bit, the orbit has entered a
-    cycle of period 1 or 2 and repeats it for ever: every later step and
-    residual norm is one the convergence test has already refused, and no
-    later iterate can diverge or fail to evaluate.  The solve then returns at
-    once what the loop would return at ``max_iter``: MAX_ITERATIONS, the
-    iterate and residual norm of that iteration's phase of the cycle, and
-    the cycle's step norm.  This holds only for a residual that is a
-    function of x: one that keeps state between calls may be called fewer
-    times than there are iterations.  Longer cycles run to ``max_iter``.
+    Cycle stop (untraced solves only): iteration i is a checkpoint when
+    ``max_iter - i`` is a multiple of CYCLE_LAG.  At a checkpoint that fails
+    the convergence test, the iterate is compared, entry by entry with the
+    sign of zero, with the one saved at the previous checkpoint.  If it
+    repeats it bit for bit, the orbit repeats for ever with a period that
+    divides the lag: every later state and step is one the convergence test
+    has already refused, and no later iterate can diverge or fail to
+    evaluate.  ``max_iter`` is a whole number of lags on, so the solve
+    returns at once what the loop would return there: MAX_ITERATIONS with
+    the current iterate, step norm and residual norm.  A cycle is caught
+    within twice the lag of its first iterate.  This holds only for a
+    residual that is a function of x: one that keeps state between calls may
+    be called fewer times than there are iterations.  Cycles whose period
+    does not divide the lag run to ``max_iter``.
     """
     x = np.asarray(x0, dtype=float).ravel()
     xs = x.tolist()
@@ -372,10 +381,8 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
 
         max_iter, bound = settings.max_iter, settings.divergence_bound
         tol_step, tol_residual = settings.tol_step, settings.tol_residual
-        # For the cycle stop: the iterate before xs, and the step and residual
-        # norms before the current ones, in plain locals.
-        xs_back = xs
-        last_step = last_res = math.nan
+        # The cycle stop's lag, and the iterate of its last checkpoint (none yet).
+        lag, xs_lag = CYCLE_LAG, None
         for i in range(1, max_iter + 1):
             xs_next = update(xs, rs)
             step_squares = size = 0.0
@@ -383,11 +390,10 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
                 d = w - v
                 step_squares += d * d
                 size += w * w
-            last_step, step_norm = step_norm, math.sqrt(step_squares)
+            step_norm = math.sqrt(step_squares)
             if math.sqrt(size) > bound or (not math.isfinite(size)
                                            and not all(map(math.isfinite, xs_next))):
                 return outcome(Status.DIVERGED, xs_next, i, step_norm, math.nan)
-            last_res = res_norm
             try:
                 rs, res_norm = _evaluate(f, np.array(xs_next))
             except NonRealEvaluation:
@@ -398,17 +404,11 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
                 residual_norms.append(res_norm)
             if step_norm <= tol_step and res_norm <= tol_residual:
                 return outcome(Status.CONVERGED, xs_next, i, step_norm, res_norm)
-            # Every step of a cycle of period 1 or 2 has the same norm.
-            if step_norm == last_step and not keep_trace:
-                period = (1 if _same_bits(xs_next, xs)
-                          else 2 if _same_bits(xs_next, xs_back) else 0)
-                if period:
-                    # max_iter - i steps on, the orbit is at xs_next, or at
-                    # xs when the period is 2 and that count is odd.
-                    if (max_iter - i) % period:
-                        xs_next, res_norm = xs, last_res
+            if (max_iter - i) % lag == 0 and not keep_trace:
+                if _same_bits(xs_next, xs_lag):
                     return outcome(Status.MAX_ITERATIONS, xs_next, max_iter, step_norm, res_norm)
-            xs_back, xs = xs, xs_next
+                xs_lag = xs_next
+            xs = xs_next
 
     return outcome(Status.MAX_ITERATIONS, xs, max_iter, step_norm, res_norm)
 

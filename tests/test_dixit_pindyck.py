@@ -165,6 +165,16 @@ class TestReducedResidual:
         with pytest.raises(NonRealEvaluation):
             reduced_residual(c, np.array([1e300, 1.0]))
 
+    @pytest.mark.parametrize("x", [(math.inf, 1.0), (1.0, math.inf), (math.inf, 1e-300)])
+    def test_infinite_component_is_not_reported_as_coinciding(self, x):
+        # inf ** (a3 + a4) is inf, which passes the degeneracy test
+        # |t1 - t2| <= 1e-8 * max(t1, t2) whatever the other component is.
+        c = reference.scenario_constants(451474.0, 396499.0)
+        for evaluate in (reduced_residual, back_substitute):
+            with pytest.raises(NonRealEvaluation, match="must be finite") as raised:
+                evaluate(c, np.array(x))
+            assert not isinstance(raised.value, DegenerateThresholds)
+
 
 def residual_with_repeated_powers(a1, a2, a3, a4, a5, a6, a7, x1, x2):
     """The checked reduced residual as written with x1**a3 and x2**a3 each taken twice."""
@@ -175,6 +185,8 @@ def residual_with_repeated_powers(a1, a2, a3, a4, a5, a6, a7, x1, x2):
         t1 = x1 ** s
         t2 = x2 ** s
         if abs(t1 - t2) <= 1e-8 * max(t1, t2):
+            if math.isinf(max(t1, t2)):
+                raise NonRealEvaluation(f"thresholds must be finite, got {(x1, x2)}")
             raise DegenerateThresholds(f"threshold components coincide at {(x1, x2)}")
         den = a1 * a2 * (t1 - t2)
         g13 = x2 ** a3 - x1 ** a3
@@ -214,6 +226,7 @@ class TestReducedResidualBitwise:
     @example(row=reference.ROWS[0], x1=41844.57090443, x2=11857.32126593)
     @example(row=reference.ROWS[0], x1=5.0, x2=5.0)
     @example(row=reference.ROWS[0], x1=1e300, x2=1.0)
+    @example(row=reference.ROWS[0], x1=math.inf, x2=1.0)
     @example(row=reference.ROWS[0], x1=-1.0, x2=2.0)
     @example(row=reference.ROWS[0], x1=2.0, x2=0.0)
     def test_values_and_errors_match(self, row, x1, x2):

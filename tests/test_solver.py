@@ -12,7 +12,7 @@ from fracroots import (FractionalOrder, InsufficientData, NonRealEvaluation,
                        default_alpha_grid, estimate_order, fd_jacobian,
                        fixed_point_solve, fpn_step, fpn_update, newton_step,
                        norm2, p_matrix)
-from fracroots.solver import MAX_ITER, _with_order
+from fracroots.solver import CYCLE_LAG, MAX_ITER, _with_order
 
 
 def linear_root_residual(matrix, root):
@@ -639,32 +639,44 @@ class TestAlphaSweep:
 
 
 class TestCycleStop:
-    """A solve whose iterate repeats one of the last two ends with the full run's outcome."""
+    """An untraced solve whose iterate at a checkpoint repeats the one CYCLE_LAG
+    iterations back ends with the full run's outcome."""
 
-    @pytest.mark.parametrize("max_iter", [499, 500])
+    @pytest.mark.parametrize("max_iter", [497, 498, 499, 500])
     @pytest.mark.parametrize("name", sorted(TestAlphaSweep.GOLDEN))
     def test_golden_residuals_match_the_full_run(self, name, max_iter):
-        # 499 and 500 end a cycle of period 2 in either phase.
+        # Four consecutive caps put the checkpoints at every remainder modulo the lag.
         f, x0 = TestAlphaSweep.GOLDEN[name][:2]
         for alpha in default_alpha_grid():
             settings = SolverSettings(alpha=alpha, max_iter=max_iter)
             assert_driver_matches_numpy_reference(f, np.array(x0), settings)
 
-    @pytest.mark.parametrize("alpha, period", [(-1.1, 1), (-0.9, 2)])
-    def test_calls_stop_within_two_iterations_of_cycle_entry(self, alpha, period):
+    @pytest.mark.parametrize("name, alpha, period", [
+        ("cos(x)", -1.1, 1), ("cos(x)", -0.9, 2), ("cos(x)", -0.75, 4),
+        ("(x-1)(x-2)(x+1.5)", -1.1, 4)])
+    def test_calls_stop_within_two_lags_of_cycle_entry(self, name, alpha, period):
+        f, x0 = TestAlphaSweep.GOLDEN[name][:2]
         settings = SolverSettings(alpha=alpha)
-        iterates = numpy_reference_solve(np.cos, [1.0], settings)[5]
+        (status, n, x_final, step_norm, res_norm,
+         iterates) = numpy_reference_solve(f, x0, settings)[:6]
+        assert (status, n) == (Status.MAX_ITERATIONS, settings.max_iter)
         rows = [row.tobytes() for row in iterates]
-        assert rows[-1] == rows[-1 - period] and (period == 1 or rows[-1] != rows[-2])
+        # The full run ends in a cycle of exactly this period.
+        assert [rows[-1] == rows[-1 - q] for q in range(1, period + 1)] == [
+            q == period for q in range(1, period + 1)]
         # The first iterate from which the full run repeats with this period.
         entry = len(rows) - 1 - period
         while entry > 0 and rows[entry - 1] == rows[entry - 1 + period]:
             entry -= 1
-        f = CountingResidual(np.cos)
-        out = fixed_point_solve(f, [1.0], settings)
-        assert (out.status, out.iterations) == (Status.MAX_ITERATIONS, settings.max_iter)
-        # Calls evaluate x_0 .. x_{entry + 2} at most.
-        assert f.calls <= entry + 3 < settings.max_iter
+        counting = CountingResidual(f)
+        out = fixed_point_solve(counting, np.array(x0), settings)
+        assert (out.status, out.iterations) == (status, n)
+        assert out.x_final.tobytes() == x_final.tobytes()
+        assert same_norm(out.final_step_norm, step_norm)
+        assert same_norm(out.final_residual_norm, res_norm)
+        # Two checkpoints at or after the entry come within 2 lags of it, so
+        # the calls evaluate x_0 .. x_{entry + 2 CYCLE_LAG - 1} at most.
+        assert counting.calls <= entry + 2 * CYCLE_LAG < settings.max_iter
 
     @pytest.mark.parametrize("alpha", [-1.1, -0.9])
     def test_traced_solve_evaluates_every_iterate(self, alpha):
