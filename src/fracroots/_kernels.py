@@ -1,18 +1,23 @@
 """The threshold model's scalar hot loops, in plain interpreted Python.
 
-The reduced threshold residual lives here (and only here), so the generic
-driver, which calls it through ``dixit_pindyck.reduced_residual``, and the
-fused loop :func:`solve_reduced` can never drift apart; the fused loop takes
-its multiplier entries from :func:`fracroots.kernel.multiplier`, as the
-driver's step does.  Python's float ``**`` raises OverflowError where IEEE
-arithmetic would give inf; the residual catches it, so an overflow becomes
-NonRealEvaluation (which the fused loop turns into its evaluation-failed
-status) instead of a raw arithmetic error.
+The reduced threshold residual lives here: the generic driver calls it
+through ``dixit_pindyck.reduced_residual``.  Python's float ``**`` raises
+OverflowError where IEEE arithmetic would give inf; the residual catches it,
+so an overflow becomes NonRealEvaluation (which the fused loop turns into
+its evaluation-failed status) instead of a raw arithmetic error.
 
-The fused loop is a shortcut for untraced solves: ``fixed_point_solve`` is
-the reference it must match, status, iterations and norms bit for bit.  Its
-status codes (decoded by ``dixit_pindyck.STATUS_FROM_CODE``): 0 converged,
-1 iteration cap, 2 diverged, 3 evaluation failed.
+The fused loop :func:`solve_reduced` is a shortcut for untraced solves:
+``fixed_point_solve`` is the reference it must match, status, iterations
+and norms bit for bit.  For speed its iteration makes no Python call in the
+common case.  It inlines the positive branch of
+:func:`fracroots.kernel.multiplier`'s entry, with the same operations in the
+same order, and the residual's statements for positive components; where
+those overflow or give a non-finite value it calls
+:func:`reduced_residual_checked`, which decides.  The kernel agreement tests
+(against the driver on every sweep order and on random starts) and an AST
+test (the inlined residual statements equal the residual's) pin both
+copies.  Its status codes (decoded by ``dixit_pindyck.STATUS_FROM_CODE``):
+0 converged, 1 iteration cap, 2 diverged, 3 evaluation failed.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from __future__ import annotations
 import math
 
 from .errors import DegenerateThresholds, NonRealEvaluation
-from .kernel import multiplier
 
 #: Two thresholds are degenerate when their powers t = x**(a3 + a4) differ
 #: by at most this fraction of the larger: the elimination divides by
@@ -77,7 +81,11 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
     three arrays keeps no trace.
     """
     trace = xs is not None
-    entry = multiplier(alpha, eps)
+    # kernel.multiplier's constants, computed as it computes them, and the
+    # residual's exponent.
+    power = -alpha
+    g = math.gamma(1.0 - alpha)
+    s = a3 + a4
     if trace:
         xs[0, 0] = x01
         xs[0, 1] = x02
@@ -94,8 +102,19 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
         residuals[0] = res
     step = math.nan
     for i in range(1, max_iter + 1):
-        n1 = x1 - entry(x1) * f1
-        n2 = x2 - entry(x2) * f2
+        # The multiplier's entry, inlined: every iterate that reaches this
+        # point passed the residual's checks, so both components are
+        # positive and finite and entry(x) takes its positive branch.
+        try:
+            c1 = x1 ** power
+        except OverflowError:
+            c1 = math.inf
+        try:
+            c2 = x2 ** power
+        except OverflowError:
+            c2 = math.inf
+        n1 = x1 - (c1 / g + eps) * f1
+        n2 = x2 - (c2 / g + eps) * f2
         d1 = n1 - x1
         d2 = n2 - x2
         step = math.sqrt(d1 * d1 + d2 * d2)
@@ -104,10 +123,30 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
         if not (math.isfinite(x1) and math.isfinite(x2)) \
                 or math.sqrt(x1 * x1 + x2 * x2) > bound:
             return 2, i, x1, x2, step, math.nan
-        try:
-            f1, f2 = reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2)
-        except NonRealEvaluation:
+        # reduced_residual_checked's common case, inlined with its own
+        # statements; an overflow or a non-finite result is left to it.
+        if x1 <= 0.0 or x2 <= 0.0:
             return 3, i, x1, x2, step, math.nan
+        try:
+            t1 = x1 ** s
+            t2 = x2 ** s
+            if abs(t1 - t2) <= DEGENERATE_RTOL * (t1 if t1 > t2 else t2):
+                # Both powers are finite (an overflow raises): degenerate.
+                return 3, i, x1, x2, step, math.nan
+            den = a1 * a2 * (t1 - t2)
+            p1 = x1 ** a3
+            p2 = x2 ** a3
+            g13 = p2 - p1
+            g14 = x1 ** a4 - x2 ** a4
+            f1 = a5 * x1 - a6 + a5 * (a1 * x1 ** a2 * g13 + a2 * x1 * p2 * g14) / den
+            f2 = a5 * x2 - a7 + a5 * (a1 * x2 ** a2 * g13 + a2 * p1 * x2 * g14) / den
+        except OverflowError:
+            f1 = math.nan
+        if not (math.isfinite(f1) and math.isfinite(f2)):
+            try:
+                f1, f2 = reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2)
+            except NonRealEvaluation:
+                return 3, i, x1, x2, step, math.nan
         res = math.sqrt(f1 * f1 + f2 * f2)
         if trace:
             xs[i, 0] = x1

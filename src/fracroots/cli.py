@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -112,6 +113,26 @@ def _number(section: str, name: str, raw) -> float:
         raise ConfigError(f"{section}.{name}", "integer is too large for a float") from exc
 
 
+def _yaml_loader():
+    """``yaml.SafeLoader`` that also reads YAML 1.2 floats such as ``1e-4``.
+
+    YAML 1.1, which ``safe_load`` follows, reads a float only with a dot and
+    a signed exponent (``1.0e-4``), so ``1e-4``, ``1E5`` and ``1.0e300``
+    would load as strings.  The subclass gets its own copy of the resolvers;
+    ``yaml.SafeLoader`` is left as it is.  Quoted scalars stay strings.
+    """
+    import yaml
+
+    class Loader(yaml.SafeLoader):
+        pass
+
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"))
+    return Loader
+
+
 def load_config(path: str) -> ScenarioConfig:
     """Parse and validate a scenario file.
 
@@ -122,7 +143,7 @@ def load_config(path: str) -> ScenarioConfig:
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_yaml_loader())
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path!r}: {exc}") from exc
     except UnicodeDecodeError as exc:

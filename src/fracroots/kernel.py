@@ -11,9 +11,11 @@ kernel is extended with the sign of x (an odd continuation), which keeps the
 iteration real while preserving the update map's symmetry; zero components
 switch to the classical order 1, where the derivative of a constant is 0 and
 the multiplier entry collapses to the regularisation constant eps.
-:func:`multiplier` alone holds that formula; the generic driver's step, the
-threshold model's fused loop, :func:`p_matrix` and
-:func:`constant_frac_deriv` all evaluate it.
+:func:`multiplier` holds that formula; the generic driver's step,
+:func:`p_matrix` and :func:`constant_frac_deriv` evaluate it.  The threshold
+model's fused loop, ``_kernels.solve_reduced``, inlines its positive branch
+for speed, and the kernel agreement tests hold that copy to the driver's
+entries bit for bit.
 """
 
 from __future__ import annotations
@@ -94,6 +96,9 @@ def multiplier(alpha, eps):
     gamma value: multiplying by its reciprocal would change the last bit of
     some entries.  With eps = -0.0, which adds nothing to any float (the sign
     of zero included), ``entry`` is the bare derivative of the unit constant.
+    ``_kernels.solve_reduced``, whose iterates are always positive, repeats
+    the positive branch's operations in this order instead of calling
+    ``entry``, so its entries keep these bits.
     """
     power = -alpha
     g = math.gamma(1.0 - alpha)

@@ -420,6 +420,66 @@ class TestReproduceTables:
         assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
+def config_with_spelling(tmp_path, payload, section, key, spelling, name="scenario.yaml"):
+    """``payload`` written with ``section.key`` set to the plain scalar ``spelling``."""
+    doc = {**payload, section: {**payload.get(section, {}), key: "SPELLING"}}
+    path = tmp_path / name
+    path.write_text(yaml.safe_dump(doc, sort_keys=False).replace("SPELLING", spelling),
+                    encoding="utf-8")
+    return str(path)
+
+
+class TestYamlFloats:
+    """A scenario file may write floats as YAML 1.2 does, without a dot or an
+    exponent sign; PyYAML's YAML 1.1 resolver alone reads them as strings."""
+
+    @pytest.mark.parametrize("payload, section, key, short, long", [
+        (ROW2, "solver", "epsilon", "1e-4", "1.0e-4"),
+        (ROW2, "solver", "tol_residual", "1E-6", "1.0e-6"),
+        (ROW2, "solver", "max_iter", "5e2", "500"),
+        (ROW2, "initial", "H0", "1.7e1", "17.0"),
+        (ROW2, "initial", "L0", ".18e2", "18.0"),
+        (PRIMITIVES, "primitives", "kappa", "1e4", "1.0e+4"),
+        (PRIMITIVES, "primitives", "chi", "+5.0e-2", "0.05"),
+    ], ids=["epsilon", "tol-residual", "max-iter", "H0", "L0-leading-dot", "kappa",
+            "chi-signed"])
+    def test_short_spelling_loads_as_the_long_one(self, tmp_path, payload, section, key,
+                                                  short, long):
+        loaded = [load_config(config_with_spelling(tmp_path, payload, section, key, text,
+                                                   name=f"{name}.yaml"))
+                  for name, text in (("short", short), ("long", long))]
+        short_config, long_config = loaded
+        assert short_config.problem.constants == long_config.problem.constants
+        assert short_config.problem.x0.tobytes() == long_config.problem.x0.tobytes()
+        assert short_config.settings() == long_config.settings()
+
+    def test_row_1_solves_with_a_short_epsilon(self, tmp_path, capsys):
+        row1 = {**ROW2, "constants": {**ROW2["constants"], "a6": 451474, "a7": 396499},
+                "initial": {"H0": 15, "L0": 20}, "solver": {"alpha": 0.26131}}
+        code = main(["solve", "--config",
+                     config_with_spelling(tmp_path, row1, "solver", "epsilon", "1e-4")])
+        assert code == 0
+        assert "41844.570904" in capsys.readouterr().out
+
+    def test_huge_max_iter_is_refused_by_its_range(self, tmp_path, capsys):
+        path = config_with_spelling(tmp_path, ROW2, "solver", "max_iter", "1.0e300")
+        assert main(["solve", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: solver.max_iter: max_iter must lie in")
+
+    def test_quoted_number_is_still_refused(self, tmp_path, capsys):
+        path = config_with_spelling(tmp_path, ROW2, "solver", "epsilon", "'1e-4'")
+        assert main(["solve", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            "config error: solver.epsilon: must be a number, got '1e-4'\n")
+
+    def test_integers_stay_integers_and_safe_loader_is_untouched(self):
+        loader = cli._yaml_loader()
+        assert yaml.load("[10, -3, 0x10, 1e-4]", Loader=loader) == [10, -3, 16, 1e-4]
+        assert [type(v) for v in yaml.load("[10, 5e2]", Loader=loader)] == [int, float]
+        assert yaml.safe_load("1e-4") == "1e-4"
+
+
 class TestSweepCommand:
     def test_default_grid_finds_reference_root(self, tmp_path, capsys):
         payload = {

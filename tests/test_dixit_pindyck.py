@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings as hypothesis_settings, strategies as st
 
 from fracroots import (DegenerateThresholds, Decision, EconomicPrimitives,
-                       InvalidPrimitives, ModelConstants, NonRealEvaluation,
+                       FractionalOrder, InvalidPrimitives, ModelConstants,
+                       NonRealEvaluation,
                        SolverSettings, Status, ThresholdOrderingWarning,
                        ThresholdProblem, ThresholdSolveFailed,
                        back_substitute, classify_income, derive_constants,
@@ -439,6 +440,31 @@ def bitwise_equal(a, b) -> bool:
     return np.array_equal(a, b, equal_nan=True)
 
 
+def assert_kernel_matches_generic_driver(constants, x0, settings, where):
+    """Fused solve and kernel trace against the traced generic driver, bit for bit."""
+    kernel = KernelResidual(constants).fused_solve(x0, settings)
+    trace = kernel_trace(constants, x0, settings)
+    generic = fixed_point_solve(make_residual(constants), x0, settings, keep_trace=True)
+    assert kernel.status is generic.status, where
+    assert kernel.iterations == generic.iterations, where
+    assert kernel.x_final.tobytes() == generic.x_final.tobytes(), where
+    assert bitwise_equal(kernel.final_step_norm, generic.final_step_norm), where
+    assert bitwise_equal(kernel.final_residual_norm, generic.final_residual_norm), where
+    # Same iterates and norms up to the last evaluable point.
+    assert bitwise_equal(trace.iterates, generic.trace.iterates), where
+    assert bitwise_equal(trace.step_norms, generic.trace.step_norms), where
+    assert bitwise_equal(trace.residual_norms, generic.trace.residual_norms), where
+
+
+#: Finite starts, and pairs whose components differ by a few parts in 1e8,
+#: around the residual's degeneracy tolerance.
+FINITE_POINTS = THRESHOLD_POINTS.filter(math.isfinite)
+KERNEL_STARTS = st.one_of(
+    st.tuples(FINITE_POINTS, FINITE_POINTS),
+    st.builds(lambda x, d: (x, x * (1.0 + d)), st.floats(min_value=1e-3, max_value=1e6),
+              st.sampled_from([1e-12, 1e-9, 1e-8, 2e-8, 1e-6])))
+
+
 class TestKernelAgreement:
     """The scalar kernel against the generic driver: both sum squares in entry
     order, so iterates and norms are equal, not just close."""
@@ -446,24 +472,34 @@ class TestKernelAgreement:
     @pytest.mark.parametrize("row", reference.ROWS, ids=lambda r: f"row{r.index}")
     def test_every_sweep_order_matches_generic_driver(self, row):
         problem = reference.scenario_problem(row)
-        f = make_residual(problem.constants)
         for alpha in default_alpha_grid():
-            settings = SolverSettings(alpha=alpha)
-            kernel = KernelResidual(problem.constants).fused_solve(problem.x0, settings)
-            trace = kernel_trace(problem.constants, problem.x0, settings)
-            generic = fixed_point_solve(f, problem.x0, settings, keep_trace=True)
-            where = f"alpha {alpha.value}"
-            assert kernel.status is generic.status, where
-            assert kernel.iterations == generic.iterations, where
-            assert bitwise_equal(kernel.x_final, generic.x_final), where
-            assert bitwise_equal(kernel.final_step_norm, generic.final_step_norm), where
-            assert bitwise_equal(kernel.final_residual_norm,
-                                 generic.final_residual_norm), where
-            # Same iterates and norms up to the last evaluable point.
-            assert bitwise_equal(trace.iterates, generic.trace.iterates), where
-            assert bitwise_equal(trace.step_norms, generic.trace.step_norms), where
-            assert bitwise_equal(trace.residual_norms,
-                                 generic.trace.residual_norms), where
+            assert_kernel_matches_generic_driver(
+                problem.constants, problem.x0, SolverSettings(alpha=alpha),
+                f"alpha {alpha.value}")
+
+    @given(row=st.sampled_from(reference.ROWS), x0=KERNEL_STARTS,
+           alpha=st.sampled_from(default_alpha_grid()), max_iter=st.sampled_from([1, 2, 5, 50]),
+           scale=st.sampled_from([(1e-4, 1e10), (1e145, 1e200)]))
+    @hypothesis_settings(max_examples=300, deadline=None)
+    # The multiplier's power overflows in the first step.
+    @example(row=reference.ROWS[0], x0=(1e-300, 1.0), alpha=FractionalOrder(1.45),
+             max_iter=5, scale=(1e-4, 1e10))
+    # The residual's power overflows at the start.
+    @example(row=reference.ROWS[0], x0=(1e200, 1.0), alpha=FractionalOrder(0.25),
+             max_iter=5, scale=(1e-4, 1e10))
+    # The first step lands near 4.5e150, where the residual's power overflows.
+    @example(row=reference.ROWS[0], x0=(15.0, 20.0), alpha=FractionalOrder(0.25),
+             max_iter=5, scale=(1e145, 1e200))
+    # Degenerate components.
+    @example(row=reference.ROWS[0], x0=(5.0, 5.0 * (1.0 + 1e-9)), alpha=FractionalOrder(0.25),
+             max_iter=5, scale=(1e-4, 1e10))
+    def test_any_start_matches_generic_driver(self, row, x0, alpha, max_iter, scale):
+        epsilon, bound = scale
+        settings = SolverSettings(alpha=alpha, max_iter=max_iter, epsilon=epsilon,
+                                  divergence_bound=bound)
+        assert_kernel_matches_generic_driver(
+            reference.scenario_constants(row.a6, row.a7), x0, settings,
+            f"x0 {x0}, alpha {alpha.value}")
 
     @pytest.mark.parametrize("row", reference.ROWS, ids=lambda r: f"row{r.index}")
     def test_reference_solve_matches_generic_driver(self, row):
@@ -491,6 +527,37 @@ class TestKernelAgreement:
         assert fused.x_final.tobytes() == traced.x_final.tobytes() == np.array(x0).tobytes()
         assert math.isnan(fused.final_step_norm) and math.isnan(traced.final_step_norm)
         assert math.isnan(fused.final_residual_norm) and math.isnan(traced.final_residual_norm)
+
+
+class TestKernelDeferral:
+    """Where its inlined residual overflows, the fused loop asks the checked residual."""
+
+    # Row 1 from its own start with epsilon 1e145: the first step lands near
+    # 4.5e150, inside the bound of 1e200, where x ** (a3 + a4) overflows.
+    C = reference.scenario_constants(451474.0, 396499.0)
+    ARGS = (C.a1, C.a2, C.a3, C.a4, C.a5, C.a6, C.a7, 15.0, 20.0, 0.25, 1e145,
+            1e-5, 1e-4, 5, 1e200, None, None, None)
+
+    def test_a_finite_answer_of_the_checked_residual_continues_the_solve(self, monkeypatch):
+        # As it stands, the checked residual refuses the first iterate.
+        assert _kernels.solve_reduced(*self.ARGS)[:2] == (3, 1)
+        checked = _kernels.reduced_residual_checked
+        asked = []
+
+        def zero_where_checked_fails(*args):
+            try:
+                return checked(*args)
+            except NonRealEvaluation:
+                asked.append(args[7:])
+                return 0.0, 0.0
+
+        monkeypatch.setattr(_kernels, "reduced_residual_checked", zero_where_checked_fails)
+        code, n, x1, x2, step, res = _kernels.solve_reduced(*self.ARGS)
+        # A zero residual leaves the iterate where it is, so the second step
+        # is zero and the solve converges there.
+        assert (code, n, step, res) == (0, 2, 0.0, 0.0)
+        assert asked == [(x1, x2), (x1, x2)]
+        assert x1 > 1e150
 
 
 class TestKernelTrace:

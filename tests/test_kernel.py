@@ -251,7 +251,8 @@ class TestPMatrix:
 
 
 class TestModuleBoundaries:
-    """The generic layer holds the multiplier and imports nothing threshold-specific."""
+    """The generic layer holds the multiplier and imports nothing threshold-specific,
+    and the fused loop's inlined residual is the residual's own statements."""
 
     PACKAGE = Path(fracroots.__file__).parent
 
@@ -275,3 +276,33 @@ class TestModuleBoundaries:
             if any(isinstance(node, ast.FunctionDef) and node.name == "multiplier"
                    for node in ast.walk(self.tree(path.stem))))
         assert defining == ["kernel"]
+
+    def test_threshold_kernels_import_nothing_from_kernel(self):
+        imported = [node.module or "" for node in ast.walk(self.tree("_kernels"))
+                    if isinstance(node, ast.ImportFrom)]
+        assert imported and "kernel" not in [name.rsplit(".", 1)[-1] for name in imported]
+
+    def test_fused_loop_repeats_the_residual_statements(self):
+        # The fused loop inlines the checked residual's common case; neither
+        # copy may change alone.  Compared: the degeneracy test and the
+        # assignments to these names in the body of each ``try``.
+        names = ("t1", "t2", "den", "p1", "p2", "g13", "g14", "f1", "f2")
+        functions = {node.name: node for node in ast.walk(self.tree("_kernels"))
+                     if isinstance(node, ast.FunctionDef)}
+
+        def statements(function):
+            found = []
+            for node in ast.walk(function):
+                if isinstance(node, ast.Try):
+                    for stmt in node.body:
+                        if isinstance(stmt, ast.If):
+                            found.append(("if", ast.dump(stmt.test)))
+                        elif (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                              and isinstance(stmt.targets[0], ast.Name)
+                              and stmt.targets[0].id in names):
+                            found.append((stmt.targets[0].id, ast.dump(stmt.value)))
+            return found
+
+        checked = statements(functions["reduced_residual_checked"])
+        assert [name for name, _ in checked] == ["t1", "t2", "if", *names[2:]]
+        assert statements(functions["solve_reduced"]) == checked
