@@ -1,7 +1,9 @@
 """The threshold model's scalar hot loops, in plain interpreted Python.
 
 The reduced threshold residual lives here: the generic driver calls it
-through ``dixit_pindyck.reduced_residual``.  Python's float ``**`` raises
+through ``dixit_pindyck.reduced_residual``.  Its guard on the elimination
+divisor x1**(a3 + a4) - x2**(a3 + a4) is :func:`pair_powers`, which
+``dixit_pindyck.back_substitute`` shares.  Python's float ``**`` raises
 OverflowError where IEEE arithmetic would give inf; the residual catches it,
 so an overflow becomes NonRealEvaluation (which the fused loop turns into
 its evaluation-failed status) instead of a raw arithmetic error.
@@ -15,8 +17,9 @@ same order, and the residual's statements for positive components; where
 those overflow or give a non-finite value it calls
 :func:`reduced_residual_checked`, which decides.  The kernel agreement tests
 (against the driver on every sweep order and on random starts) and an AST
-test (the inlined residual statements equal the residual's) pin both
-copies.  Its status codes (decoded by ``dixit_pindyck.STATUS_FROM_CODE``):
+test (the inlined guard and residual statements equal those of
+:func:`pair_powers` and :func:`reduced_residual_checked`) pin both copies.
+Its status codes (decoded by ``dixit_pindyck.STATUS_FROM_CODE``):
 0 converged, 1 iteration cap, 2 diverged, 3 evaluation failed.
 """
 
@@ -33,28 +36,38 @@ from .errors import DegenerateThresholds, NonRealEvaluation
 DEGENERATE_RTOL = 1e-8
 
 
+def pair_powers(x1, x2, s):
+    """The powers ``(x1 ** s, x2 ** s)`` of a threshold pair, guarded; ``s`` is a3 + a4.
+
+    Their difference is the elimination divisor of both the reduced residual
+    and the back-substitution.  A non-positive or infinite component raises
+    NonRealEvaluation; powers that agree to DEGENERATE_RTOL relative, which
+    collapse the divisor, raise DegenerateThresholds.  A power overflow
+    propagates as OverflowError, so each caller words its own message.
+    """
+    if x1 <= 0.0 or x2 <= 0.0:
+        raise NonRealEvaluation(f"thresholds must be positive, got {(x1, x2)}")
+    t1 = x1 ** s
+    t2 = x2 ** s
+    if abs(t1 - t2) <= DEGENERATE_RTOL * (t1 if t1 > t2 else t2):
+        # An infinite power passes the test however far apart x1 and x2 are.
+        if t1 == math.inf or t2 == math.inf:
+            raise NonRealEvaluation(f"thresholds must be finite, got {(x1, x2)}")
+        raise DegenerateThresholds(f"threshold components coincide at {(x1, x2)}")
+    return t1, t2
+
+
 def reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2):
     """Two-component threshold residual with domain checks; returns ``(f1, f2)``.
 
     The residual components are the value-matching equations of the
     four-variable system after eliminating the two value-function
-    coefficients, so their norms live on the full system's scale.  A
-    non-positive or infinite component, a power overflow or a non-finite
-    result raises NonRealEvaluation; components whose powers x**(a3 + a4)
-    agree to DEGENERATE_RTOL relative, which collapse the elimination
-    denominator, raise DegenerateThresholds.
+    coefficients, so their norms live on the full system's scale.  The pair
+    is refused as :func:`pair_powers` refuses it; a power overflow or a
+    non-finite result raises NonRealEvaluation.
     """
-    if x1 <= 0.0 or x2 <= 0.0:
-        raise NonRealEvaluation(f"thresholds must be positive, got {(x1, x2)}")
-    s = a3 + a4
     try:
-        t1 = x1 ** s
-        t2 = x2 ** s
-        if abs(t1 - t2) <= DEGENERATE_RTOL * (t1 if t1 > t2 else t2):
-            # An infinite power passes the test however far apart x1 and x2 are.
-            if t1 == math.inf or t2 == math.inf:
-                raise NonRealEvaluation(f"thresholds must be finite, got {(x1, x2)}")
-            raise DegenerateThresholds(f"threshold components coincide at {(x1, x2)}")
+        t1, t2 = pair_powers(x1, x2, a3 + a4)
         den = a1 * a2 * (t1 - t2)
         p1 = x1 ** a3
         p2 = x2 ** a3
@@ -123,8 +136,9 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
         if not (math.isfinite(x1) and math.isfinite(x2)) \
                 or math.sqrt(x1 * x1 + x2 * x2) > bound:
             return 2, i, x1, x2, step, math.nan
-        # reduced_residual_checked's common case, inlined with its own
-        # statements; an overflow or a non-finite result is left to it.
+        # reduced_residual_checked's common case, inlined with its own and
+        # pair_powers' statements; an overflow or a non-finite result is
+        # left to it.
         if x1 <= 0.0 or x2 <= 0.0:
             return 3, i, x1, x2, step, math.nan
         try:

@@ -22,8 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .errors import (DegenerateThresholds, InvalidPrimitives,
-                     NonRealEvaluation, ThresholdSolveFailed)
+from .errors import InvalidPrimitives, NonRealEvaluation, ThresholdSolveFailed
 from .solver import (RootSet, SolverSettings, SolveOutcome, Status,
                      alpha_sweep, fixed_point_solve, norm2)
 
@@ -31,12 +30,7 @@ from .solver import (RootSet, SolverSettings, SolveOutcome, Status,
 IDENTITY_TOL = 1e-9
 
 #: Integer status codes returned by ``_kernels.solve_reduced``, in Status order.
-STATUS_FROM_CODE = {
-    0: Status.CONVERGED,
-    1: Status.MAX_ITERATIONS,
-    2: Status.DIVERGED,
-    3: Status.EVALUATION_FAILED,
-}
+STATUS_FROM_CODE = tuple(Status)
 
 
 class Decision(enum.Enum):
@@ -201,11 +195,12 @@ class ThresholdSolution:
 def reduced_residual(constants: ModelConstants, x) -> np.ndarray:
     """Two-variable residual whose zero is the threshold pair (H, L).
 
-    Both components must be positive and distinct; components whose powers
-    x**(a3 + a4) agree to ``_kernels.DEGENERATE_RTOL`` relative collapse the
-    elimination denominator and raise DegenerateThresholds, non-positive ones
+    Both components must be positive, finite and distinct; the pair is
+    refused as ``_kernels.pair_powers`` refuses it.  Non-positive components
     raise NonRealEvaluation (real powers with non-integer exponents leave the
-    real line there), and so do infinite ones.
+    real line there), and so do infinite ones; components whose powers
+    x**(a3 + a4) nearly agree collapse the elimination denominator and raise
+    the subclass for degenerate thresholds.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape != (2,):
@@ -216,22 +211,20 @@ def reduced_residual(constants: ModelConstants, x) -> np.ndarray:
 
 
 def make_residual(constants: ModelConstants):
-    """Residual closure for the generic solver drivers."""
+    """Residual for the generic solver drivers: :class:`KernelResidual`'s call.
 
-    def f(x: np.ndarray) -> np.ndarray:
-        return reduced_residual(constants, x)
-
-    return f
+    A bound method has no ``fused_solve``, so the drivers run their own loop.
+    """
+    return KernelResidual(constants).__call__
 
 
 class KernelResidual:
     """The reduced residual, whose untraced default driver solve runs the scalar kernel.
 
-    Called, it is :func:`make_residual`'s residual.  ``fixed_point_solve``
-    hands the plain pseudo-Newton iteration without a trace to
-    :meth:`fused_solve`, which gives the driver's status, iteration count,
-    final iterate and norms; a traced solve runs the driver loop over the
-    same residual.
+    Called, it is the reduced residual.  ``fixed_point_solve`` hands the
+    plain pseudo-Newton iteration without a trace to :meth:`fused_solve`,
+    which gives the driver's status, iteration count, final iterate and
+    norms; a traced solve runs the driver loop over the same residual.
     """
 
     __slots__ = ("constants",)
@@ -245,7 +238,7 @@ class KernelResidual:
     def fused_solve(self, x0, settings: SolverSettings) -> SolveOutcome:
         if len(x0) != 2:
             # The fused loop takes two unknowns; the driver reports any other start.
-            return fixed_point_solve(make_residual(self.constants), x0, settings)
+            return fixed_point_solve(self.__call__, x0, settings)
         c = self.constants
         code, n, x1, x2, step_norm, res_norm = _kernels.solve_reduced(
             c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7, float(x0[0]), float(x0[1]),
@@ -262,24 +255,17 @@ def back_substitute(constants: ModelConstants, x) -> tuple:
 
     The smooth-pasting equations are linear in (A, B); this is their closed
     form solution.  Swapping the two components leaves the result unchanged
-    because numerator and denominator flip sign together.  Near-coincident
-    components raise DegenerateThresholds, and non-positive or infinite ones
-    NonRealEvaluation, as in :func:`reduced_residual`.
+    because numerator and denominator flip sign together.  The pair is
+    refused as ``_kernels.pair_powers`` refuses it, which
+    :func:`reduced_residual` shares.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape != (2,):
         raise ValueError("x must be a 2-vector")
     x1, x2 = float(x[0]), float(x[1])
-    if x1 <= 0.0 or x2 <= 0.0:
-        raise NonRealEvaluation(f"thresholds must be positive, got {(x1, x2)}")
     c = constants
     try:
-        t1 = x1 ** (c.a3 + c.a4)
-        t2 = x2 ** (c.a3 + c.a4)
-        if abs(t1 - t2) <= _kernels.DEGENERATE_RTOL * (t1 if t1 > t2 else t2):
-            if t1 == math.inf or t2 == math.inf:
-                raise NonRealEvaluation(f"thresholds must be finite, got {(x1, x2)}")
-            raise DegenerateThresholds(f"threshold components coincide at {(x1, x2)}")
+        t1, t2 = _kernels.pair_powers(x1, x2, c.a3 + c.a4)
         a = c.a5 * (x1 ** c.a3 - x2 ** c.a3) / (c.a2 * (t1 - t2))
         g14 = x1 ** c.a4 - x2 ** c.a4
         try:

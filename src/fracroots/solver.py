@@ -121,7 +121,7 @@ class SolverSettings:
             raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
         object.__setattr__(self, "max_iter", int(max_iter))
         if not 1 <= self.max_iter <= MAX_ITER:
-            raise ValueError(f"max_iter must lie in [1, {MAX_ITER}], got {self.max_iter}")
+            raise ValueError(f"max_iter must lie in [1, {MAX_ITER}], got {max_iter!r}")
 
 
 @dataclass(frozen=True)

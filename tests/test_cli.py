@@ -6,8 +6,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 import fracroots
-from fracroots import ConfigError, NonRealEvaluation, SolverSettings, solve_thresholds
+from fracroots import (ConfigError, NonRealEvaluation, SolveOutcome, SolverSettings, Status,
+                       ThresholdSolveFailed, solve_thresholds)
 from fracroots import cli, reference
 from fracroots.cli import CSV_HEADER, load_config, main
 
@@ -44,14 +47,20 @@ LARGE_EXPONENTS = {
 }
 
 
+#: ``--out`` files of README's scenario and of reproduce-tables, kept byte for byte.
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 def primitives_with(**fields):
     return {**PRIMITIVES, "primitives": {**PRIMITIVES["primitives"], **fields}}
 
 
 def write_config(tmp_path, payload, name="scenario.yaml"):
+    """``payload`` as YAML, or written as it is when it is a string."""
     path = tmp_path / name
     # In the payload's own key order, which may mix key types.
-    path.write_text(yaml.safe_dump(payload, sort_keys=False), encoding="utf-8")
+    text = payload if isinstance(payload, str) else yaml.safe_dump(payload, sort_keys=False)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -226,6 +235,10 @@ class TestSolveCommand:
         ("sweep", {**ROW2, "sweep": {"grid_step": 10**400}}, [], "sweep.grid_step"),
         ("solve", {**ROW2, "output": {"format": 1}}, [], "output.format"),
         ("solve", {**ROW2, "output": {"trace": "yes"}}, [], "output.trace"),
+        ("solve", {**ROW2, "solver": 5}, [], "solver"),
+        ("solve", "constants: [1, 2\n", [], "config"),
+        ("sweep", [ROW2], [], "config"),
+        ("solve", {**ROW2, "initial": {"H0": math.inf, "L0": 18}}, [], "initial"),
     ], ids=["max-iter-0", "alpha-integer", "alpha-nan", "epsilon-negative", "epsilon-inf",
             "a6-below-a7-solve", "a6-below-a7-sweep", "max-iter-fraction",
             "grid-step-1e-300", "grid-step-1e-7", "grid-step-inf",
@@ -233,7 +246,8 @@ class TestSolveCommand:
             "no-switching-cost", "a5-inf", "half-sum-overflow", "max-iter-1e15",
             "max-iter-huge-flag", "solver-misspelt-key", "constants-a8",
             "a6-below-a7-before-solver", "unknown-sections-of-mixed-type",
-            "grid-step-nan", "grid-step-huge", "format-not-a-string", "trace-not-a-bool"])
+            "grid-step-nan", "grid-step-huge", "format-not-a-string", "trace-not-a-bool",
+            "solver-not-a-mapping", "invalid-yaml", "top-level-not-a-mapping", "H0-inf"])
     def test_invalid_input_is_a_config_error(self, tmp_path, capsys, command,
                                              payload, flags, field):
         code = main([command, "--config", write_config(tmp_path, payload), *flags])
@@ -409,6 +423,30 @@ class TestReproduceTables:
             assert record["status"] == "converged"
             assert int(record["iters"]) <= 300
 
+    def test_failed_row_is_reported_and_the_others_written(self, monkeypatch, tmp_path,
+                                                           capsys):
+        failing = reference.ROWS[2]
+        solve = cli.solve_thresholds
+
+        def fail_one_row(problem, settings, *args, **kwargs):
+            if settings.alpha.value == failing.alpha:
+                raise ThresholdSolveFailed(SolveOutcome(
+                    status=Status.MAX_ITERATIONS, x_final=problem.x0, iterations=500,
+                    final_step_norm=1.0, final_residual_norm=1.0))
+            return solve(problem, settings, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_thresholds", fail_one_row)
+        out_path = tmp_path / "tables.csv"
+        assert main(["reproduce-tables", "--out", str(out_path)]) == 2
+        out = capsys.readouterr().out
+        assert f"{failing.index:>3} {failing.alpha:>8} solve FAILED: max_iterations\n" in out
+        assert out.endswith("\nsome bounds FAILED\n")
+        # The other four rows, as a run without the failure writes them.
+        golden = (GOLDEN / "reproduce_tables.csv").read_bytes().splitlines(keepends=True)
+        expected = [line for line in golden if not line.startswith(f"{failing.index},".encode())]
+        assert out_path.read_bytes().splitlines(keepends=True) == expected
+        assert len(expected) == len(reference.ROWS)
+
     def test_yaml_is_imported_only_to_read_a_config(self):
         src = os.path.dirname(os.path.dirname(fracroots.__file__))
         script = ("import contextlib, io, sys; from fracroots import cli\n"
@@ -418,6 +456,40 @@ class TestReproduceTables:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src})
         assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
+class TestGoldenOutput:
+    """``--out`` bytes of three runs against files committed from an earlier release.
+
+    The scenario is README's row-1 file.  stdout is not compared: the
+    reproduce-tables table marks each row ok or FAIL against wall-clock
+    bounds.  To regenerate after an intended change of output, run from a
+    directory holding README's scenario block as ``scenario.yaml``:
+    ``fracroots reproduce-tables --out reproduce_tables.csv``,
+    ``fracroots solve --config scenario.yaml --format structured --trace
+    --out solve_structured_trace.json`` and ``fracroots sweep --config
+    scenario.yaml --out sweep.csv``.
+    """
+
+    @pytest.mark.parametrize("argv, name", [
+        (["reproduce-tables"], "reproduce_tables.csv"),
+        (["solve", "--config", "scenario.yaml", "--format", "structured", "--trace"],
+         "solve_structured_trace.json"),
+        (["sweep", "--config", "scenario.yaml"], "sweep.csv"),
+    ], ids=["reproduce-tables", "solve-structured-trace", "sweep"])
+    def test_out_bytes_match_the_golden_file(self, tmp_path, monkeypatch, capsys, argv, name):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        (tmp_path / "scenario.yaml").write_text(
+            re.search(r"^```yaml\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)[1],
+            encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code = main([*argv, "--out", name])
+        # reproduce-tables exits 2 when a row misses a wall-clock bound, and
+        # still writes its CSV.
+        assert code in ((0, 2) if argv[0] == "reproduce-tables" else (0,)), \
+            capsys.readouterr().err
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def config_with_spelling(tmp_path, payload, section, key, spelling, name="scenario.yaml"):
@@ -462,10 +534,18 @@ class TestYamlFloats:
         assert "41844.570904" in capsys.readouterr().out
 
     def test_huge_max_iter_is_refused_by_its_range(self, tmp_path, capsys):
+        # The message shows the value, not its int(), which runs to 301 digits.
         path = config_with_spelling(tmp_path, ROW2, "solver", "max_iter", "1.0e300")
         assert main(["solve", "--config", path]) == 1
-        assert capsys.readouterr().err.startswith(
-            "config error: solver.max_iter: max_iter must lie in")
+        assert capsys.readouterr().err == (
+            "config error: solver.max_iter: max_iter must lie in [1, 1000000], got 1e+300\n")
+
+    def test_huge_integer_max_iter_is_shown_as_the_float_it_loads_as(self, tmp_path, capsys):
+        # int(1e34) would read 9999999999999999455752309870428160.
+        path = config_with_spelling(tmp_path, ROW2, "solver", "max_iter", "1" + "0" * 34)
+        assert main(["solve", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            "config error: solver.max_iter: max_iter must lie in [1, 1000000], got 1e+34\n")
 
     def test_quoted_number_is_still_refused(self, tmp_path, capsys):
         path = config_with_spelling(tmp_path, ROW2, "solver", "epsilon", "'1e-4'")

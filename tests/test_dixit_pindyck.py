@@ -1,5 +1,6 @@
 """Threshold-model tests: constants, residuals, back-substitution, solves."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -19,7 +20,7 @@ from fracroots import (DegenerateThresholds, Decision, EconomicPrimitives,
                        reduced_residual, solve_thresholds, sweep_thresholds)
 from fracroots.dixit_pindyck import STATUS_FROM_CODE, KernelResidual, _label_thresholds
 from fracroots.solver import MAX_ITER, IterationTrace
-from fracroots import _kernels, reference
+from fracroots import _kernels, dixit_pindyck, reference
 
 #: Full-precision initial residual norms of the bundled scenarios, frozen
 #: from the implementation after verifying the published 6-digit values.
@@ -158,8 +159,10 @@ class TestReducedResidual:
     @pytest.mark.parametrize("x", [(-1.0, 2.0), (2.0, -1.0), (0.0, 3.0)])
     def test_nonpositive_components(self, x):
         c = reference.scenario_constants(451474.0, 396499.0)
-        with pytest.raises(NonRealEvaluation):
-            reduced_residual(c, np.array(x))
+        for evaluate in (reduced_residual, back_substitute):
+            with pytest.raises(NonRealEvaluation, match="must be positive") as raised:
+                evaluate(c, np.array(x))
+            assert not isinstance(raised.value, DegenerateThresholds)
 
     def test_overflowing_point_raises_typed_error(self):
         c = reference.scenario_constants(451474.0, 396499.0)
@@ -414,6 +417,22 @@ class TestSolveThresholds:
             solve_thresholds(reference.scenario_problem(row),
                              SolverSettings(alpha=row.alpha))
 
+    def test_swapped_converged_point_is_relabeled(self, monkeypatch):
+        row = reference.ROWS[0]
+        problem = reference.scenario_problem(row)
+        settings = SolverSettings(alpha=row.alpha)
+        unswapped = solve_thresholds(problem, settings)
+        swapped = dataclasses.replace(unswapped.outcome,
+                                      x_final=unswapped.outcome.x_final[::-1].copy())
+        monkeypatch.setattr(dixit_pindyck, "fixed_point_solve",
+                            lambda *args, **kwargs: swapped)
+        with pytest.warns(ThresholdOrderingWarning, match="labels were swapped"):
+            sol = solve_thresholds(problem, settings)
+        assert sol.relabeled and not unswapped.relabeled
+        assert sol.H > sol.L
+        assert (sol.H, sol.L) == (unswapped.H, unswapped.L)
+        assert (sol.A.hex(), sol.B.hex()) == (unswapped.A.hex(), unswapped.B.hex())
+
 
 def kernel_trace(constants, x0, settings) -> IterationTrace:
     """The scalar kernel's own trace: ``_kernels.solve_reduced`` with trace arrays.
@@ -492,6 +511,13 @@ class TestKernelAgreement:
              max_iter=5, scale=(1e145, 1e200))
     # Degenerate components.
     @example(row=reference.ROWS[0], x0=(5.0, 5.0 * (1.0 + 1e-9)), alpha=FractionalOrder(0.25),
+             max_iter=5, scale=(1e-4, 1e10))
+    # The first step lands at (313079.9571643983, 313079.957164398), whose
+    # powers coincide: the loop's own degeneracy exit.
+    @example(row=reference.ROWS[0], x0=(1.7782794100389228, 1.0818180532035107),
+             alpha=FractionalOrder(0.26131), max_iter=5, scale=(1e-4, 1e10))
+    # The second component's multiplier power overflows in the first step.
+    @example(row=reference.ROWS[0], x0=(15.0, 1e-200), alpha=FractionalOrder(1.9),
              max_iter=5, scale=(1e-4, 1e10))
     def test_any_start_matches_generic_driver(self, row, x0, alpha, max_iter, scale):
         epsilon, bound = scale

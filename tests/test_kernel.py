@@ -283,26 +283,45 @@ class TestModuleBoundaries:
         assert imported and "kernel" not in [name.rsplit(".", 1)[-1] for name in imported]
 
     def test_fused_loop_repeats_the_residual_statements(self):
-        # The fused loop inlines the checked residual's common case; neither
-        # copy may change alone.  Compared: the degeneracy test and the
-        # assignments to these names in the body of each ``try``.
+        # The fused loop inlines the pair guard's powers and degeneracy test
+        # and the checked residual's common case; neither copy may change
+        # alone.  Compared: the degeneracy test and the assignments to these
+        # names in the body of each ``try``, or of pair_powers, which has none.
         names = ("t1", "t2", "den", "p1", "p2", "g13", "g14", "f1", "f2")
         functions = {node.name: node for node in ast.walk(self.tree("_kernels"))
                      if isinstance(node, ast.FunctionDef)}
 
-        def statements(function):
+        def found_in(body):
             found = []
-            for node in ast.walk(function):
-                if isinstance(node, ast.Try):
-                    for stmt in node.body:
-                        if isinstance(stmt, ast.If):
-                            found.append(("if", ast.dump(stmt.test)))
-                        elif (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                              and isinstance(stmt.targets[0], ast.Name)
-                              and stmt.targets[0].id in names):
-                            found.append((stmt.targets[0].id, ast.dump(stmt.value)))
+            for stmt in body:
+                if isinstance(stmt, ast.If):
+                    found.append(("if", ast.dump(stmt.test)))
+                elif (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                      and isinstance(stmt.targets[0], ast.Name)
+                      and stmt.targets[0].id in names):
+                    found.append((stmt.targets[0].id, ast.dump(stmt.value)))
             return found
 
+        def statements(function):
+            return [entry for node in ast.walk(function) if isinstance(node, ast.Try)
+                    for entry in found_in(node.body)]
+
+        # pair_powers' positivity refusal is the test the fused loop returns
+        # on before its ``try``; the degeneracy test is its second.
+        positive, *guard = found_in(functions["pair_powers"].body)
         checked = statements(functions["reduced_residual_checked"])
-        assert [name for name, _ in checked] == ["t1", "t2", "if", *names[2:]]
-        assert statements(functions["solve_reduced"]) == checked
+        assert [name for name, _ in guard] == ["t1", "t2", "if"]
+        assert positive in [("if", ast.dump(node.test))
+                            for node in ast.walk(functions["solve_reduced"])
+                            if isinstance(node, ast.If)]
+        assert [name for name, _ in checked] == list(names[2:])
+        assert statements(functions["solve_reduced"]) == guard + checked
+
+    def test_only_the_threshold_kernels_name_the_degeneracy_tolerance(self):
+        naming = sorted(
+            path.stem for path in self.PACKAGE.glob("*.py")
+            if any((isinstance(node, ast.Name) and node.id == "DEGENERATE_RTOL")
+                   or (isinstance(node, ast.Attribute) and node.attr == "DEGENERATE_RTOL")
+                   or (isinstance(node, ast.alias) and node.name == "DEGENERATE_RTOL")
+                   for node in ast.walk(self.tree(path.stem))))
+        assert naming == ["_kernels"]

@@ -398,6 +398,13 @@ class TestSolverSettings:
         with pytest.raises(ValueError):
             SolverSettings(**kwargs)
 
+    @pytest.mark.parametrize("value, shown", [
+        (1e300, "1e+300"), (10**34, str(10**34)), (0, "0"), (MAX_ITER + 1.0, "1000001.0")])
+    def test_range_error_shows_max_iter_as_given(self, value, shown):
+        with pytest.raises(ValueError) as raised:
+            SolverSettings(max_iter=value)
+        assert str(raised.value) == f"max_iter must lie in [1, {MAX_ITER}], got {shown}"
+
     def test_integral_max_iter_accepted(self):
         for value in (7, np.int64(7), 7.0):
             assert SolverSettings(max_iter=value).max_iter == 7
