@@ -103,10 +103,13 @@ def _section(data: dict, name: str) -> dict:
 
 
 def _number(section: str, name: str, raw) -> float:
+    """A scenario number as a float, but an integer ``max_iter`` stays an integer."""
     if raw is None:
         raise ConfigError(f"{section}.{name}", "missing required field")
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"{section}.{name}", f"must be a number, got {raw!r}")
+    if isinstance(raw, int) and (section, name) == ("solver", "max_iter"):
+        return raw
     try:
         return float(raw)
     except OverflowError as exc:  # an integer beyond the float range
@@ -131,6 +134,22 @@ def _yaml_loader():
         re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
         list("-+.0123456789"))
     return Loader
+
+
+def _flag_number(section: str, name: str, text: str) -> float:
+    """A number flag's value, read as the same text in a scenario file would be.
+
+    The text is loaded as a YAML scalar and checked by :func:`_number`, so
+    ``--max-iter 5e2`` is 500, as ``max_iter: 5e2`` is, and ``--alpha abc``
+    is a ConfigError for ``solver.alpha``.
+    """
+    import yaml
+
+    try:
+        raw = yaml.load(text, Loader=_yaml_loader())
+    except yaml.YAMLError:
+        raw = text
+    return _number(section, name, text if raw is None else raw)
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -321,7 +340,7 @@ def _render_solution(problem, alpha, sol, fmt) -> str:
 
 def _cmd_solve(args) -> tuple:
     config = load_config(args.config)
-    settings = config.settings(**{name: getattr(args, name)
+    settings = config.settings(**{name: _flag_number("solver", name, getattr(args, name))
                                   for name in ("alpha", "epsilon", "max_iter")
                                   if getattr(args, name) is not None})
     problem, alpha = config.problem, settings.alpha.value
@@ -410,7 +429,8 @@ def _cmd_reproduce(args) -> tuple:
 
 def _cmd_sweep(args) -> tuple:
     config = load_config(args.config)
-    step = config.grid_step if args.grid_step is None else args.grid_step
+    step = (config.grid_step if args.grid_step is None
+            else _flag_number("sweep", "grid_step", args.grid_step))
     try:
         grid = default_alpha_grid(step=step)
     except ValueError as exc:
@@ -458,9 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve one scenario from a config file")
     solve.add_argument("--config", required=True, help="YAML scenario file")
-    solve.add_argument("--alpha", type=float, help="fractional order override")
-    solve.add_argument("--epsilon", type=float, help="regularisation override")
-    solve.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap override")
+    solve.add_argument("--alpha", help="fractional order override")
+    solve.add_argument("--epsilon", help="regularisation override")
+    solve.add_argument("--max-iter", dest="max_iter", help="iteration cap override")
     solve.add_argument("--trace", action="store_true", help="include the iteration history")
     solve.add_argument("--out", help="write the report to this file instead of stdout")
     solve.add_argument("--format", dest="fmt", choices=FORMATS,
@@ -473,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="order sweep for multiple roots of one scenario")
     sweep.add_argument("--config", required=True, help="YAML scenario file")
-    sweep.add_argument("--grid-step", dest="grid_step", type=float,
+    sweep.add_argument("--grid-step", dest="grid_step",
                        help=f"grid spacing over [-2, 2] (default {DEFAULT_GRID_STEP:g})")
     sweep.add_argument("--out", help="write found roots as CSV to this file")
 

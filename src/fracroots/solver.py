@@ -205,7 +205,8 @@ def _evaluate(f: Callable, x: np.ndarray) -> tuple:
     ValueError.  The norm is the square root of :func:`_sum_squares`; a
     finite sum of squares means every entry is finite, so the entries are
     only scanned when it is not (a finite residual whose squares overflow
-    keeps an inf norm).
+    keeps an inf norm).  :func:`fixed_point_solve` writes these statements
+    out in its loop; a test holds the two copies equal.
     """
     try:
         fx = np.asarray(f(x), dtype=float).ravel()
@@ -233,14 +234,15 @@ def fpn_step(f: Callable, x, alpha, epsilon: float) -> np.ndarray:
 
 
 def fpn_update(alpha, epsilon: float) -> Callable:
-    """Step closure (xs, rs) -> next iterate, the driver's step.
+    """Step closure (xs, rs) -> next iterate, the pseudo-Newton step.
 
     ``xs`` and ``rs`` are the iterate and the residual as float sequences;
     each entry of the returned list is ``v - entry(v) * r``, where ``entry``
     is :func:`~fracroots.kernel.multiplier` for this order and epsilon (the
     entries of :func:`~fracroots.kernel.p_matrix` without its per-call
     checks).  The order and epsilon are checked, and
-    gamma(1 - alpha) is computed, once, here.
+    gamma(1 - alpha) is computed, once, here.  :func:`fixed_point_solve`
+    computes the same entries in its own loop.
     """
     alpha = FractionalOrder.coerce(alpha).value
     entry = multiplier(alpha, checked_epsilon(epsilon))
@@ -315,11 +317,17 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
     instead of raising.
 
     The iterate and the residual are carried as float lists, and an array is
-    built from the iterate only for the call of ``f``.  Each step is one call
-    of :func:`fpn_update`'s closure on those lists.  One pass over the
-    entries then adds up the squares of the step and of the new iterate, so
-    numpy runs only in ``f``.  Every norm is the square root of
-    :func:`_sum_squares`, summed in entry order like the fused loop's.  An
+    built from the iterate only for the call of ``f``.  An iteration is one
+    pass over the entries that computes each new entry as ``v - entry(v) *
+    r``, the step of :func:`fpn_update`'s closure with ``entry`` from
+    :func:`~fracroots.kernel.multiplier` (built once per solve from the
+    checked settings), and adds up the squares of the step and of the new
+    iterate.  The new iterate's residual is then checked with
+    :func:`_evaluate`'s statements, written out in the loop, whose failures
+    become the EVALUATION_FAILED status; ``_evaluate`` itself checks x0.  So
+    the loop calls no helper of this module per iteration, and numpy runs
+    only in ``f``.  Every norm is the square root of a sum of squares added
+    in entry order, as :func:`_sum_squares` and the fused loop add it.  An
     iterate diverges when its norm exceeds the bound or when it has a
     non-finite entry; the entries are scanned only when its sum of squares is
     not finite, so a finite iterate whose squares overflow diverges only
@@ -349,7 +357,8 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
     fused_solve = getattr(f, "fused_solve", None)
     if fused_solve is not None and not keep_trace:
         return fused_solve(x, settings)
-    update = fpn_update(settings.alpha, settings.epsilon)
+    # The settings are checked, so the entry rule skips fpn_update's coercion.
+    entry = multiplier(settings.alpha.value, settings.epsilon)
     if keep_trace:
         iterates = [xs]
         step_norms: list = []
@@ -384,20 +393,35 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
         # The cycle stop's lag, and the iterate of its last checkpoint (none yet).
         lag, xs_lag = CYCLE_LAG, None
         for i in range(1, max_iter + 1):
-            xs_next = update(xs, rs)
+            # fpn_update's step, with the squares of the step and of the new
+            # iterate added up in the same pass.
+            xs_next = []
             step_squares = size = 0.0
-            for v, w in zip(xs, xs_next):
+            for v, r in zip(xs, rs):
+                w = v - entry(v) * r
                 d = w - v
                 step_squares += d * d
                 size += w * w
+                xs_next.append(w)
             step_norm = math.sqrt(step_squares)
             if math.sqrt(size) > bound or (not math.isfinite(size)
                                            and not all(map(math.isfinite, xs_next))):
                 return outcome(Status.DIVERGED, xs_next, i, step_norm, math.nan)
+            # _evaluate's statements, with its failures returned as a status.
+            x = np.array(xs_next)
             try:
-                rs, res_norm = _evaluate(f, np.array(xs_next))
-            except NonRealEvaluation:
+                fx = np.asarray(f(x), dtype=float).ravel()
+            except (ArithmeticError, ValueError):
                 return outcome(Status.EVALUATION_FAILED, xs_next, i, step_norm, math.nan)
+            if fx.shape != x.shape:
+                raise ValueError(f"residual has shape {fx.shape}, expected {x.shape}")
+            rs = fx.tolist()
+            squares = 0.0
+            for r in rs:
+                squares += r * r
+            if not math.isfinite(squares) and not all(map(math.isfinite, rs)):
+                return outcome(Status.EVALUATION_FAILED, xs_next, i, step_norm, math.nan)
+            res_norm = math.sqrt(squares)
             if keep_trace:
                 iterates.append(xs_next)
                 step_norms.append(step_norm)

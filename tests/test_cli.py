@@ -349,6 +349,68 @@ class TestFlagPrecedence:
                 (1e-4, 400) if "--epsilon" in flags else (1e-4, 500))
 
 
+class TestFlagNumbers:
+    """A number flag is read as the same value in a scenario file would be."""
+
+    @pytest.mark.parametrize("key, spelling", [
+        ("max_iter", "5e2"), ("max_iter", "500"), ("max_iter", "500.0"),
+        ("alpha", "2.5628e-1"), ("epsilon", "1e-4"), ("epsilon", "1.0e-4"),
+    ])
+    def test_flag_reads_as_the_file_does(self, monkeypatch, tmp_path, capsys, key, spelling):
+        calls = []
+        real_solve = cli.solve_thresholds
+
+        def spy(problem, settings, keep_trace=False):
+            calls.append(settings)
+            return real_solve(problem, settings, keep_trace=keep_trace)
+
+        monkeypatch.setattr(cli, "solve_thresholds", spy)
+        flag = "--" + key.replace("_", "-")
+        assert main(["solve", "--config", write_config(tmp_path, ROW2),
+                     flag, spelling]) == 0
+        from_file = load_config(config_with_spelling(tmp_path, ROW2, "solver", key, spelling,
+                                                     name="spelled.yaml")).settings()
+        (settings,) = calls
+        assert settings == from_file
+
+    def test_max_iter_5e2_caps_at_500(self, tmp_path, capsys):
+        # Row 2 under a residual tolerance it cannot meet caps at max_iter.
+        payload = {**ROW2, "solver": {"alpha": 0.25628, "tol_residual": 1e-300}}
+        assert main(["solve", "--config", write_config(tmp_path, payload),
+                     "--max-iter", "5e2"]) == 2
+        assert "status max_iterations after 500 iterations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, text, message", [
+        ("solve", "--alpha", "abc", "solver.alpha: must be a number, got 'abc'"),
+        ("solve", "--epsilon", "[1", "solver.epsilon: must be a number, got '[1'"),
+        ("solve", "--max-iter", "true", "solver.max_iter: must be a number, got True"),
+        ("solve", "--max-iter", "", "solver.max_iter: must be a number, got ''"),
+        ("solve", "--max-iter", "1.5",
+         "solver.max_iter: max_iter must be an integer, got 1.5"),
+        ("sweep", "--grid-step", "'0.5'", "sweep.grid_step: must be a number, got '0.5'"),
+    ], ids=["alpha-word", "epsilon-bad-yaml", "max-iter-bool", "max-iter-empty",
+            "max-iter-fraction", "grid-step-quoted"])
+    def test_flag_that_is_not_a_number_is_a_config_error(self, tmp_path, capsys, command,
+                                                         flag, text, message):
+        assert main([command, "--config", write_config(tmp_path, ROW2), flag, text]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("max_iter, shown", [("0", "0"), ("0.0", "0.0"),
+                                                 ("1000001", "1000001"),
+                                                 ("9007199254740993", "9007199254740993")])
+    def test_max_iter_range_error_reads_the_same_from_file_and_flag(self, tmp_path, capsys,
+                                                                     max_iter, shown):
+        expected = ("config error: solver.max_iter: max_iter must lie in [1, 1000000], "
+                    f"got {shown}\n")
+        path = config_with_spelling(tmp_path, ROW2, "solver", "max_iter", max_iter)
+        assert main(["solve", "--config", path]) == 1
+        assert capsys.readouterr().err == expected
+        assert main(["solve", "--config", write_config(tmp_path, ROW2),
+                     "--max-iter", max_iter]) == 1
+        assert capsys.readouterr().err == expected
+
+
 class TestMachineOutput:
     def api_solution(self):
         constants = reference.scenario_constants(706975.0, 652000.0)
@@ -540,12 +602,13 @@ class TestYamlFloats:
         assert capsys.readouterr().err == (
             "config error: solver.max_iter: max_iter must lie in [1, 1000000], got 1e+300\n")
 
-    def test_huge_integer_max_iter_is_shown_as_the_float_it_loads_as(self, tmp_path, capsys):
-        # int(1e34) would read 9999999999999999455752309870428160.
+    def test_huge_integer_max_iter_is_shown_as_written(self, tmp_path, capsys):
+        # An integer max_iter stays an integer: as a float it would read 1e+34.
         path = config_with_spelling(tmp_path, ROW2, "solver", "max_iter", "1" + "0" * 34)
         assert main(["solve", "--config", path]) == 1
         assert capsys.readouterr().err == (
-            "config error: solver.max_iter: max_iter must lie in [1, 1000000], got 1e+34\n")
+            "config error: solver.max_iter: max_iter must lie in [1, 1000000], got 1"
+            + "0" * 34 + "\n")
 
     def test_quoted_number_is_still_refused(self, tmp_path, capsys):
         path = config_with_spelling(tmp_path, ROW2, "solver", "epsilon", "'1e-4'")

@@ -1,7 +1,10 @@
 """Solver-level tests: steps, the driver, the baseline, order estimates, sweeps."""
 
+import ast
+import copy
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ from fracroots import (FractionalOrder, InsufficientData, NonRealEvaluation,
                        default_alpha_grid, estimate_order, fd_jacobian,
                        fixed_point_solve, fpn_step, fpn_update, newton_step,
                        norm2, p_matrix)
-from fracroots.solver import CYCLE_LAG, MAX_ITER, _with_order
+from fracroots import solver
+from fracroots.solver import CYCLE_LAG, MAX_ITER, _evaluate, _with_order
 
 
 def linear_root_residual(matrix, root):
@@ -159,26 +163,6 @@ class TestFixedPointSolve:
                 assert norm2(tr.iterates[i + 1] - tr.iterates[i]) == tr.step_norms[i]
             for i in range(out.iterations + 1):
                 assert norm2(f(tr.iterates[i])) == tr.residual_norms[i]
-
-    def test_default_step_is_the_fpn_update_closure(self, monkeypatch):
-        # The driver calls the closure fpn_update returns once per step, so a
-        # probe on fpn_update sees every step of the driver.
-        from fracroots import solver
-        build, calls = solver.fpn_update, []
-
-        def counting(alpha, epsilon):
-            inner = build(alpha, epsilon)
-
-            def step(xs, rs):
-                calls.append(xs)
-                return inner(xs, rs)
-
-            return step
-
-        monkeypatch.setattr(solver, "fpn_update", counting)
-        f, x0, settings = (lambda x: x * x - 2.0), np.array([1.0]), SolverSettings(alpha=0.5)
-        out = fixed_point_solve(f, x0, settings)
-        assert len(calls) == out.iterations > 0
 
     def test_rejects_non_finite_start(self):
         with pytest.raises(ValueError):
@@ -702,3 +686,119 @@ class TestCycleStop:
         assert steps[:2] == [0.0, 0.0] and iterates[2].tolist() == iterates[1].tolist()
         assert iterates[2].tobytes() != iterates[1].tobytes()
         assert_driver_matches_numpy_reference(signed_zero_residual, x0, settings)
+
+
+def first_call_ok_then(bad):
+    """x * x - 2 at the start x = [1.0], and ``bad(x)`` at every other point."""
+    def f(x):
+        return x * x - 2.0 if x[0] == 1.0 else bad(x)
+
+    return f
+
+
+def raising(exc):
+    def f(x):
+        raise exc
+
+    return f
+
+
+class TestInlinedStepAndCheck:
+    """The driver's loop writes out fpn_update's step and _evaluate's residual
+    check, so each copy must keep the results of the function it copies."""
+
+    @pytest.mark.parametrize("name", sorted(TestAlphaSweep.GOLDEN))
+    def test_every_step_is_the_fpn_update_closure(self, name):
+        f, x0 = TestAlphaSweep.GOLDEN[name][:2]
+        steps = 0
+        for alpha in default_alpha_grid():
+            settings = SolverSettings(alpha=alpha)
+            step = fpn_update(alpha, settings.epsilon)
+            iterates = fixed_point_solve(f, np.array(x0), settings,
+                                         keep_trace=True).trace.iterates
+            for before, after in zip(iterates, iterates[1:]):
+                rs = np.asarray(f(before), dtype=float).ravel().tolist()
+                assert np.array(step(before.tolist(), rs)).tobytes() == after.tobytes()
+                steps += 1
+        assert steps > 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad, expected", [
+        (raising(ZeroDivisionError("division by zero")), "failed"),
+        (raising(ValueError("left the domain")), "failed"),
+        (raising(NonRealEvaluation("complex power")), "failed"),
+        (lambda x: np.array([math.nan]), "failed"),
+        (lambda x: np.array([-math.inf]), "failed"),
+        (lambda x: np.array([1e200]), math.inf),
+        (lambda x: np.array([1.0, 2.0]),
+         "ValueError: residual has shape (2,), expected (1,)"),
+    ], ids=["raises-arithmetic", "raises-value", "raises-non-real", "nan-entry",
+            "inf-entry", "squares-overflow", "wrong-shape"])
+    def test_residual_check_agrees_with_evaluate(self, bad, expected):
+        # The start is checked by _evaluate itself; the first step's iterate
+        # is checked by the loop's copy.
+        f = first_call_ok_then(bad)
+        x1 = fpn_step(f, np.array([1.0]), FractionalOrder(0.5), 1e-4)
+        try:
+            by_evaluate = _evaluate(f, x1)[1]
+        except NonRealEvaluation:
+            by_evaluate = "failed"
+        except ValueError as exc:
+            by_evaluate = f"ValueError: {exc}"
+        settings = SolverSettings(alpha=0.5, max_iter=1, divergence_bound=math.inf)
+        try:
+            out = fixed_point_solve(f, np.array([1.0]), settings, keep_trace=True)
+        except ValueError as exc:
+            by_driver = f"ValueError: {exc}"
+        else:
+            assert out.iterations == 1 and out.x_final.tobytes() == x1.tobytes()
+            if out.status is Status.EVALUATION_FAILED:
+                by_driver = "failed"
+            else:
+                by_driver = out.final_residual_norm
+                assert out.trace.residual_norms[1] == by_driver
+        assert by_driver == by_evaluate == expected
+
+    def test_loop_repeats_the_step_and_the_check_statements(self):
+        tree = ast.parse(Path(solver.__file__).read_text(encoding="utf-8"))
+        functions = {node.name: node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef)}
+        loop = next(node for node in ast.walk(functions["fixed_point_solve"])
+                    if isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+                    and node.target.id == "i")
+
+        def statement(source):
+            return ast.dump(ast.parse(source).body[0])
+
+        # The step: each entry is the closure's list element, over the same pairs.
+        closure = next(node for node in ast.walk(functions["fpn_update"])
+                       if isinstance(node, ast.ListComp))
+        pairs = next(node for node in loop.body if isinstance(node, ast.For))
+        assert ast.dump(pairs.target) == ast.dump(closure.generators[0].target)
+        assert ast.dump(pairs.iter) == ast.dump(closure.generators[0].iter)
+        assert ast.dump(pairs.body[0]) == statement(f"w = {ast.unparse(closure.elt)}")
+
+        # The check: _evaluate's statements, with _sum_squares written out and
+        # a failure returned where _evaluate raises NonRealEvaluation.
+        evaluate = functions["_evaluate"].body[1:]  # after the docstring
+        k = next(k for k, node in enumerate(loop.body) if isinstance(node, ast.Try))
+        check = loop.body[k:k + 6]
+        assert ast.dump(loop.body[k - 1]) == statement("x = np.array(xs_next)")
+        assert [ast.dump(node) for node in check[0].body] == [
+            ast.dump(node) for node in evaluate[0].body]
+        assert [ast.dump(handler.type) for handler in check[0].handlers] == [
+            ast.dump(evaluate[0].handlers[-1].type)]
+        assert ast.dump(check[1]) == ast.dump(evaluate[1])  # the shape check
+        assert ast.dump(check[2]) == ast.dump(evaluate[2])  # rs = fx.tolist()
+        assert ast.dump(evaluate[3]) == statement("squares = _sum_squares(rs)")
+
+        class Rename(ast.NodeTransformer):
+            names = {"total": "squares", "values": "rs", "v": "r"}
+
+            def visit_Name(self, node):
+                return ast.Name(id=self.names.get(node.id, node.id), ctx=node.ctx)
+
+        sum_squares = copy.deepcopy(functions["_sum_squares"]).body[1:3]
+        assert [ast.dump(node) for node in check[3:5]] == [
+            ast.dump(Rename().visit(node)) for node in sum_squares]
+        assert ast.dump(check[5].test) == ast.dump(evaluate[4].test)
