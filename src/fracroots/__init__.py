@@ -25,11 +25,10 @@ from .dixit_pindyck import (Decision, EconomicPrimitives, ModelConstants,
                             full_residual_scale, make_residual,
                             reduced_residual, solve_thresholds,
                             sweep_thresholds)
-from .errors import (ConfigError, DegenerateThresholds, DomainError,
-                     FracrootsError, InsufficientData, InvalidPrimitives,
-                     NonRealEvaluation, PoleArgument, SingularJacobian,
-                     ThresholdSolveFailed)
-from .kernel import FractionalOrder, constant_frac_deriv, gamma, p_matrix
+from .errors import (ConfigError, DegenerateThresholds, FracrootsError,
+                     InsufficientData, InvalidPrimitives, NonRealEvaluation,
+                     SingularJacobian, ThresholdSolveFailed)
+from .kernel import FractionalOrder, p_matrix
 from .solver import (IterationTrace, RootRecord, RootSet, SkippedAlpha,
                      SolverSettings, SolveOutcome, Status, alpha_sweep,
                      default_alpha_grid, estimate_order, fd_jacobian,
@@ -44,10 +43,10 @@ __all__ = [
     "classify_income", "derive_constants", "full_residual",
     "full_residual_scale", "make_residual", "reduced_residual",
     "solve_thresholds", "sweep_thresholds",
-    "ConfigError", "DegenerateThresholds", "DomainError", "FracrootsError",
+    "ConfigError", "DegenerateThresholds", "FracrootsError",
     "InsufficientData", "InvalidPrimitives", "NonRealEvaluation",
-    "PoleArgument", "SingularJacobian", "ThresholdSolveFailed",
-    "FractionalOrder", "constant_frac_deriv", "gamma", "p_matrix",
+    "SingularJacobian", "ThresholdSolveFailed",
+    "FractionalOrder", "p_matrix",
     "IterationTrace", "RootRecord", "RootSet", "SkippedAlpha",
     "SolverSettings", "SolveOutcome", "Status", "alpha_sweep",
     "default_alpha_grid", "estimate_order", "fd_jacobian", "fixed_point_solve",

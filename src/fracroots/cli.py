@@ -464,6 +464,17 @@ def _cmd_sweep(args) -> tuple:
 class _Parser(argparse.ArgumentParser):
     """Argument parser using exit code 1 for usage errors."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a word that starts with "-" for an option unless it
+        # matches this pattern, whose default, ^-\d+$|^-\d*\.\d+$, admits no
+        # exponent: ``--alpha -5e-1`` would be a usage error while
+        # ``--alpha -0.5`` runs.  argparse has no public hook for it; every
+        # subparser is a _Parser, so this covers the number flags of every
+        # command.
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

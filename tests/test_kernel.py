@@ -1,4 +1,4 @@
-"""Kernel-level tests: gamma, the order, the kernel and the diagonal multiplier.
+"""Kernel-level tests: the order, the multiplier's formula and its diagonal form.
 
 mpmath at 50 digits is the independent accuracy oracle throughout; the
 implementation never touches it.
@@ -14,8 +14,7 @@ import pytest
 from hypothesis import example, given, settings as hypothesis_settings, strategies as st
 
 import fracroots
-from fracroots import (DomainError, FractionalOrder, PoleArgument,
-                       constant_frac_deriv, default_alpha_grid, gamma, p_matrix)
+from fracroots import FractionalOrder, default_alpha_grid, p_matrix
 from fracroots.kernel import multiplier
 
 mpmath.mp.dps = 50
@@ -59,43 +58,6 @@ GRID_ORDERS = [a.value for a in default_alpha_grid()]
 EDGE_POINTS = [0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e308, -1e308]
 
 
-class TestGamma:
-    def test_one_is_exactly_one(self):
-        assert gamma(1.0) == 1.0
-
-    def test_half(self):
-        assert gamma(0.5) == pytest.approx(1.772453850905516, rel=1e-12)
-
-    def test_negative_half(self):
-        assert gamma(-0.5) == pytest.approx(-3.544907701811032, rel=1e-12)
-
-    @pytest.mark.parametrize("z", [0.0, -1.0, -2.0, 1e-13, -1.0 + 5e-13, -2.9999999999997])
-    def test_pole_arguments_raise(self, z):
-        with pytest.raises(PoleArgument):
-            gamma(z)
-
-    def test_positive_integers_fine(self):
-        assert gamma(2.0) == 1.0
-        assert gamma(3.0) == 2.0
-
-    def test_oracle_sweep(self):
-        rng = np.random.default_rng(20240817)
-        checked = 0
-        while checked < 400:
-            z = float(rng.uniform(-3.0, 4.0))
-            if z < 0.5 and abs(z - round(z)) < 1e-6:
-                continue
-            assert gamma(z) == pytest.approx(oracle_gamma(z), rel=1e-12)
-            checked += 1
-
-    def test_recurrence_property(self):
-        rng = np.random.default_rng(7)
-        z = rng.uniform(0.1, 2.9, size=1000)
-        for zi in z:
-            zi = float(zi)
-            assert gamma(zi + 1.0) == pytest.approx(zi * gamma(zi), rel=1e-10)
-
-
 class TestFractionalOrder:
     def test_accepts_interior_values(self):
         assert FractionalOrder(0.26131).value == 0.26131
@@ -112,27 +74,16 @@ class TestFractionalOrder:
         assert FractionalOrder.coerce(0.5) == a
 
 
-class TestConstantFracDeriv:
-    def test_classical_order_returns_zero(self):
-        assert constant_frac_deriv(1.0, 0.0) == 0.0
-        assert constant_frac_deriv(1.0, 12.3) == 0.0
-        assert constant_frac_deriv(1.0, -4.0) == 0.0
+class TestUnitConstantDerivative:
+    """``multiplier(beta, -0.0)`` is the bare order-beta derivative of the unit constant."""
 
     def test_half_order_at_one(self):
         # 1 / gamma(1/2) = 1 / sqrt(pi)
-        assert constant_frac_deriv(0.5, 1.0) == pytest.approx(0.5641895835477563, rel=1e-12)
+        assert multiplier(0.5, -0.0)(1.0) == pytest.approx(0.5641895835477563, rel=1e-12)
 
     def test_half_order_at_four(self):
         # 4**(-1/2) / sqrt(pi), frozen from the high-precision oracle
-        assert constant_frac_deriv(0.5, 4.0) == pytest.approx(0.28209479177387814, rel=1e-12)
-
-    def test_zero_point_rejected_for_fractional_order(self):
-        with pytest.raises(DomainError):
-            constant_frac_deriv(0.5, 0.0)
-
-    def test_integer_order_two_hits_gamma_pole(self):
-        with pytest.raises(PoleArgument):
-            constant_frac_deriv(2.0, 1.0)
+        assert multiplier(0.5, -0.0)(4.0) == pytest.approx(0.28209479177387814, rel=1e-12)
 
     def test_kernel_identity(self):
         # value * gamma(1-beta) * |x|**beta recovers sign(x)
@@ -143,15 +94,16 @@ class TestConstantFracDeriv:
             if abs(beta - round(beta)) < 1e-6:
                 continue
             x = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 5))
-            value = constant_frac_deriv(beta, x)
+            value = multiplier(beta, -0.0)(x)
             recon = value * oracle_gamma(1.0 - beta) * abs(x) ** beta
             assert recon == pytest.approx(math.copysign(1.0, x), rel=1e-10)
             checked += 1
 
     def test_odd_in_x(self):
         for beta in (0.5, -0.75, 1.3, -1.9):
+            entry = multiplier(beta, -0.0)
             for x in (0.3, 2.0, 1234.5):
-                assert constant_frac_deriv(beta, -x) == -constant_frac_deriv(beta, x)
+                assert entry(-x) == -entry(x)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(13)
@@ -161,7 +113,7 @@ class TestConstantFracDeriv:
             if abs(beta - round(beta)) < 1e-6:
                 continue
             x = float(10.0 ** rng.uniform(-3, 5))
-            assert constant_frac_deriv(beta, x) == pytest.approx(
+            assert multiplier(beta, -0.0)(x) == pytest.approx(
                 oracle_kernel(beta, x), rel=1e-12)
             checked += 1
 
@@ -190,13 +142,13 @@ class TestMultiplierBitwise:
                           st.floats(min_value=-2.0, max_value=2.0).filter(
                               lambda b: abs(b - round(b)) > 1e-9)))
     @hypothesis_settings(max_examples=300, deadline=None)
-    def test_constant_frac_deriv_matches_per_call_arithmetic(self, x, beta):
-        assert constant_frac_deriv(beta, x).hex() == per_entry_unit_deriv(beta, x).hex()
+    def test_unit_derivative_matches_per_call_arithmetic(self, x, beta):
+        assert multiplier(beta, -0.0)(x).hex() == per_entry_unit_deriv(beta, x).hex()
 
     @pytest.mark.parametrize("x, expected", [(1e308, "-0x0.0p+0"), (-1e308, "0x0.0p+0")])
     def test_underflowed_derivative_keeps_the_sign_of_zero(self, x, expected):
         # |x|**(-1.5) underflows to 0, and gamma(-0.5) < 0 flips its sign.
-        assert constant_frac_deriv(1.5, x).hex() == expected
+        assert multiplier(1.5, -0.0)(x).hex() == expected
 
 
 class TestPMatrix:
