@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings as hypothesis_settings, strategies as st
 
 import fracroots
-from fracroots import FractionalOrder, default_alpha_grid, p_matrix
+from fracroots import (FractionalOrder, SolverSettings, default_alpha_grid,
+                       fpn_update, p_matrix)
 from fracroots.kernel import multiplier
 
 mpmath.mp.dps = 50
@@ -116,6 +117,68 @@ class TestUnitConstantDerivative:
             assert multiplier(beta, -0.0)(x) == pytest.approx(
                 oracle_kernel(beta, x), rel=1e-12)
             checked += 1
+
+
+class TestGammaFactor:
+    """The factor 1 / gamma(1 - beta) inside the multiplier, read at x = 1.
+
+    At x = 1 the power is exactly 1, so ``multiplier(beta, -0.0)(1.0)`` is
+    1 / gamma(1 - beta) itself.
+    """
+
+    def test_three_halves_order_at_one_is_negative(self):
+        # gamma(-1/2) = -2 sqrt(pi)
+        assert multiplier(1.5, -0.0)(1.0) == pytest.approx(1.0 / -3.544907701811032, rel=1e-12)
+
+    def test_reciprocal_gamma_oracle_sweep(self):
+        rng = np.random.default_rng(20240817)
+        checked = 0
+        while checked < 400:
+            beta = float(rng.uniform(-2.0, 2.0))
+            if abs(beta - round(beta)) < 1e-6:
+                continue
+            assert multiplier(beta, -0.0)(1.0) == pytest.approx(
+                1.0 / oracle_gamma(1.0 - beta), rel=1e-12)
+            checked += 1
+
+    def test_recurrence_between_orders_one_apart(self):
+        # gamma(1 - beta) = -beta * gamma(-beta), so entry(beta + 1) = -beta * entry(beta)
+        rng = np.random.default_rng(7)
+        for beta in rng.uniform(-1.9, 0.9, size=1000).tolist():
+            if abs(beta - round(beta)) < 1e-6:
+                continue
+            assert multiplier(beta + 1.0, -0.0)(1.0) == pytest.approx(
+                -beta * multiplier(beta, -0.0)(1.0), rel=1e-10)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0])
+    def test_zero_component_takes_the_classical_order(self, x):
+        # Order 1 differentiates the constant to 0, so only eps is left, exactly.
+        for beta in GRID_ORDERS + [-1.9, 1.5, 1.9]:
+            assert multiplier(beta, 1e-4)(x) == 1e-4
+            assert multiplier(beta, -0.0)(x).hex() == "-0x0.0p+0"
+
+
+#: Orders at which gamma(1 - beta) has a pole, exactly or within the guard band.
+POLE_ORDERS = [1.0, 2.0, 1.0 - 1e-13, 2.0 - 5e-13]
+
+
+class TestPoleOrdersNeverReachTheMultiplier:
+    """Every entry that builds a multiplier refuses an order at a gamma pole."""
+
+    @pytest.mark.parametrize("beta", POLE_ORDERS)
+    def test_p_matrix_refuses(self, beta):
+        with pytest.raises(ValueError, match="integer"):
+            p_matrix(beta, np.array([1.0]), 1e-4)
+
+    @pytest.mark.parametrize("beta", POLE_ORDERS)
+    def test_fpn_update_refuses(self, beta):
+        with pytest.raises(ValueError, match="integer"):
+            fpn_update(beta, 1e-4)
+
+    @pytest.mark.parametrize("beta", POLE_ORDERS)
+    def test_solver_settings_refuse(self, beta):
+        with pytest.raises(ValueError, match="integer"):
+            SolverSettings(alpha=beta)
 
 
 class TestMultiplierBitwise:
