@@ -15,6 +15,7 @@ compute, print and return their reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -30,8 +31,7 @@ from .dixit_pindyck import (EconomicPrimitives, ModelConstants,
                             derive_constants, full_residual_scale,
                             reduced_residual, solve_thresholds,
                             sweep_thresholds)
-from .errors import (ConfigError, FracrootsError, InvalidPrimitives,
-                     ThresholdSolveFailed)
+from .errors import ConfigError, FracrootsError, ThresholdSolveFailed
 from .solver import DEFAULT_GRID_STEP, SolverSettings, default_alpha_grid, norm2
 
 #: Report formats of ``solve``, for ``--format`` and ``output.format``.
@@ -64,7 +64,7 @@ class ScenarioConfig:
 
     ``problem`` is built when the file is loaded.  ``solver`` holds only the
     solver fields that the file set; every other field takes its default from
-    :class:`SolverSettings`.  Flags are merged where each value is read.
+    :class:`SolverSettings`.  Each value is checked on load, each flag as it is read.
     """
 
     problem: ThresholdProblem
@@ -78,14 +78,6 @@ class ScenarioConfig:
         values = {**self.solver, **given}
         if "alpha" not in values:
             raise ConfigError("solver.alpha", "missing required field (or pass --alpha)")
-        # Each field is checked on its own, in declaration order, so the error
-        # names the first bad one.
-        for name in _SECTIONS["solver"]:
-            if name in values:
-                try:
-                    SolverSettings(**{name: values[name]})
-                except ValueError as exc:
-                    raise ConfigError(f"solver.{name}", str(exc)) from exc
         return SolverSettings(**values)
 
 
@@ -116,13 +108,27 @@ def _number(section: str, name: str, raw) -> float:
         raise ConfigError(f"{section}.{name}", "integer is too large for a float") from exc
 
 
-def _yaml_loader():
-    """``yaml.SafeLoader`` that also reads YAML 1.2 floats such as ``1e-4``.
+def _checked(section: str, name: str, raw) -> float:
+    """A ``solver`` or ``sweep`` number, file value or flag, refused by its consumer's rule."""
+    value = _number(section, name, raw)
+    try:
+        if section == "solver":
+            SolverSettings(**{name: value})
+        else:
+            default_alpha_grid(step=value)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{name}", str(exc)) from exc
+    return value
 
-    YAML 1.1, which ``safe_load`` follows, reads a float only with a dot and
-    a signed exponent (``1.0e-4``), so ``1e-4``, ``1E5`` and ``1.0e300``
-    would load as strings.  The subclass gets its own copy of the resolvers;
-    ``yaml.SafeLoader`` is left as it is.  Quoted scalars stay strings.
+
+@functools.cache
+def _yaml_loader():
+    """``yaml.SafeLoader`` that also reads YAML 1.2 floats such as ``1e-4`` or ``-.5``.
+
+    YAML 1.1, which ``safe_load`` follows, reads ``1e-4``, ``1E5``, ``1.0e300``
+    and ``-.5`` as strings.  The added resolver is YAML 1.2's core float rule;
+    integers still match the integer resolver first.  The subclass gets its own
+    copy of the resolvers; ``yaml.SafeLoader`` is left as it is.  Quoted scalars stay strings.
     """
     import yaml
 
@@ -131,7 +137,7 @@ def _yaml_loader():
 
     Loader.add_implicit_resolver(
         "tag:yaml.org,2002:float",
-        re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+        re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?$"),
         list("-+.0123456789"))
     return Loader
 
@@ -139,7 +145,7 @@ def _yaml_loader():
 def _flag_number(section: str, name: str, text: str) -> float:
     """A number flag's value, read as the same text in a scenario file would be.
 
-    The text is loaded as a YAML scalar and checked by :func:`_number`, so
+    The text is loaded as a YAML scalar and checked by :func:`_checked`, so
     ``--max-iter 5e2`` is 500, as ``max_iter: 5e2`` is, and ``--alpha abc``
     is a ConfigError for ``solver.alpha``.
     """
@@ -149,7 +155,7 @@ def _flag_number(section: str, name: str, text: str) -> float:
         raw = yaml.load(text, Loader=_yaml_loader())
     except yaml.YAMLError:
         raw = text
-    return _number(section, name, text if raw is None else raw)
+    return _checked(section, name, text if raw is None else raw)
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -181,16 +187,11 @@ def load_config(path: str) -> ScenarioConfig:
     sections = {name: _section(data, name) for name in _SECTIONS}
 
     values = {name: _number(model, name, sections[model].get(name)) for name in _SECTIONS[model]}
-    if model == "constants":
-        try:
-            constants = ModelConstants(**values)
-        except ValueError as exc:
-            raise ConfigError("constants", str(exc)) from exc
-    else:
-        try:
-            constants = derive_constants(EconomicPrimitives(**values))
-        except InvalidPrimitives as exc:
-            raise ConfigError("primitives", str(exc)) from exc
+    try:
+        constants = (ModelConstants(**values) if model == "constants"
+                     else derive_constants(EconomicPrimitives(**values)))
+    except ValueError as exc:  # InvalidPrimitives is a ValueError
+        raise ConfigError(model, str(exc)) from exc
 
     initial = sections["initial"]
     x0 = [_number("initial", name, initial.get(name)) for name in _SECTIONS["initial"]]
@@ -204,12 +205,12 @@ def load_config(path: str) -> ScenarioConfig:
 
     solver = sections["solver"]
     config = ScenarioConfig(problem=problem, solver={
-        name: _number("solver", name, solver[name])
+        name: _checked("solver", name, solver[name])
         for name in _SECTIONS["solver"] if name in solver})
 
     sweep = sections["sweep"]
     if "grid_step" in sweep:
-        config.grid_step = _number("sweep", "grid_step", sweep["grid_step"])
+        config.grid_step = _checked("sweep", "grid_step", sweep["grid_step"])
 
     output = sections["output"]
     if "format" in output:
@@ -431,11 +432,8 @@ def _cmd_sweep(args) -> tuple:
     config = load_config(args.config)
     step = (config.grid_step if args.grid_step is None
             else _flag_number("sweep", "grid_step", args.grid_step))
-    try:
-        grid = default_alpha_grid(step=step)
-    except ValueError as exc:
-        raise ConfigError("sweep.grid_step", str(exc)) from exc
-    # Every grid order replaces the configured one, which is not checked.
+    grid = default_alpha_grid(step=step)
+    # Every grid order replaces the configured one.
     problem, settings = config.problem, config.settings(alpha=grid[0])
     roots = sweep_thresholds(problem, grid=grid, settings=settings)
 
@@ -467,13 +465,12 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse takes a word that starts with "-" for an option unless it
-        # matches this pattern, whose default, ^-\d+$|^-\d*\.\d+$, admits no
-        # exponent: ``--alpha -5e-1`` would be a usage error while
-        # ``--alpha -0.5`` runs.  argparse has no public hook for it; every
-        # subparser is a _Parser, so this covers the number flags of every
-        # command.
-        self._negative_number_matcher = re.compile(
-            r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+        # matches this pattern.  Its default, ^-\d+$|^-\d*\.\d+$, refuses
+        # ``--alpha -5e-1`` and ``--alpha -.inf``, and no option here starts
+        # with a dash and then a digit or a dot.  argparse has no public hook
+        # for it; every subparser is a _Parser, so this covers the number
+        # flags of every command.
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
 
     def error(self, message):
         self.print_usage(sys.stderr)

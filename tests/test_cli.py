@@ -239,6 +239,13 @@ class TestSolveCommand:
         ("solve", "constants: [1, 2\n", [], "config"),
         ("sweep", [ROW2], [], "config"),
         ("solve", {**ROW2, "initial": {"H0": math.inf, "L0": 18}}, [], "initial"),
+        # Every file value is checked on load, whatever the command and the flags.
+        ("solve", {**ROW2, "solver": {"alpha": 0.25628, "epsilon": -1}},
+         ["--epsilon", "1e-4"], "solver.epsilon"),
+        ("sweep", {**ROW2, "solver": {"alpha": 7.0}}, [], "solver.alpha"),
+        ("solve", {**ROW2, "sweep": {"grid_step": -1}}, [], "sweep.grid_step"),
+        ("sweep", {**ROW2, "sweep": {"grid_step": -1}}, ["--grid-step", "0.5"],
+         "sweep.grid_step"),
     ], ids=["max-iter-0", "alpha-integer", "alpha-nan", "epsilon-negative", "epsilon-inf",
             "a6-below-a7-solve", "a6-below-a7-sweep", "max-iter-fraction",
             "grid-step-1e-300", "grid-step-1e-7", "grid-step-inf",
@@ -247,7 +254,9 @@ class TestSolveCommand:
             "max-iter-huge-flag", "solver-misspelt-key", "constants-a8",
             "a6-below-a7-before-solver", "unknown-sections-of-mixed-type",
             "grid-step-nan", "grid-step-huge", "format-not-a-string", "trace-not-a-bool",
-            "solver-not-a-mapping", "invalid-yaml", "top-level-not-a-mapping", "H0-inf"])
+            "solver-not-a-mapping", "invalid-yaml", "top-level-not-a-mapping", "H0-inf",
+            "file-epsilon-under-flag", "file-alpha-in-sweep", "file-grid-step-in-solve",
+            "file-grid-step-under-flag"])
     def test_invalid_input_is_a_config_error(self, tmp_path, capsys, command,
                                              payload, flags, field):
         code = main([command, "--config", write_config(tmp_path, payload), *flags])
@@ -401,7 +410,10 @@ class TestFlagNumbers:
         ("solve", "--epsilon", "-1e-4", 1, "config error: solver.epsilon: "),
         ("solve", "--max-iter", "-5e2", 1, "config error: solver.max_iter: "),
         ("sweep", "--grid-step", "-5e-2", 1, "config error: sweep.grid_step: "),
-    ], ids=["alpha", "epsilon", "max-iter", "grid-step"])
+        ("solve", "--alpha", "-.inf", 1, "config error: solver.alpha: "),
+        ("solve", "--epsilon", "-.inf", 1, "config error: solver.epsilon: "),
+    ], ids=["alpha", "epsilon", "max-iter", "grid-step", "alpha-minus-inf",
+            "epsilon-minus-inf"])
     def test_negative_exponent_value_reads_the_same_spaced_or_joined(
             self, tmp_path, capsys, command, flag, text, code, message):
         config = write_config(tmp_path, ROW2)
@@ -590,8 +602,10 @@ class TestYamlFloats:
         (ROW2, "initial", "L0", ".18e2", "18.0"),
         (PRIMITIVES, "primitives", "kappa", "1e4", "1.0e+4"),
         (PRIMITIVES, "primitives", "chi", "+5.0e-2", "0.05"),
+        (ROW2, "solver", "alpha", "+.25628", "0.25628"),
+        (ROW2, "solver", "alpha", "-.5", "-0.5"),
     ], ids=["epsilon", "tol-residual", "max-iter", "H0", "L0-leading-dot", "kappa",
-            "chi-signed"])
+            "chi-signed", "alpha-plus-leading-dot", "alpha-minus-leading-dot"])
     def test_short_spelling_loads_as_the_long_one(self, tmp_path, payload, section, key,
                                                   short, long):
         loaded = [load_config(config_with_spelling(tmp_path, payload, section, key, text,
@@ -636,6 +650,9 @@ class TestYamlFloats:
         assert yaml.load("[10, -3, 0x10, 1e-4]", Loader=loader) == [10, -3, 16, 1e-4]
         assert [type(v) for v in yaml.load("[10, 5e2]", Loader=loader)] == [int, float]
         assert yaml.safe_load("1e-4") == "1e-4"
+
+    def test_loader_is_built_once(self):
+        assert cli._yaml_loader() is cli._yaml_loader()
 
 
 class TestSweepCommand:
