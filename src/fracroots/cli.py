@@ -27,10 +27,9 @@ from typing import Optional
 
 from . import reference
 from .dixit_pindyck import (EconomicPrimitives, ModelConstants,
-                            ThresholdProblem, back_substitute,
-                            derive_constants, full_residual_scale,
-                            reduced_residual, solve_thresholds,
-                            sweep_thresholds)
+                            ThresholdProblem, derive_constants,
+                            full_residual_scale, label_root, reduced_residual,
+                            solve_thresholds, sweep_thresholds)
 from .errors import ConfigError, FracrootsError, ThresholdSolveFailed
 from .solver import DEFAULT_GRID_STEP, SolverSettings, default_alpha_grid, norm2
 
@@ -442,14 +441,14 @@ def _cmd_sweep(args) -> tuple:
     csv_rows = []
     for k, record in enumerate(roots.roots, start=1):
         out = record.outcome
-        coeff_a, coeff_b = back_substitute(problem.constants, record.x)
+        # A sweep reports a relabeled root without warning; only solve_thresholds warns.
+        H, L, A, B, _ = label_root(problem.constants, record.x)
         print(f"  root {k}: x = ({_g17(record.x[0])}, {_g17(record.x[1])})")
         print(f"    best alpha {record.alpha:g}: residual norm "
               f"{out.final_residual_norm:.5e}, {out.iterations} iterations")
         print(f"    found by {len(record.found_by)} orders: "
               + ", ".join(f"{a:g}" for a in record.found_by))
-        csv_rows.append(_csv_row(k, problem, record.alpha, float(max(record.x)),
-                                 float(min(record.x)), coeff_a, coeff_b, out))
+        csv_rows.append(_csv_row(k, problem, record.alpha, H, L, A, B, out))
     by_status: dict = {}
     for skip in roots.skipped:
         by_status.setdefault(skip.status.value, []).append(skip.alpha)

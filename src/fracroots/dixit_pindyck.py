@@ -314,19 +314,28 @@ def full_residual_scale(constants: ModelConstants, H: float, L: float) -> float:
         + 2.0 * abs(constants.a5) * max(H, L)
 
 
-def _label_thresholds(x1: float, x2: float) -> tuple:
-    """Order a converged pair as (H, L); flag when the labels had to swap."""
-    if x1 >= x2:
-        return x1, x2, False
-    return x2, x1, True
+def label_root(constants: ModelConstants, x) -> tuple:
+    """A root (x1, x2) as ``(H, L, A, B, relabeled)``: the larger component is H.
+
+    A and B are back-substituted from the pair as given, so a pair that
+    :func:`back_substitute` refuses raises here.  ``relabeled`` tells
+    whether the components had to swap, that is whether the expansion
+    component came out below the closing one.  Every reported root, a
+    scenario solve's or a sweep's, is labelled here.
+    """
+    A, B = back_substitute(constants, x)
+    x1, x2 = np.asarray(x, dtype=float).ravel().tolist()
+    return max(x1, x2), min(x1, x2), A, B, x1 < x2
 
 
 def solve_thresholds(problem: ThresholdProblem, settings: SolverSettings,
                      keep_trace: bool = False) -> ThresholdSolution:
     """Solve one scenario end to end.
 
-    Runs the pseudo-Newton iteration on the reduced residual, back-substitutes
-    the value-function coefficients and attaches both residual norms.  A
+    Runs the pseudo-Newton iteration on the reduced residual, labels the root
+    and back-substitutes the value-function coefficients with
+    :func:`label_root`, warns with ThresholdOrderingWarning when the labels
+    swap, and attaches both residual norms.  A
     non-converged outcome raises ThresholdSolveFailed carrying the outcome;
     evaluation problems never escape as raw arithmetic errors.
     """
@@ -336,12 +345,10 @@ def solve_thresholds(problem: ThresholdProblem, settings: SolverSettings,
                             keep_trace=keep_trace)
     if not out.converged:
         raise ThresholdSolveFailed(out)
-    x1, x2 = float(out.x_final[0]), float(out.x_final[1])
-    H, L, relabeled = _label_thresholds(x1, x2)
+    H, L, A, B, relabeled = label_root(problem.constants, out.x_final)
     if relabeled:
         warnings.warn("converged point has expansion threshold below closing "
                       "threshold; labels were swapped", ThresholdOrderingWarning)
-    A, B = back_substitute(problem.constants, out.x_final)
     full = full_residual(problem.constants, H, L, A, B)
     return ThresholdSolution(H=H, L=L, A=A, B=B, full_residual_norm=norm2(full),
                              outcome=out, relabeled=relabeled)

@@ -12,6 +12,7 @@ a single initial condition.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -313,8 +314,10 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
     settings)`` method runs the whole solve through that method, and the
     cycle stop below ends an orbit that repeats.  A traced solve takes
     neither: it runs this loop to its end and evaluates every iterate its
-    trace reports.  The outcome always encodes failures in its status
-    instead of raising.
+    trace reports.  The outcome encodes every failure of the iteration in
+    its status instead of raising.  Two faults of the call raise ValueError
+    instead: a non-finite x0, and a residual that returns another shape than
+    x0's, at x0 or at any later iterate.
 
     The iterate and the residual are carried as float lists, and an array is
     built from the iterate only for the call of ``f``.  An iteration is one
@@ -476,7 +479,17 @@ def default_alpha_grid(step: float = DEFAULT_GRID_STEP) -> list:
     kernel cannot take.  A step that is not finite and positive, or that would
     cut the range into more than MAX_GRID_POINTS intervals, is refused before
     any point is built, and one that leaves no point is refused after.
+
+    Each call returns a new list, so a caller may change it.  The orders are
+    immutable and shared: the grids of the last few steps are kept, so a
+    step that is checked on input and then swept is built once.
     """
+    return list(_order_grid(step))
+
+
+@functools.lru_cache(maxsize=4)
+def _order_grid(step: float) -> tuple:
+    """The orders of :func:`default_alpha_grid`, built once per recent step."""
     lower, upper = -ORDER_BOUND, ORDER_BOUND
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
@@ -496,12 +509,12 @@ def default_alpha_grid(step: float = DEFAULT_GRID_STEP) -> list:
     if not grid:
         raise ValueError(f"grid step {step!r} leaves no valid orders "
                          "after excluding the integer bands")
-    return grid
+    return tuple(grid)
 
 
-#: The default grid, built once for :func:`alpha_sweep`; orders are immutable,
-#: so every sweep can share them.
-_DEFAULT_GRID = tuple(default_alpha_grid())
+#: The default grid, held for :func:`alpha_sweep` whatever the cache evicts;
+#: orders are immutable, so every sweep can share them.
+_DEFAULT_GRID = _order_grid(DEFAULT_GRID_STEP)
 
 
 def same_root(a, b, tolerance: float) -> bool:

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import fracroots
 from fracroots import (ConfigError, NonRealEvaluation, SolveOutcome, SolverSettings, Status,
                        ThresholdSolveFailed, solve_thresholds)
-from fracroots import cli, reference
+from fracroots import cli, reference, solver
 from fracroots.cli import CSV_HEADER, load_config, main
 
 ROW2 = {
@@ -49,6 +49,15 @@ LARGE_EXPONENTS = {
 
 #: ``--out`` files of README's scenario and of reproduce-tables, kept byte for byte.
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def readme_scenario(directory):
+    """README's scenario block (reference row 1), written as ``scenario.yaml`` in ``directory``."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    path = directory / "scenario.yaml"
+    path.write_text(re.search(r"^```yaml\n(.*?)^```$", readme,
+                              flags=re.MULTILINE | re.DOTALL)[1], encoding="utf-8")
+    return str(path)
 
 
 def primitives_with(**fields):
@@ -323,6 +332,14 @@ class TestOutFile:
         assert captured.out.startswith("threshold solve\n")
         assert captured.err.startswith("config error: out:")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_failure_exits_1(self, tmp_path, capsys):
+        # /dev/full opens for appending, so the check before the run passes,
+        # and the write of the report fails with "no space left on device".
+        code = main(["sweep", "--config", readme_scenario(tmp_path), "--out", "/dev/full"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: out:")
+
 
 class TestFlagPrecedence:
     """Flags override file values, which override defaults."""
@@ -567,11 +584,7 @@ class TestGoldenOutput:
         (["sweep", "--config", "scenario.yaml"], "sweep.csv"),
     ], ids=["reproduce-tables", "solve-structured-trace", "sweep"])
     def test_out_bytes_match_the_golden_file(self, tmp_path, monkeypatch, capsys, argv, name):
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
-            encoding="utf-8")
-        (tmp_path / "scenario.yaml").write_text(
-            re.search(r"^```yaml\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)[1],
-            encoding="utf-8")
+        readme_scenario(tmp_path)
         monkeypatch.chdir(tmp_path)
         code = main([*argv, "--out", name])
         # reproduce-tables exits 2 when a row misses a wall-clock bound, and
@@ -687,6 +700,33 @@ class TestSweepCommand:
                      "--grid-step", "5.0"])
         assert code == 1
         assert "grid" in capsys.readouterr().err
+
+    def test_root_is_reported_as_solve_reports_it(self, tmp_path, capsys):
+        # Both commands label and back-substitute a root with label_root, so
+        # the sweep's row is the CSV that solve writes at the root's best order.
+        config = readme_scenario(tmp_path)
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "sweep.csv")]) == 0
+        with open(tmp_path / "sweep.csv", encoding="utf-8") as fh:
+            (record,) = csv.DictReader(fh)
+        assert float(record["alpha"]) == 0.3
+        assert main(["solve", "--config", config, "--alpha", record["alpha"], "--format", "csv",
+                     "--out", str(tmp_path / "solve.csv")]) == 0
+        assert (tmp_path / "solve.csv").read_bytes() == (tmp_path / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("file_step, flags, builds, points", [
+        (0.5, [], 1, 4),
+        (None, ["--grid-step", "0.5"], 1, 4),
+        (0.5, ["--grid-step", "0.25"], 2, 12),
+    ], ids=["file", "flag", "file-and-flag"])
+    def test_each_grid_is_built_once(self, tmp_path, capsys, file_step, flags, builds, points):
+        # The file's step is checked on load and the flag's as it is read;
+        # the sweep then runs the grid that was built for the check.
+        payload = ROW2 if file_step is None else {**ROW2, "sweep": {"grid_step": file_step}}
+        solver._order_grid.cache_clear()
+        code = main(["sweep", "--config", write_config(tmp_path, payload), *flags])
+        assert code in (0, 2)
+        assert solver._order_grid.cache_info().misses == builds
+        assert f"order sweep over {points} grid points" in capsys.readouterr().out
 
     def test_rootless_sweep_exits_2_and_reports_reasons(self, tmp_path, capsys):
         payload = {**ROW2, "sweep": {"grid_step": 1.9}}

@@ -18,7 +18,7 @@ from fracroots import (DegenerateThresholds, Decision, EconomicPrimitives,
                        full_residual, full_residual_scale, make_residual,
                        default_alpha_grid, fixed_point_solve, norm2,
                        reduced_residual, solve_thresholds, sweep_thresholds)
-from fracroots.dixit_pindyck import STATUS_FROM_CODE, KernelResidual, _label_thresholds
+from fracroots.dixit_pindyck import STATUS_FROM_CODE, KernelResidual, label_root
 from fracroots.solver import MAX_ITER, IterationTrace
 from fracroots import _kernels, dixit_pindyck, reference
 
@@ -81,6 +81,18 @@ class TestDeriveConstants:
         with pytest.raises(InvalidPrimitives, match="sigma"):
             EconomicPrimitives(mu=0.0, sigma=-1.0, l=0.5, c=1.0, kappa=0.0, chi=0.0)
 
+    def test_nonpositive_interest_rate_rejected(self):
+        # l = 0 exceeds mu = -1, so only the sign check refuses it.
+        with pytest.raises(InvalidPrimitives, match="l must be positive"):
+            EconomicPrimitives(mu=-1.0, sigma=1.0, l=0.0, c=1.0, kappa=0.0, chi=0.0)
+
+    def test_non_finite_derived_constant_rejected(self):
+        # sigma**2 is the subnormal 1e-320, so 2 l / sigma**2 overflows to inf
+        # without an arithmetic error and ModelConstants refuses the infinite a1.
+        p = EconomicPrimitives(mu=0.0, sigma=1e-160, l=0.5, c=1.0, kappa=0.1, chi=0.05)
+        with pytest.raises(InvalidPrimitives, match="derived constants are invalid"):
+            derive_constants(p)
+
 
 class TestModelConstants:
     def test_bundled_structural_constants_satisfy_identities(self):
@@ -115,6 +127,13 @@ class TestModelConstants:
         constants = reference.scenario_constants(100.0, 200.0)
         with pytest.raises(ValueError, match="a6"):
             ThresholdProblem(constants=constants, x0=(1.0, 2.0))
+
+    @pytest.mark.parametrize("x0, message", [((1.0, 2.0, 3.0), "2-vector"),
+                                             ((math.inf, 2.0), "must be finite")])
+    def test_problem_refuses_a_bad_start(self, x0, message):
+        constants = reference.scenario_constants(451474.0, 396499.0)
+        with pytest.raises(ValueError, match=message):
+            ThresholdProblem(constants=constants, x0=x0)
 
 
 class TestReducedResidual:
@@ -253,6 +272,22 @@ class TestBackSubstitute:
         with pytest.raises(DegenerateThresholds):
             back_substitute(c, np.array([7.0, 7.0]))
 
+    def test_refuses_a_three_vector(self):
+        c = reference.scenario_constants(451474.0, 396499.0)
+        with pytest.raises(ValueError, match="2-vector"):
+            back_substitute(c, np.array([1.0, 2.0, 3.0]))
+
+    def test_overflowing_power_raises_typed_error(self):
+        c = reference.scenario_constants(451474.0, 396499.0)
+        with pytest.raises(NonRealEvaluation, match="power overflow"):
+            back_substitute(c, np.array([1e200, 1.0]))
+
+    def test_non_finite_coefficient_raises_typed_error(self):
+        # Every power is finite, but a5 = 1e308 takes A and B past the float range.
+        c = dataclasses.replace(reference.scenario_constants(451474.0, 396499.0), a5=1e308)
+        with pytest.raises(NonRealEvaluation, match="non-finite coefficient"):
+            back_substitute(c, np.array([10.0, 1.0]))
+
     def test_matches_linear_solve_oracle(self):
         # The coefficients solve the two derivative-matching equations, which
         # are linear in (A, B); solve that 2x2 system directly and compare.
@@ -346,6 +381,16 @@ class TestFullResidual:
         with pytest.raises(NonRealEvaluation):
             full_residual(c, -1.0, 2.0, 0.1, 0.1)
 
+    def test_overflowing_power_raises_typed_error(self):
+        c = reference.scenario_constants(451474.0, 396499.0)
+        with pytest.raises(NonRealEvaluation, match="power overflow"):
+            full_residual(c, 1e200, 1.0, 0.1, 0.1)
+
+    def test_non_finite_value_raises_typed_error(self):
+        c = reference.scenario_constants(451474.0, 396499.0)
+        with pytest.raises(NonRealEvaluation, match="non-finite value"):
+            full_residual(c, 7.0, 3.0, 0.1, math.inf)
+
     def test_reduction_equivalence(self):
         # After back-substitution the derivative equations vanish and the
         # value-matching rows equal the reduced residual, for any (H, L).
@@ -407,8 +452,10 @@ class TestSolveThresholds:
             assert norm2(f(tr.iterates[i])) == tr.residual_norms[i]
 
     def test_label_helper(self):
-        assert _label_thresholds(2.0, 1.0) == (2.0, 1.0, False)
-        assert _label_thresholds(1.0, 2.0) == (2.0, 1.0, True)
+        c = reference.scenario_problem(reference.ROWS[0]).constants
+        A, B = back_substitute(c, np.array([2.0, 1.0]))
+        assert label_root(c, np.array([2.0, 1.0])) == (2.0, 1.0, A, B, False)
+        assert label_root(c, np.array([1.0, 2.0])) == (2.0, 1.0, A, B, True)
 
     def test_no_ordering_warning_on_reference_row(self):
         row = reference.ROWS[0]

@@ -264,6 +264,10 @@ class TestPMatrix:
         assert isinstance(diag, np.ndarray)
         assert (diag.dtype, diag.shape) == (np.dtype(float), (3,))
 
+    def test_refuses_a_matrix_point(self):
+        with pytest.raises(ValueError, match="1-d vector"):
+            p_matrix(FractionalOrder(0.5), np.ones((2, 2)), 1e-4)
+
 
 class TestModuleBoundaries:
     """The generic layer holds the multiplier and imports nothing threshold-specific,

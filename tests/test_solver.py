@@ -4,13 +4,14 @@ import ast
 import copy
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hypothesis_settings, strategies as st
 
-from fracroots import (FractionalOrder, InsufficientData, NonRealEvaluation,
+from fracroots import (FractionalOrder, InsufficientData, IterationTrace, NonRealEvaluation,
                        SingularJacobian, SolverSettings, Status, alpha_sweep,
                        default_alpha_grid, estimate_order, fd_jacobian,
                        fixed_point_solve, fpn_step, fpn_update, newton_step,
@@ -393,6 +394,17 @@ class TestSolverSettings:
         for value in (7, np.int64(7), 7.0):
             assert SolverSettings(max_iter=value).max_iter == 7
         assert SolverSettings(max_iter=MAX_ITER).max_iter == MAX_ITER
+
+
+class TestIterationTrace:
+    @pytest.mark.parametrize("iterates, steps, residuals, message", [
+        (np.ones(3), np.ones(2), np.ones(3), "a (n+1, dim) array"),
+        (np.ones((3, 2)), np.ones(3), np.ones(3), "one step norm per transition"),
+        (np.ones((3, 2)), np.ones(2), np.ones(2), "one residual norm per iterate"),
+    ], ids=["flat-iterates", "extra-step-norm", "missing-residual-norm"])
+    def test_refuses_inconsistent_shapes(self, iterates, steps, residuals, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            IterationTrace(iterates=iterates, step_norms=steps, residual_norms=residuals)
 
 
 class TestFdJacobian:
