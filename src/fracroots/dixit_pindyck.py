@@ -202,12 +202,12 @@ def reduced_residual(constants: ModelConstants, x) -> np.ndarray:
     x**(a3 + a4) nearly agree collapse the elimination denominator and raise
     the subclass for degenerate thresholds.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape != (2,):
+    xs = np.asarray(x, dtype=float).ravel().tolist()
+    if len(xs) != 2:
         raise ValueError("x must be a 2-vector")
     c = constants
     return np.array(_kernels.reduced_residual_checked(
-        c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7, float(x[0]), float(x[1])))
+        c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7, *xs))
 
 
 def make_residual(constants: ModelConstants):

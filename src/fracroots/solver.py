@@ -199,25 +199,29 @@ class RootSet:
 
 
 def _evaluate(f: Callable, x: np.ndarray) -> tuple:
-    """Evaluate a residual; return ``(f(x).tolist(), ||f(x)||_2)``.
+    """Evaluate a residual; return its entries as a float list and its 2-norm.
 
-    A call that fails, or a non-finite entry, is normalised to
-    NonRealEvaluation, and a result of another shape than x raises
-    ValueError.  The norm is the square root of :func:`_sum_squares`; a
+    The result is converted by one expression, ``np.asarray(f(x),
+    dtype=float).ravel().tolist()``, so a list, a column or a 0-d scalar
+    reads as the flat vector of its entries.  A call that fails, or a
+    non-finite entry, is normalised to NonRealEvaluation.  A result whose
+    length is not x's raises ValueError, and so does every result for an x
+    that is not 1-d.  The norm is the square root of :func:`_sum_squares`; a
     finite sum of squares means every entry is finite, so the entries are
     only scanned when it is not (a finite residual whose squares overflow
     keeps an inf norm).  :func:`fixed_point_solve` writes these statements
     out in its loop; a test holds the two copies equal.
     """
+    # No result has length -1, so an x that is not 1-d takes none.
+    n = len(x) if x.ndim == 1 else -1
     try:
-        fx = np.asarray(f(x), dtype=float).ravel()
+        rs = np.asarray(f(x), dtype=float).ravel().tolist()
     except NonRealEvaluation:
         raise
     except (ArithmeticError, ValueError) as exc:
         raise NonRealEvaluation(str(exc)) from exc
-    if fx.shape != x.shape:
-        raise ValueError(f"residual has shape {fx.shape}, expected {x.shape}")
-    rs = fx.tolist()
+    if len(rs) != n:
+        raise ValueError(f"residual has shape ({len(rs)},), expected {x.shape}")
     squares = _sum_squares(rs)
     if not math.isfinite(squares) and not all(map(math.isfinite, rs)):
         raise NonRealEvaluation("residual evaluated to a non-finite value")
@@ -320,7 +324,11 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
     x0's, at x0 or at any later iterate.
 
     The iterate and the residual are carried as float lists, and an array is
-    built from the iterate only for the call of ``f``.  An iteration is one
+    built from the iterate only for the call of ``f``.  The residual's result
+    comes back as a list by one expression, as in :func:`_evaluate`, and
+    only its length is then compared with x0's.  The numpy and math
+    functions that the loop calls are bound to locals once per solve, so an
+    iteration looks up no module attribute.  An iteration is one
     pass over the entries that computes each new entry as ``v - entry(v) *
     r``, the step of :func:`fpn_update`'s closure with ``entry`` from
     :func:`~fracroots.kernel.multiplier` (built once per solve from the
@@ -393,6 +401,8 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
 
         max_iter, bound = settings.max_iter, settings.divergence_bound
         tol_step, tol_residual = settings.tol_step, settings.tol_residual
+        # Bound once per solve, so the loop looks up no module attribute.
+        n, array, asarray, sqrt, isfinite = len(xs), np.array, np.asarray, math.sqrt, math.isfinite
         # The cycle stop's lag, and the iterate of its last checkpoint (none yet).
         lag, xs_lag = CYCLE_LAG, None
         for i in range(1, max_iter + 1):
@@ -406,25 +416,24 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
                 step_squares += d * d
                 size += w * w
                 xs_next.append(w)
-            step_norm = math.sqrt(step_squares)
-            if math.sqrt(size) > bound or (not math.isfinite(size)
-                                           and not all(map(math.isfinite, xs_next))):
+            step_norm = sqrt(step_squares)
+            if sqrt(size) > bound or (not isfinite(size)
+                                      and not all(map(isfinite, xs_next))):
                 return outcome(Status.DIVERGED, xs_next, i, step_norm, math.nan)
             # _evaluate's statements, with its failures returned as a status.
-            x = np.array(xs_next)
+            x = array(xs_next)
             try:
-                fx = np.asarray(f(x), dtype=float).ravel()
+                rs = asarray(f(x), dtype=float).ravel().tolist()
             except (ArithmeticError, ValueError):
                 return outcome(Status.EVALUATION_FAILED, xs_next, i, step_norm, math.nan)
-            if fx.shape != x.shape:
-                raise ValueError(f"residual has shape {fx.shape}, expected {x.shape}")
-            rs = fx.tolist()
+            if len(rs) != n:
+                raise ValueError(f"residual has shape ({len(rs)},), expected {x.shape}")
             squares = 0.0
             for r in rs:
                 squares += r * r
-            if not math.isfinite(squares) and not all(map(math.isfinite, rs)):
+            if not isfinite(squares) and not all(map(isfinite, rs)):
                 return outcome(Status.EVALUATION_FAILED, xs_next, i, step_norm, math.nan)
-            res_norm = math.sqrt(squares)
+            res_norm = sqrt(squares)
             if keep_trace:
                 iterates.append(xs_next)
                 step_norms.append(step_norm)

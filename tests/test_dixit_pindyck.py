@@ -149,6 +149,21 @@ class TestReducedResidual:
         c = reference.scenario_constants(row.a6, row.a7)
         assert norm2(reduced_residual(c, np.array(row.solution))) <= 1e-4
 
+    @pytest.mark.parametrize("x", [(2e4,), [2e4, 1e4, 5e3], np.array([[2e4], [1e4], [5e3]])],
+                             ids=["length-1", "length-3", "length-3-column"])
+    def test_refuses_a_point_that_is_not_a_pair(self, x):
+        c = reference.scenario_constants(451474.0, 396499.0)
+        with pytest.raises(ValueError) as raised:
+            reduced_residual(c, x)
+        assert type(raised.value) is ValueError and str(raised.value) == "x must be a 2-vector"
+
+    def test_any_form_of_the_pair_gives_the_vector_bits(self):
+        row = reference.ROWS[0]
+        c = reference.scenario_constants(row.a6, row.a7)
+        expected = reduced_residual(c, np.array(row.x0, dtype=float)).tobytes()
+        for x in (tuple(row.x0), list(row.x0), np.array(row.x0, dtype=float).reshape(2, 1)):
+            assert reduced_residual(c, x).tobytes() == expected
+
     def test_degenerate_diagonal(self):
         c = reference.scenario_constants(451474.0, 396499.0)
         with pytest.raises(DegenerateThresholds, match=r"coincide at \(5\.0, 5\.0\)"):

@@ -790,18 +790,53 @@ class TestInlinedStepAndCheck:
         assert ast.dump(pairs.iter) == ast.dump(closure.generators[0].iter)
         assert ast.dump(pairs.body[0]) == statement(f"w = {ast.unparse(closure.elt)}")
 
+        # The locals the loop calls in place of numpy's and math's functions:
+        # bound once per solve, before the loop, each to the function it names.
+        block = next(node for node in functions["fixed_point_solve"].body
+                     if isinstance(node, ast.With)).body
+        hoist = next(node for node in block
+                     if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple)
+                     and "asarray" in [t.id for t in node.targets[0].elts])
+        assert block.index(hoist) < block.index(loop)
+        bound = {t.id: value for t, value in zip(hoist.targets[0].elts, hoist.value.elts)}
+        assert {name: ast.unparse(value) for name, value in bound.items()} == {
+            "n": "len(xs)", "array": "np.array", "asarray": "np.asarray",
+            "sqrt": "math.sqrt", "isfinite": "math.isfinite"}
+        start = functions["fixed_point_solve"].body[1:3]  # after the docstring
+        assert [ast.dump(node) for node in start] == [
+            statement("x = np.asarray(x0, dtype=float).ravel()"), statement("xs = x.tolist()")]
+
+        class Unhoist(ast.NodeTransformer):
+            """Put each hoisted function's module attribute back in its place."""
+
+            def visit_Name(self, node):
+                value = bound.get(node.id)
+                return copy.deepcopy(value) if isinstance(value, ast.Attribute) else node
+
+        def unhoisted(node):
+            return ast.dump(Unhoist().visit(copy.deepcopy(node)))
+
+        # No call in the loop looks a function up on numpy or math.
+        assert not [ast.unparse(node) for node in ast.walk(loop)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("np", "math")]
+
         # The check: _evaluate's statements, with _sum_squares written out and
-        # a failure returned where _evaluate raises NonRealEvaluation.
+        # a failure returned where _evaluate raises NonRealEvaluation.  The
+        # loop's n is x0's length, and every iterate has x0's length.
         evaluate = functions["_evaluate"].body[1:]  # after the docstring
+        assert ast.dump(evaluate[0]) == statement("n = len(x) if x.ndim == 1 else -1")
         k = next(k for k, node in enumerate(loop.body) if isinstance(node, ast.Try))
         check = loop.body[k:k + 6]
-        assert ast.dump(loop.body[k - 1]) == statement("x = np.array(xs_next)")
-        assert [ast.dump(node) for node in check[0].body] == [
-            ast.dump(node) for node in evaluate[0].body]
+        assert unhoisted(loop.body[k - 1]) == statement("x = np.array(xs_next)")
+        assert [unhoisted(node) for node in check[0].body] == [
+            ast.dump(node) for node in evaluate[1].body]
+        assert ast.dump(evaluate[1].body[0]) == statement(
+            "rs = np.asarray(f(x), dtype=float).ravel().tolist()")
         assert [ast.dump(handler.type) for handler in check[0].handlers] == [
-            ast.dump(evaluate[0].handlers[-1].type)]
-        assert ast.dump(check[1]) == ast.dump(evaluate[1])  # the shape check
-        assert ast.dump(check[2]) == ast.dump(evaluate[2])  # rs = fx.tolist()
+            ast.dump(evaluate[1].handlers[-1].type)]
+        assert unhoisted(check[1]) == ast.dump(evaluate[2])  # the length check
         assert ast.dump(evaluate[3]) == statement("squares = _sum_squares(rs)")
 
         class Rename(ast.NodeTransformer):
@@ -811,6 +846,74 @@ class TestInlinedStepAndCheck:
                 return ast.Name(id=self.names.get(node.id, node.id), ctx=node.ctx)
 
         sum_squares = copy.deepcopy(functions["_sum_squares"]).body[1:3]
-        assert [ast.dump(node) for node in check[3:5]] == [
+        assert [ast.dump(node) for node in check[2:4]] == [
             ast.dump(Rename().visit(node)) for node in sum_squares]
-        assert ast.dump(check[5].test) == ast.dump(evaluate[4].test)
+        assert unhoisted(check[4].test) == ast.dump(evaluate[4].test)
+        assert unhoisted(check[5]) == statement(
+            f"res_norm = {ast.unparse(evaluate[5].value.elts[1])}")
+
+
+def square_minus_two(x):
+    return x * x - 2.0
+
+
+def floor_of_four_x(x):
+    return np.floor(4.0 * x) - 5.0
+
+
+class TestResidualResultContract:
+    """What a residual may return: any array-like whose entries, flattened,
+    are the vector, which then gives the bits of the 1-d float array."""
+
+    # (name, start, residual returning a 1-d float array, another form of its result)
+    FORMS = [
+        ("column", [1.0, 0.5], square_minus_two, lambda r: r.reshape(-1, 1)),
+        ("list", [1.0, 0.5], square_minus_two, lambda r: r.tolist()),
+        ("0-d array", [1.0], square_minus_two, lambda r: r.reshape(())),
+        ("python float", [1.0], square_minus_two, lambda r: float(r[0])),
+        ("integer array", [1.0, 0.5], floor_of_four_x, lambda r: r.astype(np.int64)),
+    ]
+
+    @staticmethod
+    def outcome_bits(out):
+        trace = out.trace and tuple(a.tobytes() for a in (
+            out.trace.iterates, out.trace.step_norms, out.trace.residual_norms))
+        return (out.status, out.iterations, out.x_final.tobytes(),
+                out.final_step_norm.hex(), out.final_residual_norm.hex(), trace)
+
+    @pytest.mark.parametrize("name, x0, base, form", FORMS, ids=[c[0] for c in FORMS])
+    def test_evaluate_reads_the_form_as_the_vector(self, name, x0, base, form):
+        rs, norm = _evaluate(lambda x: form(base(x)), np.array(x0))
+        expected_rs, expected_norm = _evaluate(base, np.array(x0))
+        assert [v.hex() for v in rs] == [v.hex() for v in expected_rs]
+        assert norm.hex() == expected_norm.hex()
+
+    @pytest.mark.parametrize("keep_trace", [False, True])
+    @pytest.mark.parametrize("name, x0, base, form", FORMS, ids=[c[0] for c in FORMS])
+    def test_solve_gives_the_bits_of_the_vector(self, name, x0, base, form, keep_trace):
+        settings = SolverSettings(alpha=0.5, max_iter=40)
+        expected = self.outcome_bits(fixed_point_solve(base, x0, settings, keep_trace))
+        assert expected[1] > 1
+        # The form at every call: x0 through _evaluate, then the loop.
+        everywhere = fixed_point_solve(lambda x: form(base(x)), x0, settings, keep_trace)
+        assert self.outcome_bits(everywhere) == expected
+        # The form from the first step on, x0 giving the 1-d array: the loop alone.
+        first = first_call_ok_then(base)
+        expected = self.outcome_bits(fixed_point_solve(first, x0, settings, keep_trace))
+        mid_solve = fixed_point_solve(first_call_ok_then(lambda x: form(base(x))), x0,
+                                      settings, keep_trace)
+        assert self.outcome_bits(mid_solve) == expected
+
+    @pytest.mark.parametrize("resize, length", [
+        (lambda r: r[:-1], 1), (lambda r: np.append(r, 0.0), 3)], ids=["short", "long"])
+    def test_wrong_length_raises_the_exact_message(self, resize, length):
+        message = f"residual has shape ({length},), expected (2,)"
+        x0 = np.array([1.0, 0.5])
+        with pytest.raises(ValueError) as raised:
+            _evaluate(lambda x: resize(square_minus_two(x)), x0)
+        assert str(raised.value) == message
+        for f in (lambda x: resize(square_minus_two(x)),
+                  first_call_ok_then(lambda x: resize(square_minus_two(x)))):
+            with pytest.raises(ValueError) as raised:
+                fixed_point_solve(f, x0, SolverSettings(alpha=0.5))
+            assert str(raised.value) == message
