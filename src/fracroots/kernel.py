@@ -107,12 +107,13 @@ def p_matrix(alpha, x, epsilon: float) -> np.ndarray:
 
     Entry k is ``multiplier(alpha, epsilon)(x[k])``, which owns the
     zero rule: the order-alpha derivative of the unit constant at x[k] plus
-    epsilon, or exactly epsilon where x[k] is zero.
+    epsilon, or exactly epsilon where x[k] is zero.  x is read as
+    ``solver.fixed_point_solve`` reads x0, as
+    ``np.asarray(x, dtype=float).ravel()``: a list, a column or a matrix
+    gives the diagonal at the 1-d array of its entries.
     """
     alpha = FractionalOrder.coerce(alpha).value
     epsilon = checked_epsilon(epsilon)
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("x must be a 1-d vector")
+    x = np.asarray(x, dtype=float).ravel()
     entry = multiplier(alpha, epsilon)
     return np.array([entry(v) for v in x.tolist()], dtype=float)

@@ -201,19 +201,19 @@ class RootSet:
 def _evaluate(f: Callable, x: np.ndarray) -> tuple:
     """Evaluate a residual; return its entries as a float list and its 2-norm.
 
-    The result is converted by one expression, ``np.asarray(f(x),
-    dtype=float).ravel().tolist()``, so a list, a column or a 0-d scalar
-    reads as the flat vector of its entries.  A call that fails, or a
-    non-finite entry, is normalised to NonRealEvaluation.  A result whose
-    length is not x's raises ValueError, and so does every result for an x
-    that is not 1-d.  The norm is the square root of :func:`_sum_squares`; a
+    ``x`` is a 1-d float array: every caller reads its point as
+    :func:`fixed_point_solve` reads x0.  The result is converted by one
+    expression, ``np.asarray(f(x), dtype=float).ravel().tolist()``, so a
+    list, a column or a 0-d scalar reads as the flat vector of its entries.
+    A call that fails, or a non-finite entry, is normalised to
+    NonRealEvaluation.  A result whose length is not x's raises ValueError.
+    The norm is the square root of :func:`_sum_squares`; a
     finite sum of squares means every entry is finite, so the entries are
     only scanned when it is not (a finite residual whose squares overflow
     keeps an inf norm).  :func:`fixed_point_solve` writes these statements
     out in its loop; a test holds the two copies equal.
     """
-    # No result has length -1, so an x that is not 1-d takes none.
-    n = len(x) if x.ndim == 1 else -1
+    n = len(x)
     try:
         rs = np.asarray(f(x), dtype=float).ravel().tolist()
     except NonRealEvaluation:
@@ -231,10 +231,12 @@ def _evaluate(f: Callable, x: np.ndarray) -> tuple:
 def fpn_step(f: Callable, x, alpha, epsilon: float) -> np.ndarray:
     """One fractional pseudo-Newton update x - P(x) * f(x).
 
-    P is diagonal, so the product is component-wise; a point with zero
-    residual is returned unchanged.
+    x is read as :func:`fixed_point_solve` reads x0, as
+    ``np.asarray(x, dtype=float).ravel()``, and the update is returned as a
+    1-d array.  P is diagonal, so the product is component-wise; a point
+    with zero residual is returned unchanged.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float).ravel()
     return np.array(fpn_update(alpha, epsilon)(x.tolist(), _evaluate(f, x)[0]))
 
 
@@ -264,9 +266,12 @@ def fd_jacobian(f: Callable, x) -> np.ndarray:
     The step is h = max(1e-6, 1e-8 * ||x||_inf), which keeps the stencil
     scaled on large iterates without collapsing near the origin.  A failing
     or non-finite evaluation raises NonRealEvaluation, as in the driver.
+    x is read as :func:`fixed_point_solve` reads x0, as
+    ``np.asarray(x, dtype=float).ravel()``, so the Jacobian of an n-entry
+    point is n by n whatever shape the point came in.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
+    x = np.asarray(x, dtype=float).ravel()
+    n = len(x)
     h = max(1e-6, 1e-8 * float(np.max(np.abs(x))))
     jac = np.empty((n, n))
     for k in range(n):
@@ -282,8 +287,11 @@ def newton_step(f: Callable, x) -> np.ndarray:
 
     A failing or non-finite ``f(x)`` raises NonRealEvaluation, and a Jacobian
     whose condition estimate exceeds CONDITION_LIMIT raises SingularJacobian.
+    x is read as :func:`fixed_point_solve` reads x0, as
+    ``np.asarray(x, dtype=float).ravel()``, and the update is returned as a
+    1-d array.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float).ravel()
     fx = np.array(_evaluate(f, x)[0])
     jac = fd_jacobian(f, x)
     cond = np.linalg.cond(jac)
@@ -305,7 +313,11 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
         Residual whose zero is sought; must return a vector of x0's length,
         and must be a function of x alone (see the cycle stop below).
     x0
-        Finite starting point.
+        Finite starting point, read as ``np.asarray(x0, dtype=float).ravel()``:
+        a list, a column or (for one variable) a float is the 1-d array of
+        its entries.  :func:`fpn_step`, :func:`newton_step`,
+        :func:`fd_jacobian`, :func:`same_root`, :func:`norm2` and
+        :func:`~fracroots.kernel.p_matrix` read their point by this rule.
     settings
         Tolerances, iteration cap, alpha and epsilon.
     keep_trace
@@ -527,9 +539,14 @@ _DEFAULT_GRID = _order_grid(DEFAULT_GRID_STEP)
 
 
 def same_root(a, b, tolerance: float) -> bool:
-    """Dedup predicate: distance below tolerance relative to root magnitude."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    """Dedup predicate: distance below tolerance relative to root magnitude.
+
+    a and b are read as :func:`fixed_point_solve` reads x0, as
+    ``np.asarray(v, dtype=float).ravel()``, so a column and its 1-d array
+    are the same root.
+    """
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
     scale = 1.0 + max(norm2(a), norm2(b))
     return norm2(a - b) <= tolerance * scale
 
@@ -540,10 +557,12 @@ def collect_roots(converged, skipped, dedup_tolerance: float) -> RootSet:
     ``converged`` holds (x, alpha_value, outcome) triples.  Candidates are
     sorted canonically before clustering, so the result is a pure function of
     the set of hits, not of grid order; each cluster is represented by its
-    best hit (smallest residual norm, then smallest alpha).
+    best hit (smallest residual norm, then smallest alpha).  Each hit's x is
+    read as :func:`fixed_point_solve` reads x0, so the sort key and
+    :func:`same_root` see the same entries and every RootRecord.x is 1-d.
     """
     candidates = sorted(
-        ((np.asarray(x, dtype=float), float(alpha), out) for x, alpha, out in converged),
+        ((np.asarray(x, dtype=float).ravel(), float(alpha), out) for x, alpha, out in converged),
         key=lambda c: (tuple(c[0]), c[2].final_residual_norm, c[1]),
     )
     clusters: list = []

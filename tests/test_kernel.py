@@ -264,9 +264,12 @@ class TestPMatrix:
         assert isinstance(diag, np.ndarray)
         assert (diag.dtype, diag.shape) == (np.dtype(float), (3,))
 
-    def test_refuses_a_matrix_point(self):
-        with pytest.raises(ValueError, match="1-d vector"):
-            p_matrix(FractionalOrder(0.5), np.ones((2, 2)), 1e-4)
+    def test_reads_a_matrix_point_as_its_entries(self):
+        # As fixed_point_solve reads such an x0: the 1-d array of its 4 entries.
+        point = np.array([[1.0, -2.0], [0.0, 4.0]])
+        got = p_matrix(FractionalOrder(0.5), point, 1e-4)
+        assert got.shape == (4,)
+        assert got.tobytes() == p_matrix(FractionalOrder(0.5), point.ravel(), 1e-4).tobytes()
 
 
 class TestModuleBoundaries:

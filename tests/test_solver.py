@@ -826,7 +826,7 @@ class TestInlinedStepAndCheck:
         # a failure returned where _evaluate raises NonRealEvaluation.  The
         # loop's n is x0's length, and every iterate has x0's length.
         evaluate = functions["_evaluate"].body[1:]  # after the docstring
-        assert ast.dump(evaluate[0]) == statement("n = len(x) if x.ndim == 1 else -1")
+        assert ast.dump(evaluate[0]) == statement("n = len(x)")
         k = next(k for k, node in enumerate(loop.body) if isinstance(node, ast.Try))
         check = loop.body[k:k + 6]
         assert unhoisted(loop.body[k - 1]) == statement("x = np.array(xs_next)")
