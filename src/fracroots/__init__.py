@@ -25,9 +25,9 @@ from .dixit_pindyck import (Decision, EconomicPrimitives, ModelConstants,
                             full_residual_scale, make_residual,
                             reduced_residual, solve_thresholds,
                             sweep_thresholds)
-from .errors import (ConfigError, DegenerateThresholds, FracrootsError,
-                     InsufficientData, InvalidPrimitives, NonRealEvaluation,
-                     SingularJacobian, ThresholdSolveFailed)
+from .errors import (ConfigError, FracrootsError, InsufficientData,
+                     InvalidPrimitives, NonRealEvaluation, SingularJacobian,
+                     ThresholdSolveFailed)
 from .kernel import FractionalOrder, p_matrix
 from .solver import (IterationTrace, RootRecord, RootSet, SkippedAlpha,
                      SolverSettings, SolveOutcome, Status, alpha_sweep,
@@ -43,9 +43,8 @@ __all__ = [
     "classify_income", "derive_constants", "full_residual",
     "full_residual_scale", "make_residual", "reduced_residual",
     "solve_thresholds", "sweep_thresholds",
-    "ConfigError", "DegenerateThresholds", "FracrootsError",
-    "InsufficientData", "InvalidPrimitives", "NonRealEvaluation",
-    "SingularJacobian", "ThresholdSolveFailed",
+    "ConfigError", "FracrootsError", "InsufficientData", "InvalidPrimitives",
+    "NonRealEvaluation", "SingularJacobian", "ThresholdSolveFailed",
     "FractionalOrder", "p_matrix",
     "IterationTrace", "RootRecord", "RootSet", "SkippedAlpha",
     "SolverSettings", "SolveOutcome", "Status", "alpha_sweep",

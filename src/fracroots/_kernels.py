@@ -1,24 +1,28 @@
 """The threshold model's scalar hot loops, in plain interpreted Python.
 
 The reduced threshold residual lives here: the generic driver calls it
-through ``dixit_pindyck.reduced_residual``.  Its guard on the elimination
-divisor x1**(a3 + a4) - x2**(a3 + a4) is :func:`pair_powers`, which
-``dixit_pindyck.back_substitute`` shares.  Python's float ``**`` raises
-OverflowError where IEEE arithmetic would give inf; the residual catches it,
-so an overflow becomes NonRealEvaluation (which the fused loop turns into
-its evaluation-failed status) instead of a raw arithmetic error.
+through ``dixit_pindyck.reduced_residual``.  It is the elimination of the
+value-function coefficients in divided-difference form.  With lam the log
+of the smaller threshold over the larger (so lam <= 0) and
+e(a) = expm1(a * lam), every difference of powers in the elimination is a
+power of the larger threshold times an e(a), and those powers cancel.  One
+log and three expm1 of non-positive arguments (for the model's positive
+exponents) replace eight powers, no intermediate overflows, and x1 = x2 is
+an ordinary point: there the divided differences take their limit, and
+f1 - f2 = a7 - a6.  ``dixit_pindyck.back_substitute`` recovers A and B from
+the same variables.
 
 The fused loop :func:`solve_reduced` is a shortcut for untraced solves:
 ``fixed_point_solve`` is the reference it must match, status, iterations
 and norms bit for bit.  For speed its iteration makes no Python call in the
 common case.  It inlines the positive branch of
 :func:`fracroots.kernel.multiplier`'s entry, with the same operations in the
-same order, and the residual's statements for positive components; where
-those overflow or give a non-finite value it calls
-:func:`reduced_residual_checked`, which decides.  The kernel agreement tests
-(against the driver on every sweep order and on random starts) and an AST
-test (the inlined guard and residual statements equal those of
-:func:`pair_powers` and :func:`reduced_residual_checked`) pin both copies.
+same order, and the residual's statements off the diagonal; where those
+raise (on the diagonal, or at a ratio that underflows) or give a non-finite
+value it calls :func:`reduced_residual_checked`, which decides.  The kernel
+agreement tests (against the driver on every sweep order and on random
+starts) and an AST test (the inlined statements equal those of
+:func:`reduced_residual_checked`) pin both copies.
 Its status codes (decoded by ``dixit_pindyck.STATUS_FROM_CODE``):
 0 converged, 1 iteration cap, 2 diverged, 3 evaluation failed.
 """
@@ -26,35 +30,9 @@ Its status codes (decoded by ``dixit_pindyck.STATUS_FROM_CODE``):
 from __future__ import annotations
 
 import math
+from math import expm1, isfinite, log
 
-from .errors import DegenerateThresholds, NonRealEvaluation
-
-#: Two thresholds are degenerate when their powers t = x**(a3 + a4) differ
-#: by at most this fraction of the larger: the elimination divides by
-#: t1 - t2, and against a 60-digit evaluation the residual's relative error
-#: reaches 4.8e-3 at |1 - x2/x1| = 1e-12 on reference row 1.
-DEGENERATE_RTOL = 1e-8
-
-
-def pair_powers(x1, x2, s):
-    """The powers ``(x1 ** s, x2 ** s)`` of a threshold pair, guarded; ``s`` is a3 + a4.
-
-    Their difference is the elimination divisor of both the reduced residual
-    and the back-substitution.  A non-positive or infinite component raises
-    NonRealEvaluation; powers that agree to DEGENERATE_RTOL relative, which
-    collapse the divisor, raise DegenerateThresholds.  A power overflow
-    propagates as OverflowError, so each caller words its own message.
-    """
-    if x1 <= 0.0 or x2 <= 0.0:
-        raise NonRealEvaluation(f"thresholds must be positive, got {(x1, x2)}")
-    t1 = x1 ** s
-    t2 = x2 ** s
-    if abs(t1 - t2) <= DEGENERATE_RTOL * (t1 if t1 > t2 else t2):
-        # An infinite power passes the test however far apart x1 and x2 are.
-        if t1 == math.inf or t2 == math.inf:
-            raise NonRealEvaluation(f"thresholds must be finite, got {(x1, x2)}")
-        raise DegenerateThresholds(f"threshold components coincide at {(x1, x2)}")
-    return t1, t2
+from .errors import NonRealEvaluation
 
 
 def reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2):
@@ -62,23 +40,34 @@ def reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2):
 
     The residual components are the value-matching equations of the
     four-variable system after eliminating the two value-function
-    coefficients, so their norms live on the full system's scale.  The pair
-    is refused as :func:`pair_powers` refuses it; a power overflow or a
-    non-finite result raises NonRealEvaluation.
+    coefficients, so their norms live on the full system's scale.  A
+    component that is not positive and finite raises NonRealEvaluation, and
+    so do a ratio of the components that underflows to 0 (whose log is
+    undefined), an overflow and a non-finite result.
     """
+    if not (0.0 < x1 < math.inf and 0.0 < x2 < math.inf):
+        raise NonRealEvaluation(f"thresholds must be positive and finite, got {(x1, x2)}")
+    s = a3 + a4
     try:
-        t1, t2 = pair_powers(x1, x2, a3 + a4)
-        den = a1 * a2 * (t1 - t2)
-        p1 = x1 ** a3
-        p2 = x2 ** a3
-        g13 = p2 - p1
-        g14 = x1 ** a4 - x2 ** a4
-        f1 = a5 * x1 - a6 + a5 * (a1 * x1 ** a2 * g13 + a2 * x1 * p2 * g14) / den
-        f2 = a5 * x2 - a7 + a5 * (a1 * x2 ** a2 * g13 + a2 * p1 * x2 * g14) / den
-    except OverflowError as exc:
-        raise NonRealEvaluation("reduced residual evaluated to a non-finite value") from exc
-    if not (math.isfinite(f1) and math.isfinite(f2)):
-        raise NonRealEvaluation("reduced residual evaluated to a non-finite value")
+        swap = x2 > x1
+        lam = log(x1 / x2 if swap else x2 / x1)
+        if lam == 0.0:
+            # x1 = x2: both divided differences tend to this limit.
+            u = v = (a1 * a3 - a2 * a4) / (a1 * a2 * s)
+        else:
+            e3 = expm1(a3 * lam)
+            e4 = expm1(a4 * lam)
+            d = a1 * a2 * expm1(s * lam)
+            u = (a1 * e3 - a2 * (1.0 + e3) * e4) / d
+            v = (a1 * (1.0 + e4) * e3 - a2 * e4) / d
+            if swap:
+                u, v = v, u
+        f1 = a5 * x1 - a6 - a5 * x1 * u
+        f2 = a5 * x2 - a7 - a5 * x2 * v
+    except (ArithmeticError, ValueError) as exc:
+        raise NonRealEvaluation(f"reduced residual has no finite value at {(x1, x2)}") from exc
+    if not (isfinite(f1) and isfinite(f2)):
+        raise NonRealEvaluation(f"reduced residual has no finite value at {(x1, x2)}")
     return f1, f2
 
 
@@ -99,18 +88,18 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
     power = -alpha
     g = math.gamma(1.0 - alpha)
     s = a3 + a4
+    # Bound once per solve, so the iteration looks up no global name.
+    log, expm1, isfinite, sqrt = math.log, math.expm1, math.isfinite, math.sqrt
     if trace:
-        xs[0, 0] = x01
-        xs[0, 1] = x02
+        xs[0] = x01, x02
     try:
         f1, f2 = reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x01, x02)
     except NonRealEvaluation:
         if trace:
             residuals[0] = math.nan
         return 3, 0, x01, x02, math.nan, math.nan
-    x1 = x01
-    x2 = x02
-    res = math.sqrt(f1 * f1 + f2 * f2)
+    x1, x2 = x01, x02
+    res = sqrt(f1 * f1 + f2 * f2)
     if trace:
         residuals[0] = res
     step = math.nan
@@ -130,41 +119,41 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
         n2 = x2 - (c2 / g + eps) * f2
         d1 = n1 - x1
         d2 = n2 - x2
-        step = math.sqrt(d1 * d1 + d2 * d2)
-        x1 = n1
-        x2 = n2
-        if not (math.isfinite(x1) and math.isfinite(x2)) \
-                or math.sqrt(x1 * x1 + x2 * x2) > bound:
+        step = sqrt(d1 * d1 + d2 * d2)
+        x1, x2 = n1, n2
+        # As the driver tests an iterate and a residual: a finite sum of
+        # squares means that both components are finite.
+        size = x1 * x1 + x2 * x2
+        if sqrt(size) > bound or not (isfinite(size) or isfinite(x1) and isfinite(x2)):
             return 2, i, x1, x2, step, math.nan
-        # reduced_residual_checked's common case, inlined with its own and
-        # pair_powers' statements; an overflow or a non-finite result is
-        # left to it.
+        # reduced_residual_checked's statements off the diagonal, inlined;
+        # the diagonal (a zero divisor), a ratio that underflows, an
+        # overflow and a non-finite result are left to it.
         if x1 <= 0.0 or x2 <= 0.0:
             return 3, i, x1, x2, step, math.nan
         try:
-            t1 = x1 ** s
-            t2 = x2 ** s
-            if abs(t1 - t2) <= DEGENERATE_RTOL * (t1 if t1 > t2 else t2):
-                # Both powers are finite (an overflow raises): degenerate.
-                return 3, i, x1, x2, step, math.nan
-            den = a1 * a2 * (t1 - t2)
-            p1 = x1 ** a3
-            p2 = x2 ** a3
-            g13 = p2 - p1
-            g14 = x1 ** a4 - x2 ** a4
-            f1 = a5 * x1 - a6 + a5 * (a1 * x1 ** a2 * g13 + a2 * x1 * p2 * g14) / den
-            f2 = a5 * x2 - a7 + a5 * (a1 * x2 ** a2 * g13 + a2 * p1 * x2 * g14) / den
-        except OverflowError:
+            swap = x2 > x1
+            lam = log(x1 / x2 if swap else x2 / x1)
+            e3 = expm1(a3 * lam)
+            e4 = expm1(a4 * lam)
+            d = a1 * a2 * expm1(s * lam)
+            u = (a1 * e3 - a2 * (1.0 + e3) * e4) / d
+            v = (a1 * (1.0 + e4) * e3 - a2 * e4) / d
+            if swap:
+                u, v = v, u
+            f1 = a5 * x1 - a6 - a5 * x1 * u
+            f2 = a5 * x2 - a7 - a5 * x2 * v
+        except (ArithmeticError, ValueError):
             f1 = math.nan
-        if not (math.isfinite(f1) and math.isfinite(f2)):
+        res = sqrt(f1 * f1 + f2 * f2)
+        if not (isfinite(res) or isfinite(f1) and isfinite(f2)):
             try:
                 f1, f2 = reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2)
             except NonRealEvaluation:
                 return 3, i, x1, x2, step, math.nan
-        res = math.sqrt(f1 * f1 + f2 * f2)
+            res = sqrt(f1 * f1 + f2 * f2)
         if trace:
-            xs[i, 0] = x1
-            xs[i, 1] = x2
+            xs[i] = x1, x2
             steps[i - 1] = step
             residuals[i] = res
         if step <= tol_step and res <= tol_res:

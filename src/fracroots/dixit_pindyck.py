@@ -195,12 +195,11 @@ class ThresholdSolution:
 def reduced_residual(constants: ModelConstants, x) -> np.ndarray:
     """Two-variable residual whose zero is the threshold pair (H, L).
 
-    Both components must be positive, finite and distinct; the pair is
-    refused as ``_kernels.pair_powers`` refuses it.  Non-positive components
-    raise NonRealEvaluation (real powers with non-integer exponents leave the
-    real line there), and so do infinite ones; components whose powers
-    x**(a3 + a4) nearly agree collapse the elimination denominator and raise
-    the subclass for degenerate thresholds.
+    Both components must be positive and finite.  Non-positive components
+    raise NonRealEvaluation (real powers with non-integer exponents leave
+    the real line there), and so do infinite ones.  The pair x1 = x2 is an
+    ordinary point.  ``_kernels.reduced_residual_checked`` holds the formula
+    and its refusals.
     """
     xs = np.asarray(x, dtype=float).ravel().tolist()
     if len(xs) != 2:
@@ -221,10 +220,11 @@ def make_residual(constants: ModelConstants):
 class KernelResidual:
     """The reduced residual, whose untraced default driver solve runs the scalar kernel.
 
-    Called, it is the reduced residual.  ``fixed_point_solve`` hands the
+    Called, it is :func:`reduced_residual`.  ``fixed_point_solve`` hands the
     plain pseudo-Newton iteration without a trace to :meth:`fused_solve`,
-    which gives the driver's status, iteration count, final iterate and
-    norms; a traced solve runs the driver loop over the same residual.
+    which runs ``_kernels.solve_reduced`` and gives the driver's status,
+    iteration count, final iterate and norms bit for bit; a traced solve
+    runs the driver loop over the same residual.
     """
 
     __slots__ = ("constants",)
@@ -254,32 +254,36 @@ def back_substitute(constants: ModelConstants, x) -> tuple:
     """Recover the value-function coefficients (A, B) from a threshold pair.
 
     The smooth-pasting equations are linear in (A, B); this is their closed
-    form solution.  Swapping the two components leaves the result unchanged
-    because numerator and denominator flip sign together.  The pair is
-    refused as ``_kernels.pair_powers`` refuses it, which
-    :func:`reduced_residual` shares.
+    form solution, in the reduced residual's variables.  With hi and lo the
+    larger and the smaller component, lam = log(lo / hi) and
+    e(a) = expm1(a * lam),
+
+        A = a5 hi**(-a4) e(a3) / (a2 e(a3 + a4)),
+        B = a5 lo**a3 e(a4) / (a1 e(a3 + a4)),
+
+    so swapping the components leaves the result unchanged, and at x1 = x2
+    each ratio e(a) / e(a3 + a4) takes its limit a / (a3 + a4).  A
+    non-positive or infinite component, a ratio that underflows to 0, a
+    power overflow and a non-finite coefficient raise NonRealEvaluation.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape != (2,):
         raise ValueError("x must be a 2-vector")
     x1, x2 = float(x[0]), float(x[1])
+    if not (0.0 < x1 < math.inf and 0.0 < x2 < math.inf):
+        raise NonRealEvaluation(f"thresholds must be positive and finite, got {(x1, x2)}")
     c = constants
+    hi, lo, s = max(x1, x2), min(x1, x2), c.a3 + c.a4
     try:
-        t1, t2 = _kernels.pair_powers(x1, x2, c.a3 + c.a4)
-        a = c.a5 * (x1 ** c.a3 - x2 ** c.a3) / (c.a2 * (t1 - t2))
-        g14 = x1 ** c.a4 - x2 ** c.a4
-        try:
-            b = c.a5 * (x1 * x2) ** c.a3 * g14 / (c.a1 * (t1 - t2))
-        except OverflowError:
-            b = math.inf
-        if not math.isfinite(b):
-            # (x1 x2)^a3 can overflow although B is finite: divide before
-            # the second power.  Only here, so finite results keep their bits.
-            b = c.a5 * g14 * (x1 ** c.a3 / (c.a1 * (t1 - t2))) * x2 ** c.a3
-    except OverflowError as exc:
-        raise NonRealEvaluation("power overflow in back-substitution") from exc
+        lam = math.log(lo / hi)
+        e3, e4, es = (c.a3, c.a4, s) if lam == 0.0 else (
+            math.expm1(c.a3 * lam), math.expm1(c.a4 * lam), math.expm1(s * lam))
+        a = c.a5 * hi ** (-c.a4) * e3 / (c.a2 * es)
+        b = c.a5 * lo ** c.a3 * e4 / (c.a1 * es)
+    except (ArithmeticError, ValueError) as exc:
+        raise NonRealEvaluation(f"back-substitution has no finite value at {(x1, x2)}") from exc
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise NonRealEvaluation("back-substitution produced a non-finite coefficient")
+        raise NonRealEvaluation(f"back-substitution has no finite value at {(x1, x2)}")
     return a, b
 
 

@@ -9,10 +9,6 @@ class NonRealEvaluation(FracrootsError, ArithmeticError):
     """A residual function could not produce a finite real value at the point."""
 
 
-class DegenerateThresholds(NonRealEvaluation):
-    """The two threshold components coincide and the reduced system denominator vanishes."""
-
-
 class SingularJacobian(FracrootsError):
     """The finite-difference Jacobian is rank deficient or numerically singular."""
 

@@ -83,6 +83,17 @@ def norm2(v) -> float:
     return math.sqrt(_sum_squares(np.asarray(v, dtype=float).ravel().tolist()))
 
 
+def _point(x) -> np.ndarray:
+    """A point as every function here reads it: ``np.asarray(x, dtype=float).ravel()``.
+
+    A point with no entries is refused with ValueError.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    if not x.size:
+        raise ValueError("a point needs at least one entry")
+    return x
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     """Everything the driver needs besides the residual function.
@@ -236,7 +247,7 @@ def fpn_step(f: Callable, x, alpha, epsilon: float) -> np.ndarray:
     1-d array.  P is diagonal, so the product is component-wise; a point
     with zero residual is returned unchanged.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    x = _point(x)
     return np.array(fpn_update(alpha, epsilon)(x.tolist(), _evaluate(f, x)[0]))
 
 
@@ -270,7 +281,7 @@ def fd_jacobian(f: Callable, x) -> np.ndarray:
     ``np.asarray(x, dtype=float).ravel()``, so the Jacobian of an n-entry
     point is n by n whatever shape the point came in.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    x = _point(x)
     n = len(x)
     h = max(1e-6, 1e-8 * float(np.max(np.abs(x))))
     jac = np.empty((n, n))
@@ -291,7 +302,7 @@ def newton_step(f: Callable, x) -> np.ndarray:
     ``np.asarray(x, dtype=float).ravel()``, and the update is returned as a
     1-d array.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    x = _point(x)
     fx = np.array(_evaluate(f, x)[0])
     jac = fd_jacobian(f, x)
     cond = np.linalg.cond(jac)
@@ -331,9 +342,9 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
     cycle stop below ends an orbit that repeats.  A traced solve takes
     neither: it runs this loop to its end and evaluates every iterate its
     trace reports.  The outcome encodes every failure of the iteration in
-    its status instead of raising.  Two faults of the call raise ValueError
-    instead: a non-finite x0, and a residual that returns another shape than
-    x0's, at x0 or at any later iterate.
+    its status instead of raising.  Three faults of the call raise ValueError
+    instead: an x0 with no entries or a non-finite one, and a residual that
+    returns another shape than x0's, at x0 or at any later iterate.
 
     The iterate and the residual are carried as float lists, and an array is
     built from the iterate only for the call of ``f``.  The residual's result
@@ -373,7 +384,7 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
     be called fewer times than there are iterations.  Cycles whose period
     does not divide the lag run to ``max_iter``.
     """
-    x = np.asarray(x0, dtype=float).ravel()
+    x = _point(x0)
     xs = x.tolist()
     if not all(map(math.isfinite, xs)):
         raise ValueError("x0 must be finite")
@@ -543,12 +554,12 @@ def same_root(a, b, tolerance: float) -> bool:
 
     a and b are read as :func:`fixed_point_solve` reads x0, as
     ``np.asarray(v, dtype=float).ravel()``, so a column and its 1-d array
-    are the same root.
+    are the same root; points of different lengths raise ValueError.
     """
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    scale = 1.0 + max(norm2(a), norm2(b))
-    return norm2(a - b) <= tolerance * scale
+    a, b = _point(a), _point(b)
+    if a.size != b.size:
+        raise ValueError(f"cannot compare points of {a.size} and {b.size} entries")
+    return norm2(a - b) <= tolerance * (1.0 + max(norm2(a), norm2(b)))
 
 
 def collect_roots(converged, skipped, dedup_tolerance: float) -> RootSet:

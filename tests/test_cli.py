@@ -115,12 +115,12 @@ class TestSolveCommand:
         assert code == 1
         assert "extra" in capsys.readouterr().err
 
-    def test_degenerate_start_exits_2(self, tmp_path, capsys):
+    def test_diagonal_start_solves(self, tmp_path, capsys):
+        # H0 = L0 is an ordinary point of the residual; row 2 converges from it.
         payload = {**ROW2, "initial": {"H0": 5, "L0": 5}}
         code = main(["solve", "--config", write_config(tmp_path, payload)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "evaluation_failed" in err
+        assert code == 0
+        assert "60324.435" in capsys.readouterr().out
 
     def test_trace_of_a_failing_start_exits_2(self, tmp_path, capsys):
         payload = {**ROW2, "initial": {"H0": -1, "L0": 20},

@@ -5,11 +5,12 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings as hypothesis_settings, strategies as st
 
-from fracroots import (DegenerateThresholds, Decision, EconomicPrimitives,
+from fracroots import (Decision, EconomicPrimitives,
                        FractionalOrder, InvalidPrimitives, ModelConstants,
                        NonRealEvaluation,
                        SolverSettings, Status, ThresholdOrderingWarning,
@@ -164,77 +165,81 @@ class TestReducedResidual:
         for x in (tuple(row.x0), list(row.x0), np.array(row.x0, dtype=float).reshape(2, 1)):
             assert reduced_residual(c, x).tobytes() == expected
 
-    def test_degenerate_diagonal(self):
-        c = reference.scenario_constants(451474.0, 396499.0)
-        with pytest.raises(DegenerateThresholds, match=r"coincide at \(5\.0, 5\.0\)"):
-            reduced_residual(c, np.array([5.0, 5.0]))
+    def test_diagonal_pair_evaluates(self):
+        # x1 = x2 is an ordinary point: both components take the divided
+        # differences' common limit there, so f1 - f2 is a7 - a6.
+        for row in reference.ROWS:
+            c = reference.scenario_constants(row.a6, row.a7)
+            for x in (5.0, 2e4, 1e6):
+                f1, f2 = reduced_residual(c, np.array([x, x]))
+                assert f1 - f2 == pytest.approx(c.a7 - c.a6, rel=1e-12)
 
-    def test_near_coincident_components_are_degenerate(self):
-        # Against a 60-digit mpmath evaluation on row 1 at x1 = 2e4, the
-        # residual's relative error is 1.4e-8 at |1 - x2/x1| = 1e-6, 2.5e-6 at
-        # 1e-10, 4.8e-3 at 1e-12 and 0.51 at 1e-14: such a point has no
-        # trustworthy value, so it raises instead of returning one.
-        row = reference.ROWS[0]
-        c = reference.scenario_constants(row.a6, row.a7)
-        x = np.array([2e4, 2e4 * (1.0 - 1e-12)])
-        with pytest.raises(DegenerateThresholds):
-            reduced_residual(c, x)
-        with pytest.raises(DegenerateThresholds):
-            back_substitute(c, x)
-
-    def test_underflowed_powers_are_degenerate(self):
-        # Both powers underflow to 0, so t1 - t2 is 0 however far apart x1 and x2 are.
+    @pytest.mark.parametrize("x", [(1e300, 1.0), (1e-300, 2e-300)],
+                             ids=["far-apart", "tiny"])
+    def test_pairs_whose_powers_leave_the_float_range_evaluate(self, x):
+        # x**(a3 + a4) overflows at 1e300 and underflows to 0 at 1e-300 on
+        # reference row 1; the residual and the coefficients take only the
+        # ratio's log and expm1 of non-positive arguments.
         c = reference.scenario_constants(451474.0, 396499.0)
-        with pytest.raises(DegenerateThresholds):
-            reduced_residual(c, np.array([1e-300, 2e-300]))
-        with pytest.raises(DegenerateThresholds):
-            back_substitute(c, np.array([1e-300, 2e-300]))
+        assert np.all(np.isfinite(reduced_residual(c, np.array(x))))
+        assert all(map(math.isfinite, back_substitute(c, np.array(x))))
 
     @pytest.mark.parametrize("x", [(-1.0, 2.0), (2.0, -1.0), (0.0, 3.0)])
     def test_nonpositive_components(self, x):
         c = reference.scenario_constants(451474.0, 396499.0)
         for evaluate in (reduced_residual, back_substitute):
-            with pytest.raises(NonRealEvaluation, match="must be positive") as raised:
+            with pytest.raises(NonRealEvaluation, match="must be positive"):
                 evaluate(c, np.array(x))
-            assert not isinstance(raised.value, DegenerateThresholds)
 
     def test_overflowing_point_raises_typed_error(self):
+        # a5 * x1 overflows.
         c = reference.scenario_constants(451474.0, 396499.0)
-        with pytest.raises(NonRealEvaluation):
-            reduced_residual(c, np.array([1e300, 1.0]))
+        with pytest.raises(NonRealEvaluation, match="no finite value"):
+            reduced_residual(c, np.array([1e308, 1.0]))
 
-    @pytest.mark.parametrize("x", [(math.inf, 1.0), (1.0, math.inf), (math.inf, 1e-300)])
-    def test_infinite_component_is_not_reported_as_coinciding(self, x):
-        # inf ** (a3 + a4) is inf, which passes the degeneracy test
-        # |t1 - t2| <= 1e-8 * max(t1, t2) whatever the other component is.
+    def test_ratio_that_underflows_raises_typed_error(self):
+        # 1e-30 / 1e300 is 0.0, whose log is undefined.
         c = reference.scenario_constants(451474.0, 396499.0)
         for evaluate in (reduced_residual, back_substitute):
-            with pytest.raises(NonRealEvaluation, match="must be finite") as raised:
+            with pytest.raises(NonRealEvaluation, match=r"no finite value at \(1e\+300, 1e-30\)"):
+                evaluate(c, np.array([1e300, 1e-30]))
+
+    @pytest.mark.parametrize("x", [(math.inf, 1.0), (1.0, math.inf), (math.inf, 1e-300)])
+    def test_infinite_component_is_refused(self, x):
+        c = reference.scenario_constants(451474.0, 396499.0)
+        for evaluate in (reduced_residual, back_substitute):
+            with pytest.raises(NonRealEvaluation, match="finite, got"):
                 evaluate(c, np.array(x))
-            assert not isinstance(raised.value, DegenerateThresholds)
 
 
-def residual_with_repeated_powers(a1, a2, a3, a4, a5, a6, a7, x1, x2):
-    """The checked reduced residual as written with x1**a3 and x2**a3 each taken twice."""
-    if x1 <= 0.0 or x2 <= 0.0:
-        raise NonRealEvaluation(f"thresholds must be positive, got {(x1, x2)}")
-    s = a3 + a4
+def residual_by_orientation(a1, a2, a3, a4, a5, a6, a7, x1, x2):
+    """The divided-difference residual written out per orientation of the pair.
+
+    With hi and lo the larger and the smaller component, r = lo / hi and
+    e(a) = expm1(a log r), the hi component's divided difference is
+    (a1 e(a3) - a2 r**a3 e(a4)) / (a1 a2 e(a3 + a4)) and the lo component's
+    (a1 r**a4 e(a3) - a2 e(a4)) / (a1 a2 e(a3 + a4)), with r**a = 1 + e(a).
+    """
+    if not (0.0 < x1 < math.inf and 0.0 < x2 < math.inf):
+        raise NonRealEvaluation(f"thresholds must be positive and finite, got {(x1, x2)}")
+    first_high = not x2 > x1
+    hi, lo = (x1, x2) if first_high else (x2, x1)
     try:
-        t1 = x1 ** s
-        t2 = x2 ** s
-        if abs(t1 - t2) <= 1e-8 * max(t1, t2):
-            if math.isinf(max(t1, t2)):
-                raise NonRealEvaluation(f"thresholds must be finite, got {(x1, x2)}")
-            raise DegenerateThresholds(f"threshold components coincide at {(x1, x2)}")
-        den = a1 * a2 * (t1 - t2)
-        g13 = x2 ** a3 - x1 ** a3
-        g14 = x1 ** a4 - x2 ** a4
-        f1 = a5 * x1 - a6 + a5 * (a1 * x1 ** a2 * g13 + a2 * x1 * x2 ** a3 * g14) / den
-        f2 = a5 * x2 - a7 + a5 * (a1 * x2 ** a2 * g13 + a2 * x1 ** a3 * x2 * g14) / den
-    except OverflowError as exc:
-        raise NonRealEvaluation("reduced residual evaluated to a non-finite value") from exc
+        lam = math.log(lo / hi)
+        if lam == 0.0:
+            w_hi = w_lo = (a1 * a3 - a2 * a4) / (a1 * a2 * (a3 + a4))
+        else:
+            e3, e4 = math.expm1(a3 * lam), math.expm1(a4 * lam)
+            den = a1 * a2 * math.expm1((a3 + a4) * lam)
+            w_hi = (a1 * e3 - a2 * (1.0 + e3) * e4) / den
+            w_lo = (a1 * (1.0 + e4) * e3 - a2 * e4) / den
+        w1, w2 = (w_hi, w_lo) if first_high else (w_lo, w_hi)
+        f1 = a5 * x1 - a6 - a5 * x1 * w1
+        f2 = a5 * x2 - a7 - a5 * x2 * w2
+    except (ArithmeticError, ValueError) as exc:
+        raise NonRealEvaluation(f"reduced residual has no finite value at {(x1, x2)}") from exc
     if not (math.isfinite(f1) and math.isfinite(f2)):
-        raise NonRealEvaluation("reduced residual evaluated to a non-finite value")
+        raise NonRealEvaluation(f"reduced residual has no finite value at {(x1, x2)}")
     return f1, f2
 
 
@@ -253,10 +258,11 @@ THRESHOLD_POINTS = st.one_of(
 
 
 class TestReducedResidualBitwise:
-    """The kernel's residual against the same expression with its repeated powers.
+    """The kernel's residual against the same form written out per orientation.
 
-    Values compare as float hex; a raised error (overflow, coincident or
-    non-positive components) must have the same type and message.
+    Values compare as float hex; a raised error (overflow, a ratio that
+    underflows, non-positive or infinite components) must have the same
+    type and message.
     """
 
     @given(row=st.sampled_from(reference.ROWS), x1=THRESHOLD_POINTS, x2=THRESHOLD_POINTS)
@@ -267,11 +273,72 @@ class TestReducedResidualBitwise:
     @example(row=reference.ROWS[0], x1=math.inf, x2=1.0)
     @example(row=reference.ROWS[0], x1=-1.0, x2=2.0)
     @example(row=reference.ROWS[0], x1=2.0, x2=0.0)
+    @example(row=reference.ROWS[0], x1=1e300, x2=1e-30)
     def test_values_and_errors_match(self, row, x1, x2):
         c = reference.scenario_constants(row.a6, row.a7)
         args = (c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7, x1, x2)
         assert (checked_outcome(_kernels.reduced_residual_checked, *args)
-                == checked_outcome(residual_with_repeated_powers, *args))
+                == checked_outcome(residual_by_orientation, *args))
+
+    @given(row=st.sampled_from(reference.ROWS), x1=THRESHOLD_POINTS, x2=THRESHOLD_POINTS)
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @example(row=reference.ROWS[0], x1=41844.57090443, x2=11857.32126593)
+    @example(row=reference.ROWS[0], x1=5.0, x2=5.0)
+    def test_the_mirrored_pair_gives_the_mirrored_components(self, row, x1, x2):
+        # The form is oriented by the pair's order, so swapping the pair and
+        # the triggers a6, a7 swaps the components bit for bit.
+        c = reference.scenario_constants(row.a6, row.a7)
+        head = (c.a1, c.a2, c.a3, c.a4, c.a5)
+        given_order = checked_outcome(_kernels.reduced_residual_checked,
+                                      *head, c.a6, c.a7, x1, x2)
+        mirrored = checked_outcome(_kernels.reduced_residual_checked,
+                                   *head, c.a7, c.a6, x2, x1)
+        if isinstance(given_order[0], str):
+            assert mirrored == given_order[::-1]
+        else:
+            assert mirrored[0] is given_order[0]
+
+
+def elimination_oracle(c, x1, x2):
+    """The reduced residual as the elimination in powers, at 60 digits."""
+    with mpmath.workdps(60):
+        a1, a2, a3, a4, a5, a6, a7 = map(mpmath.mpf, (c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7))
+        x1, x2 = mpmath.mpf(x1), mpmath.mpf(x2)
+        den = a1 * a2 * (x1 ** (a3 + a4) - x2 ** (a3 + a4))
+        g13 = x2 ** a3 - x1 ** a3
+        g14 = x1 ** a4 - x2 ** a4
+        return (a5 * x1 - a6 + a5 * (a1 * x1 ** a2 * g13 + a2 * x1 * x2 ** a3 * g14) / den,
+                a5 * x2 - a7 + a5 * (a1 * x2 ** a2 * g13 + a2 * x1 ** a3 * x2 * g14) / den)
+
+
+def worst_relative_error(c, x1, x2):
+    """The larger of the two components' relative errors against the oracle."""
+    got = reduced_residual(c, np.array([x1, x2]))
+    with mpmath.workdps(60):
+        return max(float(abs(mpmath.mpf(float(v)) - w) / abs(w))
+                   for v, w in zip(got, elimination_oracle(c, x1, x2)))
+
+
+class TestReducedResidualAccuracy:
+    """The divided-difference form against a 60-digit evaluation of the
+    elimination in powers, which it rewrites."""
+
+    def test_random_pairs_over_the_reference_rows(self):
+        # 1 000 pairs in [1, 1e6]^2; the worst error reads 2.5e-14, the
+        # float elimination in powers 3.9e-13.
+        rng = np.random.default_rng(0)
+        constants = [reference.scenario_constants(row.a6, row.a7) for row in reference.ROWS]
+        worst = max(worst_relative_error(constants[k % 5], *rng.uniform(1.0, 1e6, 2).tolist())
+                    for k in range(1000))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9, 1e-12, 1e-15])
+    def test_pairs_near_the_diagonal(self, gap):
+        # The float elimination in powers divides by x1**s - x2**s, which
+        # cancels here: it reads 1.4e-8 at a gap of 1e-6.
+        row = reference.ROWS[0]
+        c = reference.scenario_constants(row.a6, row.a7)
+        assert worst_relative_error(c, 2e4, 2e4 * (1.0 - gap)) <= 1e-13
 
 
 class TestBackSubstitute:
@@ -282,10 +349,12 @@ class TestBackSubstitute:
         assert a == a2
         assert b == b2
 
-    def test_degenerate_diagonal(self):
+    def test_diagonal_pair_is_the_limit_of_nearby_pairs(self):
         c = reference.scenario_constants(451474.0, 396499.0)
-        with pytest.raises(DegenerateThresholds):
-            back_substitute(c, np.array([7.0, 7.0]))
+        on = back_substitute(c, np.array([7.0, 7.0]))
+        for gap in (1e-6, 1e-9, 1e-12):
+            near = back_substitute(c, np.array([7.0, 7.0 * (1.0 - gap)]))
+            assert near == pytest.approx(on, rel=10 * gap)
 
     def test_refuses_a_three_vector(self):
         c = reference.scenario_constants(451474.0, 396499.0)
@@ -293,15 +362,16 @@ class TestBackSubstitute:
             back_substitute(c, np.array([1.0, 2.0, 3.0]))
 
     def test_overflowing_power_raises_typed_error(self):
+        # lo ** a3 overflows.
         c = reference.scenario_constants(451474.0, 396499.0)
-        with pytest.raises(NonRealEvaluation, match="power overflow"):
-            back_substitute(c, np.array([1e200, 1.0]))
+        with pytest.raises(NonRealEvaluation, match="back-substitution has no finite value"):
+            back_substitute(c, np.array([2e250, 1e250]))
 
     def test_non_finite_coefficient_raises_typed_error(self):
-        # Every power is finite, but a5 = 1e308 takes A and B past the float range.
+        # Every power is finite, but a5 = 1e308 takes B past the float range.
         c = dataclasses.replace(reference.scenario_constants(451474.0, 396499.0), a5=1e308)
-        with pytest.raises(NonRealEvaluation, match="non-finite coefficient"):
-            back_substitute(c, np.array([10.0, 1.0]))
+        with pytest.raises(NonRealEvaluation, match="back-substitution has no finite value"):
+            back_substitute(c, np.array([1e4, 1.0]))
 
     def test_matches_linear_solve_oracle(self):
         # The coefficients solve the two derivative-matching equations, which
@@ -324,7 +394,7 @@ class TestBackSubstitute:
 
 
 def back_substitute_unguarded(c, x1, x2):
-    """back_substitute's closed form as written before its overflow fallback."""
+    """The coefficients' closed form in powers of x1 and x2, with no guard."""
     t1 = x1 ** (c.a3 + c.a4)
     t2 = x2 ** (c.a3 + c.a4)
     a = c.a5 * (x1 ** c.a3 - x2 ** c.a3) / (c.a2 * (t1 - t2))
@@ -359,9 +429,11 @@ class TestBackSubstituteOverflow:
         scale = full_residual_scale(problem.constants, sol.H, sol.L)
         assert sol.full_residual_norm / scale <= 1e-10
 
-    def test_finite_results_keep_their_bits(self):
-        # The fallback runs only where the closed form is not finite, so
-        # every finite result is the same float as before it existed.
+    def test_agrees_with_the_power_form_where_that_is_finite(self):
+        # Off the diagonal (the grid's pairs are a factor 10 or more apart)
+        # the closed form in powers loses no digits to cancellation, so the
+        # two forms agree to a few ulps (4.3e-15 at worst) wherever the
+        # powers are finite.
         constant_sets = [reference.scenario_constants(row.a6, row.a7)
                          for row in reference.ROWS]
         constant_sets += [problem.constants for problem, _ in large_exponent_problems()]
@@ -375,11 +447,10 @@ class TestBackSubstituteOverflow:
                     old = back_substitute_unguarded(c, x1, x2)
                 except (OverflowError, ZeroDivisionError):
                     continue
-                t1, t2 = x1 ** (c.a3 + c.a4), x2 ** (c.a3 + c.a4)
-                if not all(map(math.isfinite, old)) or abs(t1 - t2) <= 1e-8 * max(t1, t2):
+                if not all(map(math.isfinite, old)) or 0.0 in old:
                     continue
                 new = back_substitute(c, np.array([x1, x2]))
-                assert [v.hex() for v in new] == [v.hex() for v in old], (c, x1, x2)
+                assert new == pytest.approx(old, rel=1e-14), (c, x1, x2)
                 compared += 1
         assert compared > 1000
 
@@ -436,12 +507,21 @@ class TestSolveThresholds:
         assert sol.outcome.status is Status.CONVERGED
         assert sol.H > sol.L > 0.0
 
-    def test_degenerate_start_surfaces_failure(self):
+    def test_failing_start_surfaces_failure(self):
         constants = reference.scenario_constants(451474.0, 396499.0)
-        problem = ThresholdProblem(constants=constants, x0=(5.0, 5.0))
+        problem = ThresholdProblem(constants=constants, x0=(-1.0, 20.0))
         with pytest.raises(ThresholdSolveFailed) as err:
             solve_thresholds(problem, SolverSettings(alpha=0.26131))
         assert err.value.outcome.status is Status.EVALUATION_FAILED
+
+    def test_diagonal_start_converges_to_the_reference_root(self):
+        # x1 = x2 is an ordinary point of the residual, so a start may lie on it.
+        row = reference.ROWS[0]
+        problem = ThresholdProblem(constants=reference.scenario_constants(row.a6, row.a7),
+                                   x0=(5.0, 5.0))
+        sol = solve_thresholds(problem, SolverSettings(alpha=row.alpha))
+        assert sol.H == pytest.approx(row.solution[0], rel=1e-6)
+        assert sol.L == pytest.approx(row.solution[1], rel=1e-6)
 
     def test_trace_attached_on_request(self):
         row = reference.ROWS[1]
@@ -537,8 +617,8 @@ def assert_kernel_matches_generic_driver(constants, x0, settings, where):
     assert bitwise_equal(trace.residual_norms, generic.trace.residual_norms), where
 
 
-#: Finite starts, and pairs whose components differ by a few parts in 1e8,
-#: around the residual's degeneracy tolerance.
+#: Finite starts, and pairs near the diagonal, whose components differ by a
+#: few parts in 1e8 or less.
 FINITE_POINTS = THRESHOLD_POINTS.filter(math.isfinite)
 KERNEL_STARTS = st.one_of(
     st.tuples(FINITE_POINTS, FINITE_POINTS),
@@ -618,13 +698,15 @@ class TestKernelAgreement:
 
 
 class TestKernelDeferral:
-    """Where its inlined residual overflows, the fused loop asks the checked residual."""
+    """Where its inlined residual raises or is not finite, the fused loop asks
+    the checked residual."""
 
-    # Row 1 from its own start with epsilon 1e145: the first step lands near
-    # 4.5e150, inside the bound of 1e200, where x ** (a3 + a4) overflows.
+    # Row 1 from (1e-322, 20) at order -1.95 with epsilon 5e-324: the first
+    # step lands at (2.2e-318, 7.1e7), whose ratio underflows to 0, so the
+    # inlined log(0.0) raises ValueError.
     C = reference.scenario_constants(451474.0, 396499.0)
-    ARGS = (C.a1, C.a2, C.a3, C.a4, C.a5, C.a6, C.a7, 15.0, 20.0, 0.25, 1e145,
-            1e-5, 1e-4, 5, 1e200, None, None, None)
+    ARGS = (C.a1, C.a2, C.a3, C.a4, C.a5, C.a6, C.a7, 1e-322, 20.0, -1.95, 5e-324,
+            1e-5, 1e-4, 5, 1e10, None, None, None)
 
     def test_a_finite_answer_of_the_checked_residual_continues_the_solve(self, monkeypatch):
         # As it stands, the checked residual refuses the first iterate.
@@ -645,7 +727,46 @@ class TestKernelDeferral:
         # is zero and the solve converges there.
         assert (code, n, step, res) == (0, 2, 0.0, 0.0)
         assert asked == [(x1, x2), (x1, x2)]
-        assert x1 > 1e150
+        assert x1 / x2 == 0.0
+
+
+#: Positive finite floats over the whole range, subnormals included.
+POSITIVE_POINTS = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+#: The reference rows, the sigma 0.03 model (a3 = 113), and a set with
+#: a4 = -0.96, whose expm1(a4 * lam) overflows where the ratio of the pair
+#: is below about 1e-321.
+RANGE_CONSTANTS = [reference.scenario_constants(row.a6, row.a7) for row in reference.ROWS] + [
+    derive_constants(dataclasses.replace(LARGE_EXPONENT_PRIMITIVES, sigma=0.03)),
+    ModelConstants(a1=20.0, a2=0.04, a3=21.0, a4=-0.96, a5=2.0, a6=1.1e4, a7=1e4)]
+
+
+class TestResidualOverTheFloatRange:
+    """Any positive finite pair gives a finite residual or a typed refusal,
+    and the fused loop gives the driver's outcome from it."""
+
+    @given(c=st.sampled_from(RANGE_CONSTANTS), x1=POSITIVE_POINTS, x2=POSITIVE_POINTS)
+    @hypothesis_settings(max_examples=400, deadline=None)
+    @example(c=RANGE_CONSTANTS[0], x1=1e300, x2=1e-30)
+    @example(c=RANGE_CONSTANTS[-1], x1=1e20, x2=1e-303)
+    @example(c=RANGE_CONSTANTS[5], x1=5e-324, x2=1.7976931348623157e308)
+    def test_finite_values_or_a_typed_refusal(self, c, x1, x2):
+        for evaluate in (reduced_residual, back_substitute):
+            try:
+                values = evaluate(c, np.array([x1, x2]))
+            except NonRealEvaluation:
+                continue
+            assert all(map(math.isfinite, values)), (evaluate.__name__, values)
+
+    @given(c=st.sampled_from(RANGE_CONSTANTS), x0=st.tuples(POSITIVE_POINTS, POSITIVE_POINTS),
+           alpha=st.sampled_from(default_alpha_grid()), max_iter=st.sampled_from([1, 5, 50]),
+           bound=st.sampled_from([1e10, 1e300]))
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @example(c=RANGE_CONSTANTS[0], x0=(1e-322, 20.0), alpha=FractionalOrder(-1.95),
+             max_iter=5, bound=1e10)
+    def test_fused_loop_matches_the_driver(self, c, x0, alpha, max_iter, bound):
+        settings = SolverSettings(alpha=alpha, max_iter=max_iter, divergence_bound=bound)
+        assert_kernel_matches_generic_driver(c, x0, settings, f"x0 {x0}, alpha {alpha.value}")
 
 
 class TestKernelTrace:
@@ -707,11 +828,13 @@ class TestSweepThresholds:
         assert row.alpha in hit.found_by
 
     @pytest.mark.parametrize("x0, grid, status", [
-        # x1 ** (a3 + a4) overflows in the residual at the start.
-        ((1e200, 1.0), [0.25, 0.5], Status.EVALUATION_FAILED),
+        # a5 * x1 overflows in the residual at the start.
+        ((1e308, 1.0), [0.25, 0.5], Status.EVALUATION_FAILED),
+        # The components' ratio underflows to 0 in the residual at the start.
+        ((1e300, 1e-30), [0.25, 0.5], Status.EVALUATION_FAILED),
         # |x1| ** (-1.5) overflows in the multiplier of the first step.
         ((1e-300, 1.0), [0.25, 1.5], Status.DIVERGED),
-    ])
+    ], ids=["residual-overflow", "ratio-underflow", "multiplier-overflow"])
     def test_overflow_gives_the_generic_drivers_status(self, x0, grid, status):
         constants = reference.scenario_problem(reference.ROWS[0]).constants
         problem = ThresholdProblem(constants=constants, x0=x0)
@@ -735,6 +858,20 @@ class TestSweepThresholds:
             assert bitwise_equal(kernel.final_step_norm, generic.final_step_norm)
             assert bitwise_equal(kernel.final_residual_norm, generic.final_residual_norm)
             assert bitwise_equal(trace.residual_norms, generic.trace.residual_norms)
+
+    @pytest.mark.parametrize("sigma, root", [
+        (0.03, (11098, 7655)), (0.035, (11133, 7650)), (0.04, (11173, 7645))])
+    def test_large_exponent_sweep_finds_its_root(self, sigma, root):
+        # a3 is 113, 84 and 64: the residual's powers x**(a3 + a4) overflow
+        # from the start, but its ratio form does not.
+        primitives = dataclasses.replace(LARGE_EXPONENT_PRIMITIVES, sigma=sigma)
+        problem = ThresholdProblem(constants=derive_constants(primitives),
+                                   x0=[220_000.0, 99_950.0])
+        roots = sweep_thresholds(problem)
+        assert len(roots.roots) == 1
+        record = roots.roots[0]
+        assert len(record.found_by) == 5
+        assert (max(record.x), min(record.x)) == pytest.approx(root, abs=0.5)
 
     def test_every_order_is_a_driver_solve(self, monkeypatch):
         # The kernel runs behind fixed_point_solve, so whatever wraps the

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings as hypothesis_settings, strategies as st
 
 import fracroots
-from fracroots import (FractionalOrder, SolverSettings, default_alpha_grid,
+from fracroots import _kernels
+from fracroots import (FractionalOrder, ModelConstants, SolverSettings, default_alpha_grid,
                        fpn_update, p_matrix)
 from fracroots.kernel import multiplier
 
@@ -305,45 +306,88 @@ class TestModuleBoundaries:
         assert imported and "kernel" not in [name.rsplit(".", 1)[-1] for name in imported]
 
     def test_fused_loop_repeats_the_residual_statements(self):
-        # The fused loop inlines the pair guard's powers and degeneracy test
-        # and the checked residual's common case; neither copy may change
-        # alone.  Compared: the degeneracy test and the assignments to these
-        # names in the body of each ``try``, or of pair_powers, which has none.
-        names = ("t1", "t2", "den", "p1", "p2", "g13", "g14", "f1", "f2")
+        # The fused loop inlines the checked residual's statements off the
+        # diagonal; neither copy may change alone.  Compared: the tests and
+        # the assignments to these names in the body of the ``try``, with
+        # the checked residual's diagonal branch (which the loop leaves to
+        # it) replaced by its ``else``.
+        names = {"swap", "lam", "e3", "e4", "d", "u", "v", "f1", "f2"}
         functions = {node.name: node for node in ast.walk(self.tree("_kernels"))
                      if isinstance(node, ast.FunctionDef)}
+
+        def assigned(target):
+            targets = target.elts if isinstance(target, ast.Tuple) else [target]
+            return all(isinstance(t, ast.Name) and t.id in names for t in targets)
 
         def found_in(body):
             found = []
             for stmt in body:
                 if isinstance(stmt, ast.If):
                     found.append(("if", ast.dump(stmt.test)))
-                elif (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                      and isinstance(stmt.targets[0], ast.Name)
-                      and stmt.targets[0].id in names):
-                    found.append((stmt.targets[0].id, ast.dump(stmt.value)))
+                    found += found_in(stmt.body) + found_in(stmt.orelse)
+                elif isinstance(stmt, ast.Assign) and all(map(assigned, stmt.targets)):
+                    found.append((ast.dump(stmt.targets[-1]), ast.dump(stmt.value)))
             return found
 
         def statements(function):
+            # The ``try`` that takes the log: the multiplier's powers and the
+            # calls of the checked residual have their own.
             return [entry for node in ast.walk(function) if isinstance(node, ast.Try)
+                    and "lam" in [ast.unparse(s.targets[0]) for s in node.body
+                                  if isinstance(s, ast.Assign)]
                     for entry in found_in(node.body)]
 
-        # pair_powers' positivity refusal is the test the fused loop returns
-        # on before its ``try``; the degeneracy test is its second.
-        positive, *guard = found_in(functions["pair_powers"].body)
-        checked = statements(functions["reduced_residual_checked"])
-        assert [name for name, _ in guard] == ["t1", "t2", "if"]
-        assert positive in [("if", ast.dump(node.test))
-                            for node in ast.walk(functions["solve_reduced"])
-                            if isinstance(node, ast.If)]
-        assert [name for name, _ in checked] == list(names[2:])
-        assert statements(functions["solve_reduced"]) == guard + checked
+        checked = functions["reduced_residual_checked"]
+        diagonal = next(node for node in ast.walk(checked) if isinstance(node, ast.If)
+                        and ast.unparse(node.test) == "lam == 0.0")
+        assert [ast.unparse(node) for node in diagonal.body] == [
+            "u = v = (a1 * a3 - a2 * a4) / (a1 * a2 * s)"]
+        off_diagonal = statements(checked)
+        start = off_diagonal.index(("if", ast.dump(diagonal.test)))
+        off_diagonal[start:start + 2] = []
+        assert [entry[0] for entry in off_diagonal].count("if") == 1  # the swap
+        assert len(off_diagonal) == 11
+        assert statements(functions["solve_reduced"]) == off_diagonal
+        # Before its ``try`` the loop returns on a non-positive component,
+        # which the checked residual refuses; its iterates are finite there.
+        refusal = next(node for node in checked.body if isinstance(node, ast.If))
+        assert ast.unparse(refusal.test) == "not (0.0 < x1 < math.inf and 0.0 < x2 < math.inf)"
+        assert "x1 <= 0.0 or x2 <= 0.0" in [ast.unparse(node.test)
+                                             for node in ast.walk(functions["solve_reduced"])
+                                             if isinstance(node, ast.If)]
 
-    def test_only_the_threshold_kernels_name_the_degeneracy_tolerance(self):
-        naming = sorted(
-            path.stem for path in self.PACKAGE.glob("*.py")
-            if any((isinstance(node, ast.Name) and node.id == "DEGENERATE_RTOL")
-                   or (isinstance(node, ast.Attribute) and node.attr == "DEGENERATE_RTOL")
-                   or (isinstance(node, ast.alias) and node.name == "DEGENERATE_RTOL")
-                   for node in ast.walk(self.tree(path.stem))))
-        assert naming == ["_kernels"]
+    def test_fused_loop_binds_the_math_functions_it_calls(self):
+        # Each call in the loop is to a local bound before it, so an
+        # iteration looks up no global or module attribute.
+        solve = next(node for node in ast.walk(self.tree("_kernels"))
+                     if isinstance(node, ast.FunctionDef) and node.name == "solve_reduced")
+        loop = next(node for node in solve.body if isinstance(node, ast.For))
+        called = {node.func.id for node in ast.walk(loop)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert called == {"range", "log", "expm1", "isfinite", "sqrt",
+                          "reduced_residual_checked"}
+        local = {target.id for node in solve.body[:solve.body.index(loop)]
+                 if isinstance(node, ast.Assign) for target in ast.walk(node.targets[0])
+                 if isinstance(target, ast.Name)}
+        assert {"log", "expm1", "isfinite", "sqrt"} <= local
+        assert not [ast.unparse(node) for node in ast.walk(loop)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+
+
+class TestThresholdKernelDiagonal:
+    """x1 = x2 is an ordinary point of the threshold residual, so the fused
+    loop may start on it."""
+
+    C = ModelConstants(a1=0.5355, a2=1.5808, a3=1.5355, a4=0.5808,
+                       a5=18.9753, a6=451474.0, a7=396499.0)
+    ARGS = (C.a1, C.a2, C.a3, C.a4, C.a5, C.a6, C.a7)
+
+    def test_the_fused_loop_starts_from_a_diagonal_pair(self):
+        residuals = np.empty(2)
+        code, n = _kernels.solve_reduced(*self.ARGS, 5.0, 5.0, 0.26131, 1e-4, 1e-5, 1e-4,
+                                         1, 1e10, np.empty((2, 2)), np.empty(1),
+                                         residuals)[:2]
+        assert (code, n) == (1, 1)
+        f1, f2 = _kernels.reduced_residual_checked(*self.ARGS, 5.0, 5.0)
+        assert f1 - f2 == pytest.approx(self.C.a7 - self.C.a6, rel=1e-12)
+        assert residuals[0] == math.sqrt(f1 * f1 + f2 * f2)

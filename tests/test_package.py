@@ -1,5 +1,6 @@
 """Package-level tests: the public export list, and the one rule by which
-every public function reads a point."""
+every public function reads a point (and the solver's functions refuse an
+empty one)."""
 
 import numpy as np
 import pytest
@@ -91,3 +92,31 @@ class TestPointReadingRule:
         assert bits(call(f, given)) == expected
         assert bool(received) == calls_f
         assert all(shape == (len(point),) for shape in received), received
+
+    # (name, call(x)) for each function that reads a point of any length.
+    ENTRIES = [
+        ("fixed_point_solve", lambda x: fixed_point_solve(
+            lambda v: v * v - 2.0, x, SolverSettings(alpha=0.5, max_iter=40))),
+        ("fixed_point_solve-traced", lambda x: fixed_point_solve(
+            lambda v: v * v - 2.0, x, SolverSettings(alpha=0.5, max_iter=40), keep_trace=True)),
+        ("fpn_step", lambda x: fpn_step(lambda v: v * v - 2.0, x, FractionalOrder(0.5), 1e-4)),
+        ("newton_step", lambda x: newton_step(lambda v: v * v - 2.0, x)),
+        ("fd_jacobian", lambda x: fd_jacobian(lambda v: v * v - 2.0, x)),
+        ("same_root-first", lambda x: same_root(x, [1.0], 1e-3)),
+        ("same_root-second", lambda x: same_root([1.0], x, 1e-3)),
+    ]
+
+    @pytest.mark.parametrize("name, call", ENTRIES, ids=[e[0] for e in ENTRIES])
+    @pytest.mark.parametrize("empty", [[], np.empty(0), np.empty((0, 2))],
+                             ids=["list", "1-d", "0-by-2"])
+    def test_a_point_with_no_entries_is_refused(self, name, call, empty):
+        with pytest.raises(ValueError, match="a point needs at least one entry"):
+            call(empty)
+
+    @pytest.mark.parametrize("a, b", [([1.0, 1.0], [1.0]), ([1.0], [[1.0], [1.0]])],
+                             ids=["pair-and-one", "one-and-column"])
+    def test_same_root_refuses_points_of_different_lengths(self, a, b):
+        # numpy would broadcast the 1-entry point against the other.
+        for first, second in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="cannot compare points of"):
+                same_root(first, second, 1e-3)

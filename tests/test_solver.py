@@ -804,7 +804,9 @@ class TestInlinedStepAndCheck:
             "sqrt": "math.sqrt", "isfinite": "math.isfinite"}
         start = functions["fixed_point_solve"].body[1:3]  # after the docstring
         assert [ast.dump(node) for node in start] == [
-            statement("x = np.asarray(x0, dtype=float).ravel()"), statement("xs = x.tolist()")]
+            statement("x = _point(x0)"), statement("xs = x.tolist()")]
+        assert ast.dump(functions["_point"].body[1]) == statement(
+            "x = np.asarray(x, dtype=float).ravel()")
 
         class Unhoist(ast.NodeTransformer):
             """Put each hoisted function's module attribute back in its place."""
