@@ -22,7 +22,11 @@ raise (on the diagonal, or at a ratio that underflows) or give a non-finite
 value it calls :func:`reduced_residual_checked`, which decides.  The kernel
 agreement tests (against the driver on every sweep order and on random
 starts) and an AST test (the inlined statements equal those of
-:func:`reduced_residual_checked`) pin both copies.
+:func:`reduced_residual_checked`) pin both copies.  It tests its limits as
+the driver does, each on a sum of squares against the limit's cut
+(:func:`fracroots.kernel.square_cut`, the largest float whose square root
+is at most the limit), and takes a square root only of a norm that it
+reports: in its return value and in the trace arrays.
 Its status codes (decoded by ``dixit_pindyck.STATUS_FROM_CODE``):
 0 converged, 1 iteration cap, 2 diverged, 3 evaluation failed.
 """
@@ -33,6 +37,7 @@ import math
 from math import expm1, isfinite, log
 
 from .errors import NonRealEvaluation
+from .kernel import square_cut
 
 
 def reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2):
@@ -88,8 +93,11 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
     power = -alpha
     g = math.gamma(1.0 - alpha)
     s = a3 + a4
+    # The limits as cuts of sums of squares, so the loop takes a square root
+    # only of a norm that it reports.
+    step_cut, res_cut, bound_cut = square_cut(tol_step), square_cut(tol_res), square_cut(bound)
     # Bound once per solve, so the iteration looks up no global name.
-    log, expm1, isfinite, sqrt = math.log, math.expm1, math.isfinite, math.sqrt
+    log, expm1, isfinite, sqrt, inf = math.log, math.expm1, math.isfinite, math.sqrt, math.inf
     if trace:
         xs[0] = x01, x02
     try:
@@ -99,10 +107,10 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
             residuals[0] = math.nan
         return 3, 0, x01, x02, math.nan, math.nan
     x1, x2 = x01, x02
-    res = sqrt(f1 * f1 + f2 * f2)
+    res_sq = f1 * f1 + f2 * f2
     if trace:
-        residuals[0] = res
-    step = math.nan
+        residuals[0] = sqrt(res_sq)
+    step_sq = math.nan
     for i in range(1, max_iter + 1):
         # The multiplier's entry, inlined: every iterate that reaches this
         # point passed the residual's checks, so both components are
@@ -119,18 +127,18 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
         n2 = x2 - (c2 / g + eps) * f2
         d1 = n1 - x1
         d2 = n2 - x2
-        step = sqrt(d1 * d1 + d2 * d2)
+        step_sq = d1 * d1 + d2 * d2
         x1, x2 = n1, n2
         # As the driver tests an iterate and a residual: a finite sum of
         # squares means that both components are finite.
         size = x1 * x1 + x2 * x2
-        if sqrt(size) > bound or not (isfinite(size) or isfinite(x1) and isfinite(x2)):
-            return 2, i, x1, x2, step, math.nan
+        if size > bound_cut or not (size < inf or isfinite(x1) and isfinite(x2)):
+            return 2, i, x1, x2, sqrt(step_sq), math.nan
         # reduced_residual_checked's statements off the diagonal, inlined;
         # the diagonal (a zero divisor), a ratio that underflows, an
         # overflow and a non-finite result are left to it.
         if x1 <= 0.0 or x2 <= 0.0:
-            return 3, i, x1, x2, step, math.nan
+            return 3, i, x1, x2, sqrt(step_sq), math.nan
         try:
             swap = x2 > x1
             lam = log(x1 / x2 if swap else x2 / x1)
@@ -145,17 +153,17 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
             f2 = a5 * x2 - a7 - a5 * x2 * v
         except (ArithmeticError, ValueError):
             f1 = math.nan
-        res = sqrt(f1 * f1 + f2 * f2)
-        if not (isfinite(res) or isfinite(f1) and isfinite(f2)):
+        res_sq = f1 * f1 + f2 * f2
+        if not (res_sq < inf or isfinite(f1) and isfinite(f2)):
             try:
                 f1, f2 = reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2)
             except NonRealEvaluation:
-                return 3, i, x1, x2, step, math.nan
-            res = sqrt(f1 * f1 + f2 * f2)
+                return 3, i, x1, x2, sqrt(step_sq), math.nan
+            res_sq = f1 * f1 + f2 * f2
         if trace:
             xs[i] = x1, x2
-            steps[i - 1] = step
-            residuals[i] = res
-        if step <= tol_step and res <= tol_res:
-            return 0, i, x1, x2, step, res
-    return 1, max_iter, x1, x2, step, res
+            steps[i - 1] = sqrt(step_sq)
+            residuals[i] = sqrt(res_sq)
+        if step_sq <= step_cut and res_sq <= res_cut:
+            return 0, i, x1, x2, sqrt(step_sq), sqrt(res_sq)
+    return 1, max_iter, x1, x2, sqrt(step_sq), sqrt(res_sq)

@@ -15,11 +15,16 @@ the multiplier entry collapses to the regularisation constant eps.
 :func:`p_matrix` evaluate it.  The threshold model's fused loop,
 ``_kernels.solve_reduced``, inlines its positive branch for speed, and the
 kernel agreement tests hold that copy to the driver's entries bit for bit.
+
+Both loops also share :func:`square_cut`, the rule by which they test a norm
+against a limit without taking its square root.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +105,34 @@ def checked_epsilon(epsilon) -> float:
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     return epsilon
+
+
+@functools.lru_cache(maxsize=16)
+def square_cut(limit: float) -> float:
+    """The cut of a norm limit: the largest float s with ``sqrt(s) <= limit``.
+
+    ``math.sqrt`` is correctly rounded, so it is monotone, and for every sum
+    of squares s (NaN included) ``s <= square_cut(limit)`` holds exactly when
+    ``sqrt(s) <= limit`` does, and ``s > square_cut(limit)`` exactly when
+    ``sqrt(s) > limit``.  So a loop can test a norm's limit on the norm's sum
+    of squares, and take the root only of a norm that it reports.  The cut
+    is ``limit * limit`` stepped to the last float whose root passes, which
+    keeps it exact through the subnormal range; ``limit * limit`` alone is
+    not exact (the cut of 1e-5 is 1.0000000000000003e-10, one float above
+    ``1e-5 * 1e-5``).  An infinite limit has an infinite cut, and a
+    finite limit whose square overflows has the cut DBL_MAX.  A negative
+    limit, which no root meets, has the cut -inf, and a NaN limit the cut
+    NaN.  Each cut is computed once per recent limit.
+    """
+    limit = float(limit)
+    if not limit >= 0.0:
+        return -math.inf if limit < 0.0 else math.nan
+    cut = min(limit * limit, sys.float_info.max)
+    while math.sqrt(cut) > limit:
+        cut = math.nextafter(cut, 0.0)
+    while cut < math.inf and math.sqrt(math.nextafter(cut, math.inf)) <= limit:
+        cut = math.nextafter(cut, math.inf)
+    return cut
 
 
 def p_matrix(alpha, x, epsilon: float) -> np.ndarray:

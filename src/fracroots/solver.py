@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InsufficientData, NonRealEvaluation, SingularJacobian
-from .kernel import ORDER_BOUND, FractionalOrder, checked_epsilon, multiplier
+from .kernel import ORDER_BOUND, FractionalOrder, checked_epsilon, multiplier, square_cut
 # p_matrix stays importable from here: the benchmark's tracer wraps solver.p_matrix.
 from .kernel import p_matrix  # noqa: F401
 
@@ -234,7 +234,7 @@ def _evaluate(f: Callable, x: np.ndarray) -> tuple:
     if len(rs) != n:
         raise ValueError(f"residual has shape ({len(rs)},), expected {x.shape}")
     squares = _sum_squares(rs)
-    if not math.isfinite(squares) and not all(map(math.isfinite, rs)):
+    if not squares < math.inf and not all(map(math.isfinite, rs)):
         raise NonRealEvaluation("residual evaluated to a non-finite value")
     return rs, math.sqrt(squares)
 
@@ -361,13 +361,17 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
     become the EVALUATION_FAILED status; ``_evaluate`` itself checks x0.  So
     the loop calls no helper of this module per iteration, and numpy runs
     only in ``f``.  Every norm is the square root of a sum of squares added
-    in entry order, as :func:`_sum_squares` and the fused loop add it.  An
-    iterate diverges when its norm exceeds the bound or when it has a
-    non-finite entry; the entries are scanned only when its sum of squares is
-    not finite, so a finite iterate whose squares overflow diverges only
-    under a finite bound.  The status and norms report such overflow, so
-    numpy's overflow and invalid-value warnings are silenced for the whole
-    loop, the residual's calls included.
+    in entry order, as :func:`_sum_squares` and the fused loop add it, and
+    every limit is tested on that sum against the limit's cut,
+    :func:`~fracroots.kernel.square_cut`: a norm is at most its tolerance,
+    or above the bound, exactly when its sum is at most, or above, the cut.
+    So the loop takes a square root only of a norm that it reports, in the
+    outcome and in the trace.  An iterate diverges when its norm exceeds the
+    bound or when it has a non-finite entry; the entries are scanned only
+    when its sum of squares is not below inf, so a finite iterate whose
+    squares overflow diverges only under a finite bound.  The status and
+    norms report such overflow, so numpy's overflow and invalid-value
+    warnings are silenced for the whole loop, the residual's calls included.
 
     Cycle stop (untraced solves only): iteration i is a checkpoint when
     ``max_iter - i`` is a multiple of CYCLE_LAG.  At a checkpoint that fails
@@ -398,7 +402,7 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
         step_norms: list = []
         residual_norms: list = []
 
-    def outcome(status, x_final, n, step_norm, res_norm):
+    def outcome(status, x_final, n, step_squares, res_squares):
         trace = None
         if keep_trace:
             trace = IterationTrace(
@@ -407,8 +411,8 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
                 residual_norms=np.array(residual_norms),
             )
         return SolveOutcome(status=status, x_final=np.asarray(x_final, dtype=float),
-                            iterations=n, final_step_norm=step_norm,
-                            final_residual_norm=res_norm, trace=trace)
+                            iterations=n, final_step_norm=math.sqrt(step_squares),
+                            final_residual_norm=math.sqrt(res_squares), trace=trace)
 
     # Entered once per solve: np.errstate costs about half an iteration.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -418,14 +422,18 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
             if keep_trace:
                 residual_norms.append(math.nan)
             return outcome(Status.EVALUATION_FAILED, x, 0, math.nan, math.nan)
-        step_norm = math.nan
+        step_squares = math.nan
         if keep_trace:
             residual_norms.append(res_norm)
 
-        max_iter, bound = settings.max_iter, settings.divergence_bound
-        tol_step, tol_residual = settings.tol_step, settings.tol_residual
+        max_iter = settings.max_iter
+        # The limits as cuts of sums of squares.
+        step_cut, residual_cut, bound_cut = (square_cut(settings.tol_step),
+                                             square_cut(settings.tol_residual),
+                                             square_cut(settings.divergence_bound))
         # Bound once per solve, so the loop looks up no module attribute.
-        n, array, asarray, sqrt, isfinite = len(xs), np.array, np.asarray, math.sqrt, math.isfinite
+        n, array, asarray, sqrt, isfinite, inf = (len(xs), np.array, np.asarray, math.sqrt,
+                                                  math.isfinite, math.inf)
         # The cycle stop's lag, and the iterate of its last checkpoint (none yet).
         lag, xs_lag = CYCLE_LAG, None
         for i in range(1, max_iter + 1):
@@ -439,37 +447,35 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
                 step_squares += d * d
                 size += w * w
                 xs_next.append(w)
-            step_norm = sqrt(step_squares)
-            if sqrt(size) > bound or (not isfinite(size)
-                                      and not all(map(isfinite, xs_next))):
-                return outcome(Status.DIVERGED, xs_next, i, step_norm, math.nan)
+            if size > bound_cut or (not size < inf and not all(map(isfinite, xs_next))):
+                return outcome(Status.DIVERGED, xs_next, i, step_squares, math.nan)
             # _evaluate's statements, with its failures returned as a status.
             x = array(xs_next)
             try:
                 rs = asarray(f(x), dtype=float).ravel().tolist()
             except (ArithmeticError, ValueError):
-                return outcome(Status.EVALUATION_FAILED, xs_next, i, step_norm, math.nan)
+                return outcome(Status.EVALUATION_FAILED, xs_next, i, step_squares, math.nan)
             if len(rs) != n:
                 raise ValueError(f"residual has shape ({len(rs)},), expected {x.shape}")
             squares = 0.0
             for r in rs:
                 squares += r * r
-            if not isfinite(squares) and not all(map(isfinite, rs)):
-                return outcome(Status.EVALUATION_FAILED, xs_next, i, step_norm, math.nan)
-            res_norm = sqrt(squares)
+            if not squares < inf and not all(map(isfinite, rs)):
+                return outcome(Status.EVALUATION_FAILED, xs_next, i, step_squares, math.nan)
             if keep_trace:
                 iterates.append(xs_next)
-                step_norms.append(step_norm)
-                residual_norms.append(res_norm)
-            if step_norm <= tol_step and res_norm <= tol_residual:
-                return outcome(Status.CONVERGED, xs_next, i, step_norm, res_norm)
+                step_norms.append(sqrt(step_squares))
+                residual_norms.append(sqrt(squares))
+            if step_squares <= step_cut and squares <= residual_cut:
+                return outcome(Status.CONVERGED, xs_next, i, step_squares, squares)
             if (max_iter - i) % lag == 0 and not keep_trace:
                 if _same_bits(xs_next, xs_lag):
-                    return outcome(Status.MAX_ITERATIONS, xs_next, max_iter, step_norm, res_norm)
+                    return outcome(Status.MAX_ITERATIONS, xs_next, max_iter, step_squares,
+                                   squares)
                 xs_lag = xs_next
             xs = xs_next
 
-    return outcome(Status.MAX_ITERATIONS, xs, max_iter, step_norm, res_norm)
+    return outcome(Status.MAX_ITERATIONS, xs, max_iter, step_squares, squares)
 
 
 def estimate_order(norms: Sequence[float]) -> float:
@@ -554,8 +560,12 @@ def same_root(a, b, tolerance: float) -> bool:
 
     a and b are read as :func:`fixed_point_solve` reads x0, as
     ``np.asarray(v, dtype=float).ravel()``, so a column and its 1-d array
-    are the same root; points of different lengths raise ValueError.
+    are the same root; points of different lengths raise ValueError.  So
+    does a NaN or negative tolerance, under which no two points would be
+    one root.
     """
+    if not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be zero or positive, got {tolerance!r}")
     a, b = _point(a), _point(b)
     if a.size != b.size:
         raise ValueError(f"cannot compare points of {a.size} and {b.size} entries")

@@ -626,6 +626,14 @@ KERNEL_STARTS = st.one_of(
               st.sampled_from([1e-12, 1e-9, 1e-8, 2e-8, 1e-6])))
 
 
+#: Settings that put one limit, or all three, where its cut is subnormal
+#: (1e-160), overflows to DBL_MAX (1e200) or is infinite; {} keeps the defaults.
+EXTREME_LIMITS = [{}] + [
+    {name: value} for name in ("tol_step", "tol_residual", "divergence_bound")
+    for value in (1e-160, 1e200, math.inf)] + [
+    {"tol_step": 1e-160, "tol_residual": 1e200, "divergence_bound": math.inf}]
+
+
 class TestKernelAgreement:
     """The scalar kernel against the generic driver: both sum squares in entry
     order, so iterates and norms are equal, not just close."""
@@ -640,31 +648,37 @@ class TestKernelAgreement:
 
     @given(row=st.sampled_from(reference.ROWS), x0=KERNEL_STARTS,
            alpha=st.sampled_from(default_alpha_grid()), max_iter=st.sampled_from([1, 2, 5, 50]),
-           scale=st.sampled_from([(1e-4, 1e10), (1e145, 1e200)]))
+           scale=st.sampled_from([(1e-4, 1e10), (1e145, 1e200)]),
+           limits=st.sampled_from(EXTREME_LIMITS))
     @hypothesis_settings(max_examples=300, deadline=None)
     # The multiplier's power overflows in the first step.
     @example(row=reference.ROWS[0], x0=(1e-300, 1.0), alpha=FractionalOrder(1.45),
-             max_iter=5, scale=(1e-4, 1e10))
+             max_iter=5, scale=(1e-4, 1e10), limits={})
     # The residual's power overflows at the start.
     @example(row=reference.ROWS[0], x0=(1e200, 1.0), alpha=FractionalOrder(0.25),
-             max_iter=5, scale=(1e-4, 1e10))
+             max_iter=5, scale=(1e-4, 1e10), limits={})
     # The first step lands near 4.5e150, where the residual's power overflows.
     @example(row=reference.ROWS[0], x0=(15.0, 20.0), alpha=FractionalOrder(0.25),
-             max_iter=5, scale=(1e145, 1e200))
+             max_iter=5, scale=(1e145, 1e200), limits={})
     # Degenerate components.
     @example(row=reference.ROWS[0], x0=(5.0, 5.0 * (1.0 + 1e-9)), alpha=FractionalOrder(0.25),
-             max_iter=5, scale=(1e-4, 1e10))
+             max_iter=5, scale=(1e-4, 1e10), limits={})
     # The first step lands at (313079.9571643983, 313079.957164398), whose
     # powers coincide: the loop's own degeneracy exit.
     @example(row=reference.ROWS[0], x0=(1.7782794100389228, 1.0818180532035107),
-             alpha=FractionalOrder(0.26131), max_iter=5, scale=(1e-4, 1e10))
+             alpha=FractionalOrder(0.26131), max_iter=5, scale=(1e-4, 1e10), limits={})
     # The second component's multiplier power overflows in the first step.
     @example(row=reference.ROWS[0], x0=(15.0, 1e-200), alpha=FractionalOrder(1.9),
-             max_iter=5, scale=(1e-4, 1e10))
-    def test_any_start_matches_generic_driver(self, row, x0, alpha, max_iter, scale):
+             max_iter=5, scale=(1e-4, 1e10), limits={})
+    # Every limit at an edge of its cut, as in the extreme-limits golden
+    # sweep: row 1 at order 0.35 converges at iteration 433 (267 under the
+    # defaults), where the step is 0.0, the one sum under the cut of 1e-160.
+    @example(row=reference.ROWS[0], x0=(15.0, 20.0), alpha=FractionalOrder(0.35),
+             max_iter=500, scale=(1e-4, 1e10), limits=EXTREME_LIMITS[-1])
+    def test_any_start_matches_generic_driver(self, row, x0, alpha, max_iter, scale, limits):
         epsilon, bound = scale
-        settings = SolverSettings(alpha=alpha, max_iter=max_iter, epsilon=epsilon,
-                                  divergence_bound=bound)
+        settings = SolverSettings(**{"alpha": alpha, "max_iter": max_iter, "epsilon": epsilon,
+                                     "divergence_bound": bound, **limits})
         assert_kernel_matches_generic_driver(
             reference.scenario_constants(row.a6, row.a7), x0, settings,
             f"x0 {x0}, alpha {alpha.value}")
@@ -695,6 +709,66 @@ class TestKernelAgreement:
         assert fused.x_final.tobytes() == traced.x_final.tobytes() == np.array(x0).tobytes()
         assert math.isnan(fused.final_step_norm) and math.isnan(traced.final_step_norm)
         assert math.isnan(fused.final_residual_norm) and math.isnan(traced.final_residual_norm)
+
+
+class TestLimitsOnSumsOfSquares:
+    """Both loops test each limit on a sum of squares, against its cut, and
+    decide as the norm would: a norm equal to its limit passes, and one a
+    float above it does not."""
+
+    ROW = reference.ROWS[0]
+    PROBLEM = reference.scenario_problem(ROW)
+
+    def solves(self, settings):
+        """Row 1's untraced fused solve and its traced and untraced driver solves."""
+        f = make_residual(self.PROBLEM.constants)
+        return (KernelResidual(self.PROBLEM.constants).fused_solve(self.PROBLEM.x0, settings),
+                fixed_point_solve(f, self.PROBLEM.x0, settings),
+                fixed_point_solve(f, self.PROBLEM.x0, settings, keep_trace=True))
+
+    @pytest.mark.parametrize("k", [1, 10, 50, 100, 144])
+    def test_the_norms_of_iteration_k_are_the_tightest_limits_that_stop_it(self, k):
+        trace = fixed_point_solve(make_residual(self.PROBLEM.constants), self.PROBLEM.x0,
+                                  SolverSettings(alpha=self.ROW.alpha, tol_step=1e-160,
+                                                 tol_residual=1e-160), keep_trace=True).trace
+        step, res = float(trace.step_norms[k - 1]), float(trace.residual_norms[k])
+        # No earlier iteration is as close on both norms.
+        assert not [j for j in range(1, k)
+                    if trace.step_norms[j - 1] <= step and trace.residual_norms[j] <= res]
+        for out in self.solves(SolverSettings(alpha=self.ROW.alpha, tol_step=step,
+                                              tol_residual=res)):
+            assert (out.status, out.iterations) == (Status.CONVERGED, k)
+            assert (out.final_step_norm, out.final_residual_norm) == (step, res)
+        below = math.nextafter(step, 0.0), math.nextafter(res, 0.0)
+        for tol_step, tol_residual in ((below[0], res), (step, below[1])):
+            for out in self.solves(SolverSettings(alpha=self.ROW.alpha, tol_step=tol_step,
+                                                  tol_residual=tol_residual)):
+                assert out.iterations > k
+
+    def test_an_untraced_solve_takes_no_square_root_per_iteration(self, monkeypatch):
+        counted = []
+        sqrt = math.sqrt
+
+        def counting_sqrt(x):
+            counted.append(x)
+            return sqrt(x)
+
+        f = make_residual(self.PROBLEM.constants)
+        kernel = KernelResidual(self.PROBLEM.constants)
+        loops = {"fused": kernel.fused_solve,
+                 "driver": lambda x0, settings: fixed_point_solve(f, x0, settings)}
+        for name, solve in loops.items():
+            counts = []
+            for max_iter in (5, 50, 5):
+                settings = SolverSettings(alpha=self.ROW.alpha, max_iter=max_iter)
+                solve(self.PROBLEM.x0, settings)  # the cuts of these limits are cached
+                counted.clear()
+                monkeypatch.setattr(math, "sqrt", counting_sqrt)
+                out = solve(self.PROBLEM.x0, settings)
+                monkeypatch.setattr(math, "sqrt", sqrt)
+                assert (out.status, out.iterations) == (Status.MAX_ITERATIONS, max_iter)
+                counts.append(len(counted))
+            assert counts[0] == counts[1] == counts[2] <= 3, (name, counts)
 
 
 class TestKernelDeferral:

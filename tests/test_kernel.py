@@ -1,11 +1,14 @@
-"""Kernel-level tests: the order, the multiplier's formula and its diagonal form.
+"""Kernel-level tests: the order, the multiplier's formula and its diagonal form,
+and the cut by which both loops test a norm limit.
 
-mpmath at 50 digits is the independent accuracy oracle throughout; the
-implementation never touches it.
+mpmath at 50 digits is the independent accuracy oracle of the multiplier,
+and exact fractions that of the cut; the implementation touches neither.
 """
 
 import ast
 import math
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -17,7 +20,7 @@ import fracroots
 from fracroots import _kernels
 from fracroots import (FractionalOrder, ModelConstants, SolverSettings, default_alpha_grid,
                        fpn_update, p_matrix)
-from fracroots.kernel import multiplier
+from fracroots.kernel import multiplier, square_cut
 
 mpmath.mp.dps = 50
 
@@ -273,6 +276,96 @@ class TestPMatrix:
         assert got.tobytes() == p_matrix(FractionalOrder(0.5), point.ravel(), 1e-4).tobytes()
 
 
+DBL_MAX = sys.float_info.max
+
+
+def cut_by_fractions(limit: float) -> float:
+    """The largest float whose square root rounds to at most limit, in exact arithmetic.
+
+    A root rounds to at most a finite limit exactly when its exact value is
+    below the midpoint of limit and the next float up (the root of a float is
+    never that midpoint), so the cut is the largest float below the square of
+    that midpoint.
+    """
+    if limit == math.inf:
+        return math.inf
+    bound = (Fraction(limit) + Fraction(math.ulp(limit)) / 2) ** 2
+    if bound > DBL_MAX:
+        return DBL_MAX
+    cut = float(bound)
+    while Fraction(cut) >= bound:
+        cut = math.nextafter(cut, 0.0)
+    while Fraction(math.nextafter(cut, math.inf)) < bound:
+        cut = math.nextafter(cut, math.inf)
+    return cut
+
+
+def floats_around(x: float, k: int) -> list:
+    """x and the k floats on each side of it, within [0, inf]."""
+    around = [x]
+    down = up = x
+    for _ in range(k):
+        down, up = math.nextafter(down, 0.0), math.nextafter(up, math.inf)
+        around += [down, up]
+    return sorted(set(around))
+
+
+#: Limits where the square turns subnormal (the root of the smallest normal
+#: float) and where it overflows (the root of DBL_MAX), a float or two apart.
+EDGE_LIMITS = (floats_around(math.sqrt(sys.float_info.min), 2)
+               + floats_around(math.sqrt(DBL_MAX), 2))
+CUT_LIMITS = st.one_of(st.floats(min_value=5e-324, max_value=DBL_MAX),
+                       st.sampled_from(EDGE_LIMITS + [math.inf, 1e-160, 1e200]))
+
+
+class TestSquareCut:
+    """A norm limit tested on the sum of squares decides as the norm would."""
+
+    @given(limit=CUT_LIMITS)
+    @hypothesis_settings(max_examples=1000, deadline=None)
+    def test_cut_is_the_last_float_whose_root_passes(self, limit):
+        cut = square_cut(limit)
+        assert cut.hex() == cut_by_fractions(limit).hex()
+        assert math.sqrt(cut) <= limit
+        if cut < math.inf:
+            assert math.sqrt(math.nextafter(cut, math.inf)) > limit
+
+    @given(limit=CUT_LIMITS)
+    @hypothesis_settings(max_examples=500, deadline=None)
+    def test_sums_near_the_cut_decide_as_their_roots(self, limit):
+        cut = square_cut(limit)
+        square = min(limit * limit, DBL_MAX)
+        sums = floats_around(cut, 3) + floats_around(square, 3) + [0.0, math.inf, math.nan]
+        for s in sums:
+            assert (s <= cut) == (math.sqrt(s) <= limit), s
+            assert (s > cut) == (math.sqrt(s) > limit), s
+
+    def test_the_naive_square_is_not_the_cut(self):
+        assert square_cut(1e-5) == 1.0000000000000003e-10
+        assert 1e-5 * 1e-5 == 1.0000000000000002e-10
+        assert math.sqrt(1.0000000000000003e-10) <= 1e-5
+
+    @pytest.mark.parametrize("limit, cut", [
+        (math.inf, math.inf), (1e200, DBL_MAX), (1e-160, 1e-320), (0.0, 0.0), (5e-324, 0.0),
+        (-0.0, 0.0), (-1.0, -math.inf), (-math.inf, -math.inf)])
+    def test_limits_at_the_edges_of_the_range(self, limit, cut):
+        assert square_cut(limit) == cut
+        for s in (0.0, 5e-324, 1e-320, 1.0, DBL_MAX, math.inf, math.nan):
+            assert (s <= cut) == (math.sqrt(s) <= limit)
+            assert (s > cut) == (math.sqrt(s) > limit)
+
+    def test_a_nan_limit_passes_no_sum(self):
+        cut = square_cut(math.nan)
+        for s in (0.0, 1.0, math.inf, math.nan):
+            assert not s <= cut and not s > cut
+
+    def test_cuts_are_cached(self):
+        square_cut(2.5e-7)
+        hits = square_cut.cache_info().hits
+        assert square_cut(2.5e-7) == square_cut(2.5e-7)
+        assert square_cut.cache_info().hits == hits + 2
+
+
 class TestModuleBoundaries:
     """The generic layer holds the multiplier and imports nothing threshold-specific,
     and the fused loop's inlined residual is the residual's own statements."""
@@ -300,10 +393,16 @@ class TestModuleBoundaries:
                    for node in ast.walk(self.tree(path.stem))))
         assert defining == ["kernel"]
 
-    def test_threshold_kernels_import_nothing_from_kernel(self):
-        imported = [node.module or "" for node in ast.walk(self.tree("_kernels"))
-                    if isinstance(node, ast.ImportFrom)]
-        assert imported and "kernel" not in [name.rsplit(".", 1)[-1] for name in imported]
+    def test_threshold_kernels_import_only_the_cut_from_kernel(self):
+        # The fused loop inlines the multiplier's entry; it shares only the
+        # limit rule with the driver.
+        imported = {(node.module or "").rsplit(".", 1)[-1]: [a.name for a in node.names]
+                    for node in ast.walk(self.tree("_kernels"))
+                    if isinstance(node, ast.ImportFrom)}
+        assert imported["kernel"] == ["square_cut"]
+        assert not [node for node in ast.walk(self.tree("_kernels"))
+                    if isinstance(node, ast.Import) and "kernel" in
+                    [a.name.rsplit(".", 1)[-1] for a in node.names]]
 
     def test_fused_loop_repeats_the_residual_statements(self):
         # The fused loop inlines the checked residual's statements off the

@@ -17,7 +17,8 @@ from fracroots import (FractionalOrder, InsufficientData, IterationTrace, NonRea
                        fixed_point_solve, fpn_step, fpn_update, newton_step,
                        norm2, p_matrix)
 from fracroots import solver
-from fracroots.solver import CYCLE_LAG, MAX_ITER, _evaluate, _with_order
+from fracroots.solver import (CYCLE_LAG, MAX_ITER, _evaluate, _with_order, collect_roots,
+                              same_root)
 
 
 def linear_root_residual(matrix, root):
@@ -286,10 +287,14 @@ def driver_problems(draw):
 
         def f(x):
             return curvature * x * x + matrix @ x + shift
+    # Each limit at its default or where its cut is subnormal (1e-160),
+    # overflows to DBL_MAX (1e200) or is infinite.
     settings = SolverSettings(
         alpha=draw(st.sampled_from([a.value for a in default_alpha_grid()])),
         max_iter=draw(st.integers(min_value=1, max_value=60)),
-        divergence_bound=draw(st.sampled_from([1e10, math.inf])))
+        tol_step=draw(st.sampled_from([1e-5, 1e-160, 1e200, math.inf])),
+        tol_residual=draw(st.sampled_from([1e-4, 1e-160, 1e200, math.inf])),
+        divergence_bound=draw(st.sampled_from([1e10, math.inf, 1e-160, 1e200])))
     return f, draw(vector), settings
 
 
@@ -641,6 +646,28 @@ class TestAlphaSweep:
         assert vectors == sorted(vectors)
 
 
+class TestSameRoot:
+    """The dedup predicate refuses a tolerance under which no two points are one root."""
+
+    @pytest.mark.parametrize("tolerance", [math.nan, -1e-3, -math.inf, -5e-324])
+    def test_nan_or_negative_tolerance_is_refused(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be zero or positive"):
+            same_root([1.0], [1.0], tolerance)
+
+    @pytest.mark.parametrize("tolerance, same", [(0.0, True), (-0.0, True), (math.inf, True)])
+    def test_zero_and_infinite_tolerances_compare(self, tolerance, same):
+        assert same_root([1.0], [1.0], tolerance) is same
+        assert same_root([1.0], [2.0], tolerance) is (tolerance == math.inf)
+
+    def test_collect_roots_refuses_a_nan_tolerance(self):
+        # Each hit would otherwise be kept as a root of its own.
+        out = fixed_point_solve(lambda x: x - 3.0, [1.0], SolverSettings(alpha=0.5))
+        hits = [(out.x_final, 0.5, out), (out.x_final, 0.55, out)]
+        assert len(collect_roots(hits, [], 1e-3).roots) == 1
+        with pytest.raises(ValueError, match="tolerance must be zero or positive"):
+            collect_roots(hits, [], math.nan)
+
+
 class TestCycleStop:
     """An untraced solve whose iterate at a checkpoint repeats the one CYCLE_LAG
     iterations back ends with the full run's outcome."""
@@ -801,7 +828,7 @@ class TestInlinedStepAndCheck:
         bound = {t.id: value for t, value in zip(hoist.targets[0].elts, hoist.value.elts)}
         assert {name: ast.unparse(value) for name, value in bound.items()} == {
             "n": "len(xs)", "array": "np.array", "asarray": "np.asarray",
-            "sqrt": "math.sqrt", "isfinite": "math.isfinite"}
+            "sqrt": "math.sqrt", "isfinite": "math.isfinite", "inf": "math.inf"}
         start = functions["fixed_point_solve"].body[1:3]  # after the docstring
         assert [ast.dump(node) for node in start] == [
             statement("x = _point(x0)"), statement("xs = x.tolist()")]
@@ -830,7 +857,7 @@ class TestInlinedStepAndCheck:
         evaluate = functions["_evaluate"].body[1:]  # after the docstring
         assert ast.dump(evaluate[0]) == statement("n = len(x)")
         k = next(k for k, node in enumerate(loop.body) if isinstance(node, ast.Try))
-        check = loop.body[k:k + 6]
+        check = loop.body[k:k + 5]
         assert unhoisted(loop.body[k - 1]) == statement("x = np.array(xs_next)")
         assert [unhoisted(node) for node in check[0].body] == [
             ast.dump(node) for node in evaluate[1].body]
@@ -851,8 +878,35 @@ class TestInlinedStepAndCheck:
         assert [ast.dump(node) for node in check[2:4]] == [
             ast.dump(Rename().visit(node)) for node in sum_squares]
         assert unhoisted(check[4].test) == ast.dump(evaluate[4].test)
-        assert unhoisted(check[5]) == statement(
-            f"res_norm = {ast.unparse(evaluate[5].value.elts[1])}")
+        assert ast.dump(evaluate[4].test) == ast.dump(ast.parse(
+            "not squares < math.inf and not all(map(math.isfinite, rs))", mode="eval").body)
+
+        # The limits: each tested on its sum of squares against its cut, so
+        # the loop takes a root only of a norm that it reports, as _evaluate
+        # takes it: in the trace, and in the outcome.
+        assert statement(
+            "step_cut, residual_cut, bound_cut = (square_cut(settings.tol_step), "
+            "square_cut(settings.tol_residual), square_cut(settings.divergence_bound))"
+        ) in [ast.dump(node) for node in block[:block.index(loop)]]
+        assert ast.unparse(loop.body[k - 2].test).startswith("size > bound_cut or ")
+        norm = ast.unparse(evaluate[5].value.elts[1])
+        assert norm == "math.sqrt(squares)"
+        assert unhoisted(check[4].body[0]) == statement(
+            "return outcome(Status.EVALUATION_FAILED, xs_next, i, step_squares, math.nan)")
+        assert unhoisted(loop.body[k + 5]) == statement(
+            "if keep_trace:\n"
+            "    iterates.append(xs_next)\n"
+            "    step_norms.append(math.sqrt(step_squares))\n"
+            f"    residual_norms.append({norm})")
+        assert unhoisted(loop.body[k + 6].test) == ast.dump(ast.parse(
+            "step_squares <= step_cut and squares <= residual_cut", mode="eval").body)
+        reported = {keyword.arg: ast.unparse(keyword.value)
+                    for keyword in functions["outcome"].body[-1].value.keywords}
+        assert (reported["final_step_norm"], reported["final_residual_norm"]) == (
+            "math.sqrt(step_squares)", "math.sqrt(res_squares)")
+        in_trace = set(map(id, ast.walk(loop.body[k + 5])))
+        assert all(id(node) in in_trace for node in ast.walk(loop)
+                   if isinstance(node, ast.Call) and ast.unparse(node.func) == "sqrt")
 
 
 def square_minus_two(x):
