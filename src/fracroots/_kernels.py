@@ -14,15 +14,16 @@ the same variables.
 
 The fused loop :func:`solve_reduced` is a shortcut for untraced solves:
 ``fixed_point_solve`` is the reference it must match, status, iterations
-and norms bit for bit.  For speed its iteration makes no Python call in the
-common case.  It inlines the positive branch of
+and norms bit for bit.  It checks its start with
+:func:`reduced_residual_checked`; after that, an iteration calls no package
+function.  It inlines the positive branch of
 :func:`fracroots.kernel.multiplier`'s entry, with the same operations in the
-same order, and the residual's statements off the diagonal; where those
-raise (on the diagonal, or at a ratio that underflows) or give a non-finite
-value it calls :func:`reduced_residual_checked`, which decides.  The kernel
-agreement tests (against the driver on every sweep order and on random
-starts) and an AST test (the inlined statements equal those of
-:func:`reduced_residual_checked`) pin both copies.  It tests its limits as
+same order, and the whole of the checked residual, and fails where those
+statements raise (at a ratio that underflows, say) or give a non-finite
+value, as the checked residual would.  The kernel agreement tests (against
+the driver on every sweep order and on random starts) pin both copies, and
+an AST test holds the inlined residual statement for statement to
+:func:`reduced_residual_checked`.  It tests its limits as
 the driver does, each on a sum of squares against the limit's cut
 (:func:`fracroots.kernel.square_cut`, the largest float whose square root
 is at most the limit), and takes a square root only of a norm that it
@@ -134,32 +135,31 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
         size = x1 * x1 + x2 * x2
         if size > bound_cut or not (size < inf or isfinite(x1) and isfinite(x2)):
             return 2, i, x1, x2, sqrt(step_sq), math.nan
-        # reduced_residual_checked's statements off the diagonal, inlined;
-        # the diagonal (a zero divisor), a ratio that underflows, an
-        # overflow and a non-finite result are left to it.
+        # reduced_residual_checked, inlined whole: the solve fails where it
+        # would refuse the iterate, which is finite here.
         if x1 <= 0.0 or x2 <= 0.0:
             return 3, i, x1, x2, sqrt(step_sq), math.nan
         try:
             swap = x2 > x1
             lam = log(x1 / x2 if swap else x2 / x1)
-            e3 = expm1(a3 * lam)
-            e4 = expm1(a4 * lam)
-            d = a1 * a2 * expm1(s * lam)
-            u = (a1 * e3 - a2 * (1.0 + e3) * e4) / d
-            v = (a1 * (1.0 + e4) * e3 - a2 * e4) / d
-            if swap:
-                u, v = v, u
+            if lam == 0.0:
+                # x1 = x2: both divided differences tend to this limit.
+                u = v = (a1 * a3 - a2 * a4) / (a1 * a2 * s)
+            else:
+                e3 = expm1(a3 * lam)
+                e4 = expm1(a4 * lam)
+                d = a1 * a2 * expm1(s * lam)
+                u = (a1 * e3 - a2 * (1.0 + e3) * e4) / d
+                v = (a1 * (1.0 + e4) * e3 - a2 * e4) / d
+                if swap:
+                    u, v = v, u
             f1 = a5 * x1 - a6 - a5 * x1 * u
             f2 = a5 * x2 - a7 - a5 * x2 * v
         except (ArithmeticError, ValueError):
-            f1 = math.nan
+            return 3, i, x1, x2, sqrt(step_sq), math.nan
         res_sq = f1 * f1 + f2 * f2
         if not (res_sq < inf or isfinite(f1) and isfinite(f2)):
-            try:
-                f1, f2 = reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2)
-            except NonRealEvaluation:
-                return 3, i, x1, x2, sqrt(step_sq), math.nan
-            res_sq = f1 * f1 + f2 * f2
+            return 3, i, x1, x2, sqrt(step_sq), math.nan
         if trace:
             xs[i] = x1, x2
             steps[i - 1] = sqrt(step_sq)

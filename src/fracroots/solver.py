@@ -550,11 +550,6 @@ def _order_grid(step: float) -> tuple:
     return tuple(grid)
 
 
-#: The default grid, held for :func:`alpha_sweep` whatever the cache evicts;
-#: orders are immutable, so every sweep can share them.
-_DEFAULT_GRID = _order_grid(DEFAULT_GRID_STEP)
-
-
 def same_root(a, b, tolerance: float) -> bool:
     """Dedup predicate: distance below tolerance relative to root magnitude.
 
@@ -581,7 +576,10 @@ def collect_roots(converged, skipped, dedup_tolerance: float) -> RootSet:
     best hit (smallest residual norm, then smallest alpha).  Each hit's x is
     read as :func:`fixed_point_solve` reads x0, so the sort key and
     :func:`same_root` see the same entries and every RootRecord.x is 1-d.
+    A NaN or negative ``dedup_tolerance`` is refused, however few the hits.
     """
+    if not dedup_tolerance >= 0.0:
+        raise ValueError(f"tolerance must be zero or positive, got {dedup_tolerance!r}")
     candidates = sorted(
         ((np.asarray(x, dtype=float).ravel(), float(alpha), out) for x, alpha, out in converged),
         key=lambda c: (tuple(c[0]), c[2].final_residual_norm, c[1]),
@@ -628,7 +626,7 @@ def alpha_sweep(f: Callable, x0, grid=None, settings: Optional[SolverSettings] =
     """
     if settings is None:
         settings = SolverSettings()
-    grid = _DEFAULT_GRID if grid is None else [FractionalOrder.coerce(a) for a in grid]
+    grid = _order_grid(DEFAULT_GRID_STEP) if grid is None else [FractionalOrder.coerce(a) for a in grid]
     if not grid:
         raise ValueError("sweep grid is empty")
     converged = []

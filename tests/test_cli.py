@@ -564,34 +564,55 @@ class TestReproduceTables:
         assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
-class TestGoldenOutput:
-    """``--out`` bytes of three runs against files committed from an earlier release.
+#: Reference row 1 under limits whose cuts are subnormal (tol_step), overflow
+#: to DBL_MAX (tol_residual) and are infinite (divergence_bound).
+EXTREME_LIMITS_ROW1 = """\
+constants: {a1: 0.5355, a2: 1.5808, a3: 1.5355, a4: 0.5808, a5: 18.9753, a6: 451474, a7: 396499}
+initial: {H0: 15, L0: 20}
+solver: {alpha: 0.26131, tol_step: 1.0e-160, tol_residual: 1.0e+200, divergence_bound: .inf}
+"""
 
-    The scenario is README's row-1 file.  stdout is not compared: the
-    reproduce-tables table marks each row ok or FAIL against wall-clock
-    bounds.  To regenerate after an intended change of output, run from a
-    directory holding README's scenario block as ``scenario.yaml``:
+
+class TestGoldenOutput:
+    """``--out`` bytes of five runs against files committed from earlier releases.
+
+    The scenario is README's row-1 file, and ``extreme_limits.yaml`` is
+    EXTREME_LIMITS_ROW1.  stdout is not compared: the reproduce-tables table
+    marks each row ok or FAIL against wall-clock bounds.  The untraced csv
+    solve of row 1 writes the first two lines of ``reproduce_tables.csv``.
+    To regenerate after an intended change of output, run from a directory
+    holding README's scenario block as ``scenario.yaml`` and
+    EXTREME_LIMITS_ROW1 as ``extreme_limits.yaml``:
     ``fracroots reproduce-tables --out reproduce_tables.csv``,
     ``fracroots solve --config scenario.yaml --format structured --trace
-    --out solve_structured_trace.json`` and ``fracroots sweep --config
-    scenario.yaml --out sweep.csv``.
+    --out solve_structured_trace.json``, ``fracroots sweep --config
+    scenario.yaml --out sweep.csv`` and ``fracroots sweep --config
+    extreme_limits.yaml --out sweep_extreme_limits.csv``.
     """
 
-    @pytest.mark.parametrize("argv, name", [
-        (["reproduce-tables"], "reproduce_tables.csv"),
+    @pytest.mark.parametrize("argv, golden, lines", [
+        (["reproduce-tables"], "reproduce_tables.csv", None),
         (["solve", "--config", "scenario.yaml", "--format", "structured", "--trace"],
-         "solve_structured_trace.json"),
-        (["sweep", "--config", "scenario.yaml"], "sweep.csv"),
-    ], ids=["reproduce-tables", "solve-structured-trace", "sweep"])
-    def test_out_bytes_match_the_golden_file(self, tmp_path, monkeypatch, capsys, argv, name):
+         "solve_structured_trace.json", None),
+        (["sweep", "--config", "scenario.yaml"], "sweep.csv", None),
+        (["sweep", "--config", "extreme_limits.yaml"], "sweep_extreme_limits.csv", None),
+        (["solve", "--config", "scenario.yaml", "--format", "csv"], "reproduce_tables.csv", 2),
+    ], ids=["reproduce-tables", "solve-structured-trace", "sweep", "sweep-extreme-limits",
+            "solve-csv"])
+    def test_out_bytes_match_the_golden_file(self, tmp_path, monkeypatch, capsys, argv,
+                                             golden, lines):
         readme_scenario(tmp_path)
+        write_config(tmp_path, EXTREME_LIMITS_ROW1, "extreme_limits.yaml")
         monkeypatch.chdir(tmp_path)
-        code = main([*argv, "--out", name])
+        code = main([*argv, "--out", "out"])
         # reproduce-tables exits 2 when a row misses a wall-clock bound, and
         # still writes its CSV.
         assert code in ((0, 2) if argv[0] == "reproduce-tables" else (0,)), \
             capsys.readouterr().err
-        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+        expected = (GOLDEN / golden).read_bytes()
+        if lines is not None:
+            expected = b"".join(expected.splitlines(keepends=True)[:lines])
+        assert (tmp_path / "out").read_bytes() == expected
 
 
 def config_with_spelling(tmp_path, payload, section, key, spelling, name="scenario.yaml"):

@@ -660,13 +660,20 @@ class TestKernelAgreement:
     # The first step lands near 4.5e150, where the residual's power overflows.
     @example(row=reference.ROWS[0], x0=(15.0, 20.0), alpha=FractionalOrder(0.25),
              max_iter=5, scale=(1e145, 1e200), limits={})
-    # Degenerate components.
+    # A start a relative 1e-9 off the diagonal, where the divided
+    # differences are close to their limit.
     @example(row=reference.ROWS[0], x0=(5.0, 5.0 * (1.0 + 1e-9)), alpha=FractionalOrder(0.25),
              max_iter=5, scale=(1e-4, 1e10), limits={})
-    # The first step lands at (313079.9571643983, 313079.957164398), whose
-    # powers coincide: the loop's own degeneracy exit.
+    # The first step lands at (313079.9571643983, 313079.957164398), four
+    # floats apart: lam is -8.9e-16, and the divided differences are taken
+    # off the diagonal.
     @example(row=reference.ROWS[0], x0=(1.7782794100389228, 1.0818180532035107),
              alpha=FractionalOrder(0.26131), max_iter=5, scale=(1e-4, 1e10), limits={})
+    # The first step lands exactly on the diagonal, at (145950.30937316275,
+    # 145950.30937316275), where the loop takes the divided differences'
+    # limit; both loops converge at iteration 93.
+    @example(row=reference.ROWS[0], x0=(32.906490860844094, 20.0),
+             alpha=FractionalOrder(0.26131), max_iter=500, scale=(1e-4, 1e10), limits={})
     # The second component's multiplier power overflows in the first step.
     @example(row=reference.ROWS[0], x0=(15.0, 1e-200), alpha=FractionalOrder(1.9),
              max_iter=5, scale=(1e-4, 1e10), limits={})
@@ -771,37 +778,38 @@ class TestLimitsOnSumsOfSquares:
             assert counts[0] == counts[1] == counts[2] <= 3, (name, counts)
 
 
-class TestKernelDeferral:
-    """Where its inlined residual raises or is not finite, the fused loop asks
-    the checked residual."""
+class TestFusedLoopChecksOnlyItsStart:
+    """The fused loop asks the checked residual about its start alone: every
+    later iterate it evaluates with its own statements."""
 
-    # Row 1 from (1e-322, 20) at order -1.95 with epsilon 5e-324: the first
-    # step lands at (2.2e-318, 7.1e7), whose ratio underflows to 0, so the
-    # inlined log(0.0) raises ValueError.
     C = reference.scenario_constants(451474.0, 396499.0)
-    ARGS = (C.a1, C.a2, C.a3, C.a4, C.a5, C.a6, C.a7, 1e-322, 20.0, -1.95, 5e-324,
-            1e-5, 1e-4, 5, 1e10, None, None, None)
+    CONSTANTS = (C.a1, C.a2, C.a3, C.a4, C.a5, C.a6, C.a7)
 
-    def test_a_finite_answer_of_the_checked_residual_continues_the_solve(self, monkeypatch):
-        # As it stands, the checked residual refuses the first iterate.
-        assert _kernels.solve_reduced(*self.ARGS)[:2] == (3, 1)
+    @pytest.mark.parametrize("start, alpha, eps, first, max_iter, end", [
+        # The first iterate's ratio underflows to 0, so the inlined
+        # log(0.0) raises and the solve fails there.
+        ((1e-322, 20.0), -1.95, 5e-324, (2.230677e-318, 71431564.78847188), 5, (3, 1)),
+        # The first iterate lies exactly on the diagonal.
+        ((32.906490860844094, 20.0), 0.26131, 1e-4,
+         (145950.30937316275, 145950.30937316275), 500, (0, 93)),
+    ], ids=["underflow", "diagonal"])
+    def test_one_checked_call_per_solve(self, monkeypatch, start, alpha, eps, first,
+                                        max_iter, end):
         checked = _kernels.reduced_residual_checked
         asked = []
 
-        def zero_where_checked_fails(*args):
-            try:
-                return checked(*args)
-            except NonRealEvaluation:
-                asked.append(args[7:])
-                return 0.0, 0.0
+        def counting(*args):
+            asked.append(args[7:])
+            return checked(*args)
 
-        monkeypatch.setattr(_kernels, "reduced_residual_checked", zero_where_checked_fails)
-        code, n, x1, x2, step, res = _kernels.solve_reduced(*self.ARGS)
-        # A zero residual leaves the iterate where it is, so the second step
-        # is zero and the solve converges there.
-        assert (code, n, step, res) == (0, 2, 0.0, 0.0)
-        assert asked == [(x1, x2), (x1, x2)]
-        assert x1 / x2 == 0.0
+        monkeypatch.setattr(_kernels, "reduced_residual_checked", counting)
+        args = (*self.CONSTANTS, *start, alpha, eps, 1e-5, 1e-4)
+        assert _kernels.solve_reduced(*args, 1, 1e10, None, None, None)[1:4] == (1, *first)
+        traces = np.empty((max_iter + 1, 2)), np.empty(max_iter), np.empty(max_iter + 1)
+        for arrays in ((None, None, None), traces):
+            asked.clear()
+            assert _kernels.solve_reduced(*args, max_iter, 1e10, *arrays)[:2] == end
+            assert asked == [start]
 
 
 #: Positive finite floats over the whole range, subnormals included.
@@ -834,10 +842,15 @@ class TestResidualOverTheFloatRange:
 
     @given(c=st.sampled_from(RANGE_CONSTANTS), x0=st.tuples(POSITIVE_POINTS, POSITIVE_POINTS),
            alpha=st.sampled_from(default_alpha_grid()), max_iter=st.sampled_from([1, 5, 50]),
-           bound=st.sampled_from([1e10, 1e300]))
+           bound=st.sampled_from([1e10, 1e300, math.inf]))
     @hypothesis_settings(max_examples=200, deadline=None)
     @example(c=RANGE_CONSTANTS[0], x0=(1e-322, 20.0), alpha=FractionalOrder(-1.95),
              max_iter=5, bound=1e10)
+    # With no divergence bound the first iterate, (1.4e267, 8.0e306), passes
+    # on, and a5 * x2 overflows: a residual that is not finite without an
+    # exception.
+    @example(c=RANGE_CONSTANTS[-1], x0=(3.5443522548778644e+88, 2.083445030752776e+254),
+             alpha=FractionalOrder(-0.2), max_iter=5, bound=math.inf)
     def test_fused_loop_matches_the_driver(self, c, x0, alpha, max_iter, bound):
         settings = SolverSettings(alpha=alpha, max_iter=max_iter, divergence_bound=bound)
         assert_kernel_matches_generic_driver(c, x0, settings, f"x0 {x0}, alpha {alpha.value}")

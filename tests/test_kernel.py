@@ -405,48 +405,26 @@ class TestModuleBoundaries:
                     [a.name.rsplit(".", 1)[-1] for a in node.names]]
 
     def test_fused_loop_repeats_the_residual_statements(self):
-        # The fused loop inlines the checked residual's statements off the
-        # diagonal; neither copy may change alone.  Compared: the tests and
-        # the assignments to these names in the body of the ``try``, with
-        # the checked residual's diagonal branch (which the loop leaves to
-        # it) replaced by its ``else``.
-        names = {"swap", "lam", "e3", "e4", "d", "u", "v", "f1", "f2"}
+        # The fused loop inlines the checked residual's ``try`` whole, the
+        # diagonal branch included; neither copy may change alone.
         functions = {node.name: node for node in ast.walk(self.tree("_kernels"))
                      if isinstance(node, ast.FunctionDef)}
 
-        def assigned(target):
-            targets = target.elts if isinstance(target, ast.Tuple) else [target]
-            return all(isinstance(t, ast.Name) and t.id in names for t in targets)
-
-        def found_in(body):
-            found = []
-            for stmt in body:
-                if isinstance(stmt, ast.If):
-                    found.append(("if", ast.dump(stmt.test)))
-                    found += found_in(stmt.body) + found_in(stmt.orelse)
-                elif isinstance(stmt, ast.Assign) and all(map(assigned, stmt.targets)):
-                    found.append((ast.dump(stmt.targets[-1]), ast.dump(stmt.value)))
-            return found
-
-        def statements(function):
+        def residual_try(function):
             # The ``try`` that takes the log: the multiplier's powers and the
-            # calls of the checked residual have their own.
-            return [entry for node in ast.walk(function) if isinstance(node, ast.Try)
-                    and "lam" in [ast.unparse(s.targets[0]) for s in node.body
-                                  if isinstance(s, ast.Assign)]
-                    for entry in found_in(node.body)]
+            # call of the checked residual at the start have their own.
+            found = [node for node in ast.walk(function) if isinstance(node, ast.Try)
+                     and "lam" in [ast.unparse(s.targets[0]) for s in node.body
+                                   if isinstance(s, ast.Assign)]]
+            assert len(found) == 1
+            return found[0]
 
         checked = functions["reduced_residual_checked"]
-        diagonal = next(node for node in ast.walk(checked) if isinstance(node, ast.If)
-                        and ast.unparse(node.test) == "lam == 0.0")
-        assert [ast.unparse(node) for node in diagonal.body] == [
-            "u = v = (a1 * a3 - a2 * a4) / (a1 * a2 * s)"]
-        off_diagonal = statements(checked)
-        start = off_diagonal.index(("if", ast.dump(diagonal.test)))
-        off_diagonal[start:start + 2] = []
-        assert [entry[0] for entry in off_diagonal].count("if") == 1  # the swap
-        assert len(off_diagonal) == 11
-        assert statements(functions["solve_reduced"]) == off_diagonal
+        own, inlined = residual_try(checked), residual_try(functions["solve_reduced"])
+        assert [ast.dump(s) for s in inlined.body] == [ast.dump(s) for s in own.body]
+        assert "if lam == 0.0:" in ast.unparse(inlined)
+        assert ([ast.dump(h.type) for h in inlined.handlers]
+                == [ast.dump(h.type) for h in own.handlers])
         # Before its ``try`` the loop returns on a non-positive component,
         # which the checked residual refuses; its iterates are finite there.
         refusal = next(node for node in checked.body if isinstance(node, ast.If))
@@ -463,8 +441,7 @@ class TestModuleBoundaries:
         loop = next(node for node in solve.body if isinstance(node, ast.For))
         called = {node.func.id for node in ast.walk(loop)
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-        assert called == {"range", "log", "expm1", "isfinite", "sqrt",
-                          "reduced_residual_checked"}
+        assert called == {"range", "log", "expm1", "isfinite", "sqrt"}
         local = {target.id for node in solve.body[:solve.body.index(loop)]
                  if isinstance(node, ast.Assign) for target in ast.walk(node.targets[0])
                  if isinstance(target, ast.Name)}

@@ -667,6 +667,17 @@ class TestSameRoot:
         with pytest.raises(ValueError, match="tolerance must be zero or positive"):
             collect_roots(hits, [], math.nan)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, -1.0, -5e-324])
+    @pytest.mark.parametrize("hits", [0, 1])
+    def test_collect_roots_refuses_the_tolerance_with_fewer_than_two_hits(self, hits,
+                                                                          tolerance):
+        # With fewer than two hits no pair reaches same_root.
+        out = fixed_point_solve(lambda x: x - 3.0, [1.0], SolverSettings(alpha=0.5))
+        converged = [(out.x_final, 0.5, out)][:hits]
+        assert len(collect_roots(converged, [], 1e-3).roots) == hits
+        with pytest.raises(ValueError, match="tolerance must be zero or positive"):
+            collect_roots(converged, [], tolerance)
+
 
 class TestCycleStop:
     """An untraced solve whose iterate at a checkpoint repeats the one CYCLE_LAG
