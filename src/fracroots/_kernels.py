@@ -20,7 +20,11 @@ function.  It inlines the positive branch of
 :func:`fracroots.kernel.multiplier`'s entry, with the same operations in the
 same order, and the whole of the checked residual, and fails where those
 statements raise (at a ratio that underflows, say) or give a non-finite
-value, as the checked residual would.  The kernel agreement tests (against
+value, as the checked residual would.  The entry's core is
+``math.pow(x, -alpha)``: for a positive base it makes the one C ``pow``
+call that ``x ** -alpha`` makes, so it has the bits of ``**``, raises
+OverflowError on the same overflow and gives 0.0 on the same underflow,
+without the generic operator dispatch.  The kernel agreement tests (against
 the driver on every sweep order and on random starts) pin both copies, and
 an AST test holds the inlined residual statement for statement to
 :func:`reduced_residual_checked`.  It tests its limits as
@@ -54,22 +58,25 @@ def reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2):
     if not (0.0 < x1 < math.inf and 0.0 < x2 < math.inf):
         raise NonRealEvaluation(f"thresholds must be positive and finite, got {(x1, x2)}")
     s = a3 + a4
+    a12 = a1 * a2
     try:
         swap = x2 > x1
         lam = log(x1 / x2 if swap else x2 / x1)
         if lam == 0.0:
             # x1 = x2: both divided differences tend to this limit.
-            u = v = (a1 * a3 - a2 * a4) / (a1 * a2 * s)
+            u = v = (a1 * a3 - a2 * a4) / (a12 * s)
         else:
             e3 = expm1(a3 * lam)
             e4 = expm1(a4 * lam)
-            d = a1 * a2 * expm1(s * lam)
+            d = a12 * expm1(s * lam)
             u = (a1 * e3 - a2 * (1.0 + e3) * e4) / d
             v = (a1 * (1.0 + e4) * e3 - a2 * e4) / d
             if swap:
                 u, v = v, u
-        f1 = a5 * x1 - a6 - a5 * x1 * u
-        f2 = a5 * x2 - a7 - a5 * x2 * v
+        p1 = a5 * x1
+        p2 = a5 * x2
+        f1 = p1 - a6 - p1 * u
+        f2 = p2 - a7 - p2 * v
     except (ArithmeticError, ValueError) as exc:
         raise NonRealEvaluation(f"reduced residual has no finite value at {(x1, x2)}") from exc
     if not (isfinite(f1) and isfinite(f2)):
@@ -94,11 +101,13 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
     power = -alpha
     g = math.gamma(1.0 - alpha)
     s = a3 + a4
+    a12 = a1 * a2
     # The limits as cuts of sums of squares, so the loop takes a square root
     # only of a norm that it reports.
     step_cut, res_cut, bound_cut = square_cut(tol_step), square_cut(tol_res), square_cut(bound)
     # Bound once per solve, so the iteration looks up no global name.
-    log, expm1, isfinite, sqrt, inf = math.log, math.expm1, math.isfinite, math.sqrt, math.inf
+    pow_, log, expm1, isfinite, sqrt, inf = (math.pow, math.log, math.expm1, math.isfinite,
+                                             math.sqrt, math.inf)
     if trace:
         xs[0] = x01, x02
     try:
@@ -117,11 +126,11 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
         # point passed the residual's checks, so both components are
         # positive and finite and entry(x) takes its positive branch.
         try:
-            c1 = x1 ** power
+            c1 = pow_(x1, power)
         except OverflowError:
             c1 = math.inf
         try:
-            c2 = x2 ** power
+            c2 = pow_(x2, power)
         except OverflowError:
             c2 = math.inf
         n1 = x1 - (c1 / g + eps) * f1
@@ -144,17 +153,19 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
             lam = log(x1 / x2 if swap else x2 / x1)
             if lam == 0.0:
                 # x1 = x2: both divided differences tend to this limit.
-                u = v = (a1 * a3 - a2 * a4) / (a1 * a2 * s)
+                u = v = (a1 * a3 - a2 * a4) / (a12 * s)
             else:
                 e3 = expm1(a3 * lam)
                 e4 = expm1(a4 * lam)
-                d = a1 * a2 * expm1(s * lam)
+                d = a12 * expm1(s * lam)
                 u = (a1 * e3 - a2 * (1.0 + e3) * e4) / d
                 v = (a1 * (1.0 + e4) * e3 - a2 * e4) / d
                 if swap:
                     u, v = v, u
-            f1 = a5 * x1 - a6 - a5 * x1 * u
-            f2 = a5 * x2 - a7 - a5 * x2 * v
+            p1 = a5 * x1
+            p2 = a5 * x2
+            f1 = p1 - a6 - p1 * u
+            f2 = p2 - a7 - p2 * v
         except (ArithmeticError, ValueError):
             return 3, i, x1, x2, sqrt(step_sq), math.nan
         res_sq = f1 * f1 + f2 * f2

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import re
@@ -333,6 +332,8 @@ def _render_solution(problem, alpha, sol, fmt) -> str:
         return _csv_document([_csv_row(1, problem, alpha, sol.H, sol.L, sol.A, sol.B,
                                        sol.outcome)])
     if fmt == "structured":
+        import json  # only a structured report pays for this import
+
         payload = _solution_json(problem, alpha, sol)
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     return _human_solution(problem, alpha, sol)

@@ -73,7 +73,11 @@ def multiplier(alpha, eps):
     A power that overflows gives an infinite core.
 
     alpha is fixed for a whole solve (a parallel-chord iteration), so -alpha
-    and gamma(1 - alpha) are computed once, here.  The core is divided by the
+    and gamma(1 - alpha) are computed once, here.  The core is
+    ``math.pow(|x|, -alpha)``: for a positive base both it and ``|x| ** -alpha``
+    make one C ``pow`` call, so they give the same bits, raise OverflowError on
+    the same overflow and give 0.0 on the same underflow, and ``math.pow``
+    skips the generic operator dispatch.  The core is divided by the
     gamma value: multiplying by its reciprocal would change the last bit of
     some entries.  With eps = -0.0, which adds nothing to any float (the sign
     of zero included), ``entry`` is the bare derivative of the unit constant.
@@ -83,12 +87,13 @@ def multiplier(alpha, eps):
     """
     power = -alpha
     g = math.gamma(1.0 - alpha)
+    pow_ = math.pow
 
     def entry(x):
         if x == 0.0:
             return eps
         try:
-            core = abs(x) ** power
+            core = pow_(abs(x), power)
         except OverflowError:
             core = math.inf
         core = core / g

@@ -554,14 +554,28 @@ class TestReproduceTables:
         assert len(expected) == len(reference.ROWS)
 
     def test_yaml_is_imported_only_to_read_a_config(self):
+        # And json only to write a structured report.
         src = os.path.dirname(os.path.dirname(fracroots.__file__))
         script = ("import contextlib, io, sys; from fracroots import cli\n"
                   "with contextlib.redirect_stdout(io.StringIO()):\n"
                   "    code = cli.main(['reproduce-tables'])\n"
-                  "print(code, 'yaml' in sys.modules)")
+                  "print(code, 'yaml' in sys.modules, 'json' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src})
-        assert proc.stdout.split() == ["0", "False"], proc.stderr
+        assert proc.stdout.split() == ["0", "False", "False"], proc.stderr
+
+    def test_the_module_entry_reproduces_the_tables(self, tmp_path):
+        # ``python -m fracroots`` runs __main__.py, as the installed script
+        # runs cli.entrypoint.
+        src = os.path.dirname(os.path.dirname(fracroots.__file__))
+        out_path = tmp_path / "tables.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracroots", "reproduce-tables", "--out", str(out_path)],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert "all bounds hold" in proc.stdout
+        assert out_path.read_bytes() == (GOLDEN / "reproduce_tables.csv").read_bytes()
 
 
 #: Reference row 1 under limits whose cuts are subnormal (tol_step), overflow

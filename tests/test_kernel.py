@@ -57,10 +57,15 @@ def per_entry_multiplier(alpha, x, eps):
 
 GRID_ORDERS = [a.value for a in default_alpha_grid()]
 
-#: Zero, the subnormal extremes, and two points whose power leaves the float
+DBL_MAX = sys.float_info.max
+
+#: Zero; the subnormal extremes; two points whose power leaves the float
 #: range under orders above about 1.03: for 1e-300 it overflows to inf, for
-#: 1e308 it underflows to zero.  Each in both signs.
-EDGE_POINTS = [0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e308, -1e308]
+#: 1e308 it underflows to zero; 1.0, whose power is exactly 1; and the ends
+#: of the normal range, the smallest normal float and DBL_MAX.  Each
+#: nonzero point in both signs.
+EDGE_POINTS = [0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e308, -1e308, 1.0, -1.0,
+               sys.float_info.min, -sys.float_info.min, DBL_MAX, -DBL_MAX]
 
 
 class TestFractionalOrder:
@@ -204,11 +209,14 @@ class TestMultiplierBitwise:
             assert p_matrix(alpha, np.array([x]), eps)[0].hex() == expected, alpha
 
     @given(x=st.one_of(st.sampled_from(EDGE_POINTS[1:]),
-                       st.floats(allow_nan=False).filter(lambda v: v != 0.0)),
+                       st.floats(allow_nan=False, allow_infinity=True).filter(
+                           lambda v: v != 0.0)),
            beta=st.one_of(st.sampled_from(GRID_ORDERS),
                           st.floats(min_value=-2.0, max_value=2.0).filter(
                               lambda b: abs(b - round(b)) > 1e-9)))
     @hypothesis_settings(max_examples=300, deadline=None)
+    @example(x=math.inf, beta=0.26131)
+    @example(x=-math.inf, beta=-1.95)
     def test_unit_derivative_matches_per_call_arithmetic(self, x, beta):
         assert multiplier(beta, -0.0)(x).hex() == per_entry_unit_deriv(beta, x).hex()
 
@@ -274,9 +282,6 @@ class TestPMatrix:
         got = p_matrix(FractionalOrder(0.5), point, 1e-4)
         assert got.shape == (4,)
         assert got.tobytes() == p_matrix(FractionalOrder(0.5), point.ravel(), 1e-4).tobytes()
-
-
-DBL_MAX = sys.float_info.max
 
 
 def cut_by_fractions(limit: float) -> float:
@@ -441,11 +446,11 @@ class TestModuleBoundaries:
         loop = next(node for node in solve.body if isinstance(node, ast.For))
         called = {node.func.id for node in ast.walk(loop)
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-        assert called == {"range", "log", "expm1", "isfinite", "sqrt"}
+        assert called == {"range", "pow_", "log", "expm1", "isfinite", "sqrt"}
         local = {target.id for node in solve.body[:solve.body.index(loop)]
                  if isinstance(node, ast.Assign) for target in ast.walk(node.targets[0])
                  if isinstance(target, ast.Name)}
-        assert {"log", "expm1", "isfinite", "sqrt"} <= local
+        assert {"pow_", "log", "expm1", "isfinite", "sqrt"} <= local
         assert not [ast.unparse(node) for node in ast.walk(loop)
                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
 
