@@ -586,22 +586,34 @@ initial: {H0: 15, L0: 20}
 solver: {alpha: 0.26131, tol_step: 1.0e-160, tol_residual: 1.0e+200, divergence_bound: .inf}
 """
 
+#: Reference row 1 from a start on the diagonal H0 = L0, where the residual
+#: and back-substitution take the limit of their divided differences.
+DIAGONAL_START_ROW1 = """\
+constants: {a1: 0.5355, a2: 1.5808, a3: 1.5355, a4: 0.5808, a5: 18.9753, a6: 451474, a7: 396499}
+initial: {H0: 5, L0: 5}
+solver: {alpha: 0.26131, epsilon: 1e-4}
+"""
+
 
 class TestGoldenOutput:
-    """``--out`` bytes of five runs against files committed from earlier releases.
+    """``--out`` bytes of six runs against files committed from earlier releases.
 
-    The scenario is README's row-1 file, and ``extreme_limits.yaml`` is
-    EXTREME_LIMITS_ROW1.  stdout is not compared: the reproduce-tables table
-    marks each row ok or FAIL against wall-clock bounds.  The untraced csv
-    solve of row 1 writes the first two lines of ``reproduce_tables.csv``.
+    The scenario is README's row-1 file, ``extreme_limits.yaml`` is
+    EXTREME_LIMITS_ROW1 and ``diagonal_start.yaml`` DIAGONAL_START_ROW1.
+    stdout is not compared: the reproduce-tables table marks each row ok or
+    FAIL against wall-clock bounds.  The untraced csv solve of row 1 writes
+    the first two lines of ``reproduce_tables.csv``.
     To regenerate after an intended change of output, run from a directory
-    holding README's scenario block as ``scenario.yaml`` and
-    EXTREME_LIMITS_ROW1 as ``extreme_limits.yaml``:
+    holding README's scenario block as ``scenario.yaml``,
+    EXTREME_LIMITS_ROW1 as ``extreme_limits.yaml`` and DIAGONAL_START_ROW1
+    as ``diagonal_start.yaml``:
     ``fracroots reproduce-tables --out reproduce_tables.csv``,
     ``fracroots solve --config scenario.yaml --format structured --trace
     --out solve_structured_trace.json``, ``fracroots sweep --config
-    scenario.yaml --out sweep.csv`` and ``fracroots sweep --config
-    extreme_limits.yaml --out sweep_extreme_limits.csv``.
+    scenario.yaml --out sweep.csv``, ``fracroots sweep --config
+    extreme_limits.yaml --out sweep_extreme_limits.csv`` and ``fracroots
+    solve --config diagonal_start.yaml --format csv --out
+    solve_diagonal_start.csv``.
     """
 
     @pytest.mark.parametrize("argv, golden, lines", [
@@ -611,12 +623,15 @@ class TestGoldenOutput:
         (["sweep", "--config", "scenario.yaml"], "sweep.csv", None),
         (["sweep", "--config", "extreme_limits.yaml"], "sweep_extreme_limits.csv", None),
         (["solve", "--config", "scenario.yaml", "--format", "csv"], "reproduce_tables.csv", 2),
+        (["solve", "--config", "diagonal_start.yaml", "--format", "csv"],
+         "solve_diagonal_start.csv", None),
     ], ids=["reproduce-tables", "solve-structured-trace", "sweep", "sweep-extreme-limits",
-            "solve-csv"])
+            "solve-csv", "solve-diagonal-start"])
     def test_out_bytes_match_the_golden_file(self, tmp_path, monkeypatch, capsys, argv,
                                              golden, lines):
         readme_scenario(tmp_path)
         write_config(tmp_path, EXTREME_LIMITS_ROW1, "extreme_limits.yaml")
+        write_config(tmp_path, DIAGONAL_START_ROW1, "diagonal_start.yaml")
         monkeypatch.chdir(tmp_path)
         code = main([*argv, "--out", "out"])
         # reproduce-tables exits 2 when a row misses a wall-clock bound, and

@@ -243,6 +243,32 @@ def residual_by_orientation(a1, a2, a3, a4, a5, a6, a7, x1, x2):
     return f1, f2
 
 
+def back_substitute_by_orientation(c, x1, x2):
+    """Back-substitution's closed form written out in the larger and the smaller component.
+
+    With hi and lo the larger and the smaller component, lam = log(lo / hi)
+    and e(a) = expm1(a lam), A = a5 hi**(-a4) e(a3) / (a2 e(a3 + a4)) and
+    B = a5 lo**a3 e(a4) / (a1 e(a3 + a4)); at lam = 0 each e(a) stands in
+    for its limit a, which the ratios share.
+    """
+    if not (0.0 < x1 < math.inf and 0.0 < x2 < math.inf):
+        raise NonRealEvaluation(f"thresholds must be positive and finite, got {(x1, x2)}")
+    hi, lo, s = max(x1, x2), min(x1, x2), c.a3 + c.a4
+    try:
+        lam = math.log(lo / hi)
+        if lam == 0.0:
+            e3, e4, es = c.a3, c.a4, s
+        else:
+            e3, e4, es = math.expm1(c.a3 * lam), math.expm1(c.a4 * lam), math.expm1(s * lam)
+        a = c.a5 * hi ** (-c.a4) * e3 / (c.a2 * es)
+        b = c.a5 * lo ** c.a3 * e4 / (c.a1 * es)
+    except (ArithmeticError, ValueError) as exc:
+        raise NonRealEvaluation(f"back-substitution has no finite value at {(x1, x2)}") from exc
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NonRealEvaluation(f"back-substitution has no finite value at {(x1, x2)}")
+    return a, b
+
+
 def checked_outcome(fn, *args):
     """``fn(*args)`` as float hex strings, or the type and message of what it raised."""
     try:
@@ -297,6 +323,31 @@ class TestReducedResidualBitwise:
             assert mirrored == given_order[::-1]
         else:
             assert mirrored[0] is given_order[0]
+
+
+#: Back-substitution's constants: the reference rows' structural set and the
+#: textbook primitives (mu = 5 %, l = 10 %) at sigma 3 %, 4 % and 30 %,
+#: whose exponent a3 runs from 1.5 (the rows) to 113 (sigma 3 %).
+BACK_SUBSTITUTE_CONSTANTS = [reference.scenario_constants(451474.0, 396499.0)] + [
+    derive_constants(EconomicPrimitives(mu=0.05, sigma=sigma, l=0.1, c=10_000.0,
+                                        kappa=10_000.0, chi=100.0))
+    for sigma in (0.03, 0.04, 0.3)]
+
+
+class TestBackSubstituteBitwise:
+    """back_substitute against its closed form written out, as float hex, or
+    the same error type and message."""
+
+    @given(c=st.sampled_from(BACK_SUBSTITUTE_CONSTANTS), x1=THRESHOLD_POINTS,
+           x2=THRESHOLD_POINTS)
+    @hypothesis_settings(max_examples=400, deadline=None)
+    @example(c=BACK_SUBSTITUTE_CONSTANTS[0], x1=5.0, x2=5.0)
+    @example(c=BACK_SUBSTITUTE_CONSTANTS[0], x1=1e300, x2=1.0)
+    @example(c=BACK_SUBSTITUTE_CONSTANTS[0], x1=1e300, x2=1e-30)
+    @example(c=BACK_SUBSTITUTE_CONSTANTS[0], x1=2e250, x2=1e250)
+    def test_values_and_errors_match(self, c, x1, x2):
+        assert (checked_outcome(back_substitute, c, np.array([x1, x2]))
+                == checked_outcome(back_substitute_by_orientation, c, x1, x2))
 
 
 def elimination_oracle(c, x1, x2):
@@ -479,13 +530,21 @@ class TestFullResidual:
 
     def test_reduction_equivalence(self):
         # After back-substitution the derivative equations vanish and the
-        # value-matching rows equal the reduced residual, for any (H, L).
+        # value-matching rows equal the reduced residual, for any (H, L):
+        # random pairs, and the reference rows on the diagonal and at
+        # relative gaps from 1e-15 to 1e-6 off it, where both take the
+        # limit of their divided differences or lose digits near it.
         rng = np.random.default_rng(31)
+        cases = []
         for _ in range(100):
             c = derive_constants(random_primitives(rng, sigma_floor=0.3))
             x = np.sort(rng.uniform(0.5, 80.0, size=2))[::-1]
-            if abs(x[0] - x[1]) < 1e-2:
-                continue
+            if abs(x[0] - x[1]) >= 1e-2:
+                cases.append((c, x))
+        cases += [(reference.scenario_constants(row.a6, row.a7), np.array([x, x * (1.0 - gap)]))
+                  for row in reference.ROWS for x in (5.0, 2e4, 1e6)
+                  for gap in (0.0, 1e-15, 1e-12, 1e-9, 1e-6)]
+        for c, x in cases:
             a, b = back_substitute(c, x)
             reduced = reduced_residual(c, x)
             full = full_residual(c, x[0], x[1], a, b)
