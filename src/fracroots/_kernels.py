@@ -9,8 +9,10 @@ power of the larger threshold times an e(a), and those powers cancel.  One
 log and three expm1 of non-positive arguments (for the model's positive
 exponents) replace eight powers, no intermediate overflows, and x1 = x2 is
 an ordinary point: there the divided differences take their limit, and
-f1 - f2 = a7 - a6.  ``dixit_pindyck.back_substitute`` recovers A and B from
-the same variables.
+f1 - f2 = a7 - a6.  :func:`elimination` writes the elimination once, as a
+function of lam: the checked residual calls it for the divided
+differences, and ``dixit_pindyck.back_substitute`` for the e(a) from which
+it recovers A and B.
 
 The fused loop :func:`solve_reduced` is a shortcut for untraced solves:
 ``fixed_point_solve`` is the reference it must match, status, iterations
@@ -18,7 +20,8 @@ and norms bit for bit.  It checks its start with
 :func:`reduced_residual_checked`; after that, an iteration calls no package
 function.  It inlines the positive branch of
 :func:`fracroots.kernel.multiplier`'s entry, with the same operations in the
-same order, and the whole of the checked residual, and fails where those
+same order, and the whole of the checked residual with
+:func:`elimination`'s statements in place of its call, and fails where those
 statements raise (at a ratio that underflows, say) or give a non-finite
 value, as the checked residual would.  The entry's core is
 ``math.pow(x, -alpha)``: for a positive base it makes the one C ``pow``
@@ -27,8 +30,8 @@ OverflowError on the same overflow and gives 0.0 on the same underflow,
 without the generic operator dispatch.  The kernel agreement tests (against
 the driver on every sweep order and on random starts) pin both copies, and
 an AST test holds the inlined residual statement for statement to
-:func:`reduced_residual_checked`.  It tests its limits as
-the driver does, each on a sum of squares against the limit's cut
+:func:`reduced_residual_checked` and :func:`elimination`.  It tests its
+limits as the driver does, each on a sum of squares against the limit's cut
 (:func:`fracroots.kernel.square_cut`, the largest float whose square root
 is at most the limit), and takes a square root only of a norm that it
 reports: in its return value and in the trace arrays.
@@ -43,6 +46,30 @@ from math import expm1, isfinite, log
 
 from .errors import NonRealEvaluation
 from .kernel import square_cut
+
+
+def elimination(a1, a2, a3, a4, a12, s, lam):
+    """The elimination of A and B at lam = log(lo / hi); returns ``(e3, e4, es, u, v)``.
+
+    e3, e4 and es are e(a) = expm1(a * lam) at a = a3, a4 and s = a3 + a4,
+    and u and v the divided differences of the larger and the smaller
+    component, with a12 = a1 * a2.  At lam = 0 (x1 = x2) the e(a) are
+    a3, a4 and s, whose ratios are the limits of e(a) / e(s), and u = v is
+    the divided differences' common limit.  It checks nothing: what the
+    arithmetic raises, it raises.
+    """
+    if lam == 0.0:
+        # x1 = x2: both divided differences tend to this limit.
+        e3, e4, es = a3, a4, s
+        u = v = (a1 * a3 - a2 * a4) / (a12 * s)
+    else:
+        e3 = expm1(a3 * lam)
+        e4 = expm1(a4 * lam)
+        es = expm1(s * lam)
+        d = a12 * es
+        u = (a1 * e3 - a2 * (1.0 + e3) * e4) / d
+        v = (a1 * (1.0 + e4) * e3 - a2 * e4) / d
+    return e3, e4, es, u, v
 
 
 def reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2):
@@ -62,17 +89,9 @@ def reduced_residual_checked(a1, a2, a3, a4, a5, a6, a7, x1, x2):
     try:
         swap = x2 > x1
         lam = log(x1 / x2 if swap else x2 / x1)
-        if lam == 0.0:
-            # x1 = x2: both divided differences tend to this limit.
-            u = v = (a1 * a3 - a2 * a4) / (a12 * s)
-        else:
-            e3 = expm1(a3 * lam)
-            e4 = expm1(a4 * lam)
-            d = a12 * expm1(s * lam)
-            u = (a1 * e3 - a2 * (1.0 + e3) * e4) / d
-            v = (a1 * (1.0 + e4) * e3 - a2 * e4) / d
-            if swap:
-                u, v = v, u
+        e3, e4, es, u, v = elimination(a1, a2, a3, a4, a12, s, lam)
+        if swap:
+            u, v = v, u
         p1 = a5 * x1
         p2 = a5 * x2
         f1 = p1 - a6 - p1 * u
@@ -144,8 +163,9 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
         size = x1 * x1 + x2 * x2
         if size > bound_cut or not (size < inf or isfinite(x1) and isfinite(x2)):
             return 2, i, x1, x2, sqrt(step_sq), math.nan
-        # reduced_residual_checked, inlined whole: the solve fails where it
-        # would refuse the iterate, which is finite here.
+        # reduced_residual_checked, inlined whole with elimination's
+        # statements in place of its call: the solve fails where it would
+        # refuse the iterate, which is finite here.
         if x1 <= 0.0 or x2 <= 0.0:
             return 3, i, x1, x2, sqrt(step_sq), math.nan
         try:
@@ -153,15 +173,17 @@ def solve_reduced(a1, a2, a3, a4, a5, a6, a7, x01, x02, alpha, eps,
             lam = log(x1 / x2 if swap else x2 / x1)
             if lam == 0.0:
                 # x1 = x2: both divided differences tend to this limit.
+                e3, e4, es = a3, a4, s
                 u = v = (a1 * a3 - a2 * a4) / (a12 * s)
             else:
                 e3 = expm1(a3 * lam)
                 e4 = expm1(a4 * lam)
-                d = a12 * expm1(s * lam)
+                es = expm1(s * lam)
+                d = a12 * es
                 u = (a1 * e3 - a2 * (1.0 + e3) * e4) / d
                 v = (a1 * (1.0 + e4) * e3 - a2 * e4) / d
-                if swap:
-                    u, v = v, u
+            if swap:
+                u, v = v, u
             p1 = a5 * x1
             p2 = a5 * x2
             f1 = p1 - a6 - p1 * u

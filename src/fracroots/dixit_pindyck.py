@@ -199,7 +199,8 @@ def reduced_residual(constants: ModelConstants, x) -> np.ndarray:
     raise NonRealEvaluation (real powers with non-integer exponents leave
     the real line there), and so do infinite ones.  The pair x1 = x2 is an
     ordinary point.  ``_kernels.reduced_residual_checked`` holds the formula
-    and its refusals.
+    and its refusals, and takes the divided differences from
+    ``_kernels.elimination``, which back-substitution shares.
     """
     xs = np.asarray(x, dtype=float).ravel().tolist()
     if len(xs) != 2:
@@ -262,9 +263,12 @@ def back_substitute(constants: ModelConstants, x) -> tuple:
         B = a5 lo**a3 e(a4) / (a1 e(a3 + a4)),
 
     so swapping the components leaves the result unchanged, and at x1 = x2
-    each ratio e(a) / e(a3 + a4) takes its limit a / (a3 + a4).  A
-    non-positive or infinite component, a ratio that underflows to 0, a
-    power overflow and a non-finite coefficient raise NonRealEvaluation.
+    each ratio e(a) / e(a3 + a4) takes its limit a / (a3 + a4).  The e(a)
+    and that limit come from ``_kernels.elimination``, the reduced
+    residual's elimination.  A non-positive or infinite component, a ratio
+    that underflows to 0, a power overflow, a zero divisor in the
+    elimination (where a1 * a2 underflows, say) and a non-finite
+    coefficient raise NonRealEvaluation.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape != (2,):
@@ -276,8 +280,7 @@ def back_substitute(constants: ModelConstants, x) -> tuple:
     hi, lo, s = max(x1, x2), min(x1, x2), c.a3 + c.a4
     try:
         lam = math.log(lo / hi)
-        e3, e4, es = (c.a3, c.a4, s) if lam == 0.0 else (
-            math.expm1(c.a3 * lam), math.expm1(c.a4 * lam), math.expm1(s * lam))
+        e3, e4, es = _kernels.elimination(c.a1, c.a2, c.a3, c.a4, c.a1 * c.a2, s, lam)[:3]
         a = c.a5 * hi ** (-c.a4) * e3 / (c.a2 * es)
         b = c.a5 * lo ** c.a3 * e4 / (c.a1 * es)
     except (ArithmeticError, ValueError) as exc:

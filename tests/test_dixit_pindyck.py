@@ -248,8 +248,8 @@ def back_substitute_by_orientation(c, x1, x2):
 
     With hi and lo the larger and the smaller component, lam = log(lo / hi)
     and e(a) = expm1(a lam), A = a5 hi**(-a4) e(a3) / (a2 e(a3 + a4)) and
-    B = a5 lo**a3 e(a4) / (a1 e(a3 + a4)); at lam = 0 each e(a) stands in
-    for its limit a, which the ratios share.
+    B = a5 lo**a3 e(a4) / (a1 e(a3 + a4)); at lam = 0 each e(a) is a, so
+    each ratio e(a) / e(a3 + a4) takes its limit a / (a3 + a4).
     """
     if not (0.0 < x1 < math.inf and 0.0 < x2 < math.inf):
         raise NonRealEvaluation(f"thresholds must be positive and finite, got {(x1, x2)}")
@@ -411,6 +411,17 @@ class TestBackSubstitute:
         c = reference.scenario_constants(451474.0, 396499.0)
         with pytest.raises(ValueError, match="2-vector"):
             back_substitute(c, np.array([1.0, 2.0, 3.0]))
+
+    def test_refuses_where_the_shared_elimination_has_no_value(self):
+        # a1 * a2 underflows to 0 although a1, a2 and s are positive, so the
+        # elimination divides by zero on and off the diagonal: the residual
+        # and back-substitution, which share it, refuse the same pairs.
+        c = ModelConstants(a1=1e-170, a2=1e-170, a3=1.0, a4=-1.0 + 2.0**-52,
+                           a5=1.0, a6=2.0, a7=1.0)
+        for x in ((2.0, 1.0), (3.0, 3.0)):
+            for evaluate in (reduced_residual, back_substitute):
+                with pytest.raises(NonRealEvaluation, match="no finite value"):
+                    evaluate(c, np.array(x))
 
     def test_overflowing_power_raises_typed_error(self):
         # lo ** a3 overflows.

@@ -409,9 +409,29 @@ class TestModuleBoundaries:
                     if isinstance(node, ast.Import) and "kernel" in
                     [a.name.rsplit(".", 1)[-1] for a in node.names]]
 
+    def test_the_elimination_is_written_only_in_its_core_and_the_fused_loop(self):
+        # expm1 marks the elimination: the checked residual and
+        # back-substitution call the core, and the fused loop keeps a copy.
+        defining, calling = [], set()
+        for path in self.PACKAGE.glob("*.py"):
+            tree = self.tree(path.stem)
+            owner = {}
+            # Breadth first, so a nested function's nodes end up its own.
+            for function in ast.walk(tree):
+                if isinstance(function, ast.FunctionDef):
+                    owner.update(dict.fromkeys(ast.walk(function), function.name))
+                    if function.name == "elimination":
+                        defining.append(path.stem)
+            calling |= {(path.stem, owner.get(node, "<module>")) for node in ast.walk(tree)
+                        if isinstance(node, ast.Call) and "expm1" in
+                        (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+        assert defining == ["_kernels"]
+        assert calling == {("_kernels", "elimination"), ("_kernels", "solve_reduced")}
+
     def test_fused_loop_repeats_the_residual_statements(self):
-        # The fused loop inlines the checked residual's ``try`` whole, the
-        # diagonal branch included; neither copy may change alone.
+        # The fused loop inlines the checked residual's ``try`` whole, with
+        # the elimination core's statements in place of its call, the
+        # diagonal branch included; no copy may change alone.
         functions = {node.name: node for node in ast.walk(self.tree("_kernels"))
                      if isinstance(node, ast.FunctionDef)}
 
@@ -424,9 +444,20 @@ class TestModuleBoundaries:
             assert len(found) == 1
             return found[0]
 
-        checked = functions["reduced_residual_checked"]
+        checked, core = functions["reduced_residual_checked"], functions["elimination"]
         own, inlined = residual_try(checked), residual_try(functions["solve_reduced"])
-        assert [ast.dump(s) for s in inlined.body] == [ast.dump(s) for s in own.body]
+        call = next(s for s in own.body if isinstance(s, ast.Assign)
+                    and isinstance(s.value, ast.Call)
+                    and ast.unparse(s.value.func) == "elimination")
+        # The call binds the core's parameters to names of the same
+        # spelling, and its results to the names the core returns.
+        assert [ast.unparse(arg) for arg in call.value.args] == [arg.arg for arg in core.args.args]
+        returned = core.body[-1]
+        assert ast.get_docstring(core) and isinstance(returned, ast.Return)
+        assert ast.unparse(call.targets[0]) == ast.unparse(returned.value)
+        at = own.body.index(call)
+        expected = own.body[:at] + core.body[1:-1] + own.body[at + 1:]
+        assert [ast.dump(s) for s in inlined.body] == [ast.dump(s) for s in expected]
         assert "if lam == 0.0:" in ast.unparse(inlined)
         assert ([ast.dump(h.type) for h in inlined.handlers]
                 == [ast.dump(h.type) for h in own.handlers])
