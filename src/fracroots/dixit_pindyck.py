@@ -66,7 +66,11 @@ class EconomicPrimitives:
 
     def __post_init__(self):
         for name in ("mu", "sigma", "l", "c", "kappa", "chi"):
-            value = float(getattr(self, name))
+            try:
+                value = float(getattr(self, name))
+            except OverflowError as exc:  # an integer beyond the float range
+                raise InvalidPrimitives(f"{name} must be finite, "
+                                        "got an integer too large for a float") from exc
             if not math.isfinite(value):
                 raise InvalidPrimitives(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
@@ -103,7 +107,11 @@ class ModelConstants:
 
     def __post_init__(self):
         for name in ("a1", "a2", "a3", "a4", "a5", "a6", "a7"):
-            value = float(getattr(self, name))
+            try:
+                value = float(getattr(self, name))
+            except OverflowError as exc:  # an integer beyond the float range
+                raise ValueError(f"{name} must be finite, "
+                                 "got an integer too large for a float") from exc
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
@@ -162,7 +170,10 @@ class ThresholdProblem:
     x0: np.ndarray
 
     def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=float).ravel()
+        try:
+            x0 = np.asarray(self.x0, dtype=float).ravel()
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ValueError("x0 must be finite, got an integer too large for a float") from exc
         if x0.shape != (2,):
             raise ValueError("x0 must be a 2-vector (H0, L0)")
         if not np.all(np.isfinite(x0)):

@@ -11,10 +11,13 @@ kernel is extended with the sign of x (an odd continuation), which keeps the
 iteration real while preserving the update map's symmetry; zero components
 switch to the classical order 1, where the derivative of a constant is 0 and
 the multiplier entry collapses to the regularisation constant eps.
-:func:`multiplier` holds that formula; the generic driver's step and
-:func:`p_matrix` evaluate it.  The threshold model's fused loop,
-``_kernels.solve_reduced``, inlines its positive branch for speed, and the
-kernel agreement tests hold that copy to the driver's entries bit for bit.
+:func:`multiplier` holds that formula, and ``solver.fpn_update`` and
+:func:`p_matrix` evaluate it.  Two loops repeat its statements instead of
+calling it: the generic driver ``solver.fixed_point_solve`` writes the whole
+entry out in its step, and an AST test holds that copy to ``entry``
+statement for statement; the threshold model's fused loop,
+``_kernels.solve_reduced``, inlines its positive branch, and the kernel
+agreement tests hold that copy to the driver's entries bit for bit.
 
 Both loops also share :func:`square_cut`, the rule by which they test a norm
 against a limit without taking its square root.
@@ -48,7 +51,11 @@ class FractionalOrder:
     value: float
 
     def __post_init__(self):
-        v = float(self.value)
+        try:
+            v = float(self.value)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ValueError(f"fractional order must lie in [-{ORDER_BOUND:g}, {ORDER_BOUND:g}], "
+                             "got an integer too large for a float") from exc
         object.__setattr__(self, "value", v)
         if not math.isfinite(v) or not -ORDER_BOUND <= v <= ORDER_BOUND:
             raise ValueError(f"fractional order must lie in [-{ORDER_BOUND:g}, {ORDER_BOUND:g}], got {v!r}")
@@ -59,7 +66,7 @@ class FractionalOrder:
     def coerce(cls, value) -> "FractionalOrder":
         if isinstance(value, FractionalOrder):
             return value
-        return cls(float(value))
+        return cls(value)
 
 
 def multiplier(alpha, eps):
@@ -81,9 +88,12 @@ def multiplier(alpha, eps):
     gamma value: multiplying by its reciprocal would change the last bit of
     some entries.  With eps = -0.0, which adds nothing to any float (the sign
     of zero included), ``entry`` is the bare derivative of the unit constant.
-    ``_kernels.solve_reduced``, whose iterates are always positive, repeats
-    the positive branch's operations in this order instead of calling
-    ``entry``, so its entries keep these bits.
+    ``entry`` has one exit, so that its statements can be written out in a
+    loop as they stand: ``solver.fixed_point_solve`` repeats them, with x
+    renamed v, from the constants it computes once per solve by the
+    statements here, and ``_kernels.solve_reduced``, whose iterates are
+    always positive, repeats the positive branch's operations in this order.
+    Neither calls ``entry``, and both keep its bits.
     """
     power = -alpha
     g = math.gamma(1.0 - alpha)
@@ -91,22 +101,29 @@ def multiplier(alpha, eps):
 
     def entry(x):
         if x == 0.0:
-            return eps
-        try:
-            core = pow_(abs(x), power)
-        except OverflowError:
-            core = math.inf
-        core = core / g
-        if x < 0.0:
-            return -core + eps
-        return core + eps
+            p = eps
+        else:
+            try:
+                core = pow_(abs(x), power)
+            except OverflowError:
+                core = math.inf
+            core = core / g
+            if x < 0.0:
+                p = -core + eps
+            else:
+                p = core + eps
+        return p
 
     return entry
 
 
 def checked_epsilon(epsilon) -> float:
     """The multiplier's regularisation constant as a float, refused unless finite and positive."""
-    epsilon = float(epsilon)
+    try:
+        epsilon = float(epsilon)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError("epsilon must be finite and positive, "
+                         "got an integer too large for a float") from exc
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     return epsilon

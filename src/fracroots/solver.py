@@ -88,7 +88,11 @@ def _point(x) -> np.ndarray:
 
     A point with no entries is refused with ValueError.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    try:
+        x = np.asarray(x, dtype=float).ravel()
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError("a point's entries must be finite, "
+                         "got an integer too large for a float") from exc
     if not x.size:
         raise ValueError("a point needs at least one entry")
     return x
@@ -123,7 +127,11 @@ class SolverSettings:
         object.__setattr__(self, "alpha", FractionalOrder.coerce(self.alpha))
         object.__setattr__(self, "epsilon", checked_epsilon(self.epsilon))
         for name in ("tol_step", "tol_residual", "divergence_bound"):
-            value = float(getattr(self, name))
+            try:
+                value = float(getattr(self, name))
+            except OverflowError as exc:  # an integer beyond the float range
+                raise ValueError(f"{name} must fit in a float, "
+                                 "got an integer too large for a float") from exc
             object.__setattr__(self, name, value)
             if not value > 0.0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
@@ -260,7 +268,8 @@ def fpn_update(alpha, epsilon: float) -> Callable:
     entries of :func:`~fracroots.kernel.p_matrix` without its per-call
     checks).  The order and epsilon are checked, and
     gamma(1 - alpha) is computed, once, here.  :func:`fixed_point_solve`
-    computes the same entries in its own loop.
+    computes the same entries in its own loop, with ``entry``'s statements
+    written out in place of its call.
     """
     alpha = FractionalOrder.coerce(alpha).value
     entry = multiplier(alpha, checked_epsilon(epsilon))
@@ -352,16 +361,20 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
     only its length is then compared with x0's.  The numpy and math
     functions that the loop calls are bound to locals once per solve, so an
     iteration looks up no module attribute.  An iteration is one
-    pass over the entries that computes each new entry as ``v - entry(v) *
-    r``, the step of :func:`fpn_update`'s closure with ``entry`` from
-    :func:`~fracroots.kernel.multiplier` (built once per solve from the
-    checked settings), and adds up the squares of the step and of the new
-    iterate.  The new iterate's residual is then checked with
-    :func:`_evaluate`'s statements, written out in the loop, whose failures
-    become the EVALUATION_FAILED status; ``_evaluate`` itself checks x0.  So
-    the loop calls no helper of this module per iteration, and numpy runs
-    only in ``f``.  Every norm is the square root of a sum of squares added
-    in entry order, as :func:`_sum_squares` and the fused loop add it, and
+    pass over the entries that computes each new entry as ``v - p * r``, the
+    step ``v - entry(v) * r`` of :func:`fpn_update`'s closure with the
+    statements of :func:`~fracroots.kernel.multiplier`'s ``entry`` written
+    out to give p, and adds up the squares of the step and of the new
+    iterate.  Those statements read the constants ``power``, ``g``, ``eps``
+    and ``pow_``, computed once per solve from the checked settings as
+    ``multiplier`` computes them, so every entry keeps its bits.  The new
+    iterate's residual is then checked with :func:`_evaluate`'s statements,
+    written out in the loop, whose failures become the EVALUATION_FAILED
+    status; ``_evaluate`` itself checks x0.  So the loop calls no function
+    of the package per iteration but the residual (and :func:`_same_bits`
+    at a cycle checkpoint), and numpy runs only in ``f``.  Every norm is the
+    square root of a sum of squares added in entry order, as
+    :func:`_sum_squares` and the fused loop add it, and
     every limit is tested on that sum against the limit's cut,
     :func:`~fracroots.kernel.square_cut`: a norm is at most its tolerance,
     or above the bound, exactly when its sum is at most, or above, the cut.
@@ -374,7 +387,10 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
     warnings are silenced for the whole loop, the residual's calls included.
 
     Cycle stop (untraced solves only): iteration i is a checkpoint when
-    ``max_iter - i`` is a multiple of CYCLE_LAG.  At a checkpoint that fails
+    ``max_iter - i`` is a multiple of CYCLE_LAG.  The loop counts them: the
+    first is iteration ``max_iter % CYCLE_LAG or CYCLE_LAG``, and each
+    checkpoint moves the next one CYCLE_LAG on; a traced solve's counter
+    starts at 0, which no iteration reaches.  At a checkpoint that fails
     the convergence test, the iterate is compared, entry by entry with the
     sign of zero, with the one saved at the previous checkpoint.  If it
     repeats it bit for bit, the orbit repeats for ever with a period that
@@ -395,8 +411,11 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
     fused_solve = getattr(f, "fused_solve", None)
     if fused_solve is not None and not keep_trace:
         return fused_solve(x, settings)
-    # The settings are checked, so the entry rule skips fpn_update's coercion.
-    entry = multiplier(settings.alpha.value, settings.epsilon)
+    # kernel.multiplier's constants, computed as it computes them; the
+    # settings are checked, so they skip fpn_update's coercion.
+    alpha, eps = settings.alpha.value, settings.epsilon
+    power = -alpha
+    g = math.gamma(1.0 - alpha)
     if keep_trace:
         iterates = [xs]
         step_norms: list = []
@@ -432,17 +451,33 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
                                              square_cut(settings.tol_residual),
                                              square_cut(settings.divergence_bound))
         # Bound once per solve, so the loop looks up no module attribute.
-        n, array, asarray, sqrt, isfinite, inf = (len(xs), np.array, np.asarray, math.sqrt,
-                                                  math.isfinite, math.inf)
-        # The cycle stop's lag, and the iterate of its last checkpoint (none yet).
+        n, array, asarray, pow_, sqrt, isfinite, inf = (len(xs), np.array, np.asarray,
+                                                        math.pow, math.sqrt, math.isfinite,
+                                                        math.inf)
+        # The cycle stop's lag, its next checkpoint (one that a traced solve
+        # never reaches) and the iterate of its last checkpoint (none yet).
         lag, xs_lag = CYCLE_LAG, None
+        checkpoint = 0 if keep_trace else max_iter % lag or lag
         for i in range(1, max_iter + 1):
-            # fpn_update's step, with the squares of the step and of the new
-            # iterate added up in the same pass.
+            # fpn_update's step, with entry(v) written out as p, and the
+            # squares of the step and of the new iterate added up in the
+            # same pass.
             xs_next = []
             step_squares = size = 0.0
             for v, r in zip(xs, rs):
-                w = v - entry(v) * r
+                if v == 0.0:
+                    p = eps
+                else:
+                    try:
+                        core = pow_(abs(v), power)
+                    except OverflowError:
+                        core = inf
+                    core = core / g
+                    if v < 0.0:
+                        p = -core + eps
+                    else:
+                        p = core + eps
+                w = v - p * r
                 d = w - v
                 step_squares += d * d
                 size += w * w
@@ -468,11 +503,12 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
                 residual_norms.append(sqrt(squares))
             if step_squares <= step_cut and squares <= residual_cut:
                 return outcome(Status.CONVERGED, xs_next, i, step_squares, squares)
-            if (max_iter - i) % lag == 0 and not keep_trace:
+            if i == checkpoint:
                 if _same_bits(xs_next, xs_lag):
                     return outcome(Status.MAX_ITERATIONS, xs_next, max_iter, step_squares,
                                    squares)
                 xs_lag = xs_next
+                checkpoint += lag
             xs = xs_next
 
     return outcome(Status.MAX_ITERATIONS, xs, max_iter, step_squares, squares)
@@ -529,7 +565,12 @@ def default_alpha_grid(step: float = DEFAULT_GRID_STEP) -> list:
 def _order_grid(step: float) -> tuple:
     """The orders of :func:`default_alpha_grid`, built once per recent step."""
     lower, upper = -ORDER_BOUND, ORDER_BOUND
-    if not (math.isfinite(step) and step > 0.0):
+    try:
+        valid = math.isfinite(step) and step > 0.0
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError("step must be finite and positive, "
+                         "got an integer too large for a float") from exc
+    if not valid:
         raise ValueError(f"step must be finite and positive, got {step!r}")
     if not (upper - lower) / step <= MAX_GRID_POINTS:
         raise ValueError(f"step {step!r} would cut [{lower!r}, {upper!r}] into more "

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings as hypothesis_settings, strategi
 import fracroots
 from fracroots import _kernels
 from fracroots import (FractionalOrder, ModelConstants, SolverSettings, default_alpha_grid,
-                       fpn_update, p_matrix)
+                       fixed_point_solve, fpn_update, p_matrix)
 from fracroots.kernel import multiplier, square_cut
 
 mpmath.mp.dps = 50
@@ -224,6 +224,25 @@ class TestMultiplierBitwise:
     def test_underflowed_derivative_keeps_the_sign_of_zero(self, x, expected):
         # |x|**(-1.5) underflows to 0, and gamma(-0.5) < 0 flips its sign.
         assert multiplier(1.5, -0.0)(x).hex() == expected
+
+    @pytest.mark.parametrize("r", [1.0, -1e-3])
+    @pytest.mark.parametrize("alpha", [-1.95, -0.5, 0.26131, 1.5, 1.95])
+    def test_driver_step_is_the_entry_at_the_edges(self, alpha, r):
+        # fixed_point_solve writes the entry out in its loop: one step from
+        # each edge point gives the bits of fpn_update's closure, which calls it.
+        step = fpn_update(alpha, 1e-4)
+        settings = SolverSettings(alpha=alpha, max_iter=1)
+        entries = set()
+        for v in EDGE_POINTS:
+            out = fixed_point_solve(lambda x: np.array([r]), [v], settings)
+            assert out.iterations == 1
+            assert out.x_final.tobytes() == np.array(step([v], [r])).tobytes(), v
+            entries.add(multiplier(alpha, 1e-4)(v))
+        # The zero's eps branch is taken, and at the orders whose magnitude
+        # exceeds about 1.03 a power that overflows to inf (of 1e-300 for a
+        # positive order, of 1e308 and DBL_MAX for a negative one).
+        assert 1e-4 in entries
+        assert (math.inf in entries) == (abs(alpha) > 1.0)
 
 
 class TestPMatrix:

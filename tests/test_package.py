@@ -1,15 +1,19 @@
-"""Package-level tests: the public export list, and the one rule by which
+"""Package-level tests: the public export list, the one rule by which
 every public function reads a point (and the solver's functions refuse an
-empty one)."""
+empty one), and the refusal of integers beyond the float range."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 import fracroots
-from fracroots import (FractionalOrder, ModelConstants, SolveOutcome, SolverSettings,
-                       back_substitute, fd_jacobian, fixed_point_solve, fpn_step,
+from fracroots import (EconomicPrimitives, FractionalOrder, InvalidPrimitives, ModelConstants,
+                       SolveOutcome, SolverSettings, ThresholdProblem, back_substitute,
+                       default_alpha_grid, fd_jacobian, fixed_point_solve, fpn_step,
                        newton_step, norm2, p_matrix, reduced_residual)
 from fracroots.dixit_pindyck import label_root
+from fracroots.kernel import checked_epsilon
 from fracroots.solver import same_root
 
 
@@ -120,3 +124,46 @@ class TestPointReadingRule:
         for first, second in ((a, b), (b, a)):
             with pytest.raises(ValueError, match="cannot compare points of"):
                 same_root(first, second, 1e-3)
+
+
+#: Valid economic primitives (the sigma = 0.04 scenario), as keyword arguments.
+PRIMITIVES = dict(mu=0.05, sigma=0.04, l=0.1, c=10000.0, kappa=10000.0, chi=100.0)
+
+
+def square_minus_two(x):
+    return x * x - 2.0
+
+
+#: (name, call(n), the error it must raise) for each reader of a number.
+BIG_INTEGER_READERS = [
+    *[(f"SolverSettings-{field}", lambda n, field=field: SolverSettings(**{field: n}),
+       ValueError)
+      for field in ("alpha", "epsilon", "tol_step", "tol_residual", "divergence_bound")],
+    ("FractionalOrder", FractionalOrder, ValueError),
+    ("FractionalOrder.coerce", FractionalOrder.coerce, ValueError),
+    ("checked_epsilon", checked_epsilon, ValueError),
+    ("EconomicPrimitives-mu", lambda n: EconomicPrimitives(**{**PRIMITIVES, "mu": n}),
+     InvalidPrimitives),
+    ("ModelConstants-a5", lambda n: dataclasses.replace(ROW1, a5=n), ValueError),
+    ("ThresholdProblem-x0", lambda n: ThresholdProblem(constants=ROW1, x0=[n, 1]), ValueError),
+    ("fixed_point_solve", lambda n: fixed_point_solve(square_minus_two, [n], SolverSettings()),
+     ValueError),
+    ("fixed_point_solve-traced", lambda n: fixed_point_solve(
+        square_minus_two, [n], SolverSettings(), keep_trace=True), ValueError),
+    ("fpn_step", lambda n: fpn_step(square_minus_two, [n], FractionalOrder(0.5), 1e-4),
+     ValueError),
+    ("newton_step", lambda n: newton_step(square_minus_two, [n]), ValueError),
+    ("fd_jacobian", lambda n: fd_jacobian(square_minus_two, [n]), ValueError),
+    ("same_root", lambda n: same_root([n], [1.0], 1e-3), ValueError),
+    ("default_alpha_grid", lambda n: default_alpha_grid(step=n), ValueError),
+]
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+@pytest.mark.parametrize("name, call, error", BIG_INTEGER_READERS,
+                         ids=[r[0] for r in BIG_INTEGER_READERS])
+def test_an_integer_beyond_the_float_range_is_refused(name, call, error, sign):
+    # float(10**400) raises OverflowError; each reader refuses it with its
+    # documented error instead, as the CLI's ConfigError does.
+    with pytest.raises(error, match="integer too large for a float"):
+        call(sign * 10**400)

@@ -16,7 +16,7 @@ from fracroots import (FractionalOrder, InsufficientData, IterationTrace, NonRea
                        default_alpha_grid, estimate_order, fd_jacobian,
                        fixed_point_solve, fpn_step, fpn_update, newton_step,
                        norm2, p_matrix)
-from fracroots import solver
+from fracroots import kernel, solver
 from fracroots.solver import (CYCLE_LAG, MAX_ITER, _evaluate, _with_order, collect_roots,
                               same_root)
 
@@ -820,14 +820,6 @@ class TestInlinedStepAndCheck:
         def statement(source):
             return ast.dump(ast.parse(source).body[0])
 
-        # The step: each entry is the closure's list element, over the same pairs.
-        closure = next(node for node in ast.walk(functions["fpn_update"])
-                       if isinstance(node, ast.ListComp))
-        pairs = next(node for node in loop.body if isinstance(node, ast.For))
-        assert ast.dump(pairs.target) == ast.dump(closure.generators[0].target)
-        assert ast.dump(pairs.iter) == ast.dump(closure.generators[0].iter)
-        assert ast.dump(pairs.body[0]) == statement(f"w = {ast.unparse(closure.elt)}")
-
         # The locals the loop calls in place of numpy's and math's functions:
         # bound once per solve, before the loop, each to the function it names.
         block = next(node for node in functions["fixed_point_solve"].body
@@ -838,12 +830,12 @@ class TestInlinedStepAndCheck:
         assert block.index(hoist) < block.index(loop)
         bound = {t.id: value for t, value in zip(hoist.targets[0].elts, hoist.value.elts)}
         assert {name: ast.unparse(value) for name, value in bound.items()} == {
-            "n": "len(xs)", "array": "np.array", "asarray": "np.asarray",
+            "n": "len(xs)", "array": "np.array", "asarray": "np.asarray", "pow_": "math.pow",
             "sqrt": "math.sqrt", "isfinite": "math.isfinite", "inf": "math.inf"}
         start = functions["fixed_point_solve"].body[1:3]  # after the docstring
         assert [ast.dump(node) for node in start] == [
             statement("x = _point(x0)"), statement("xs = x.tolist()")]
-        assert ast.dump(functions["_point"].body[1]) == statement(
+        assert ast.dump(functions["_point"].body[1].body[0]) == statement(
             "x = np.asarray(x, dtype=float).ravel()")
 
         class Unhoist(ast.NodeTransformer):
@@ -855,6 +847,56 @@ class TestInlinedStepAndCheck:
 
         def unhoisted(node):
             return ast.dump(Unhoist().visit(copy.deepcopy(node)))
+
+        # The multiplier's constants: computed once per solve, from the
+        # checked settings, by kernel.multiplier's own statements.
+        kernel_tree = ast.parse(Path(kernel.__file__).read_text(encoding="utf-8"))
+        kernel_functions = {node.name: node for node in ast.walk(kernel_tree)
+                            if isinstance(node, ast.FunctionDef)}
+        make_entry, entry = kernel_functions["multiplier"], kernel_functions["entry"]
+        constants = [statement("power = -alpha"), statement("g = math.gamma(1.0 - alpha)")]
+        assert [ast.dump(node) for node in make_entry.body[1:3]] == constants
+        assert ast.dump(make_entry.body[3]) == statement("pow_ = math.pow")
+        prologue = functions["fixed_point_solve"].body
+        end = prologue.index(next(node for node in prologue if isinstance(node, ast.With)))
+        at = [ast.dump(node) for node in prologue[:end]].index(
+            statement("alpha, eps = settings.alpha.value, settings.epsilon"))
+        assert [ast.dump(node) for node in prologue[at + 1:at + 3]] == constants
+
+        # The step: each entry is the closure's list element, over the same
+        # pairs, with entry(v) written out as p: the statements of the
+        # multiplier's entry, in its order, with its x renamed v.
+        closure = next(node for node in ast.walk(functions["fpn_update"])
+                       if isinstance(node, ast.ListComp))
+        pairs = next(node for node in loop.body if isinstance(node, ast.For))
+        assert ast.dump(pairs.target) == ast.dump(closure.generators[0].target)
+        assert ast.dump(pairs.iter) == ast.dump(closure.generators[0].iter)
+
+        class RenameX(ast.NodeTransformer):
+            def visit_Name(self, node):
+                return ast.Name(id="v" if node.id == "x" else node.id, ctx=node.ctx)
+
+        *written, exit_ = entry.body
+        assert ast.dump(exit_) == statement("return p")
+        assert [unhoisted(node) for node in pairs.body[:len(written)]] == [
+            unhoisted(RenameX().visit(copy.deepcopy(node))) for node in written]
+
+        class EntryAsP(ast.NodeTransformer):
+            def visit_Call(self, node):
+                if ast.unparse(node) == "entry(v)":
+                    return ast.Name(id="p", ctx=ast.Load())
+                return self.generic_visit(node)
+
+        element = ast.unparse(EntryAsP().visit(copy.deepcopy(closure.elt)))
+        assert element == "v - p * r"
+        assert ast.dump(pairs.body[len(written)]) == statement(f"w = {element}")
+
+        # The loop calls no package function but the residual, and _same_bits
+        # at a checkpoint.
+        assert {ast.unparse(node.func) for node in ast.walk(loop)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)} == {
+            "f", "outcome", "_same_bits", "ValueError", "abs", "all", "array", "asarray",
+            "len", "map", "pow_", "range", "sqrt", "zip"}
 
         # No call in the loop looks a function up on numpy or math.
         assert not [ast.unparse(node) for node in ast.walk(loop)
