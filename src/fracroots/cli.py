@@ -30,6 +30,7 @@ from .dixit_pindyck import (EconomicPrimitives, ModelConstants,
                             full_residual_scale, label_root, reduced_residual,
                             solve_thresholds, sweep_thresholds)
 from .errors import ConfigError, FracrootsError, ThresholdSolveFailed
+from .kernel import real
 from .solver import DEFAULT_GRID_STEP, SolverSettings, default_alpha_grid, norm2
 
 #: Report formats of ``solve``, for ``--format`` and ``output.format``.
@@ -100,10 +101,7 @@ def _number(section: str, name: str, raw) -> float:
         raise ConfigError(f"{section}.{name}", f"must be a number, got {raw!r}")
     if isinstance(raw, int) and (section, name) == ("solver", "max_iter"):
         return raw
-    try:
-        return float(raw)
-    except OverflowError as exc:  # an integer beyond the float range
-        raise ConfigError(f"{section}.{name}", "integer is too large for a float") from exc
+    return real(raw, "must be a number", functools.partial(ConfigError, f"{section}.{name}"))
 
 
 def _checked(section: str, name: str, raw) -> float:

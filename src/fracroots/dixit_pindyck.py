@@ -23,6 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidPrimitives, NonRealEvaluation, ThresholdSolveFailed
+from .kernel import point, real
 from .solver import (RootSet, SolverSettings, SolveOutcome, Status,
                      alpha_sweep, fixed_point_solve, norm2)
 
@@ -66,11 +67,7 @@ class EconomicPrimitives:
 
     def __post_init__(self):
         for name in ("mu", "sigma", "l", "c", "kappa", "chi"):
-            try:
-                value = float(getattr(self, name))
-            except OverflowError as exc:  # an integer beyond the float range
-                raise InvalidPrimitives(f"{name} must be finite, "
-                                        "got an integer too large for a float") from exc
+            value = real(getattr(self, name), f"{name} must be finite", InvalidPrimitives)
             if not math.isfinite(value):
                 raise InvalidPrimitives(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
@@ -107,11 +104,7 @@ class ModelConstants:
 
     def __post_init__(self):
         for name in ("a1", "a2", "a3", "a4", "a5", "a6", "a7"):
-            try:
-                value = float(getattr(self, name))
-            except OverflowError as exc:  # an integer beyond the float range
-                raise ValueError(f"{name} must be finite, "
-                                 "got an integer too large for a float") from exc
+            value = real(getattr(self, name), f"{name} must be finite")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
@@ -170,10 +163,7 @@ class ThresholdProblem:
     x0: np.ndarray
 
     def __post_init__(self):
-        try:
-            x0 = np.asarray(self.x0, dtype=float).ravel()
-        except OverflowError as exc:  # an integer beyond the float range
-            raise ValueError("x0 must be finite, got an integer too large for a float") from exc
+        x0 = point(self.x0)
         if x0.shape != (2,):
             raise ValueError("x0 must be a 2-vector (H0, L0)")
         if not np.all(np.isfinite(x0)):
@@ -213,7 +203,7 @@ def reduced_residual(constants: ModelConstants, x) -> np.ndarray:
     and its refusals, and takes the divided differences from
     ``_kernels.elimination``, which back-substitution shares.
     """
-    xs = np.asarray(x, dtype=float).ravel().tolist()
+    xs = point(x).tolist()
     if len(xs) != 2:
         raise ValueError("x must be a 2-vector")
     c = constants
@@ -281,7 +271,7 @@ def back_substitute(constants: ModelConstants, x) -> tuple:
     elimination (where a1 * a2 underflows, say) and a non-finite
     coefficient raise NonRealEvaluation.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    x = point(x)
     if x.shape != (2,):
         raise ValueError("x must be a 2-vector")
     x1, x2 = float(x[0]), float(x[1])
@@ -308,7 +298,8 @@ def full_residual(constants: ModelConstants, H: float, L: float,
     Components 0 and 2 are value matching at H and L, components 1 and 3 the
     smooth-pasting conditions.
     """
-    H, L, A, B = float(H), float(L), float(A), float(B)
+    what = "H, L, A and B must fit in a float"
+    H, L, A, B = real(H, what), real(L, what), real(A, what), real(B, what)
     if H <= 0.0 or L <= 0.0:
         raise NonRealEvaluation(f"thresholds must be positive, got {(H, L)}")
     c = constants
@@ -329,7 +320,8 @@ def full_residual(constants: ModelConstants, H: float, L: float,
 def full_residual_scale(constants: ModelConstants, H: float, L: float) -> float:
     """Normalisation used when judging the full residual relatively."""
     return 1.0 + abs(constants.a6) + abs(constants.a7) \
-        + 2.0 * abs(constants.a5) * max(H, L)
+        + 2.0 * abs(constants.a5) * max(real(H, "H and L must fit in a float"),
+                                        real(L, "H and L must fit in a float"))
 
 
 def label_root(constants: ModelConstants, x) -> tuple:
@@ -342,7 +334,7 @@ def label_root(constants: ModelConstants, x) -> tuple:
     scenario solve's or a sweep's, is labelled here.
     """
     A, B = back_substitute(constants, x)
-    x1, x2 = np.asarray(x, dtype=float).ravel().tolist()
+    x1, x2 = point(x).tolist()
     return max(x1, x2), min(x1, x2), A, B, x1 < x2
 
 
@@ -387,7 +379,7 @@ def classify_income(income: float, sol: ThresholdSolution) -> Decision:
     The triggers are inclusive: income at H expands, income at L reduces or
     closes, anything strictly between continues as is.
     """
-    income = float(income)
+    income = real(income, "income must fit in a float")
     if not income > 0.0:
         raise ValueError(f"income must be positive, got {income!r}")
     if income >= sol.H:

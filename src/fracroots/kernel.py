@@ -21,6 +21,11 @@ agreement tests hold that copy to the driver's entries bit for bit.
 
 Both loops also share :func:`square_cut`, the rule by which they test a norm
 against a limit without taking its square root.
+
+Every number and every point that comes from outside the package is read by
+one of two readers here, :func:`real` and :func:`point`.  They are the one
+owner of the rule that an integer beyond the float range is refused with the
+reader's documented error, never a raw OverflowError.
 """
 
 from __future__ import annotations
@@ -39,6 +44,37 @@ INTEGER_GUARD = 1e-12
 ORDER_BOUND = 2.0
 
 
+def real(value, what: str, error=ValueError) -> float:
+    """A number from outside as ``float(value)``.
+
+    An integer beyond the float range, which ``float`` refuses with
+    OverflowError, is refused as ``error(f"{what}, got an integer too large
+    for a float")`` instead; ``what`` states the rule the reader keeps, and
+    ``error`` is the reader's documented error type, or a callable that
+    takes the message and returns one.
+    """
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise error(f"{what}, got an integer too large for a float") from exc
+
+
+def point(x) -> np.ndarray:
+    """A point from outside as ``np.asarray(x, dtype=float).ravel()``.
+
+    A list, a column or a matrix reads as the 1-d array of its entries, and
+    (for one variable) a float as an array of one entry.  An entry that is an
+    integer beyond the float range is refused with ValueError.  A point
+    with no entries is not refused here: ``solver._point`` refuses it for the
+    functions that need one.
+    """
+    try:
+        return np.asarray(x, dtype=float).ravel()
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError("a point's entries must be floats, "
+                         "got an integer too large for a float") from exc
+
+
 @dataclass(frozen=True)
 class FractionalOrder:
     """A fractional differentiation order: real, in [-2, 2], not an integer.
@@ -51,11 +87,7 @@ class FractionalOrder:
     value: float
 
     def __post_init__(self):
-        try:
-            v = float(self.value)
-        except OverflowError as exc:  # an integer beyond the float range
-            raise ValueError(f"fractional order must lie in [-{ORDER_BOUND:g}, {ORDER_BOUND:g}], "
-                             "got an integer too large for a float") from exc
+        v = real(self.value, f"fractional order must lie in [-{ORDER_BOUND:g}, {ORDER_BOUND:g}]")
         object.__setattr__(self, "value", v)
         if not math.isfinite(v) or not -ORDER_BOUND <= v <= ORDER_BOUND:
             raise ValueError(f"fractional order must lie in [-{ORDER_BOUND:g}, {ORDER_BOUND:g}], got {v!r}")
@@ -119,11 +151,7 @@ def multiplier(alpha, eps):
 
 def checked_epsilon(epsilon) -> float:
     """The multiplier's regularisation constant as a float, refused unless finite and positive."""
-    try:
-        epsilon = float(epsilon)
-    except OverflowError as exc:  # an integer beyond the float range
-        raise ValueError("epsilon must be finite and positive, "
-                         "got an integer too large for a float") from exc
+    epsilon = real(epsilon, "epsilon must be finite and positive")
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     return epsilon
@@ -162,13 +190,13 @@ def p_matrix(alpha, x, epsilon: float) -> np.ndarray:
 
     Entry k is ``multiplier(alpha, epsilon)(x[k])``, which owns the
     zero rule: the order-alpha derivative of the unit constant at x[k] plus
-    epsilon, or exactly epsilon where x[k] is zero.  x is read as
-    ``solver.fixed_point_solve`` reads x0, as
-    ``np.asarray(x, dtype=float).ravel()``: a list, a column or a matrix
-    gives the diagonal at the 1-d array of its entries.
+    epsilon, or exactly epsilon where x[k] is zero.  x is read by
+    :func:`point`, as ``solver.fixed_point_solve`` reads x0: a list, a
+    column or a matrix gives the diagonal at the 1-d array of its entries,
+    and a point with no entries an empty diagonal.
     """
     alpha = FractionalOrder.coerce(alpha).value
     epsilon = checked_epsilon(epsilon)
-    x = np.asarray(x, dtype=float).ravel()
+    x = point(x)
     entry = multiplier(alpha, epsilon)
     return np.array([entry(v) for v in x.tolist()], dtype=float)

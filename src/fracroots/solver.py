@@ -20,7 +20,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InsufficientData, NonRealEvaluation, SingularJacobian
-from .kernel import ORDER_BOUND, FractionalOrder, checked_epsilon, multiplier, square_cut
+from .kernel import (ORDER_BOUND, FractionalOrder, checked_epsilon, multiplier, point, real,
+                     square_cut)
 # p_matrix stays importable from here: the benchmark's tracer wraps solver.p_matrix.
 from .kernel import p_matrix  # noqa: F401
 
@@ -79,20 +80,21 @@ def _same_bits(xs, ys) -> bool:
 
 
 def norm2(v) -> float:
-    """Euclidean norm, the square root of :func:`_sum_squares` over the entries."""
-    return math.sqrt(_sum_squares(np.asarray(v, dtype=float).ravel().tolist()))
+    """Euclidean norm, the square root of :func:`_sum_squares` over the entries.
+
+    v is read by :func:`~fracroots.kernel.point`; a point with no entries
+    has the norm 0.0.
+    """
+    return math.sqrt(_sum_squares(point(v).tolist()))
 
 
 def _point(x) -> np.ndarray:
-    """A point as every function here reads it: ``np.asarray(x, dtype=float).ravel()``.
+    """A point as every function here reads it, by :func:`~fracroots.kernel.point`.
 
-    A point with no entries is refused with ValueError.
+    ``kernel.point`` refuses an integer beyond the float range; a point with
+    no entries is refused here, with ValueError.
     """
-    try:
-        x = np.asarray(x, dtype=float).ravel()
-    except OverflowError as exc:  # an integer beyond the float range
-        raise ValueError("a point's entries must be finite, "
-                         "got an integer too large for a float") from exc
+    x = point(x)
     if not x.size:
         raise ValueError("a point needs at least one entry")
     return x
@@ -127,11 +129,7 @@ class SolverSettings:
         object.__setattr__(self, "alpha", FractionalOrder.coerce(self.alpha))
         object.__setattr__(self, "epsilon", checked_epsilon(self.epsilon))
         for name in ("tol_step", "tol_residual", "divergence_bound"):
-            try:
-                value = float(getattr(self, name))
-            except OverflowError as exc:  # an integer beyond the float range
-                raise ValueError(f"{name} must fit in a float, "
-                                 "got an integer too large for a float") from exc
+            value = real(getattr(self, name), f"{name} must fit in a float")
             object.__setattr__(self, name, value)
             if not value > 0.0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
@@ -333,10 +331,11 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
         Residual whose zero is sought; must return a vector of x0's length,
         and must be a function of x alone (see the cycle stop below).
     x0
-        Finite starting point, read as ``np.asarray(x0, dtype=float).ravel()``:
-        a list, a column or (for one variable) a float is the 1-d array of
-        its entries.  :func:`fpn_step`, :func:`newton_step`,
-        :func:`fd_jacobian`, :func:`same_root`, :func:`norm2` and
+        Finite starting point, read by :func:`~fracroots.kernel.point` as
+        ``np.asarray(x0, dtype=float).ravel()``: a list, a column or (for
+        one variable) a float is the 1-d array of its entries.
+        :func:`fpn_step`, :func:`newton_step`, :func:`fd_jacobian`,
+        :func:`same_root`, :func:`norm2` and
         :func:`~fracroots.kernel.p_matrix` read their point by this rule.
     settings
         Tolerances, iteration cap, alpha and epsilon.
@@ -522,9 +521,10 @@ def estimate_order(norms: Sequence[float]) -> float:
     run.  Raises InsufficientData (with the reason) when the run is shorter
     than four entries, which covers both short and non-monotone tails, and
     when a ratio of those entries underflows to 0, whose logarithm is
-    undefined.
+    undefined.  ``norms`` is read by :func:`~fracroots.kernel.point`, so a
+    column of norms reads as its entries.
     """
-    seq = [float(v) for v in norms]
+    seq = point(norms).tolist()
     if len(seq) < 4:
         raise InsufficientData(f"need at least 4 entries, got {len(seq)}")
     run = 0
@@ -565,12 +565,7 @@ def default_alpha_grid(step: float = DEFAULT_GRID_STEP) -> list:
 def _order_grid(step: float) -> tuple:
     """The orders of :func:`default_alpha_grid`, built once per recent step."""
     lower, upper = -ORDER_BOUND, ORDER_BOUND
-    try:
-        valid = math.isfinite(step) and step > 0.0
-    except OverflowError as exc:  # an integer beyond the float range
-        raise ValueError("step must be finite and positive, "
-                         "got an integer too large for a float") from exc
-    if not valid:
+    if not (math.isfinite(real(step, "step must be finite and positive")) and step > 0.0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
     if not (upper - lower) / step <= MAX_GRID_POINTS:
         raise ValueError(f"step {step!r} would cut [{lower!r}, {upper!r}] into more "
@@ -598,14 +593,15 @@ def same_root(a, b, tolerance: float) -> bool:
     ``np.asarray(v, dtype=float).ravel()``, so a column and its 1-d array
     are the same root; points of different lengths raise ValueError.  So
     does a NaN or negative tolerance, under which no two points would be
-    one root.
+    one root, and so does one beyond the float range.
     """
-    if not tolerance >= 0.0:
+    tol = real(tolerance, "tolerance must fit in a float")
+    if not tol >= 0.0:
         raise ValueError(f"tolerance must be zero or positive, got {tolerance!r}")
     a, b = _point(a), _point(b)
     if a.size != b.size:
         raise ValueError(f"cannot compare points of {a.size} and {b.size} entries")
-    return norm2(a - b) <= tolerance * (1.0 + max(norm2(a), norm2(b)))
+    return norm2(a - b) <= tol * (1.0 + max(norm2(a), norm2(b)))
 
 
 def collect_roots(converged, skipped, dedup_tolerance: float) -> RootSet:
@@ -615,14 +611,16 @@ def collect_roots(converged, skipped, dedup_tolerance: float) -> RootSet:
     sorted canonically before clustering, so the result is a pure function of
     the set of hits, not of grid order; each cluster is represented by its
     best hit (smallest residual norm, then smallest alpha).  Each hit's x is
-    read as :func:`fixed_point_solve` reads x0, so the sort key and
-    :func:`same_root` see the same entries and every RootRecord.x is 1-d.
-    A NaN or negative ``dedup_tolerance`` is refused, however few the hits.
+    read by :func:`~fracroots.kernel.point`, as :func:`fixed_point_solve`
+    reads x0, so the sort key and :func:`same_root` see the same entries and
+    every RootRecord.x is 1-d.  A NaN or negative ``dedup_tolerance``, or an
+    integer one beyond the float range, is refused, however few the hits.
     """
-    if not dedup_tolerance >= 0.0:
+    if not real(dedup_tolerance, "tolerance must fit in a float") >= 0.0:
         raise ValueError(f"tolerance must be zero or positive, got {dedup_tolerance!r}")
     candidates = sorted(
-        ((np.asarray(x, dtype=float).ravel(), float(alpha), out) for x, alpha, out in converged),
+        ((point(x), real(alpha, "an order must fit in a float"), out)
+         for x, alpha, out in converged),
         key=lambda c: (tuple(c[0]), c[2].final_residual_norm, c[1]),
     )
     clusters: list = []

@@ -505,6 +505,65 @@ class TestModuleBoundaries:
                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
 
 
+class TestOutsideReaders:
+    """Every number and point from outside is read by kernel.real or
+    kernel.point, so the refusal of an integer beyond the float range, and
+    the reading of a point, are written once."""
+
+    PACKAGE = Path(fracroots.__file__).parent
+    REFUSAL = "too large for a float"
+
+    def sites(self, found):
+        """(module, function, node) for each node of ``src`` for which ``found(node)`` holds.
+
+        Docstrings are no nodes here.
+        """
+        sites = []
+        for path in sorted(self.PACKAGE.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            owner, docstrings = {}, set()
+            # Breadth first, so a nested function's nodes end up its own.
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef):
+                    owner.update(dict.fromkeys(ast.walk(node), node.name))
+                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) \
+                        and ast.get_docstring(node) is not None:
+                    docstrings.add(node.body[0].value)
+            sites += [(path.stem, owner.get(node, "<module>"), node) for node in ast.walk(tree)
+                      if node not in docstrings and found(node)]
+        return sites
+
+    def test_the_refusal_is_written_only_in_the_two_readers(self):
+        text = self.sites(lambda node: isinstance(node, ast.Constant)
+                          and isinstance(node.value, str) and self.REFUSAL in node.value)
+        assert sorted(site[:2] for site in text) == [("kernel", "point"), ("kernel", "real")]
+
+        def reraises_the_refusal(node):
+            return (isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Name)
+                    and node.type.id == "OverflowError"
+                    and any(isinstance(s, ast.Raise) and self.REFUSAL in ast.unparse(s)
+                            for s in node.body))
+
+        assert sorted(site[:2] for site in self.sites(reraises_the_refusal)) == [
+            ("kernel", "point"), ("kernel", "real")]
+
+    def test_only_kernel_point_reads_a_point_inline(self):
+        # np.asarray(<argument>, dtype=float).ravel(): kernel.point reads an
+        # input so, and the driver converts a residual's result so.
+        def conversion(node):
+            return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "ravel" and isinstance(node.func.value, ast.Call)
+                    and ast.unparse(node.func.value.func) in ("np.asarray", "asarray")
+                    and "dtype=float" in ast.unparse(node.func.value))
+
+        read = {}
+        for module, function, node in self.sites(conversion):
+            read.setdefault(ast.unparse(node.func.value.args[0]), []).append((module, function))
+        assert sorted(read) == ["f(x)", "x"]
+        assert read["x"] == [("kernel", "point")]
+        assert sorted(read["f(x)"]) == [("solver", "_evaluate"), ("solver", "fixed_point_solve")]
+
+
 class TestThresholdKernelDiagonal:
     """x1 = x2 is an ordinary point of the threshold residual, so the fused
     loop may start on it."""

@@ -10,11 +10,12 @@ import pytest
 import fracroots
 from fracroots import (EconomicPrimitives, FractionalOrder, InvalidPrimitives, ModelConstants,
                        SolveOutcome, SolverSettings, ThresholdProblem, back_substitute,
-                       default_alpha_grid, fd_jacobian, fixed_point_solve, fpn_step,
-                       newton_step, norm2, p_matrix, reduced_residual)
+                       classify_income, default_alpha_grid, estimate_order, fd_jacobian,
+                       fixed_point_solve, fpn_step, full_residual, full_residual_scale,
+                       newton_step, norm2, p_matrix, reduced_residual, solve_thresholds)
 from fracroots.dixit_pindyck import label_root
 from fracroots.kernel import checked_epsilon
-from fracroots.solver import same_root
+from fracroots.solver import collect_roots, same_root
 
 
 def test_star_import_binds_every_exported_name():
@@ -73,6 +74,8 @@ class TestPointReadingRule:
         ("reduced_residual", [15.0, 20.0], lambda f, x: reduced_residual(ROW1, x), False),
         ("back_substitute", [22.0, 14.0], lambda f, x: back_substitute(ROW1, x), False),
         ("label_root", [14.0, 22.0], lambda f, x: label_root(ROW1, x), False),
+        # A sequence of norms reads by the same rule.
+        ("estimate_order", [1e-1, 1e-2, 1e-4, 1e-8], lambda f, x: estimate_order(x), False),
     ]
     # The threshold functions take a pair, so a float is no point for them.
     CASES = [(*c, form) for c in CALLS for form in ("column", "list")] + [
@@ -117,6 +120,15 @@ class TestPointReadingRule:
         with pytest.raises(ValueError, match="a point needs at least one entry"):
             call(empty)
 
+    @pytest.mark.parametrize("empty", [[], np.empty(0), np.empty((0, 2))],
+                             ids=["list", "1-d", "0-by-2"])
+    def test_the_norm_and_the_diagonal_take_a_point_with_no_entries(self, empty):
+        # Only the solver's functions need an entry; these two read the
+        # empty point as it is.
+        assert norm2(empty) == 0.0
+        diagonal = p_matrix(FractionalOrder(0.5), empty, 1e-4)
+        assert diagonal.dtype == np.float64 and diagonal.shape == (0,)
+
     @pytest.mark.parametrize("a, b", [([1.0, 1.0], [1.0]), ([1.0], [[1.0], [1.0]])],
                              ids=["pair-and-one", "one-and-column"])
     def test_same_root_refuses_points_of_different_lengths(self, a, b):
@@ -132,6 +144,17 @@ PRIMITIVES = dict(mu=0.05, sigma=0.04, l=0.1, c=10000.0, kappa=10000.0, chi=100.
 
 def square_minus_two(x):
     return x * x - 2.0
+
+
+def row1_solution():
+    return solve_thresholds(ThresholdProblem(constants=ROW1, x0=[15.0, 20.0]),
+                            SolverSettings(alpha=0.26131))
+
+
+def one_hit(x, alpha, tolerance):
+    """collect_roots of one converged hit."""
+    out = fixed_point_solve(square_minus_two, [1.0], SolverSettings())
+    return collect_roots([(x, alpha, out)], [], tolerance)
 
 
 #: (name, call(n), the error it must raise) for each reader of a number.
@@ -156,6 +179,19 @@ BIG_INTEGER_READERS = [
     ("fd_jacobian", lambda n: fd_jacobian(square_minus_two, [n]), ValueError),
     ("same_root", lambda n: same_root([n], [1.0], 1e-3), ValueError),
     ("default_alpha_grid", lambda n: default_alpha_grid(step=n), ValueError),
+    ("p_matrix", lambda n: p_matrix(FractionalOrder(0.5), [n], 1e-4), ValueError),
+    ("norm2", lambda n: norm2([n]), ValueError),
+    ("same_root-tolerance", lambda n: same_root([1.0], [1.0], n), ValueError),
+    ("estimate_order", lambda n: estimate_order([n, 4.0, 3.0, 2.0, 1.0]), ValueError),
+    ("collect_roots-x", lambda n: one_hit([n], 0.5, 1e-3), ValueError),
+    ("collect_roots-alpha", lambda n: one_hit([1.0], n, 1e-3), ValueError),
+    ("collect_roots-tolerance", lambda n: one_hit([1.0], 0.5, n), ValueError),
+    ("reduced_residual", lambda n: reduced_residual(ROW1, [n, 1.0]), ValueError),
+    ("back_substitute", lambda n: back_substitute(ROW1, [n, 1.0]), ValueError),
+    ("label_root", lambda n: label_root(ROW1, [n, 1.0]), ValueError),
+    ("full_residual", lambda n: full_residual(ROW1, n, 1.0, 1.0, 1.0), ValueError),
+    ("full_residual_scale", lambda n: full_residual_scale(ROW1, n, 1.0), ValueError),
+    ("classify_income", lambda n: classify_income(n, row1_solution()), ValueError),
 ]
 
 

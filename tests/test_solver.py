@@ -835,8 +835,13 @@ class TestInlinedStepAndCheck:
         start = functions["fixed_point_solve"].body[1:3]  # after the docstring
         assert [ast.dump(node) for node in start] == [
             statement("x = _point(x0)"), statement("xs = x.tolist()")]
-        assert ast.dump(functions["_point"].body[1].body[0]) == statement(
-            "x = np.asarray(x, dtype=float).ravel()")
+        # _point reads through kernel.point, the one reader of a point.
+        assert ast.dump(functions["_point"].body[1]) == statement("x = point(x)")
+        kernel_tree = ast.parse(Path(kernel.__file__).read_text(encoding="utf-8"))
+        kernel_functions = {node.name: node for node in ast.walk(kernel_tree)
+                            if isinstance(node, ast.FunctionDef)}
+        assert ast.dump(kernel_functions["point"].body[1].body[0]) == statement(
+            "return np.asarray(x, dtype=float).ravel()")
 
         class Unhoist(ast.NodeTransformer):
             """Put each hoisted function's module attribute back in its place."""
@@ -850,9 +855,6 @@ class TestInlinedStepAndCheck:
 
         # The multiplier's constants: computed once per solve, from the
         # checked settings, by kernel.multiplier's own statements.
-        kernel_tree = ast.parse(Path(kernel.__file__).read_text(encoding="utf-8"))
-        kernel_functions = {node.name: node for node in ast.walk(kernel_tree)
-                            if isinstance(node, ast.FunctionDef)}
         make_entry, entry = kernel_functions["multiplier"], kernel_functions["entry"]
         constants = [statement("power = -alpha"), statement("g = math.gamma(1.0 - alpha)")]
         assert [ast.dump(node) for node in make_entry.body[1:3]] == constants
