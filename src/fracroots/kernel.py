@@ -25,7 +25,8 @@ against a limit without taking its square root.
 Every number and every point that comes from outside the package is read by
 one of two readers here, :func:`real` and :func:`point`.  They are the one
 owner of the rule that an integer beyond the float range is refused with the
-reader's documented error, never a raw OverflowError.
+reader's documented error, never a raw OverflowError; :func:`point` also
+refuses a None entry, which numpy would read as NaN.
 """
 
 from __future__ import annotations
@@ -64,15 +65,22 @@ def point(x) -> np.ndarray:
 
     A list, a column or a matrix reads as the 1-d array of its entries, and
     (for one variable) a float as an array of one entry.  An entry that is an
-    integer beyond the float range is refused with ValueError.  A point
-    with no entries is not refused here: ``solver._point`` refuses it for the
-    functions that need one.
+    integer beyond the float range, or that is None (which ``np.asarray``
+    would read as NaN), is refused with ValueError.  The search for a None
+    runs only on a point that ``np.asarray`` had to convert and that came
+    out with a NaN, so a float64 array, which ``np.asarray`` returns as it
+    is, costs one identity test.  A point with no entries is not refused
+    here: ``solver._point`` refuses it for the functions that need one.
     """
     try:
-        return np.asarray(x, dtype=float).ravel()
+        a = np.asarray(x, dtype=float)
     except OverflowError as exc:  # an integer beyond the float range
         raise ValueError("a point's entries must be floats, "
                          "got an integer too large for a float") from exc
+    if a is not x and np.isnan(a).any() and any(
+            v is None for v in np.asarray(x, dtype=object).ravel().tolist()):
+        raise ValueError("a point's entries must be floats, got None")
+    return a.ravel()
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,10 @@ DEDUP_TOLERANCE = 1e-3
 #: period-1 and period-2 lanes by up to twice the lag.
 CYCLE_LAG = 4
 
+#: The dtype of a residual result that :func:`_evaluate` and
+#: :func:`fixed_point_solve` read with one ``tolist()``: native float64.
+FLOAT64 = np.dtype(float)
+
 
 class Status(enum.Enum):
     CONVERGED = "converged"
@@ -219,9 +223,17 @@ def _evaluate(f: Callable, x: np.ndarray) -> tuple:
     """Evaluate a residual; return its entries as a float list and its 2-norm.
 
     ``x`` is a 1-d float array: every caller reads its point as
-    :func:`fixed_point_solve` reads x0.  The result is converted by one
-    expression, ``np.asarray(f(x), dtype=float).ravel().tolist()``, so a
-    list, a column or a 0-d scalar reads as the flat vector of its entries.
+    :func:`fixed_point_solve` reads x0.  The residual is called once, into
+    ``r``, and read as the list ``np.asarray(r, dtype=float).ravel().tolist()``,
+    so a list, a column or a 0-d scalar reads as the flat vector of its
+    entries.  An ``r`` that is exactly an ``np.ndarray`` (no subclass), 1-d
+    and of native float64 dtype (FLOAT64) is read as ``r.tolist()``
+    instead: for such an array ``np.asarray`` returns ``r`` itself and
+    ``ravel`` a view of the same entries, so both reads give ``r``'s own
+    doubles, bit for bit, and this one skips two numpy calls.  Every
+    residual of the package returns such an array.  Any other result, a
+    subclass whose ``tolist`` may differ (a masked array's gives None for a
+    masked entry) included, takes the general read.
     A call that fails, or a non-finite entry, is normalised to
     NonRealEvaluation.  A result whose length is not x's raises ValueError.
     The norm is the square root of :func:`_sum_squares`; a
@@ -232,7 +244,11 @@ def _evaluate(f: Callable, x: np.ndarray) -> tuple:
     """
     n = len(x)
     try:
-        rs = np.asarray(f(x), dtype=float).ravel().tolist()
+        r = f(x)
+        if type(r) is np.ndarray and r.dtype is FLOAT64 and r.ndim == 1:
+            rs = r.tolist()
+        else:
+            rs = np.asarray(r, dtype=float).ravel().tolist()
     except NonRealEvaluation:
         raise
     except (ArithmeticError, ValueError) as exc:
@@ -356,8 +372,11 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
 
     The iterate and the residual are carried as float lists, and an array is
     built from the iterate only for the call of ``f``.  The residual's result
-    comes back as a list by one expression, as in :func:`_evaluate`, and
-    only its length is then compared with x0's.  The numpy and math
+    comes back as a list by :func:`_evaluate`'s two reads: ``r.tolist()`` of
+    a 1-d native float64 ndarray, the result of every residual in the
+    package, and ``np.asarray(r, dtype=float).ravel().tolist()`` of any
+    other, which gives the same bits for such an array.  Only the list's
+    length is then compared with x0's.  The numpy and math
     functions that the loop calls are bound to locals once per solve, so an
     iteration looks up no module attribute.  An iteration is one
     pass over the entries that computes each new entry as ``v - p * r``, the
@@ -450,9 +469,9 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
                                              square_cut(settings.tol_residual),
                                              square_cut(settings.divergence_bound))
         # Bound once per solve, so the loop looks up no module attribute.
-        n, array, asarray, pow_, sqrt, isfinite, inf = (len(xs), np.array, np.asarray,
-                                                        math.pow, math.sqrt, math.isfinite,
-                                                        math.inf)
+        n, array, ndarray, asarray, pow_, sqrt, isfinite, inf = (
+            len(xs), np.array, np.ndarray, np.asarray, math.pow, math.sqrt, math.isfinite,
+            math.inf)
         # The cycle stop's lag, its next checkpoint (one that a traced solve
         # never reaches) and the iterate of its last checkpoint (none yet).
         lag, xs_lag = CYCLE_LAG, None
@@ -486,7 +505,11 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
             # _evaluate's statements, with its failures returned as a status.
             x = array(xs_next)
             try:
-                rs = asarray(f(x), dtype=float).ravel().tolist()
+                r = f(x)
+                if type(r) is ndarray and r.dtype is FLOAT64 and r.ndim == 1:
+                    rs = r.tolist()
+                else:
+                    rs = asarray(r, dtype=float).ravel().tolist()
             except (ArithmeticError, ValueError):
                 return outcome(Status.EVALUATION_FAILED, xs_next, i, step_squares, math.nan)
             if len(rs) != n:

@@ -548,20 +548,27 @@ class TestOutsideReaders:
             ("kernel", "point"), ("kernel", "real")]
 
     def test_only_kernel_point_reads_a_point_inline(self):
-        # np.asarray(<argument>, dtype=float).ravel(): kernel.point reads an
-        # input so, and the driver converts a residual's result so.
+        # np.asarray(<argument>, dtype=float), then ravel(): kernel.point
+        # reads an input so, and the driver converts a residual's result r
+        # so where r is not a 1-d float64 array.
         def conversion(node):
             return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "ravel" and isinstance(node.func.value, ast.Call)
                     and ast.unparse(node.func.value.func) in ("np.asarray", "asarray")
                     and "dtype=float" in ast.unparse(node.func.value))
 
+        def reader(node):
+            return (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                    and ast.unparse(node.value) == "np.asarray(x, dtype=float)")
+
         read = {}
         for module, function, node in self.sites(conversion):
             read.setdefault(ast.unparse(node.func.value.args[0]), []).append((module, function))
-        assert sorted(read) == ["f(x)", "x"]
+        for module, function, node in self.sites(reader):
+            read.setdefault(ast.unparse(node.value.args[0]), []).append((module, function))
+        assert sorted(read) == ["r", "x"]
         assert read["x"] == [("kernel", "point")]
-        assert sorted(read["f(x)"]) == [("solver", "_evaluate"), ("solver", "fixed_point_solve")]
+        assert sorted(read["r"]) == [("solver", "_evaluate"), ("solver", "fixed_point_solve")]
 
 
 class TestThresholdKernelDiagonal:

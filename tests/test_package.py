@@ -14,7 +14,7 @@ from fracroots import (EconomicPrimitives, FractionalOrder, InvalidPrimitives, M
                        fixed_point_solve, fpn_step, full_residual, full_residual_scale,
                        newton_step, norm2, p_matrix, reduced_residual, solve_thresholds)
 from fracroots.dixit_pindyck import label_root
-from fracroots.kernel import checked_epsilon
+from fracroots.kernel import checked_epsilon, point
 from fracroots.solver import collect_roots, same_root
 
 
@@ -193,6 +193,53 @@ BIG_INTEGER_READERS = [
     ("full_residual_scale", lambda n: full_residual_scale(ROW1, n, 1.0), ValueError),
     ("classify_income", lambda n: classify_income(n, row1_solution()), ValueError),
 ]
+
+
+#: (name, call(entry)) for each reader of a point, with entry in the point.
+NONE_POINT_READERS = [
+    ("ThresholdProblem-x0", lambda e: ThresholdProblem(constants=ROW1, x0=[e, 1.0])),
+    ("fixed_point_solve", lambda e: fixed_point_solve(square_minus_two, [e], SolverSettings())),
+    ("fixed_point_solve-traced", lambda e: fixed_point_solve(
+        square_minus_two, [e], SolverSettings(), keep_trace=True)),
+    ("fpn_step", lambda e: fpn_step(square_minus_two, [e], FractionalOrder(0.5), 1e-4)),
+    ("newton_step", lambda e: newton_step(square_minus_two, [e])),
+    ("fd_jacobian", lambda e: fd_jacobian(square_minus_two, [e])),
+    ("same_root-a", lambda e: same_root([e], [1.0], 1e-3)),
+    ("same_root-b", lambda e: same_root([1.0], [e], 1e-3)),
+    ("p_matrix", lambda e: p_matrix(FractionalOrder(0.5), [e], 1e-4)),
+    ("norm2", lambda e: norm2([e, 1.0])),
+    ("estimate_order", lambda e: estimate_order([e, 0.1, 0.01, 1e-4, 1e-8])),
+    ("collect_roots-x", lambda e: one_hit([e], 0.5, 1e-3)),
+    ("reduced_residual", lambda e: reduced_residual(ROW1, [e, 1.0])),
+    ("back_substitute", lambda e: back_substitute(ROW1, [e, 1.0])),
+    ("label_root", lambda e: label_root(ROW1, [e, 1.0])),
+]
+
+
+@pytest.mark.parametrize("name, call", NONE_POINT_READERS,
+                         ids=[r[0] for r in NONE_POINT_READERS])
+def test_a_none_entry_of_a_point_is_refused(name, call):
+    # np.asarray(x, dtype=float) reads None as NaN; kernel.point refuses it.
+    with pytest.raises(ValueError, match="a point's entries must be floats, got None"):
+        call(None)
+
+
+@pytest.mark.parametrize("x", [None, [[None], [1.0]], (1.0, None),
+                               np.array([1.0, None], dtype=object)],
+                         ids=["bare", "column", "tuple", "object-array"])
+def test_a_none_is_refused_in_every_form_of_a_point(x):
+    with pytest.raises(ValueError, match="got None"):
+        point(x)
+
+
+def test_only_a_converted_point_with_a_nan_is_searched_for_none(monkeypatch):
+    # A float64 array is returned by np.asarray as it is: no search, NaN or not.
+    x = np.array([np.nan, 1.0])
+    monkeypatch.setattr(np, "isnan", None)
+    assert np.shares_memory(point(x), x)
+    monkeypatch.undo()
+    # A converted NaN that is no None stays a NaN.
+    assert np.isnan(point([float("nan"), "nan", np.float32("nan")])).tolist() == [True] * 3
 
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])

@@ -738,6 +738,14 @@ class TestCycleStop:
         assert_driver_matches_numpy_reference(signed_zero_residual, x0, settings)
 
 
+def square_minus_two(x):
+    return x * x - 2.0
+
+
+def floor_of_four_x(x):
+    return np.floor(4.0 * x) - 5.0
+
+
 def first_call_ok_then(bad):
     """x * x - 2 at the start x = [1.0], and ``bad(x)`` at every other point."""
     def f(x):
@@ -809,6 +817,60 @@ class TestInlinedStepAndCheck:
                 assert out.trace.residual_norms[1] == by_driver
         assert by_driver == by_evaluate == expected
 
+    class Reversed(np.ndarray):
+        """An ndarray subclass whose own tolist() reverses the entries."""
+
+        def tolist(self):
+            return super().tolist()[::-1]
+
+    @staticmethod
+    def in_place(x):
+        x *= x
+        x -= 2.0
+        return x
+
+    # (name, start, residual): each returns one form of x * x - 2 (or x itself).
+    READS = [
+        ("1-d float64", [1.0, 0.5], square_minus_two),
+        ("list", [1.0, 0.5], lambda x: square_minus_two(x).tolist()),
+        ("tuple", [1.0, 0.5], lambda x: tuple(square_minus_two(x).tolist())),
+        ("python float", [1.0], lambda x: float(square_minus_two(x)[0])),
+        ("0-d array", [1.0], lambda x: square_minus_two(x).reshape(())),
+        ("(1, 1) column", [1.0], lambda x: square_minus_two(x).reshape(1, 1)),
+        ("float32", [1.0, 0.5], lambda x: square_minus_two(x).astype(np.float32)),
+        ("int64", [1.0, 0.5], lambda x: floor_of_four_x(x).astype(np.int64)),
+        # Entries beyond 2**53, whose squares as Python ints are not the
+        # squares of their floats.
+        ("large int64", [1.0, 0.5],
+         lambda x: floor_of_four_x(x).astype(np.int64) * (2**53 + 1)),
+        ("big-endian f8", [1.0, 0.5], lambda x: square_minus_two(x).astype(">f8")),
+        ("strided view", [1.0, 0.5], lambda x: np.repeat(square_minus_two(x), 2)[::2]),
+        ("subclass", [1.0, 0.5],
+         lambda x: square_minus_two(x).view(TestInlinedStepAndCheck.Reversed)),
+        ("masked array", [1.0, 0.5],
+         lambda x: np.ma.array(square_minus_two(x), mask=[True, False])),
+        ("its argument", [1.0, 0.5], lambda x: x),
+        ("argument in place", [1.0, 0.5], lambda x: TestInlinedStepAndCheck.in_place(x)),
+    ]
+
+    @pytest.mark.parametrize("name, x0, f", READS, ids=[c[0] for c in READS])
+    def test_every_read_gives_the_bits_of_the_general_conversion(self, name, x0, f):
+        # A 1-d float64 ndarray is read with one tolist(), every other result
+        # with np.asarray(r, dtype=float).ravel().tolist(); both must give the
+        # general conversion's bits.  A list result takes the general path.
+        def general(x):
+            return np.asarray(f(x), dtype=float).ravel().tolist()
+
+        rs = _evaluate(f, np.array(x0))[0]
+        assert [v.hex() for v in rs] == [v.hex() for v in general(np.array(x0))]
+        settings = SolverSettings(alpha=0.5, max_iter=12, divergence_bound=math.inf)
+        for keep_trace in (False, True):
+            out = fixed_point_solve(f, np.array(x0), settings, keep_trace=keep_trace)
+            assert out.iterations > 1
+            assert TestResidualResultContract.outcome_bits(out) == \
+                TestResidualResultContract.outcome_bits(fixed_point_solve(
+                    general, np.array(x0), settings, keep_trace=keep_trace))
+
     def test_loop_repeats_the_step_and_the_check_statements(self):
         tree = ast.parse(Path(solver.__file__).read_text(encoding="utf-8"))
         functions = {node.name: node for node in ast.walk(tree)
@@ -830,8 +892,9 @@ class TestInlinedStepAndCheck:
         assert block.index(hoist) < block.index(loop)
         bound = {t.id: value for t, value in zip(hoist.targets[0].elts, hoist.value.elts)}
         assert {name: ast.unparse(value) for name, value in bound.items()} == {
-            "n": "len(xs)", "array": "np.array", "asarray": "np.asarray", "pow_": "math.pow",
-            "sqrt": "math.sqrt", "isfinite": "math.isfinite", "inf": "math.inf"}
+            "n": "len(xs)", "array": "np.array", "ndarray": "np.ndarray", "asarray": "np.asarray",
+            "pow_": "math.pow", "sqrt": "math.sqrt", "isfinite": "math.isfinite",
+            "inf": "math.inf"}
         start = functions["fixed_point_solve"].body[1:3]  # after the docstring
         assert [ast.dump(node) for node in start] == [
             statement("x = _point(x0)"), statement("xs = x.tolist()")]
@@ -840,8 +903,9 @@ class TestInlinedStepAndCheck:
         kernel_tree = ast.parse(Path(kernel.__file__).read_text(encoding="utf-8"))
         kernel_functions = {node.name: node for node in ast.walk(kernel_tree)
                             if isinstance(node, ast.FunctionDef)}
-        assert ast.dump(kernel_functions["point"].body[1].body[0]) == statement(
-            "return np.asarray(x, dtype=float).ravel()")
+        reader = kernel_functions["point"].body
+        assert ast.dump(reader[1].body[0]) == statement("a = np.asarray(x, dtype=float)")
+        assert ast.dump(reader[-1]) == statement("return a.ravel()")
 
         class Unhoist(ast.NodeTransformer):
             """Put each hoisted function's module attribute back in its place."""
@@ -898,7 +962,7 @@ class TestInlinedStepAndCheck:
         assert {ast.unparse(node.func) for node in ast.walk(loop)
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)} == {
             "f", "outcome", "_same_bits", "ValueError", "abs", "all", "array", "asarray",
-            "len", "map", "pow_", "range", "sqrt", "zip"}
+            "len", "map", "pow_", "range", "sqrt", "type", "zip"}
 
         # No call in the loop looks a function up on numpy or math.
         assert not [ast.unparse(node) for node in ast.walk(loop)
@@ -916,8 +980,15 @@ class TestInlinedStepAndCheck:
         assert unhoisted(loop.body[k - 1]) == statement("x = np.array(xs_next)")
         assert [unhoisted(node) for node in check[0].body] == [
             ast.dump(node) for node in evaluate[1].body]
-        assert ast.dump(evaluate[1].body[0]) == statement(
-            "rs = np.asarray(f(x), dtype=float).ravel().tolist()")
+        # The read: one call of the residual, then one tolist() of a 1-d
+        # native float64 array, and the general conversion of anything else.
+        assert [ast.dump(node) for node in evaluate[1].body] == [
+            statement("r = f(x)"),
+            statement("if type(r) is np.ndarray and r.dtype is FLOAT64 and r.ndim == 1:\n"
+                      "    rs = r.tolist()\n"
+                      "else:\n"
+                      "    rs = np.asarray(r, dtype=float).ravel().tolist()")]
+        assert solver.FLOAT64 is np.dtype(float)
         assert [ast.dump(handler.type) for handler in check[0].handlers] == [
             ast.dump(evaluate[1].handlers[-1].type)]
         assert unhoisted(check[1]) == ast.dump(evaluate[2])  # the length check
@@ -962,14 +1033,6 @@ class TestInlinedStepAndCheck:
         in_trace = set(map(id, ast.walk(loop.body[k + 5])))
         assert all(id(node) in in_trace for node in ast.walk(loop)
                    if isinstance(node, ast.Call) and ast.unparse(node.func) == "sqrt")
-
-
-def square_minus_two(x):
-    return x * x - 2.0
-
-
-def floor_of_four_x(x):
-    return np.floor(4.0 * x) - 5.0
 
 
 class TestResidualResultContract:
