@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidPrimitives, NonRealEvaluation, ThresholdSolveFailed
-from .kernel import point, real
+from .kernel import FLOAT64, entries, point, real
 from .solver import (RootSet, SolverSettings, SolveOutcome, Status,
                      alpha_sweep, fixed_point_solve, norm2)
 
@@ -196,25 +196,25 @@ class ThresholdSolution:
 def reduced_residual(constants: ModelConstants, x) -> np.ndarray:
     """Two-variable residual whose zero is the threshold pair (H, L).
 
-    Both components must be positive and finite.  Non-positive components
-    raise NonRealEvaluation (real powers with non-integer exponents leave
-    the real line there), and so do infinite ones.  The pair x1 = x2 is an
-    ordinary point.  ``_kernels.reduced_residual_checked`` holds the formula
-    and its refusals, and takes the divided differences from
-    ``_kernels.elimination``, which back-substitution shares.
+    It is ``KernelResidual(constants)(x)``: x is read as
+    :func:`~fracroots.kernel.entries` reads a point and must have two
+    entries, else ValueError.  Both components must be positive and finite.
+    Non-positive components raise NonRealEvaluation (real powers with
+    non-integer exponents leave the real line there), and so do infinite
+    ones.  The pair x1 = x2 is an ordinary point.
+    ``_kernels.reduced_residual_checked`` holds the formula and its
+    refusals, and takes the divided differences from
+    ``_kernels.elimination``, which back-substitution shares;
+    :class:`KernelResidual`'s call is its one caller outside the fused loop.
     """
-    xs = point(x).tolist()
-    if len(xs) != 2:
-        raise ValueError("x must be a 2-vector")
-    c = constants
-    return np.array(_kernels.reduced_residual_checked(
-        c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7, *xs))
+    return KernelResidual(constants)(x)
 
 
 def make_residual(constants: ModelConstants):
     """Residual for the generic solver drivers: :class:`KernelResidual`'s call.
 
-    A bound method has no ``fused_solve``, so the drivers run their own loop.
+    A bound method has no ``fused_solve``, so the drivers run their own loop,
+    and each of its calls reads the point with one ``tolist()``.
     """
     return KernelResidual(constants).__call__
 
@@ -222,20 +222,33 @@ def make_residual(constants: ModelConstants):
 class KernelResidual:
     """The reduced residual, whose untraced default driver solve runs the scalar kernel.
 
-    Called, it is :func:`reduced_residual`.  ``fixed_point_solve`` hands the
-    plain pseudo-Newton iteration without a trace to :meth:`fused_solve`,
+    Called, it is :func:`reduced_residual`: it reads x as
+    :func:`~fracroots.kernel.entries` reads a point, with that function's
+    statements written out (a test holds the two copies equal), so the
+    driver's 1-d float64 iterate is read with one ``tolist()``; it refuses
+    a point that is not a pair with ValueError and calls
+    ``_kernels.reduced_residual_checked`` on the seven constants, bound
+    once as a tuple when the residual is built.  ``fixed_point_solve`` hands
+    the plain pseudo-Newton iteration without a trace to :meth:`fused_solve`,
     which runs ``_kernels.solve_reduced`` and gives the driver's status,
     iteration count, final iterate and norms bit for bit; a traced solve
     runs the driver loop over the same residual.
     """
 
-    __slots__ = ("constants",)
+    __slots__ = ("constants", "_args")
 
     def __init__(self, constants: ModelConstants):
-        self.constants = constants
+        c = self.constants = constants
+        self._args = (c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7)
 
     def __call__(self, x) -> np.ndarray:
-        return reduced_residual(self.constants, x)
+        if type(x) is np.ndarray and x.dtype is FLOAT64 and x.ndim == 1:
+            xs = x.tolist()
+        else:
+            xs = point(x).tolist()
+        if len(xs) != 2:
+            raise ValueError("x must be a 2-vector")
+        return np.array(_kernels.reduced_residual_checked(*self._args, *xs))
 
     def fused_solve(self, x0, settings: SolverSettings) -> SolveOutcome:
         if len(x0) != 2:
@@ -334,7 +347,7 @@ def label_root(constants: ModelConstants, x) -> tuple:
     scenario solve's or a sweep's, is labelled here.
     """
     A, B = back_substitute(constants, x)
-    x1, x2 = point(x).tolist()
+    x1, x2 = entries(x)
     return max(x1, x2), min(x1, x2), A, B, x1 < x2
 
 
@@ -349,8 +362,10 @@ def solve_thresholds(problem: ThresholdProblem, settings: SolverSettings,
     non-converged outcome raises ThresholdSolveFailed carrying the outcome;
     evaluation problems never escape as raw arithmetic errors.
     """
-    # The generic driver, though KernelResidual gives the same outcome faster:
-    # the scenario benchmark's memory grows with its op rate (ROADMAP item 1).
+    # The generic driver, whose residual calls each read the iterate with one
+    # tolist().  KernelResidual's fused loop gives the same outcome about 3.5x
+    # faster, but the scenario benchmark's memory grows with its op rate
+    # (ROADMAP item 1, PR B).
     out = fixed_point_solve(make_residual(problem.constants), problem.x0, settings,
                             keep_trace=keep_trace)
     if not out.converged:

@@ -26,7 +26,10 @@ Every number and every point that comes from outside the package is read by
 one of two readers here, :func:`real` and :func:`point`.  They are the one
 owner of the rule that an integer beyond the float range is refused with the
 reader's documented error, never a raw OverflowError; :func:`point` also
-refuses a None entry, which numpy would read as NaN.
+refuses a None entry, which numpy would read as NaN, and a masked entry,
+which numpy would read as the value the mask hides.  :func:`entries` gives a
+point's entries as a float list, and reads a 1-d float64 array with one
+``tolist()``.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ INTEGER_GUARD = 1e-12
 
 #: A fractional order lies in [-ORDER_BOUND, ORDER_BOUND].
 ORDER_BOUND = 2.0
+
+#: The dtype of a point, or of a residual result, that is read with one
+#: ``tolist()``: native float64.
+FLOAT64 = np.dtype(float)
 
 
 def real(value, what: str, error=ValueError) -> float:
@@ -65,22 +72,56 @@ def point(x) -> np.ndarray:
 
     A list, a column or a matrix reads as the 1-d array of its entries, and
     (for one variable) a float as an array of one entry.  An entry that is an
-    integer beyond the float range, or that is None (which ``np.asarray``
-    would read as NaN), is refused with ValueError.  The search for a None
-    runs only on a point that ``np.asarray`` had to convert and that came
-    out with a NaN, so a float64 array, which ``np.asarray`` returns as it
-    is, costs one identity test.  A point with no entries is not refused
-    here: ``solver._point`` refuses it for the functions that need one.
+    integer beyond the float range, that is None (which ``np.asarray``
+    would read as NaN) or that is masked (which ``np.asarray`` would read as
+    the value under the mask) is refused with ValueError; a masked array
+    with no masked entry reads as its data.  These searches run only on a
+    point that ``np.asarray`` had to convert, the None search only on one
+    that came out with a NaN, so a float64 array, which ``np.asarray``
+    returns as it is, costs one identity test.  A point with no entries is
+    not refused here: ``solver._point`` refuses it for the functions that
+    need one.
     """
     try:
         a = np.asarray(x, dtype=float)
     except OverflowError as exc:  # an integer beyond the float range
         raise ValueError("a point's entries must be floats, "
                          "got an integer too large for a float") from exc
-    if a is not x and np.isnan(a).any() and any(
-            v is None for v in np.asarray(x, dtype=object).ravel().tolist()):
-        raise ValueError("a point's entries must be floats, got None")
+    if a is not x:
+        if np.isnan(a).any() and any(
+                v is None for v in np.asarray(x, dtype=object).ravel().tolist()):
+            raise ValueError("a point's entries must be floats, got None")
+        if masked(x):
+            raise ValueError("a point's entries must be floats, got a masked entry")
     return a.ravel()
+
+
+def entries(x) -> list:
+    """A point's entries as a float list: ``point(x).tolist()``.
+
+    An ``x`` that is exactly an ``np.ndarray`` (no subclass), 1-d and of
+    native float64 dtype (FLOAT64) is read as ``x.tolist()``: for such an
+    array :func:`point` returns ``x``'s own entries, so both reads give the
+    same doubles, and this one skips two numpy calls.  Any other ``x`` (a
+    list, a column, another dtype, a byte-swapped or masked array, a
+    subclass whose ``tolist`` may differ) is read by :func:`point`, with its
+    refusals.  ``dixit_pindyck.KernelResidual.__call__`` writes these
+    statements out; a test holds the two copies equal.
+    """
+    if type(x) is np.ndarray and x.dtype is FLOAT64 and x.ndim == 1:
+        xs = x.tolist()
+    else:
+        xs = point(x).tolist()
+    return xs
+
+
+def masked(x) -> bool:
+    """Whether ``x`` is a masked array with at least one masked entry.
+
+    Only an ndarray subclass can be a masked array, so ``numpy.ma``, which
+    numpy imports only on first use, is not touched for anything else.
+    """
+    return type(x) is not np.ndarray and isinstance(x, np.ndarray) and np.ma.is_masked(x)
 
 
 @dataclass(frozen=True)

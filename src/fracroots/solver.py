@@ -20,8 +20,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InsufficientData, NonRealEvaluation, SingularJacobian
-from .kernel import (ORDER_BOUND, FractionalOrder, checked_epsilon, multiplier, point, real,
-                     square_cut)
+from .kernel import (FLOAT64, ORDER_BOUND, FractionalOrder, checked_epsilon, entries, masked,
+                     multiplier, point, real, square_cut)
 # p_matrix stays importable from here: the benchmark's tracer wraps solver.p_matrix.
 from .kernel import p_matrix  # noqa: F401
 
@@ -50,10 +50,6 @@ DEDUP_TOLERANCE = 1e-3
 #: longer lag catches more periods but delays the stop of the common
 #: period-1 and period-2 lanes by up to twice the lag.
 CYCLE_LAG = 4
-
-#: The dtype of a residual result that :func:`_evaluate` and
-#: :func:`fixed_point_solve` read with one ``tolist()``: native float64.
-FLOAT64 = np.dtype(float)
 
 
 class Status(enum.Enum):
@@ -86,10 +82,10 @@ def _same_bits(xs, ys) -> bool:
 def norm2(v) -> float:
     """Euclidean norm, the square root of :func:`_sum_squares` over the entries.
 
-    v is read by :func:`~fracroots.kernel.point`; a point with no entries
+    v is read by :func:`~fracroots.kernel.entries`; a point with no entries
     has the norm 0.0.
     """
-    return math.sqrt(_sum_squares(point(v).tolist()))
+    return math.sqrt(_sum_squares(entries(v)))
 
 
 def _point(x) -> np.ndarray:
@@ -232,9 +228,11 @@ def _evaluate(f: Callable, x: np.ndarray) -> tuple:
     ``ravel`` a view of the same entries, so both reads give ``r``'s own
     doubles, bit for bit, and this one skips two numpy calls.  Every
     residual of the package returns such an array.  Any other result, a
-    subclass whose ``tolist`` may differ (a masked array's gives None for a
-    masked entry) included, takes the general read.
-    A call that fails, or a non-finite entry, is normalised to
+    subclass whose ``tolist`` may differ included, takes the general read.
+    A masked array with a masked entry (:func:`~fracroots.kernel.masked`)
+    has no value there, and ``np.asarray`` would read the value under the
+    mask, so it raises NonRealEvaluation; one with no masked entry reads as
+    its data.  A call that fails, or a non-finite entry, is normalised to
     NonRealEvaluation.  A result whose length is not x's raises ValueError.
     The norm is the square root of :func:`_sum_squares`; a
     finite sum of squares means every entry is finite, so the entries are
@@ -247,6 +245,8 @@ def _evaluate(f: Callable, x: np.ndarray) -> tuple:
         r = f(x)
         if type(r) is np.ndarray and r.dtype is FLOAT64 and r.ndim == 1:
             rs = r.tolist()
+        elif masked(r):
+            raise NonRealEvaluation("residual has a masked entry")
         else:
             rs = np.asarray(r, dtype=float).ravel().tolist()
     except NonRealEvaluation:
@@ -390,10 +390,12 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
     written out in the loop, whose failures become the EVALUATION_FAILED
     status; ``_evaluate`` itself checks x0.  So the loop calls no function
     of the package per iteration but the residual (and :func:`_same_bits`
-    at a cycle checkpoint), and numpy runs only in ``f``.  Every norm is the
-    square root of a sum of squares added in entry order, as
-    :func:`_sum_squares` and the fused loop add it, and
-    every limit is tested on that sum against the limit's cut,
+    at a cycle checkpoint, and :func:`~fracroots.kernel.masked` on a result
+    that is not a 1-d float64 ndarray), and numpy runs only in ``f``, in
+    the iterate's array and in the general read.  Every norm is the square
+    root of a sum of squares added in entry order, as :func:`_sum_squares`
+    and the fused loop add it, and every limit is tested on that sum
+    against the limit's cut,
     :func:`~fracroots.kernel.square_cut`: a norm is at most its tolerance,
     or above the bound, exactly when its sum is at most, or above, the cut.
     So the loop takes a square root only of a norm that it reports, in the
@@ -508,6 +510,8 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
                 r = f(x)
                 if type(r) is ndarray and r.dtype is FLOAT64 and r.ndim == 1:
                     rs = r.tolist()
+                elif masked(r):
+                    raise NonRealEvaluation("residual has a masked entry")
                 else:
                     rs = asarray(r, dtype=float).ravel().tolist()
             except (ArithmeticError, ValueError):
@@ -544,10 +548,10 @@ def estimate_order(norms: Sequence[float]) -> float:
     run.  Raises InsufficientData (with the reason) when the run is shorter
     than four entries, which covers both short and non-monotone tails, and
     when a ratio of those entries underflows to 0, whose logarithm is
-    undefined.  ``norms`` is read by :func:`~fracroots.kernel.point`, so a
+    undefined.  ``norms`` is read by :func:`~fracroots.kernel.entries`, so a
     column of norms reads as its entries.
     """
-    seq = point(norms).tolist()
+    seq = entries(norms)
     if len(seq) < 4:
         raise InsufficientData(f"need at least 4 entries, got {len(seq)}")
     run = 0

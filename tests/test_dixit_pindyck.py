@@ -1,9 +1,11 @@
 """Threshold-model tests: constants, residuals, back-substitution, solves."""
 
+import ast
 import dataclasses
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -21,7 +23,7 @@ from fracroots import (Decision, EconomicPrimitives,
                        reduced_residual, solve_thresholds, sweep_thresholds)
 from fracroots.dixit_pindyck import STATUS_FROM_CODE, KernelResidual, label_root
 from fracroots.solver import MAX_ITER, IterationTrace
-from fracroots import _kernels, dixit_pindyck, reference
+from fracroots import _kernels, dixit_pindyck, kernel, reference
 
 #: Full-precision initial residual norms of the bundled scenarios, frozen
 #: from the implementation after verifying the published 6-digit values.
@@ -210,6 +212,119 @@ class TestReducedResidual:
         for evaluate in (reduced_residual, back_substitute):
             with pytest.raises(NonRealEvaluation, match="finite, got"):
                 evaluate(c, np.array(x))
+
+
+class Reversed(np.ndarray):
+    """An ndarray subclass whose own tolist() reverses the entries."""
+
+    def tolist(self):
+        return super().tolist()[::-1]
+
+
+#: A pair whose integers differ but whose floats are equal: read as Python
+#: integers, x2 / x1 is below 1 and the pair leaves the diagonal.
+BIG_PAIR = [2**53 + 1, 2**53]
+
+
+class TestKernelResidualRead:
+    """KernelResidual reads its point as kernel.entries reads one: a 1-d
+    float64 ndarray with one tolist(), anything else by kernel.point; both
+    give the bits of the general conversion."""
+
+    C = reference.scenario_constants(451474.0, 396499.0)
+
+    # (name, make()): each makes a pair in one form.
+    PAIRS = [
+        ("1-d float64", lambda: np.array([15.0, 20.0])),
+        ("list", lambda: [15.0, 20.0]),
+        ("tuple", lambda: (15.0, 20.0)),
+        ("(2, 1) column", lambda: np.array([[15.0], [20.0]])),
+        ("(1, 2) row", lambda: np.array([[15.0, 20.0]])),
+        ("float32", lambda: np.array([15.1, 20.3], dtype=np.float32)),
+        ("int64", lambda: np.array(BIG_PAIR, dtype=np.int64)),
+        ("object integers", lambda: np.array(BIG_PAIR, dtype=object)),
+        ("big-endian f8", lambda: np.array([15.0, 20.0], dtype=">f8")),
+        ("strided view", lambda: np.array([15.0, -1.0, 20.0, -1.0])[::2]),
+        ("subclass", lambda: np.array([15.0, 20.0]).view(Reversed)),
+        ("masked array, nothing masked", lambda: np.ma.array([15.0, 20.0])),
+    ]
+    # (name, make()): each makes one entry in one form, which is no pair.
+    SINGLES = [
+        ("python float", lambda: 15.0),
+        ("0-d array", lambda: np.array(15.0)),
+        ("(1, 1) column", lambda: np.array([[15.0]])),
+    ]
+
+    def general(self, x):
+        c = self.C
+        return np.array(_kernels.reduced_residual_checked(
+            c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7,
+            *np.asarray(x, dtype=float).ravel().tolist()))
+
+    def readers(self):
+        return (KernelResidual(self.C), make_residual(self.C),
+                lambda x: reduced_residual(self.C, x))
+
+    @pytest.mark.parametrize("name, make", PAIRS, ids=[c[0] for c in PAIRS])
+    def test_every_form_of_a_pair_gives_the_bits_of_the_general_conversion(self, name, make):
+        expected = self.general(make())
+        assert expected.dtype == np.float64 and expected.shape == (2,)
+        for read in self.readers():
+            got = read(make())
+            assert type(got) is np.ndarray
+            assert (got.dtype, got.shape, got.tobytes()) == (
+                expected.dtype, expected.shape, expected.tobytes())
+
+    def test_the_big_pair_leaves_the_diagonal_only_as_integers(self):
+        # So the int64 and object cases tell a read of the integers from a
+        # read of their floats.
+        c = self.C
+        as_integers = _kernels.reduced_residual_checked(
+            c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7, *BIG_PAIR)
+        assert [v.hex() for v in as_integers] != [
+            v.hex() for v in self.general(np.array(BIG_PAIR, dtype=float)).tolist()]
+
+    @pytest.mark.parametrize("name, make", SINGLES, ids=[c[0] for c in SINGLES])
+    def test_one_entry_is_refused_in_every_form(self, name, make):
+        for read in self.readers():
+            with pytest.raises(ValueError) as raised:
+                read(make())
+            assert type(raised.value) is ValueError
+            assert str(raised.value) == "x must be a 2-vector"
+
+    def test_a_point_changed_in_place_is_read_anew(self):
+        x = np.array([15.0, 20.0])
+        for read in self.readers():
+            x[:] = [15.0, 20.0]
+            first = read(x)
+            x *= 2.0
+            assert read(x).tobytes() == self.general(x).tobytes() != first.tobytes()
+
+    def test_the_call_writes_out_the_statements_of_kernel_entries(self):
+        # KernelResidual.__call__ reads its point with kernel.entries'
+        # statements, written out in place of the call, so a driver
+        # iteration makes one Python call less.
+        def functions(module):
+            tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+            return {node.name: node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)}
+
+        entries = functions(kernel)["entries"].body[1:]  # after the docstring
+        *read, exit_ = entries
+        assert ast.unparse(exit_) == "return xs"
+        call = functions(dixit_pindyck)["__call__"].body
+        assert [ast.dump(node) for node in call[:len(read)]] == [
+            ast.dump(node) for node in read]
+        assert [ast.unparse(node) for node in call[len(read):]] == [
+            "if len(xs) != 2:\n    raise ValueError('x must be a 2-vector')",
+            "return np.array(_kernels.reduced_residual_checked(*self._args, *xs))"]
+        # reduced_residual is the call, so the formula's call is written once.
+        body = functions(dixit_pindyck)["reduced_residual"].body[1:]
+        assert [ast.unparse(node) for node in body] == ["return KernelResidual(constants)(x)"]
+        tree = ast.parse(Path(dixit_pindyck.__file__).read_text(encoding="utf-8"))
+        assert [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and ast.unparse(node.func).endswith("reduced_residual_checked")] == [
+            "_kernels.reduced_residual_checked(*self._args, *xs)"]
 
 
 def residual_by_orientation(a1, a2, a3, a4, a5, a6, a7, x1, x2):

@@ -1,6 +1,7 @@
 """Package-level tests: the public export list, the one rule by which
 every public function reads a point (and the solver's functions refuse an
-empty one), and the refusal of integers beyond the float range."""
+empty one), and the refusal of integers beyond the float range, of None
+entries and of masked entries."""
 
 import dataclasses
 
@@ -12,9 +13,10 @@ from fracroots import (EconomicPrimitives, FractionalOrder, InvalidPrimitives, M
                        SolveOutcome, SolverSettings, ThresholdProblem, back_substitute,
                        classify_income, default_alpha_grid, estimate_order, fd_jacobian,
                        fixed_point_solve, fpn_step, full_residual, full_residual_scale,
-                       newton_step, norm2, p_matrix, reduced_residual, solve_thresholds)
-from fracroots.dixit_pindyck import label_root
-from fracroots.kernel import checked_epsilon, point
+                       make_residual, newton_step, norm2, p_matrix, reduced_residual,
+                       solve_thresholds)
+from fracroots.dixit_pindyck import KernelResidual, label_root
+from fracroots.kernel import checked_epsilon, entries, point
 from fracroots.solver import collect_roots, same_root
 
 
@@ -187,6 +189,8 @@ BIG_INTEGER_READERS = [
     ("collect_roots-alpha", lambda n: one_hit([1.0], n, 1e-3), ValueError),
     ("collect_roots-tolerance", lambda n: one_hit([1.0], 0.5, n), ValueError),
     ("reduced_residual", lambda n: reduced_residual(ROW1, [n, 1.0]), ValueError),
+    ("KernelResidual", lambda n: KernelResidual(ROW1)([n, 1.0]), ValueError),
+    ("make_residual", lambda n: make_residual(ROW1)([n, 1.0]), ValueError),
     ("back_substitute", lambda n: back_substitute(ROW1, [n, 1.0]), ValueError),
     ("label_root", lambda n: label_root(ROW1, [n, 1.0]), ValueError),
     ("full_residual", lambda n: full_residual(ROW1, n, 1.0, 1.0, 1.0), ValueError),
@@ -195,33 +199,48 @@ BIG_INTEGER_READERS = [
 ]
 
 
-#: (name, call(entry)) for each reader of a point, with entry in the point.
-NONE_POINT_READERS = [
-    ("ThresholdProblem-x0", lambda e: ThresholdProblem(constants=ROW1, x0=[e, 1.0])),
-    ("fixed_point_solve", lambda e: fixed_point_solve(square_minus_two, [e], SolverSettings())),
-    ("fixed_point_solve-traced", lambda e: fixed_point_solve(
-        square_minus_two, [e], SolverSettings(), keep_trace=True)),
-    ("fpn_step", lambda e: fpn_step(square_minus_two, [e], FractionalOrder(0.5), 1e-4)),
-    ("newton_step", lambda e: newton_step(square_minus_two, [e])),
-    ("fd_jacobian", lambda e: fd_jacobian(square_minus_two, [e])),
-    ("same_root-a", lambda e: same_root([e], [1.0], 1e-3)),
-    ("same_root-b", lambda e: same_root([1.0], [e], 1e-3)),
-    ("p_matrix", lambda e: p_matrix(FractionalOrder(0.5), [e], 1e-4)),
-    ("norm2", lambda e: norm2([e, 1.0])),
-    ("estimate_order", lambda e: estimate_order([e, 0.1, 0.01, 1e-4, 1e-8])),
-    ("collect_roots-x", lambda e: one_hit([e], 0.5, 1e-3)),
-    ("reduced_residual", lambda e: reduced_residual(ROW1, [e, 1.0])),
-    ("back_substitute", lambda e: back_substitute(ROW1, [e, 1.0])),
-    ("label_root", lambda e: label_root(ROW1, [e, 1.0])),
+#: (name, call(x)) for each reader of a point, for the None and the masked
+#: entry.  Every reader reads its point before it checks the point's length,
+#: so a point of any length is refused.
+POINT_READERS = [
+    ("ThresholdProblem-x0", lambda x: ThresholdProblem(constants=ROW1, x0=x)),
+    ("fixed_point_solve", lambda x: fixed_point_solve(square_minus_two, x, SolverSettings())),
+    ("fixed_point_solve-traced", lambda x: fixed_point_solve(
+        square_minus_two, x, SolverSettings(), keep_trace=True)),
+    ("fpn_step", lambda x: fpn_step(square_minus_two, x, FractionalOrder(0.5), 1e-4)),
+    ("newton_step", lambda x: newton_step(square_minus_two, x)),
+    ("fd_jacobian", lambda x: fd_jacobian(square_minus_two, x)),
+    ("same_root-a", lambda x: same_root(x, [1.0, 2.0], 1e-3)),
+    ("same_root-b", lambda x: same_root([1.0, 2.0], x, 1e-3)),
+    ("p_matrix", lambda x: p_matrix(FractionalOrder(0.5), x, 1e-4)),
+    ("norm2", norm2),
+    ("estimate_order", estimate_order),
+    ("collect_roots-x", lambda x: one_hit(x, 0.5, 1e-3)),
+    ("reduced_residual", lambda x: reduced_residual(ROW1, x)),
+    ("KernelResidual", lambda x: KernelResidual(ROW1)(x)),
+    ("make_residual", lambda x: make_residual(ROW1)(x)),
+    ("back_substitute", lambda x: back_substitute(ROW1, x)),
+    ("label_root", lambda x: label_root(ROW1, x)),
 ]
 
 
-@pytest.mark.parametrize("name, call", NONE_POINT_READERS,
-                         ids=[r[0] for r in NONE_POINT_READERS])
+@pytest.mark.parametrize("name, call", POINT_READERS,
+                         ids=[r[0] for r in POINT_READERS])
 def test_a_none_entry_of_a_point_is_refused(name, call):
     # np.asarray(x, dtype=float) reads None as NaN; kernel.point refuses it.
     with pytest.raises(ValueError, match="a point's entries must be floats, got None"):
-        call(None)
+        call([None, 1.0])
+
+
+@pytest.mark.parametrize("name, call", POINT_READERS,
+                         ids=[r[0] for r in POINT_READERS])
+@pytest.mark.parametrize("mask", [[True, False], [False, True]], ids=["first", "second"])
+def test_a_masked_entry_of_a_point_is_refused(name, call, mask):
+    # np.asarray(x, dtype=float) reads a masked entry as the value under the
+    # mask; kernel.point refuses it.
+    x = np.ma.array([15.0, 20.0], mask=mask)
+    with pytest.raises(ValueError, match="a point's entries must be floats, got a masked entry"):
+        call(x)
 
 
 @pytest.mark.parametrize("x", [None, [[None], [1.0]], (1.0, None),
@@ -230,6 +249,27 @@ def test_a_none_entry_of_a_point_is_refused(name, call):
 def test_a_none_is_refused_in_every_form_of_a_point(x):
     with pytest.raises(ValueError, match="got None"):
         point(x)
+
+
+@pytest.mark.parametrize("x", [np.ma.array([1.0, 2.0], mask=[False, True]),
+                               np.ma.array([[1.0], [2.0]], mask=[[True], [False]]),
+                               np.ma.array(1.0, mask=True),
+                               np.ma.array([1, 2], mask=[True, False])],
+                         ids=["1-d", "column", "0-d", "integer"])
+def test_a_masked_entry_is_refused_in_every_form_of_a_point(x):
+    for read in (point, entries):
+        with pytest.raises(ValueError, match="got a masked entry"):
+            read(x)
+
+
+@pytest.mark.parametrize("mask", [False, [False, False], np.ma.nomask],
+                         ids=["false", "all-false", "nomask"])
+def test_a_masked_array_with_no_masked_entry_reads_as_its_data(mask):
+    data = np.array([1.5, -2.25])
+    x = np.ma.array(data, mask=mask)
+    assert point(x).tobytes() == data.tobytes()
+    assert [v.hex() for v in entries(x)] == [v.hex() for v in data.tolist()]
+    assert norm2(x) == norm2(data)
 
 
 def test_only_a_converted_point_with_a_nan_is_searched_for_none(monkeypatch):

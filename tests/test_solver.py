@@ -790,8 +790,12 @@ class TestInlinedStepAndCheck:
         (lambda x: np.array([1e200]), math.inf),
         (lambda x: np.array([1.0, 2.0]),
          "ValueError: residual has shape (2,), expected (1,)"),
+        # A masked entry has no value: np.asarray would read the hidden 1.0.
+        (lambda x: np.ma.array([1.0], mask=[True]), "failed"),
+        (lambda x: np.ma.array([[1.0]], mask=[[True]]), "failed"),
     ], ids=["raises-arithmetic", "raises-value", "raises-non-real", "nan-entry",
-            "inf-entry", "squares-overflow", "wrong-shape"])
+            "inf-entry", "squares-overflow", "wrong-shape", "masked-entry",
+            "masked-column-entry"])
     def test_residual_check_agrees_with_evaluate(self, bad, expected):
         # The start is checked by _evaluate itself; the first step's iterate
         # is checked by the loop's copy.
@@ -847,8 +851,10 @@ class TestInlinedStepAndCheck:
         ("strided view", [1.0, 0.5], lambda x: np.repeat(square_minus_two(x), 2)[::2]),
         ("subclass", [1.0, 0.5],
          lambda x: square_minus_two(x).view(TestInlinedStepAndCheck.Reversed)),
+        # A masked array with no masked entry reads as its data; one with a
+        # masked entry fails to evaluate (test_residual_check_agrees_with_evaluate).
         ("masked array", [1.0, 0.5],
-         lambda x: np.ma.array(square_minus_two(x), mask=[True, False])),
+         lambda x: np.ma.array(square_minus_two(x), mask=[False, False])),
         ("its argument", [1.0, 0.5], lambda x: x),
         ("argument in place", [1.0, 0.5], lambda x: TestInlinedStepAndCheck.in_place(x)),
     ]
@@ -961,8 +967,8 @@ class TestInlinedStepAndCheck:
         # at a checkpoint.
         assert {ast.unparse(node.func) for node in ast.walk(loop)
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)} == {
-            "f", "outcome", "_same_bits", "ValueError", "abs", "all", "array", "asarray",
-            "len", "map", "pow_", "range", "sqrt", "type", "zip"}
+            "f", "outcome", "_same_bits", "masked", "NonRealEvaluation", "ValueError", "abs",
+            "all", "array", "asarray", "len", "map", "pow_", "range", "sqrt", "type", "zip"}
 
         # No call in the loop looks a function up on numpy or math.
         assert not [ast.unparse(node) for node in ast.walk(loop)
@@ -981,14 +987,17 @@ class TestInlinedStepAndCheck:
         assert [unhoisted(node) for node in check[0].body] == [
             ast.dump(node) for node in evaluate[1].body]
         # The read: one call of the residual, then one tolist() of a 1-d
-        # native float64 array, and the general conversion of anything else.
+        # native float64 array, the refusal of a masked entry, and the
+        # general conversion of anything else.
         assert [ast.dump(node) for node in evaluate[1].body] == [
             statement("r = f(x)"),
             statement("if type(r) is np.ndarray and r.dtype is FLOAT64 and r.ndim == 1:\n"
                       "    rs = r.tolist()\n"
+                      "elif masked(r):\n"
+                      "    raise NonRealEvaluation('residual has a masked entry')\n"
                       "else:\n"
                       "    rs = np.asarray(r, dtype=float).ravel().tolist()")]
-        assert solver.FLOAT64 is np.dtype(float)
+        assert solver.FLOAT64 is kernel.FLOAT64 is np.dtype(float)
         assert [ast.dump(handler.type) for handler in check[0].handlers] == [
             ast.dump(evaluate[1].handlers[-1].type)]
         assert unhoisted(check[1]) == ast.dump(evaluate[2])  # the length check
