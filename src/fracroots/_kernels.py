@@ -1,8 +1,8 @@
 """The threshold model's scalar hot loops, in plain interpreted Python.
 
 The reduced threshold residual lives here: the generic driver calls it
-through ``dixit_pindyck.reduced_residual``.  It is the elimination of the
-value-function coefficients in divided-difference form.  With lam the log
+through ``dixit_pindyck.KernelResidual.__call__``.  It is the elimination of
+the value-function coefficients in divided-difference form.  With lam the log
 of the smaller threshold over the larger (so lam <= 0) and
 e(a) = expm1(a * lam), every difference of powers in the elimination is a
 power of the larger threshold times an e(a), and those powers cancel.  One

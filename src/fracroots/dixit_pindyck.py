@@ -230,9 +230,9 @@ class KernelResidual:
     ``_kernels.reduced_residual_checked`` on the seven constants, bound
     once as a tuple when the residual is built.  ``fixed_point_solve`` hands
     the plain pseudo-Newton iteration without a trace to :meth:`fused_solve`,
-    which runs ``_kernels.solve_reduced`` and gives the driver's status,
-    iteration count, final iterate and norms bit for bit; a traced solve
-    runs the driver loop over the same residual.
+    which runs ``_kernels.solve_reduced`` on the same tuple and gives the
+    driver's status, iteration count, final iterate and norms bit for bit; a
+    traced solve runs the driver loop over the same residual.
     """
 
     __slots__ = ("constants", "_args")
@@ -254,10 +254,8 @@ class KernelResidual:
         if len(x0) != 2:
             # The fused loop takes two unknowns; the driver reports any other start.
             return fixed_point_solve(self.__call__, x0, settings)
-        c = self.constants
         code, n, x1, x2, step_norm, res_norm = _kernels.solve_reduced(
-            c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7, float(x0[0]), float(x0[1]),
-            settings.alpha.value, settings.epsilon,
+            *self._args, float(x0[0]), float(x0[1]), settings.alpha.value, settings.epsilon,
             settings.tol_step, settings.tol_residual, settings.max_iter,
             settings.divergence_bound, None, None, None)
         return SolveOutcome(status=STATUS_FROM_CODE[code], x_final=np.array([x1, x2]),

@@ -29,7 +29,11 @@ reader's documented error, never a raw OverflowError; :func:`point` also
 refuses a None entry, which numpy would read as NaN, and a masked entry,
 which numpy would read as the value the mask hides.  :func:`entries` gives a
 point's entries as a float list, and reads a 1-d float64 array with one
-``tolist()``.
+``tolist()``.  It also reads every residual's result: ``solver._evaluate``
+calls it, and the two hot loops that read a vector on every iteration,
+``solver.fixed_point_solve`` (the result ``f(x)``) and
+``dixit_pindyck.KernelResidual.__call__`` (the point), write its statements
+out; an AST test holds both copies to it.
 """
 
 from __future__ import annotations
@@ -91,7 +95,9 @@ def point(x) -> np.ndarray:
         if np.isnan(a).any() and any(
                 v is None for v in np.asarray(x, dtype=object).ravel().tolist()):
             raise ValueError("a point's entries must be floats, got None")
-        if masked(x):
+        # Only an ndarray subclass can be a masked array, so numpy.ma, which
+        # numpy imports only on first use, is not touched for anything else.
+        if type(x) is not np.ndarray and isinstance(x, np.ndarray) and np.ma.is_masked(x):
             raise ValueError("a point's entries must be floats, got a masked entry")
     return a.ravel()
 
@@ -105,23 +111,15 @@ def entries(x) -> list:
     same doubles, and this one skips two numpy calls.  Any other ``x`` (a
     list, a column, another dtype, a byte-swapped or masked array, a
     subclass whose ``tolist`` may differ) is read by :func:`point`, with its
-    refusals.  ``dixit_pindyck.KernelResidual.__call__`` writes these
-    statements out; a test holds the two copies equal.
+    refusals.  ``solver.fixed_point_solve`` and
+    ``dixit_pindyck.KernelResidual.__call__`` write these statements out; a
+    test holds both copies to them.
     """
     if type(x) is np.ndarray and x.dtype is FLOAT64 and x.ndim == 1:
         xs = x.tolist()
     else:
         xs = point(x).tolist()
     return xs
-
-
-def masked(x) -> bool:
-    """Whether ``x`` is a masked array with at least one masked entry.
-
-    Only an ndarray subclass can be a masked array, so ``numpy.ma``, which
-    numpy imports only on first use, is not touched for anything else.
-    """
-    return type(x) is not np.ndarray and isinstance(x, np.ndarray) and np.ma.is_masked(x)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InsufficientData, NonRealEvaluation, SingularJacobian
-from .kernel import (FLOAT64, ORDER_BOUND, FractionalOrder, checked_epsilon, entries, masked,
+from .kernel import (FLOAT64, ORDER_BOUND, FractionalOrder, checked_epsilon, entries,
                      multiplier, point, real, square_cut)
 # p_matrix stays importable from here: the benchmark's tracer wraps solver.p_matrix.
 from .kernel import p_matrix  # noqa: F401
@@ -219,20 +219,13 @@ def _evaluate(f: Callable, x: np.ndarray) -> tuple:
     """Evaluate a residual; return its entries as a float list and its 2-norm.
 
     ``x`` is a 1-d float array: every caller reads its point as
-    :func:`fixed_point_solve` reads x0.  The residual is called once, into
-    ``r``, and read as the list ``np.asarray(r, dtype=float).ravel().tolist()``,
-    so a list, a column or a 0-d scalar reads as the flat vector of its
-    entries.  An ``r`` that is exactly an ``np.ndarray`` (no subclass), 1-d
-    and of native float64 dtype (FLOAT64) is read as ``r.tolist()``
-    instead: for such an array ``np.asarray`` returns ``r`` itself and
-    ``ravel`` a view of the same entries, so both reads give ``r``'s own
-    doubles, bit for bit, and this one skips two numpy calls.  Every
-    residual of the package returns such an array.  Any other result, a
-    subclass whose ``tolist`` may differ included, takes the general read.
-    A masked array with a masked entry (:func:`~fracroots.kernel.masked`)
-    has no value there, and ``np.asarray`` would read the value under the
-    mask, so it raises NonRealEvaluation; one with no masked entry reads as
-    its data.  A call that fails, or a non-finite entry, is normalised to
+    :func:`fixed_point_solve` reads x0.  The residual is called once, and
+    its result is read by :func:`~fracroots.kernel.entries`, the reader of a
+    point: a list, a column or a 0-d scalar reads as the flat vector of its
+    entries, and a 1-d native float64 ndarray, which every residual of the
+    package returns, with one ``tolist()``.  A call that fails, a result
+    that the reader refuses (an entry that is None, masked or an integer
+    beyond the float range), or a non-finite entry is normalised to
     NonRealEvaluation.  A result whose length is not x's raises ValueError.
     The norm is the square root of :func:`_sum_squares`; a
     finite sum of squares means every entry is finite, so the entries are
@@ -242,13 +235,7 @@ def _evaluate(f: Callable, x: np.ndarray) -> tuple:
     """
     n = len(x)
     try:
-        r = f(x)
-        if type(r) is np.ndarray and r.dtype is FLOAT64 and r.ndim == 1:
-            rs = r.tolist()
-        elif masked(r):
-            raise NonRealEvaluation("residual has a masked entry")
-        else:
-            rs = np.asarray(r, dtype=float).ravel().tolist()
+        rs = entries(f(x))
     except NonRealEvaluation:
         raise
     except (ArithmeticError, ValueError) as exc:
@@ -372,11 +359,11 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
 
     The iterate and the residual are carried as float lists, and an array is
     built from the iterate only for the call of ``f``.  The residual's result
-    comes back as a list by :func:`_evaluate`'s two reads: ``r.tolist()`` of
-    a 1-d native float64 ndarray, the result of every residual in the
-    package, and ``np.asarray(r, dtype=float).ravel().tolist()`` of any
-    other, which gives the same bits for such an array.  Only the list's
-    length is then compared with x0's.  The numpy and math
+    is read as a list by :func:`~fracroots.kernel.entries`, as
+    :func:`_evaluate` reads it: ``r.tolist()`` of a 1-d native float64
+    ndarray, the result of every residual in the package, and
+    ``point(r).tolist()`` of any other, with that reader's refusals.  Only
+    the list's length is then compared with x0's.  The numpy and math
     functions that the loop calls are bound to locals once per solve, so an
     iteration looks up no module attribute.  An iteration is one
     pass over the entries that computes each new entry as ``v - p * r``, the
@@ -387,12 +374,13 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
     and ``pow_``, computed once per solve from the checked settings as
     ``multiplier`` computes them, so every entry keeps its bits.  The new
     iterate's residual is then checked with :func:`_evaluate`'s statements,
-    written out in the loop, whose failures become the EVALUATION_FAILED
-    status; ``_evaluate`` itself checks x0.  So the loop calls no function
-    of the package per iteration but the residual (and :func:`_same_bits`
-    at a cycle checkpoint, and :func:`~fracroots.kernel.masked` on a result
-    that is not a 1-d float64 ndarray), and numpy runs only in ``f``, in
-    the iterate's array and in the general read.  Every norm is the square
+    written out in the loop with ``entries``' in place of its call, whose
+    failures become the EVALUATION_FAILED status; ``_evaluate`` itself
+    checks x0.  So the loop calls no function of the package per iteration
+    but the residual (and :func:`_same_bits` at a cycle checkpoint, and
+    :func:`~fracroots.kernel.point` on a result that is not a 1-d float64
+    ndarray), and numpy runs only in ``f``, in the iterate's array and in
+    ``point``.  Every norm is the square
     root of a sum of squares added in entry order, as :func:`_sum_squares`
     and the fused loop add it, and every limit is tested on that sum
     against the limit's cut,
@@ -471,9 +459,8 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
                                              square_cut(settings.tol_residual),
                                              square_cut(settings.divergence_bound))
         # Bound once per solve, so the loop looks up no module attribute.
-        n, array, ndarray, asarray, pow_, sqrt, isfinite, inf = (
-            len(xs), np.array, np.ndarray, np.asarray, math.pow, math.sqrt, math.isfinite,
-            math.inf)
+        n, array, ndarray, pow_, sqrt, isfinite, inf = (
+            len(xs), np.array, np.ndarray, math.pow, math.sqrt, math.isfinite, math.inf)
         # The cycle stop's lag, its next checkpoint (one that a traced solve
         # never reaches) and the iterate of its last checkpoint (none yet).
         lag, xs_lag = CYCLE_LAG, None
@@ -504,16 +491,15 @@ def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
                 xs_next.append(w)
             if size > bound_cut or (not size < inf and not all(map(isfinite, xs_next))):
                 return outcome(Status.DIVERGED, xs_next, i, step_squares, math.nan)
-            # _evaluate's statements, with its failures returned as a status.
+            # _evaluate's statements, with kernel.entries' written out in
+            # place of its call and its failures returned as a status.
             x = array(xs_next)
             try:
                 r = f(x)
                 if type(r) is ndarray and r.dtype is FLOAT64 and r.ndim == 1:
                     rs = r.tolist()
-                elif masked(r):
-                    raise NonRealEvaluation("residual has a masked entry")
                 else:
-                    rs = asarray(r, dtype=float).ravel().tolist()
+                    rs = point(r).tolist()
             except (ArithmeticError, ValueError):
                 return outcome(Status.EVALUATION_FAILED, xs_next, i, step_squares, math.nan)
             if len(rs) != n:
@@ -581,18 +567,21 @@ def default_alpha_grid(step: float = DEFAULT_GRID_STEP) -> list:
     cut the range into more than MAX_GRID_POINTS intervals, is refused before
     any point is built, and one that leaves no point is refused after.
 
-    Each call returns a new list, so a caller may change it.  The orders are
-    immutable and shared: the grids of the last few steps are kept, so a
-    step that is checked on input and then swept is built once.
+    ``step`` is read once, by :func:`~fracroots.kernel.real`, so any form
+    of a number (a numpy scalar, a string, a Decimal) gives the grid of
+    ``float(step)``.  Each call returns a new list, so a caller may change
+    it.  The orders are immutable and shared: the grids of the last few
+    steps are kept, so a step that is checked on input and then swept is
+    built once.
     """
-    return list(_order_grid(step))
+    return list(_order_grid(real(step, "step must be finite and positive")))
 
 
 @functools.lru_cache(maxsize=4)
 def _order_grid(step: float) -> tuple:
-    """The orders of :func:`default_alpha_grid`, built once per recent step."""
+    """The orders of :func:`default_alpha_grid`, built once per recent float step."""
     lower, upper = -ORDER_BOUND, ORDER_BOUND
-    if not (math.isfinite(real(step, "step must be finite and positive")) and step > 0.0):
+    if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
     if not (upper - lower) / step <= MAX_GRID_POINTS:
         raise ValueError(f"step {step!r} would cut [{lower!r}, {upper!r}] into more "
@@ -640,10 +629,14 @@ def collect_roots(converged, skipped, dedup_tolerance: float) -> RootSet:
     best hit (smallest residual norm, then smallest alpha).  Each hit's x is
     read by :func:`~fracroots.kernel.point`, as :func:`fixed_point_solve`
     reads x0, so the sort key and :func:`same_root` see the same entries and
-    every RootRecord.x is 1-d.  A NaN or negative ``dedup_tolerance``, or an
-    integer one beyond the float range, is refused, however few the hits.
+    every RootRecord.x is 1-d.  ``dedup_tolerance`` is read once, by
+    :func:`~fracroots.kernel.real`, and that float is what every
+    :func:`same_root` call and ``RootSet.dedup_tolerance`` get.  A NaN or
+    negative tolerance, or an integer one beyond the float range, is
+    refused, however few the hits.
     """
-    if not real(dedup_tolerance, "tolerance must fit in a float") >= 0.0:
+    tolerance = real(dedup_tolerance, "tolerance must fit in a float")
+    if not tolerance >= 0.0:
         raise ValueError(f"tolerance must be zero or positive, got {dedup_tolerance!r}")
     candidates = sorted(
         ((point(x), real(alpha, "an order must fit in a float"), out)
@@ -653,7 +646,7 @@ def collect_roots(converged, skipped, dedup_tolerance: float) -> RootSet:
     clusters: list = []
     for x, alpha, out in candidates:
         for members in clusters:
-            if same_root(x, members[0][0], dedup_tolerance):
+            if same_root(x, members[0][0], tolerance):
                 members.append((x, alpha, out))
                 break
         else:
@@ -665,7 +658,7 @@ def collect_roots(converged, skipped, dedup_tolerance: float) -> RootSet:
         records.append(RootRecord(x=best[0], alpha=best[1], outcome=best[2],
                                   found_by=found_by))
     records.sort(key=lambda r: tuple(r.x))
-    return RootSet(roots=tuple(records), dedup_tolerance=dedup_tolerance,
+    return RootSet(roots=tuple(records), dedup_tolerance=tolerance,
                    skipped=tuple(sorted(skipped, key=lambda s: s.alpha)))
 
 

@@ -23,7 +23,7 @@ from fracroots import (Decision, EconomicPrimitives,
                        reduced_residual, solve_thresholds, sweep_thresholds)
 from fracroots.dixit_pindyck import STATUS_FROM_CODE, KernelResidual, label_root
 from fracroots.solver import MAX_ITER, IterationTrace
-from fracroots import _kernels, dixit_pindyck, kernel, reference
+from fracroots import _kernels, dixit_pindyck, reference
 
 #: Full-precision initial residual norms of the bundled scenarios, frozen
 #: from the implementation after verifying the published 6-digit values.
@@ -88,6 +88,12 @@ class TestDeriveConstants:
         # l = 0 exceeds mu = -1, so only the sign check refuses it.
         with pytest.raises(InvalidPrimitives, match="l must be positive"):
             EconomicPrimitives(mu=-1.0, sigma=1.0, l=0.0, c=1.0, kappa=0.0, chi=0.0)
+
+    @pytest.mark.parametrize("name", ["c", "kappa", "chi"])
+    def test_negative_cost_rejected(self, name):
+        costs = {"c": 1.0, "kappa": 0.0, "chi": 0.0, name: -1.0}
+        with pytest.raises(InvalidPrimitives, match=f"{name} must be non-negative, got -1.0"):
+            EconomicPrimitives(mu=0.0, sigma=1.0, l=0.5, **costs)
 
     def test_non_finite_derived_constant_rejected(self):
         # sigma**2 is the subnormal 1e-320, so 2 l / sigma**2 overflows to inf
@@ -300,22 +306,18 @@ class TestKernelResidualRead:
             x *= 2.0
             assert read(x).tobytes() == self.general(x).tobytes() != first.tobytes()
 
-    def test_the_call_writes_out_the_statements_of_kernel_entries(self):
+    def test_the_call_reads_its_point_then_calls_the_kernel_once(self):
         # KernelResidual.__call__ reads its point with kernel.entries'
         # statements, written out in place of the call, so a driver
-        # iteration makes one Python call less.
+        # iteration makes one Python call less; test_kernel's
+        # test_the_written_out_reads_are_kernel_entries holds that copy.
         def functions(module):
             tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
             return {node.name: node for node in ast.walk(tree)
                     if isinstance(node, ast.FunctionDef)}
 
-        entries = functions(kernel)["entries"].body[1:]  # after the docstring
-        *read, exit_ = entries
-        assert ast.unparse(exit_) == "return xs"
         call = functions(dixit_pindyck)["__call__"].body
-        assert [ast.dump(node) for node in call[:len(read)]] == [
-            ast.dump(node) for node in read]
-        assert [ast.unparse(node) for node in call[len(read):]] == [
+        assert [ast.unparse(node) for node in call[1:]] == [
             "if len(xs) != 2:\n    raise ValueError('x must be a 2-vector')",
             "return np.array(_kernels.reduced_residual_checked(*self._args, *xs))"]
         # reduced_residual is the call, so the formula's call is written once.

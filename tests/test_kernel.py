@@ -347,6 +347,9 @@ class TestSquareCut:
 
     @given(limit=CUT_LIMITS)
     @hypothesis_settings(max_examples=1000, deadline=None)
+    # 1.1e-155 squared rounds up to a subnormal whose root exceeds the
+    # limit, so the cut steps down from limit * limit.
+    @example(limit=1.1e-155)
     def test_cut_is_the_last_float_whose_root_passes(self, limit):
         cut = square_cut(limit)
         assert cut.hex() == cut_by_fractions(limit).hex()
@@ -549,8 +552,8 @@ class TestOutsideReaders:
 
     def test_only_kernel_point_reads_a_point_inline(self):
         # np.asarray(<argument>, dtype=float), then ravel(): kernel.point
-        # reads an input so, and the driver converts a residual's result r
-        # so where r is not a 1-d float64 array.
+        # reads an input so, and nothing else does; a residual's result is
+        # read by kernel.entries, which calls kernel.point.
         def conversion(node):
             return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "ravel" and isinstance(node.func.value, ast.Call)
@@ -566,9 +569,39 @@ class TestOutsideReaders:
             read.setdefault(ast.unparse(node.func.value.args[0]), []).append((module, function))
         for module, function, node in self.sites(reader):
             read.setdefault(ast.unparse(node.value.args[0]), []).append((module, function))
-        assert sorted(read) == ["r", "x"]
-        assert read["x"] == [("kernel", "point")]
-        assert sorted(read["r"]) == [("solver", "_evaluate"), ("solver", "fixed_point_solve")]
+        assert read == {"x": [("kernel", "point")]}
+
+    def test_the_written_out_reads_are_kernel_entries(self):
+        # Two hot loops read a vector with kernel.entries' statements written
+        # out in place of its call: KernelResidual.__call__ its point x, and
+        # the driver's loop the residual's result r into rs, with np.ndarray
+        # bound to the local ndarray once per solve.
+        def functions(module):
+            tree = ast.parse((self.PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+            return {node.name: node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)}
+
+        read, exit_ = functions("kernel")["entries"].body[1:]  # after the docstring
+        assert ast.unparse(exit_) == "return xs"
+        assert ast.dump(read) == ast.dump(ast.parse(
+            "if type(x) is np.ndarray and x.dtype is FLOAT64 and x.ndim == 1:\n"
+            "    xs = x.tolist()\n"
+            "else:\n"
+            "    xs = point(x).tolist()").body[0])
+        assert ast.dump(functions("dixit_pindyck")["__call__"].body[0]) == ast.dump(read)
+
+        class AsEntries(ast.NodeTransformer):
+            def visit_Name(self, node):
+                if node.id == "ndarray":
+                    return ast.Attribute(value=ast.Name(id="np", ctx=ast.Load()),
+                                         attr="ndarray", ctx=node.ctx)
+                return ast.Name(id={"r": "x", "rs": "xs"}.get(node.id, node.id), ctx=node.ctx)
+
+        loop = next(node for node in ast.walk(functions("solver")["fixed_point_solve"])
+                    if isinstance(node, ast.For) and ast.unparse(node.target) == "i")
+        call, copy = next(node for node in loop.body if isinstance(node, ast.Try)).body
+        assert ast.unparse(call) == "r = f(x)"
+        assert ast.dump(AsEntries().visit(copy)) == ast.dump(read)
 
 
 class TestThresholdKernelDiagonal:

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import math
 import re
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -531,6 +532,17 @@ class TestAlphaGrid:
         with pytest.raises(ValueError, match="leaves no valid orders"):
             default_alpha_grid(step=4.0)
 
+    @pytest.mark.parametrize("step", [np.float32(0.05), "0.05", Decimal("0.05")],
+                             ids=["float32", "str", "Decimal"])
+    def test_any_form_of_a_step_gives_the_grid_of_its_float(self, step):
+        # The step is read once, and the grid is built and kept by the float
+        # read.  The cache is emptied first: np.float32(0.05) == float of it,
+        # with the same hash, so a grid kept by one is found by the other.
+        expected = [a.value.hex() for a in solver._order_grid.__wrapped__(float(step))]
+        solver._order_grid.cache_clear()
+        assert [a.value.hex() for a in default_alpha_grid(step)] == expected
+        assert [a.value.hex() for a in default_alpha_grid(float(step))] == expected
+
 
 def root_set_key(roots) -> tuple:
     """Everything a RootSet reports, with arrays as lists, so two sets compare with ==."""
@@ -667,6 +679,26 @@ class TestSameRoot:
         with pytest.raises(ValueError, match="tolerance must be zero or positive"):
             collect_roots(hits, [], math.nan)
 
+    @pytest.mark.parametrize("tolerance", ["1e-3", np.float32(1e-3), Decimal("1e-3")],
+                             ids=["str", "float32", "Decimal"])
+    def test_collect_roots_keeps_the_float_it_read(self, tolerance, monkeypatch):
+        # The tolerance is read once: same_root and the RootSet get that float.
+        out = fixed_point_solve(lambda x: x - 3.0, [1.0], SolverSettings(alpha=0.5))
+        hits = [(out.x_final, 0.5, out), (out.x_final, 0.55, out)]
+        compared = []
+
+        def spy(a, b, tol):
+            compared.append(tol)
+            return same_root(a, b, tol)
+
+        monkeypatch.setattr(solver, "same_root", spy)
+        roots = collect_roots(hits, [], tolerance)
+        assert len(roots.roots) == 1
+        assert type(roots.dedup_tolerance) is float
+        assert roots.dedup_tolerance == float(tolerance)
+        assert compared and all(type(tol) is float and tol == float(tolerance)
+                                for tol in compared)
+
     @pytest.mark.parametrize("tolerance", [math.nan, -1.0, -5e-324])
     @pytest.mark.parametrize("hits", [0, 1])
     def test_collect_roots_refuses_the_tolerance_with_fewer_than_two_hits(self, hits,
@@ -793,9 +825,15 @@ class TestInlinedStepAndCheck:
         # A masked entry has no value: np.asarray would read the hidden 1.0.
         (lambda x: np.ma.array([1.0], mask=[True]), "failed"),
         (lambda x: np.ma.array([[1.0]], mask=[[True]]), "failed"),
+        # kernel.entries refuses what np.asarray would read as NaN, or as
+        # the hidden NaN, or raise OverflowError on.
+        (lambda x: [None], "failed"),
+        (lambda x: [10**400], "failed"),
+        (lambda x: np.ma.array([[math.nan]], mask=[[True]]), "failed"),
     ], ids=["raises-arithmetic", "raises-value", "raises-non-real", "nan-entry",
             "inf-entry", "squares-overflow", "wrong-shape", "masked-entry",
-            "masked-column-entry"])
+            "masked-column-entry", "none-entry", "big-integer-entry",
+            "masked-column-over-nan"])
     def test_residual_check_agrees_with_evaluate(self, bad, expected):
         # The start is checked by _evaluate itself; the first step's iterate
         # is checked by the loop's copy.
@@ -862,8 +900,8 @@ class TestInlinedStepAndCheck:
     @pytest.mark.parametrize("name, x0, f", READS, ids=[c[0] for c in READS])
     def test_every_read_gives_the_bits_of_the_general_conversion(self, name, x0, f):
         # A 1-d float64 ndarray is read with one tolist(), every other result
-        # with np.asarray(r, dtype=float).ravel().tolist(); both must give the
-        # general conversion's bits.  A list result takes the general path.
+        # with kernel.point(r).tolist(); both must give the bits of the
+        # general conversion np.asarray(r, dtype=float).ravel().tolist().
         def general(x):
             return np.asarray(f(x), dtype=float).ravel().tolist()
 
@@ -894,13 +932,12 @@ class TestInlinedStepAndCheck:
                      if isinstance(node, ast.With)).body
         hoist = next(node for node in block
                      if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple)
-                     and "asarray" in [t.id for t in node.targets[0].elts])
+                     and "ndarray" in [t.id for t in node.targets[0].elts])
         assert block.index(hoist) < block.index(loop)
         bound = {t.id: value for t, value in zip(hoist.targets[0].elts, hoist.value.elts)}
         assert {name: ast.unparse(value) for name, value in bound.items()} == {
-            "n": "len(xs)", "array": "np.array", "ndarray": "np.ndarray", "asarray": "np.asarray",
-            "pow_": "math.pow", "sqrt": "math.sqrt", "isfinite": "math.isfinite",
-            "inf": "math.inf"}
+            "n": "len(xs)", "array": "np.array", "ndarray": "np.ndarray", "pow_": "math.pow",
+            "sqrt": "math.sqrt", "isfinite": "math.isfinite", "inf": "math.inf"}
         start = functions["fixed_point_solve"].body[1:3]  # after the docstring
         assert [ast.dump(node) for node in start] == [
             statement("x = _point(x0)"), statement("xs = x.tolist()")]
@@ -963,12 +1000,13 @@ class TestInlinedStepAndCheck:
         assert element == "v - p * r"
         assert ast.dump(pairs.body[len(written)]) == statement(f"w = {element}")
 
-        # The loop calls no package function but the residual, and _same_bits
-        # at a checkpoint.
+        # The loop calls no package function but the residual, _same_bits at
+        # a checkpoint, and kernel.point on a result that is not a 1-d
+        # float64 array.
         assert {ast.unparse(node.func) for node in ast.walk(loop)
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)} == {
-            "f", "outcome", "_same_bits", "masked", "NonRealEvaluation", "ValueError", "abs",
-            "all", "array", "asarray", "len", "map", "pow_", "range", "sqrt", "type", "zip"}
+            "f", "outcome", "_same_bits", "point", "ValueError", "abs", "all", "array", "len",
+            "map", "pow_", "range", "sqrt", "type", "zip"}
 
         # No call in the loop looks a function up on numpy or math.
         assert not [ast.unparse(node) for node in ast.walk(loop)
@@ -984,19 +1022,14 @@ class TestInlinedStepAndCheck:
         k = next(k for k, node in enumerate(loop.body) if isinstance(node, ast.Try))
         check = loop.body[k:k + 5]
         assert unhoisted(loop.body[k - 1]) == statement("x = np.array(xs_next)")
-        assert [unhoisted(node) for node in check[0].body] == [
-            ast.dump(node) for node in evaluate[1].body]
-        # The read: one call of the residual, then one tolist() of a 1-d
-        # native float64 array, the refusal of a masked entry, and the
-        # general conversion of anything else.
+        # The read: one call of the residual, read by kernel.entries, whose
+        # statements the loop writes out in place of its call
+        # (test_kernel.py's test_the_written_out_reads_are_kernel_entries
+        # holds that copy).
         assert [ast.dump(node) for node in evaluate[1].body] == [
-            statement("r = f(x)"),
-            statement("if type(r) is np.ndarray and r.dtype is FLOAT64 and r.ndim == 1:\n"
-                      "    rs = r.tolist()\n"
-                      "elif masked(r):\n"
-                      "    raise NonRealEvaluation('residual has a masked entry')\n"
-                      "else:\n"
-                      "    rs = np.asarray(r, dtype=float).ravel().tolist()")]
+            statement("rs = entries(f(x))")]
+        assert ast.dump(check[0].body[0]) == statement("r = f(x)")
+        assert len(check[0].body) == 2
         assert solver.FLOAT64 is kernel.FLOAT64 is np.dtype(float)
         assert [ast.dump(handler.type) for handler in check[0].handlers] == [
             ast.dump(evaluate[1].handlers[-1].type)]
