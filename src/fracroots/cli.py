@@ -10,11 +10,17 @@ give byte-identical files.
 anything else, writes the report a command returns, and removes a file its
 check created when the run ends without writing it.  The commands only
 compute, print and return their reports.
+
+:func:`entrypoint` is the console script and ``python -m fracroots``: it
+runs ``main``, then the ``atexit`` handlers, flushes stdout and stderr, and
+ends the process without freeing its objects.  :func:`main` is the entry for
+in-process use; it returns the exit code and leaves the process running.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import functools
 import math
 import os
@@ -536,4 +542,20 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    """The console script: :func:`main` on ``sys.argv``, then an exit without teardown.
+
+    After ``main`` returns its code, the ``atexit`` handlers run and stdout
+    and stderr are flushed, as at a normal exit; then ``os._exit`` ends the
+    process without freeing its objects, which would change nothing the run
+    prints or writes.  An exception from ``main`` propagates, and a stream
+    that cannot be flushed leaves the exit to the interpreter, so either is
+    reported as at a normal exit.
+    """
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError, AttributeError):  # full or closed, or no stream (None)
+        raise SystemExit(code) from None
+    os._exit(code)

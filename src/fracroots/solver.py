@@ -112,8 +112,10 @@ class SolverSettings:
         Convergence requires BOTH the step norm and the residual norm under
         their tolerance after the same iteration.
     max_iter
-        Iteration cap, a whole number from 1 to MAX_ITER (an integral float
-        such as 500.0 is accepted; bools are not).
+        Iteration cap, a whole number from 1 to MAX_ITER.  An integer is
+        taken as it is; any other number whose float is integral, such as
+        500.0, Decimal('5E+2') or '5e2', is read as the integer of that
+        float.  Bools are not accepted.
     divergence_bound
         Abort with Diverged once the iterate norm exceeds this.
     """
@@ -134,10 +136,15 @@ class SolverSettings:
             if not value > 0.0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
         max_iter = self.max_iter
-        if isinstance(max_iter, (bool, np.bool_)) or not (
-                isinstance(max_iter, (int, np.integer)) or float(max_iter).is_integer()):
+        try:
+            # An integer is kept as it is, so one beyond the float range keeps its value.
+            count = max_iter if isinstance(max_iter, (int, np.integer)) else float(max_iter)
+        except (TypeError, ValueError):
+            count = None
+        if (count is None or isinstance(max_iter, (bool, np.bool_))
+                or isinstance(count, float) and not count.is_integer()):
             raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
-        object.__setattr__(self, "max_iter", int(max_iter))
+        object.__setattr__(self, "max_iter", int(count))
         if not 1 <= self.max_iter <= MAX_ITER:
             raise ValueError(f"max_iter must lie in [1, {MAX_ITER}], got {max_iter!r}")
 

@@ -29,8 +29,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fracroots"
 ALLOWED = {
     ("_accel", "backend_name", 'return "numpy"'):
         "only the benchmark calls it, for its report's backend field",
-    ("cli", "entrypoint", "raise SystemExit(main())"):
-        "the console script's entry point: only the subprocess tests run it",
     ("solver", "newton_step", "except np.linalg.LinAlgError as exc:"):
         "error handling kept: the condition check before it refuses a singular Jacobian",
     ("solver", "newton_step", "raise SingularJacobian(str(exc)) from exc"):

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -579,6 +580,134 @@ class TestReproduceTables:
         assert proc.returncode == 0, proc.stderr
         assert "all bounds hold" in proc.stdout
         assert out_path.read_bytes() == (GOLDEN / "reproduce_tables.csv").read_bytes()
+
+
+class TestEntrypoint:
+    """``cli.entrypoint`` in-process, with its exit and the handler runner stubbed."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The calls that ``entrypoint`` makes after ``main``, in their order."""
+        calls = []
+
+        class Stream(io.StringIO):
+            def __init__(self, name):
+                super().__init__()
+                self.name = name
+
+            def flush(self):
+                calls.append(f"flush {self.name}")
+
+        # cli's own name for sys: pytest puts its capture back on sys.stdout
+        # between a fixture and its test.
+        monkeypatch.setattr(cli, "sys", types.SimpleNamespace(stdout=Stream("stdout"),
+                                                              stderr=Stream("stderr")))
+        monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: calls.append("handlers"))
+        monkeypatch.setattr(cli.os, "_exit", lambda code: calls.append(("_exit", code)))
+        return calls
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_handlers_then_flushes_then_exit_with_the_code(self, monkeypatch, calls, code):
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
+        cli.entrypoint()
+        assert calls == ["main", "handlers", "flush stdout", "flush stderr", ("_exit", code)]
+
+    def test_an_exception_from_main_reaches_the_caller(self, monkeypatch, calls):
+        def main():
+            calls.append("main")
+            raise RuntimeError("from main")
+
+        monkeypatch.setattr(cli, "main", main)
+        with pytest.raises(RuntimeError, match="from main"):
+            cli.entrypoint()
+        assert calls == ["main"]
+
+    def test_a_failed_flush_leaves_the_exit_to_the_interpreter(self, monkeypatch, calls):
+        # The interpreter's own exit flushes again and reports the failure,
+        # as it did before entrypoint flushed at all.
+        def flush():
+            calls.append("flush stdout")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 2)
+        monkeypatch.setattr(cli.sys.stdout, "flush", flush)
+        with pytest.raises(SystemExit) as raised:
+            cli.entrypoint()
+        assert raised.value.code == 2
+        assert calls == ["main", "handlers", "flush stdout"]
+
+    def test_no_stdout_leaves_the_exit_to_the_interpreter(self, monkeypatch, calls):
+        # sys.stdout is None when the process starts with its descriptor 1
+        # closed; print() then writes nothing and the run exits with its code.
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
+        monkeypatch.setattr(cli.sys, "stdout", None)
+        with pytest.raises(SystemExit) as raised:
+            cli.entrypoint()
+        assert raised.value.code == 0
+        assert calls == ["main", "handlers"]
+
+
+#: μ 0.05, σ 0.2, l 0.1, c 10 000, κ 10 000 and χ 200 000, so a7 < 0: the
+#: model has no positive closing threshold, and both solve and sweep exit 2.
+A7_NEGATIVE = {
+    "primitives": {"mu": 0.05, "sigma": 0.2, "l": 0.1, "c": 10000,
+                   "kappa": 10000, "chi": 200000},
+    "initial": {"H0": 220000, "L0": 99950},
+    "solver": {"alpha": 0.25},
+}
+
+
+def console_script(args, prelude="", **kwargs):
+    """``entrypoint()`` as a subprocess, as the installed script runs it.
+
+    ``PYTHONUNBUFFERED`` is removed from the child's environment, so its
+    stdout is block-buffered when it is not a terminal and a missing flush
+    would lose output.  ``prelude`` runs before the entry point.
+    """
+    src = os.path.dirname(os.path.dirname(fracroots.__file__))
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    script = f"{prelude}\nfrom fracroots.cli import entrypoint\nentrypoint()\n"
+    return subprocess.run([sys.executable, "-c", script, *args], text=True,
+                          env={**env, "PYTHONPATH": src}, **kwargs)
+
+
+class TestConsoleScript:
+    """The entry point's output reaches its streams whole, without an unbuffered stdout."""
+
+    def test_report_sent_to_a_file_is_whole(self, tmp_path, capsys):
+        assert main(["reproduce-tables"]) == 0
+        expected = capsys.readouterr().out
+        path = tmp_path / "report.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            proc = console_script(["reproduce-tables"], stdout=fh, stderr=subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        report = path.read_text(encoding="utf-8")
+        assert report == expected
+        assert report.endswith("\nall bounds hold\n")
+
+    @pytest.mark.parametrize("command", ["sweep", "solve"])
+    def test_a7_negative_run_exits_2_with_all_its_output(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, A7_NEGATIVE)
+        assert main([command, "--config", config]) == 2
+        expected = capsys.readouterr()
+        proc = console_script([command, "--config", config], capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, expected.out, expected.err)
+        assert expected.out if command == "sweep" else expected.err
+
+    def test_an_exit_handler_runs_after_the_run(self):
+        prelude = "import atexit\natexit.register(print, 'handler ran')"
+        proc = console_script(["reproduce-tables"], prelude=prelude, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("\nall bounds hold\nhandler ran\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_stdout_on_a_full_device_exits_120(self):
+        # The report fits in stdout's buffer, so the first write is the flush
+        # at the end, and it fails as it does at a normal exit.
+        with open("/dev/full", "w", encoding="utf-8") as full:
+            proc = console_script(["reproduce-tables"], stdout=full, stderr=subprocess.PIPE)
+        assert proc.returncode == 120
+        assert "OSError: [Errno 28] No space left on device" in proc.stderr
 
 
 #: Reference row 1 under limits whose cuts are subnormal (tol_step), overflow

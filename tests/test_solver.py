@@ -401,6 +401,20 @@ class TestSolverSettings:
             assert SolverSettings(max_iter=value).max_iter == 7
         assert SolverSettings(max_iter=MAX_ITER).max_iter == MAX_ITER
 
+    @pytest.mark.parametrize("value", ["5e2", "500.0", "500", 500.0, np.float64(500.0),
+                                       Decimal("5E+2")])
+    def test_every_form_of_an_integral_number_gives_its_integer(self, value):
+        # The integer of the float that was checked, not int() of the value:
+        # int("5e2") and int("500.0") refuse their text.
+        count = SolverSettings(max_iter=value).max_iter
+        assert (count, type(count)) == (500, int)
+
+    @pytest.mark.parametrize("value", ["abc", None, [500]])
+    def test_non_number_max_iter_is_refused_by_name(self, value):
+        with pytest.raises(ValueError) as raised:
+            SolverSettings(max_iter=value)
+        assert str(raised.value) == f"max_iter must be an integer, got {value!r}"
+
 
 class TestIterationTrace:
     @pytest.mark.parametrize("iterates, steps, residuals, message", [
