@@ -48,7 +48,8 @@ class ThresholdOrderingWarning(UserWarning):
 class EconomicPrimitives:
     """Raw model inputs.
 
-    All six must be finite.
+    All six must be finite numbers; any other value is refused with
+    InvalidPrimitives, as is a breach of a rule below.
 
     mu      mean growth rate of income
     sigma   volatility of income (> 0)
@@ -67,10 +68,8 @@ class EconomicPrimitives:
 
     def __post_init__(self):
         for name in ("mu", "sigma", "l", "c", "kappa", "chi"):
-            value = real(getattr(self, name), f"{name} must be finite", InvalidPrimitives)
-            if not math.isfinite(value):
-                raise InvalidPrimitives(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, real(getattr(self, name), f"{name} must be finite",
+                                                InvalidPrimitives, math.isfinite))
         if not self.sigma > 0.0:
             raise InvalidPrimitives(f"sigma must be positive, got {self.sigma!r}")
         if not self.l > 0.0:
@@ -104,10 +103,8 @@ class ModelConstants:
 
     def __post_init__(self):
         for name in ("a1", "a2", "a3", "a4", "a5", "a6", "a7"):
-            value = real(getattr(self, name), f"{name} must be finite")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, real(getattr(self, name), f"{name} must be finite",
+                                                ok=math.isfinite))
         if not math.isfinite(self.rho):  # an infinite scale would pass every identity
             raise ValueError(f"rho = (a1 + a2) / 2 must be finite, got {self.rho!r}")
         if not (self.a1 > 0.0 and self.a2 > 0.0):
@@ -329,10 +326,16 @@ def full_residual(constants: ModelConstants, H: float, L: float,
 
 
 def full_residual_scale(constants: ModelConstants, H: float, L: float) -> float:
-    """Normalisation used when judging the full residual relatively."""
+    """Normalisation used when judging the full residual relatively.
+
+    H and L must be finite, so a NaN in either place, and an infinite
+    threshold, whose scale would make every residual relatively 0, are
+    refused with ValueError.
+    """
+    rule = "H and L must be finite"
     return 1.0 + abs(constants.a6) + abs(constants.a7) \
-        + 2.0 * abs(constants.a5) * max(real(H, "H and L must fit in a float"),
-                                        real(L, "H and L must fit in a float"))
+        + 2.0 * abs(constants.a5) * max(real(H, rule, ok=math.isfinite),
+                                        real(L, rule, ok=math.isfinite))
 
 
 def label_root(constants: ModelConstants, x) -> tuple:
@@ -390,11 +393,10 @@ def classify_income(income: float, sol: ThresholdSolution) -> Decision:
     """Action implied by an observed income against the solved thresholds.
 
     The triggers are inclusive: income at H expands, income at L reduces or
-    closes, anything strictly between continues as is.
+    closes, anything strictly between continues as is.  An income that is
+    not a positive number is refused with ValueError.
     """
-    income = real(income, "income must fit in a float")
-    if not income > 0.0:
-        raise ValueError(f"income must be positive, got {income!r}")
+    income = real(income, "income must be positive", ok=lambda v: v > 0.0)
     if income >= sol.H:
         return Decision.EXPAND
     if income <= sol.L:

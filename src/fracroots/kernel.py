@@ -24,10 +24,13 @@ against a limit without taking its square root.
 
 Every number and every point that comes from outside the package is read by
 one of two readers here, :func:`real` and :func:`point`.  They are the one
-owner of the rule that an integer beyond the float range is refused with the
-reader's documented error, never a raw OverflowError; :func:`point` also
-refuses a None entry, which numpy would read as NaN, and a masked entry,
-which numpy would read as the value the mask hides.  :func:`entries` gives a
+owner of the rules by which such a value is refused with the reader's
+documented error, never a raw TypeError or OverflowError: a non-number, a
+complex value and an integer beyond the float range.  :func:`real` also
+refuses a float that breaks the rule its caller states, so each reader of
+a number states its rule once, in its call; :func:`point` also refuses a
+None entry, which numpy would read as NaN, and a masked entry, which numpy
+would read as the value the mask hides.  :func:`entries` gives a
 point's entries as a float list, and reads a 1-d float64 array with one
 ``tolist()``.  It also reads every residual's result: ``solver._evaluate``
 calls it, and the two hot loops that read a vector on every iteration,
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 
@@ -56,41 +60,63 @@ ORDER_BOUND = 2.0
 FLOAT64 = np.dtype(float)
 
 
-def real(value, what: str, error=ValueError) -> float:
-    """A number from outside as ``float(value)``.
+def real(value, rule: str, error=ValueError, ok=None) -> float:
+    """A number from outside as ``float(value)``, refused unless it keeps ``rule``.
 
-    An integer beyond the float range, which ``float`` refuses with
-    OverflowError, is refused as ``error(f"{what}, got an integer too large
-    for a float")`` instead; ``what`` states the rule the reader keeps, and
-    ``error`` is the reader's documented error type, or a callable that
-    takes the message and returns one.
+    This is the one place that decides whether a number from outside is
+    refused.  ``rule`` states what the reader takes, and ``error`` is the
+    reader's documented error type, or a callable that takes the message and
+    returns one.  Each refusal is ``error(f"{rule}, got ...")``:
+
+    * a non-number, which ``float`` refuses with TypeError or ValueError
+      (such as None, ``'abc'``, ``[0.5]`` or a Python complex), got ``value``;
+    * a numpy complex, whose real part ``float`` would keep with only a
+      ComplexWarning, got ``value``;
+    * an integer beyond the float range, "got an integer too large for a float";
+    * a float ``v`` for which ``ok(v)`` is false, got ``v``.
     """
+    if isinstance(value, np.complexfloating):
+        raise error(f"{rule}, got {value!r}")
     try:
-        return float(value)
+        v = float(value)
     except OverflowError as exc:  # an integer beyond the float range
-        raise error(f"{what}, got an integer too large for a float") from exc
+        raise error(f"{rule}, got an integer too large for a float") from exc
+    except (TypeError, ValueError) as exc:  # not a number
+        raise error(f"{rule}, got {value!r}") from exc
+    if ok is not None and not ok(v):
+        raise error(f"{rule}, got {v!r}")
+    return v
 
 
 def point(x) -> np.ndarray:
     """A point from outside as ``np.asarray(x, dtype=float).ravel()``.
 
     A list, a column or a matrix reads as the 1-d array of its entries, and
-    (for one variable) a float as an array of one entry.  An entry that is an
-    integer beyond the float range, that is None (which ``np.asarray``
-    would read as NaN) or that is masked (which ``np.asarray`` would read as
-    the value under the mask) is refused with ValueError; a masked array
-    with no masked entry reads as its data.  These searches run only on a
-    point that ``np.asarray`` had to convert, the None search only on one
-    that came out with a NaN, so a float64 array, which ``np.asarray``
-    returns as it is, costs one identity test.  A point with no entries is
-    not refused here: ``solver._point`` refuses it for the functions that
-    need one.
+    (for one variable) a float as an array of one entry.  An entry that is
+    not a real number is refused with ValueError("a point's entries must be
+    floats, got ..."): a non-number that ``np.asarray`` cannot convert (such
+    as ``object()``, ``'abc'`` or a list in a ragged point), a complex entry
+    (whose real part ``np.asarray`` would keep with only a ComplexWarning),
+    an integer beyond the float range, None (which ``np.asarray`` would read
+    as NaN) and a masked entry (which ``np.asarray`` would read as the value
+    under the mask).  A masked array with no masked entry reads as its data.
+    The complex search runs before the conversion, on any point that is not
+    a native float64 ndarray, and the None and mask searches after it, only
+    on a point that ``np.asarray`` had to convert, the None search only on
+    one that came out with a NaN; so a float64 array, which ``np.asarray``
+    returns as it is, skips every search.  A point with no entries is not
+    refused here: ``solver._point`` refuses it for the functions that need
+    one.
     """
     try:
+        if (type(x) is not np.ndarray or x.dtype is not FLOAT64) and np.iscomplexobj(x):
+            raise TypeError("a complex entry")  # refused with the non-numbers below
         a = np.asarray(x, dtype=float)
     except OverflowError as exc:  # an integer beyond the float range
         raise ValueError("a point's entries must be floats, "
                          "got an integer too large for a float") from exc
+    except (TypeError, ValueError) as exc:  # an entry that is not a real number
+        raise ValueError(f"a point's entries must be floats, got {reprlib.repr(x)}") from exc
     if a is not x:
         if np.isnan(a).any() and any(
                 v is None for v in np.asarray(x, dtype=object).ravel().tolist()):
@@ -134,10 +160,9 @@ class FractionalOrder:
     value: float
 
     def __post_init__(self):
-        v = real(self.value, f"fractional order must lie in [-{ORDER_BOUND:g}, {ORDER_BOUND:g}]")
+        v = real(self.value, f"fractional order must lie in [-{ORDER_BOUND:g}, {ORDER_BOUND:g}]",
+                 ok=lambda v: -ORDER_BOUND <= v <= ORDER_BOUND)
         object.__setattr__(self, "value", v)
-        if not math.isfinite(v) or not -ORDER_BOUND <= v <= ORDER_BOUND:
-            raise ValueError(f"fractional order must lie in [-{ORDER_BOUND:g}, {ORDER_BOUND:g}], got {v!r}")
         if abs(v - round(v)) <= INTEGER_GUARD:
             raise ValueError(f"fractional order must not be an integer, got {v!r}")
 
@@ -198,10 +223,7 @@ def multiplier(alpha, eps):
 
 def checked_epsilon(epsilon) -> float:
     """The multiplier's regularisation constant as a float, refused unless finite and positive."""
-    epsilon = real(epsilon, "epsilon must be finite and positive")
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
-    return epsilon
+    return real(epsilon, "epsilon must be finite and positive", ok=lambda e: 0.0 < e < math.inf)
 
 
 @functools.lru_cache(maxsize=16)

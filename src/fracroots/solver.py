@@ -117,7 +117,12 @@ class SolverSettings:
         500.0, Decimal('5E+2') or '5e2', is read as the integer of that
         float.  Bools are not accepted.
     divergence_bound
-        Abort with Diverged once the iterate norm exceeds this.
+        Abort with Diverged once the iterate norm exceeds this (> 0).
+
+    Each field is read by :func:`~fracroots.kernel.real` under its rule
+    (alpha's through FractionalOrder), so a value that breaks the rule, a
+    non-number, a complex value and an integer beyond the float range are
+    refused with ValueError("<rule>, got ..."), which names the field.
     """
 
     alpha: FractionalOrder = FractionalOrder(0.5)
@@ -131,19 +136,14 @@ class SolverSettings:
         object.__setattr__(self, "alpha", FractionalOrder.coerce(self.alpha))
         object.__setattr__(self, "epsilon", checked_epsilon(self.epsilon))
         for name in ("tol_step", "tol_residual", "divergence_bound"):
-            value = real(getattr(self, name), f"{name} must fit in a float")
-            object.__setattr__(self, name, value)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            object.__setattr__(self, name, real(getattr(self, name), f"{name} must be positive",
+                                                ok=lambda v: v > 0.0))
         max_iter = self.max_iter
-        try:
-            # An integer is kept as it is, so one beyond the float range keeps its value.
-            count = max_iter if isinstance(max_iter, (int, np.integer)) else float(max_iter)
-        except (TypeError, ValueError):
-            count = None
-        if (count is None or isinstance(max_iter, (bool, np.bool_))
-                or isinstance(count, float) and not count.is_integer()):
+        if isinstance(max_iter, (bool, np.bool_)):
             raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+        # An integer is kept as it is, so one beyond the float range keeps its value.
+        count = max_iter if isinstance(max_iter, (int, np.integer)) else real(
+            max_iter, "max_iter must be an integer", ok=float.is_integer)
         object.__setattr__(self, "max_iter", int(count))
         if not 1 <= self.max_iter <= MAX_ITER:
             raise ValueError(f"max_iter must lie in [1, {MAX_ITER}], got {max_iter!r}")
@@ -293,7 +293,9 @@ def fd_jacobian(f: Callable, x) -> np.ndarray:
 
     The step is h = max(1e-6, 1e-8 * ||x||_inf), which keeps the stencil
     scaled on large iterates without collapsing near the origin.  A failing
-    or non-finite evaluation raises NonRealEvaluation, as in the driver.
+    or non-finite evaluation raises NonRealEvaluation, as in the driver; a
+    difference that overflows gives an infinite entry, without numpy's
+    overflow warning.
     x is read as :func:`fixed_point_solve` reads x0, as
     ``np.asarray(x, dtype=float).ravel()``, so the Jacobian of an n-entry
     point is n by n whatever shape the point came in.
@@ -302,11 +304,13 @@ def fd_jacobian(f: Callable, x) -> np.ndarray:
     n = len(x)
     h = max(1e-6, 1e-8 * float(np.max(np.abs(x))))
     jac = np.empty((n, n))
-    for k in range(n):
-        bump = np.zeros(n)
-        bump[k] = h
-        jac[:, k] = (np.array(_evaluate(f, x + bump)[0])
-                     - np.array(_evaluate(f, x - bump)[0])) / (2.0 * h)
+    # An overflow gives an infinite entry, and an inf - inf a NaN, without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            bump = np.zeros(n)
+            bump[k] = h
+            jac[:, k] = (np.array(_evaluate(f, x + bump)[0])
+                         - np.array(_evaluate(f, x - bump)[0])) / (2.0 * h)
     return jac
 
 
@@ -314,8 +318,9 @@ def newton_step(f: Callable, x) -> np.ndarray:
     """Classical Newton update x - J^{-1} f(x) over the finite-difference Jacobian.
 
     A failing or non-finite ``f(x)`` raises NonRealEvaluation, and a Jacobian
-    whose condition estimate exceeds CONDITION_LIMIT raises SingularJacobian.
-    x is read as :func:`fixed_point_solve` reads x0, as
+    whose condition estimate exceeds CONDITION_LIMIT (an infinite entry's
+    does) raises SingularJacobian.  An update beyond the float range is
+    infinite, without numpy's overflow warning.  x is read as :func:`fixed_point_solve` reads x0, as
     ``np.asarray(x, dtype=float).ravel()``, and the update is returned as a
     1-d array.
     """
@@ -329,7 +334,8 @@ def newton_step(f: Callable, x) -> np.ndarray:
         delta = np.linalg.solve(jac, fx)
     except np.linalg.LinAlgError as exc:
         raise SingularJacobian(str(exc)) from exc
-    return x - delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        return x - delta
 
 
 def fixed_point_solve(f: Callable, x0, settings: SolverSettings,
@@ -570,9 +576,10 @@ def default_alpha_grid(step: float = DEFAULT_GRID_STEP) -> list:
 
     Points lie ``step`` apart from -2; those within INTEGER_BAND of an integer
     are skipped, which keeps every point clear of the integer orders the
-    kernel cannot take.  A step that is not finite and positive, or that would
-    cut the range into more than MAX_GRID_POINTS intervals, is refused before
-    any point is built, and one that leaves no point is refused after.
+    kernel cannot take.  A step that is not a finite, positive number (a
+    non-number and a complex value included), or that would cut the range
+    into more than MAX_GRID_POINTS intervals, is refused with ValueError
+    before any point is built, and one that leaves no point is refused after.
 
     ``step`` is read once, by :func:`~fracroots.kernel.real`, so any form
     of a number (a numpy scalar, a string, a Decimal) gives the grid of
@@ -581,15 +588,14 @@ def default_alpha_grid(step: float = DEFAULT_GRID_STEP) -> list:
     steps are kept, so a step that is checked on input and then swept is
     built once.
     """
-    return list(_order_grid(real(step, "step must be finite and positive")))
+    return list(_order_grid(real(step, "step must be finite and positive",
+                                 ok=lambda s: 0.0 < s < math.inf)))
 
 
 @functools.lru_cache(maxsize=4)
 def _order_grid(step: float) -> tuple:
-    """The orders of :func:`default_alpha_grid`, built once per recent float step."""
+    """The orders of :func:`default_alpha_grid`, built once per recent finite, positive step."""
     lower, upper = -ORDER_BOUND, ORDER_BOUND
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be finite and positive, got {step!r}")
     if not (upper - lower) / step <= MAX_GRID_POINTS:
         raise ValueError(f"step {step!r} would cut [{lower!r}, {upper!r}] into more "
                          f"than {MAX_GRID_POINTS} intervals")
@@ -615,16 +621,20 @@ def same_root(a, b, tolerance: float) -> bool:
     a and b are read as :func:`fixed_point_solve` reads x0, as
     ``np.asarray(v, dtype=float).ravel()``, so a column and its 1-d array
     are the same root; points of different lengths raise ValueError.  So
-    does a NaN or negative tolerance, under which no two points would be
-    one root, and so does one beyond the float range.
+    does a tolerance that :func:`~fracroots.kernel.real` refuses under the
+    rule "tolerance must be zero or positive": a NaN or negative one, under
+    which no two points would be one root, a non-number, a complex value
+    and an integer beyond the float range.  The difference is taken in
+    Python floats, which give numpy's bits, and one that overflows is
+    infinite without numpy's overflow warning.
     """
-    tol = real(tolerance, "tolerance must fit in a float")
-    if not tol >= 0.0:
-        raise ValueError(f"tolerance must be zero or positive, got {tolerance!r}")
+    tol = real(tolerance, "tolerance must be zero or positive", ok=lambda t: t >= 0.0)
     a, b = _point(a), _point(b)
     if a.size != b.size:
         raise ValueError(f"cannot compare points of {a.size} and {b.size} entries")
-    return norm2(a - b) <= tol * (1.0 + max(norm2(a), norm2(b)))
+    # Python floats, whose difference overflows to inf without numpy's warning.
+    gap = math.sqrt(_sum_squares([u - v for u, v in zip(a.tolist(), b.tolist())]))
+    return gap <= tol * (1.0 + max(norm2(a), norm2(b)))
 
 
 def collect_roots(converged, skipped, dedup_tolerance: float) -> RootSet:
@@ -638,13 +648,11 @@ def collect_roots(converged, skipped, dedup_tolerance: float) -> RootSet:
     reads x0, so the sort key and :func:`same_root` see the same entries and
     every RootRecord.x is 1-d.  ``dedup_tolerance`` is read once, by
     :func:`~fracroots.kernel.real`, and that float is what every
-    :func:`same_root` call and ``RootSet.dedup_tolerance`` get.  A NaN or
-    negative tolerance, or an integer one beyond the float range, is
-    refused, however few the hits.
+    :func:`same_root` call and ``RootSet.dedup_tolerance`` get.  A
+    tolerance that :func:`same_root` would refuse is refused here, however
+    few the hits.
     """
-    tolerance = real(dedup_tolerance, "tolerance must fit in a float")
-    if not tolerance >= 0.0:
-        raise ValueError(f"tolerance must be zero or positive, got {dedup_tolerance!r}")
+    tolerance = real(dedup_tolerance, "tolerance must be zero or positive", ok=lambda t: t >= 0.0)
     candidates = sorted(
         ((point(x), real(alpha, "an order must fit in a float"), out)
          for x, alpha, out in converged),

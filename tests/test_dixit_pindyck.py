@@ -656,6 +656,15 @@ class TestFullResidual:
         with pytest.raises(NonRealEvaluation, match="non-finite value"):
             full_residual(c, 7.0, 3.0, 0.1, math.inf)
 
+    @pytest.mark.parametrize("H, L", [(1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0),
+                                      (1.0, -math.inf)])
+    def test_scale_refuses_a_threshold_that_is_not_finite(self, H, L):
+        # max() would drop a NaN in second place, and an infinite scale would
+        # make every full residual relatively 0.
+        c = reference.scenario_constants(451474.0, 396499.0)
+        with pytest.raises(ValueError, match="^H and L must be finite, got (nan|inf|-inf)$"):
+            full_residual_scale(c, H, L)
+
     def test_reduction_equivalence(self):
         # After back-substitution the derivative equations vanish and the
         # value-matching rows equal the reduced residual, for any (H, L):

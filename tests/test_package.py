@@ -1,7 +1,7 @@
 """Package-level tests: the public export list, the one rule by which
 every public function reads a point (and the solver's functions refuse an
-empty one), and the refusal of integers beyond the float range, of None
-entries and of masked entries."""
+empty one), and the refusal of integers beyond the float range, of
+non-numbers, of complex values, of None entries and of masked entries."""
 
 import dataclasses
 
@@ -159,43 +159,62 @@ def one_hit(x, alpha, tolerance):
     return collect_roots([(x, alpha, out)], [], tolerance)
 
 
-#: (name, call(n), the error it must raise) for each reader of a number.
-BIG_INTEGER_READERS = [
+ORDER_RULE = "fractional order must lie in [-2, 2]"
+POINT_RULE = "a point's entries must be floats"
+
+#: (name, call(n), the error it must raise, the rule its message states) for
+#: each reader of a number.  A reader of a point gets n as one entry of a
+#: pair, so that a list n makes a ragged point.
+NUMBER_READERS = [
+    ("SolverSettings-alpha", lambda n: SolverSettings(alpha=n), ValueError, ORDER_RULE),
+    ("SolverSettings-epsilon", lambda n: SolverSettings(epsilon=n), ValueError,
+     "epsilon must be finite and positive"),
     *[(f"SolverSettings-{field}", lambda n, field=field: SolverSettings(**{field: n}),
-       ValueError)
-      for field in ("alpha", "epsilon", "tol_step", "tol_residual", "divergence_bound")],
-    ("FractionalOrder", FractionalOrder, ValueError),
-    ("FractionalOrder.coerce", FractionalOrder.coerce, ValueError),
-    ("checked_epsilon", checked_epsilon, ValueError),
+       ValueError, f"{field} must be positive")
+      for field in ("tol_step", "tol_residual", "divergence_bound")],
+    ("FractionalOrder", FractionalOrder, ValueError, ORDER_RULE),
+    ("FractionalOrder.coerce", FractionalOrder.coerce, ValueError, ORDER_RULE),
+    ("checked_epsilon", checked_epsilon, ValueError, "epsilon must be finite and positive"),
     ("EconomicPrimitives-mu", lambda n: EconomicPrimitives(**{**PRIMITIVES, "mu": n}),
-     InvalidPrimitives),
-    ("ModelConstants-a5", lambda n: dataclasses.replace(ROW1, a5=n), ValueError),
-    ("ThresholdProblem-x0", lambda n: ThresholdProblem(constants=ROW1, x0=[n, 1]), ValueError),
-    ("fixed_point_solve", lambda n: fixed_point_solve(square_minus_two, [n], SolverSettings()),
-     ValueError),
+     InvalidPrimitives, "mu must be finite"),
+    ("ModelConstants-a5", lambda n: dataclasses.replace(ROW1, a5=n), ValueError,
+     "a5 must be finite"),
+    ("ThresholdProblem-x0", lambda n: ThresholdProblem(constants=ROW1, x0=[n, 1]), ValueError,
+     POINT_RULE),
+    ("fixed_point_solve", lambda n: fixed_point_solve(square_minus_two, [n, 1.0],
+                                                      SolverSettings()), ValueError, POINT_RULE),
     ("fixed_point_solve-traced", lambda n: fixed_point_solve(
-        square_minus_two, [n], SolverSettings(), keep_trace=True), ValueError),
-    ("fpn_step", lambda n: fpn_step(square_minus_two, [n], FractionalOrder(0.5), 1e-4),
-     ValueError),
-    ("newton_step", lambda n: newton_step(square_minus_two, [n]), ValueError),
-    ("fd_jacobian", lambda n: fd_jacobian(square_minus_two, [n]), ValueError),
-    ("same_root", lambda n: same_root([n], [1.0], 1e-3), ValueError),
-    ("default_alpha_grid", lambda n: default_alpha_grid(step=n), ValueError),
-    ("p_matrix", lambda n: p_matrix(FractionalOrder(0.5), [n], 1e-4), ValueError),
-    ("norm2", lambda n: norm2([n]), ValueError),
-    ("same_root-tolerance", lambda n: same_root([1.0], [1.0], n), ValueError),
-    ("estimate_order", lambda n: estimate_order([n, 4.0, 3.0, 2.0, 1.0]), ValueError),
-    ("collect_roots-x", lambda n: one_hit([n], 0.5, 1e-3), ValueError),
-    ("collect_roots-alpha", lambda n: one_hit([1.0], n, 1e-3), ValueError),
-    ("collect_roots-tolerance", lambda n: one_hit([1.0], 0.5, n), ValueError),
-    ("reduced_residual", lambda n: reduced_residual(ROW1, [n, 1.0]), ValueError),
-    ("KernelResidual", lambda n: KernelResidual(ROW1)([n, 1.0]), ValueError),
-    ("make_residual", lambda n: make_residual(ROW1)([n, 1.0]), ValueError),
-    ("back_substitute", lambda n: back_substitute(ROW1, [n, 1.0]), ValueError),
-    ("label_root", lambda n: label_root(ROW1, [n, 1.0]), ValueError),
-    ("full_residual", lambda n: full_residual(ROW1, n, 1.0, 1.0, 1.0), ValueError),
-    ("full_residual_scale", lambda n: full_residual_scale(ROW1, n, 1.0), ValueError),
-    ("classify_income", lambda n: classify_income(n, row1_solution()), ValueError),
+        square_minus_two, [n, 1.0], SolverSettings(), keep_trace=True), ValueError, POINT_RULE),
+    ("fpn_step", lambda n: fpn_step(square_minus_two, [n, 1.0], FractionalOrder(0.5), 1e-4),
+     ValueError, POINT_RULE),
+    ("newton_step", lambda n: newton_step(square_minus_two, [n, 1.0]), ValueError, POINT_RULE),
+    ("fd_jacobian", lambda n: fd_jacobian(square_minus_two, [n, 1.0]), ValueError, POINT_RULE),
+    ("same_root", lambda n: same_root([n, 1.0], [1.0, 1.0], 1e-3), ValueError, POINT_RULE),
+    ("default_alpha_grid", lambda n: default_alpha_grid(step=n), ValueError,
+     "step must be finite and positive"),
+    ("p_matrix", lambda n: p_matrix(FractionalOrder(0.5), [n, 1.0], 1e-4), ValueError,
+     POINT_RULE),
+    ("norm2", lambda n: norm2([n, 1.0]), ValueError, POINT_RULE),
+    ("same_root-tolerance", lambda n: same_root([1.0], [1.0], n), ValueError,
+     "tolerance must be zero or positive"),
+    ("estimate_order", lambda n: estimate_order([n, 4.0, 3.0, 2.0, 1.0]), ValueError,
+     POINT_RULE),
+    ("collect_roots-x", lambda n: one_hit([n, 1.0], 0.5, 1e-3), ValueError, POINT_RULE),
+    ("collect_roots-alpha", lambda n: one_hit([1.0], n, 1e-3), ValueError,
+     "an order must fit in a float"),
+    ("collect_roots-tolerance", lambda n: one_hit([1.0], 0.5, n), ValueError,
+     "tolerance must be zero or positive"),
+    ("reduced_residual", lambda n: reduced_residual(ROW1, [n, 1.0]), ValueError, POINT_RULE),
+    ("KernelResidual", lambda n: KernelResidual(ROW1)([n, 1.0]), ValueError, POINT_RULE),
+    ("make_residual", lambda n: make_residual(ROW1)([n, 1.0]), ValueError, POINT_RULE),
+    ("back_substitute", lambda n: back_substitute(ROW1, [n, 1.0]), ValueError, POINT_RULE),
+    ("label_root", lambda n: label_root(ROW1, [n, 1.0]), ValueError, POINT_RULE),
+    ("full_residual", lambda n: full_residual(ROW1, n, 1.0, 1.0, 1.0), ValueError,
+     "H, L, A and B must fit in a float"),
+    ("full_residual_scale", lambda n: full_residual_scale(ROW1, n, 1.0), ValueError,
+     "H and L must be finite"),
+    ("classify_income", lambda n: classify_income(n, row1_solution()), ValueError,
+     "income must be positive"),
 ]
 
 
@@ -243,6 +262,19 @@ def test_a_masked_entry_of_a_point_is_refused(name, call, mask):
         call(x)
 
 
+@pytest.mark.parametrize("name, call", POINT_READERS,
+                         ids=[r[0] for r in POINT_READERS])
+@pytest.mark.parametrize("x", [[15.0 + 2j, 20.0], np.array([15.0 + 2j, 20.0]),
+                               [object(), 20.0]],
+                         ids=["complex-entry", "complex-ndarray", "object-entry"])
+def test_an_entry_that_is_not_a_real_number_is_refused(name, call, x):
+    # np.asarray(x, dtype=float) raises TypeError on a Python complex or an
+    # object entry, and keeps only the real part of a complex array with a
+    # ComplexWarning; kernel.point refuses all three.
+    with pytest.raises(ValueError, match="a point's entries must be floats, got "):
+        call(x)
+
+
 @pytest.mark.parametrize("x", [None, [[None], [1.0]], (1.0, None),
                                np.array([1.0, None], dtype=object)],
                          ids=["bare", "column", "tuple", "object-array"])
@@ -283,10 +315,25 @@ def test_only_a_converted_point_with_a_nan_is_searched_for_none(monkeypatch):
 
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
-@pytest.mark.parametrize("name, call, error", BIG_INTEGER_READERS,
-                         ids=[r[0] for r in BIG_INTEGER_READERS])
-def test_an_integer_beyond_the_float_range_is_refused(name, call, error, sign):
+@pytest.mark.parametrize("name, call, error, rule", NUMBER_READERS,
+                         ids=[r[0] for r in NUMBER_READERS])
+def test_an_integer_beyond_the_float_range_is_refused(name, call, error, rule, sign):
     # float(10**400) raises OverflowError; each reader refuses it with its
     # documented error instead, as the CLI's ConfigError does.
-    with pytest.raises(error, match="integer too large for a float"):
+    with pytest.raises(error) as raised:
         call(sign * 10**400)
+    assert str(raised.value) == f"{rule}, got an integer too large for a float"
+
+
+@pytest.mark.parametrize("value", [None, "abc", [0.5], 1 + 2j, np.complex128(0.5 + 3j)],
+                         ids=["None", "word", "list", "complex", "numpy-complex"])
+@pytest.mark.parametrize("name, call, error, rule", NUMBER_READERS,
+                         ids=[r[0] for r in NUMBER_READERS])
+def test_a_non_number_or_a_complex_value_is_refused(name, call, error, rule, value):
+    # float() raises TypeError or ValueError on a non-number and keeps only
+    # the real part of a numpy complex; np.asarray does the same to a point's
+    # entry.  Each reader refuses them with its documented error, never
+    # TypeError, and states its rule.
+    with pytest.raises(error) as raised:
+        call(value)
+    assert str(raised.value).startswith(f"{rule}, got ")

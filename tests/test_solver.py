@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import math
 import re
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
@@ -20,6 +21,11 @@ from fracroots import (FractionalOrder, InsufficientData, IterationTrace, NonRea
 from fracroots import kernel, solver
 from fracroots.solver import (CYCLE_LAG, MAX_ITER, _evaluate, _with_order, collect_roots,
                               same_root)
+
+
+def jump(x):
+    """-1e308 up to x = 1 and 1e308 above: a central difference across 1 overflows."""
+    return np.array([1e308 if x[0] > 1.0 else -1e308])
 
 
 def linear_root_residual(matrix, root):
@@ -409,7 +415,7 @@ class TestSolverSettings:
         count = SolverSettings(max_iter=value).max_iter
         assert (count, type(count)) == (500, int)
 
-    @pytest.mark.parametrize("value", ["abc", None, [500]])
+    @pytest.mark.parametrize("value", ["abc", None, [500], 500 + 0j, np.complex128(500 + 3j)])
     def test_non_number_max_iter_is_refused_by_name(self, value):
         with pytest.raises(ValueError) as raised:
             SolverSettings(max_iter=value)
@@ -448,6 +454,12 @@ class TestFdJacobian:
         jac = fd_jacobian(lambda x: np.array([4.0, -1.0]), np.array([0.3, 9.0]))
         assert np.all(jac == 0.0)
 
+    def test_an_overflowing_difference_is_infinite_without_a_warning(self):
+        # 1e308 - (-1e308) overflows; numpy's warning stays inside.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fd_jacobian(jump, np.array([1.0])).tolist() == [[math.inf]]
+
 
 class TestNewtonStep:
     def test_one_step_on_affine_system(self):
@@ -478,6 +490,20 @@ class TestNewtonStep:
     def test_singular_jacobian_detected(self):
         with pytest.raises(SingularJacobian):
             newton_step(lambda x: x**2, np.array([0.0]))
+
+    def test_an_overflowing_central_difference_is_singular_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularJacobian, match="condition estimate inf"):
+                newton_step(jump, np.array([1.0]))
+
+    def test_an_update_beyond_the_float_range_is_infinite_without_a_warning(self):
+        # f(v) = v / 2 + 1e308 at -1e308: f = 5e307 and J = 0.5, so the update
+        # -1e308 - 1e308 overflows to -inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert newton_step(lambda v: 0.5 * v + 1e308, np.array([-1e308])).tolist() == [
+                -math.inf]
 
     def test_non_finite_residual_at_x_raises(self):
         # A pole exactly at x: f(x) is inf while f(x +/- h) is finite.
@@ -679,6 +705,17 @@ class TestSameRoot:
     def test_nan_or_negative_tolerance_is_refused(self, tolerance):
         with pytest.raises(ValueError, match="tolerance must be zero or positive"):
             same_root([1.0], [1.0], tolerance)
+
+    @pytest.mark.parametrize("a, b", [([1e308], [-1e308]), ([-1e308, 1.0], [1e308, 1.0]),
+                                      ([math.inf], [math.inf]), ([1.0, 2.0], [1.0, 2.0005]),
+                                      ([1.0, 2.0], [1.0, 2.5])],
+                             ids=["overflow", "overflow-pair", "inf-minus-inf", "near", "far"])
+    def test_the_difference_gives_numpy_s_answer_without_a_warning(self, a, b):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = norm2(np.array(a) - np.array(b)) <= 1e-3 * (1.0 + max(norm2(a), norm2(b)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert same_root(a, b, 1e-3) is expected
 
     @pytest.mark.parametrize("tolerance, same", [(0.0, True), (-0.0, True), (math.inf, True)])
     def test_zero_and_infinite_tolerances_compare(self, tolerance, same):
@@ -961,7 +998,12 @@ class TestInlinedStepAndCheck:
         kernel_functions = {node.name: node for node in ast.walk(kernel_tree)
                             if isinstance(node, ast.FunctionDef)}
         reader = kernel_functions["point"].body
-        assert ast.dump(reader[1].body[0]) == statement("a = np.asarray(x, dtype=float)")
+        # Its try refuses a complex entry, then converts.
+        assert [ast.dump(node) for node in reader[1].body] == [
+            statement("if (type(x) is not np.ndarray or x.dtype is not FLOAT64)"
+                      " and np.iscomplexobj(x):\n"
+                      "    raise TypeError('a complex entry')"),
+            statement("a = np.asarray(x, dtype=float)")]
         assert ast.dump(reader[-1]) == statement("return a.ravel()")
 
         class Unhoist(ast.NodeTransformer):
