@@ -23,16 +23,17 @@ Both loops also share :func:`square_cut`, the rule by which they test a norm
 against a limit without taking its square root.
 
 Every number and every point that comes from outside the package is read by
-one of two readers here, :func:`real` and :func:`point`.  They are the one
-owner of the rules by which such a value is refused with the reader's
-documented error, never a raw TypeError or OverflowError: a non-number, a
-complex value and an integer beyond the float range.  :func:`real` also
-refuses a float that breaks the rule its caller states, so each reader of
-a number states its rule once, in its call; :func:`point` also refuses a
-None entry, which numpy would read as NaN, and a masked entry, which numpy
-would read as the value the mask hides.  :func:`entries` gives a
-point's entries as a float list, and reads a 1-d float64 array with one
-``tolist()``.  It also reads every residual's result: ``solver._evaluate``
+one of two readers here, :func:`real` and :func:`point`.  :func:`real` is
+the one owner of the rules by which such a number is refused with the
+reader's documented error, never a raw TypeError or OverflowError: a
+non-number, a complex value, an integer beyond the float range and a float
+that breaks the rule its caller states, so each reader of a number states
+its rule once, in its call.  :func:`point` returns a float64 array as it
+is, converts another real ndarray with numpy and refuses a masked entry,
+which numpy would read as the value the mask hides; any other point it
+reads entry by entry through :func:`real`, under the one rule "a point's
+entries must be floats".  :func:`entries` gives a point's entries as a
+float list, and reads a 1-d float64 array with one ``tolist()``.  It also reads every residual's result: ``solver._evaluate``
 calls it, and the two hot loops that read a vector on every iteration,
 ``solver.fixed_point_solve`` (the result ``f(x)``) and
 ``dixit_pindyck.KernelResidual.__call__`` (the point), write its statements
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import math
-import reprlib
 import sys
 from dataclasses import dataclass
 
@@ -89,43 +89,38 @@ def real(value, rule: str, error=ValueError, ok=None) -> float:
 
 
 def point(x) -> np.ndarray:
-    """A point from outside as ``np.asarray(x, dtype=float).ravel()``.
+    """A point from outside as the 1-d float64 array of its entries.
 
     A list, a column or a matrix reads as the 1-d array of its entries, and
-    (for one variable) a float as an array of one entry.  An entry that is
-    not a real number is refused with ValueError("a point's entries must be
-    floats, got ..."): a non-number that ``np.asarray`` cannot convert (such
-    as ``object()``, ``'abc'`` or a list in a ragged point), a complex entry
-    (whose real part ``np.asarray`` would keep with only a ComplexWarning),
-    an integer beyond the float range, None (which ``np.asarray`` would read
-    as NaN) and a masked entry (which ``np.asarray`` would read as the value
-    under the mask).  A masked array with no masked entry reads as its data.
-    The complex search runs before the conversion, on any point that is not
-    a native float64 ndarray, and the None and mask searches after it, only
-    on a point that ``np.asarray`` had to convert, the None search only on
-    one that came out with a NaN; so a float64 array, which ``np.asarray``
-    returns as it is, skips every search.  A point with no entries is not
-    refused here: ``solver._point`` refuses it for the functions that need
-    one.
+    (for one variable) a float as an array of one entry; every point that
+    is read gives the doubles of ``np.asarray(x, dtype=float).ravel()``.
+    The point is read in three steps:
+
+    1. an exact ``np.ndarray`` of dtype FLOAT64 is returned as ``x.ravel()``;
+    2. any other ndarray is refused if it is a masked array with a masked
+       entry, which ``np.asarray`` would read as the value under the mask
+       ("got a masked entry"); one of a float, integer or bool dtype is then
+       converted by ``np.asarray(x, dtype=float)``;
+    3. anything else is read entry by entry, each entry of
+       ``np.asarray(x, dtype=object)`` by :func:`real` under the rule "a
+       point's entries must be floats".  So ``real`` refuses None, a Python
+       or numpy complex, an integer beyond the float range, a non-number
+       and an array inside a ragged point, and its message names the entry.
+
+    A point with no entries is not refused here: ``solver._point`` refuses
+    it for the functions that need one.
     """
-    try:
-        if (type(x) is not np.ndarray or x.dtype is not FLOAT64) and np.iscomplexobj(x):
-            raise TypeError("a complex entry")  # refused with the non-numbers below
-        a = np.asarray(x, dtype=float)
-    except OverflowError as exc:  # an integer beyond the float range
-        raise ValueError("a point's entries must be floats, "
-                         "got an integer too large for a float") from exc
-    except (TypeError, ValueError) as exc:  # an entry that is not a real number
-        raise ValueError(f"a point's entries must be floats, got {reprlib.repr(x)}") from exc
-    if a is not x:
-        if np.isnan(a).any() and any(
-                v is None for v in np.asarray(x, dtype=object).ravel().tolist()):
-            raise ValueError("a point's entries must be floats, got None")
+    if type(x) is np.ndarray and x.dtype is FLOAT64:
+        return x.ravel()
+    if isinstance(x, np.ndarray):
         # Only an ndarray subclass can be a masked array, so numpy.ma, which
         # numpy imports only on first use, is not touched for anything else.
-        if type(x) is not np.ndarray and isinstance(x, np.ndarray) and np.ma.is_masked(x):
+        if type(x) is not np.ndarray and np.ma.is_masked(x):
             raise ValueError("a point's entries must be floats, got a masked entry")
-    return a.ravel()
+        if x.dtype.kind in "fiub":
+            return np.asarray(x, dtype=float).ravel()
+    return np.array([real(v, "a point's entries must be floats")
+                     for v in np.asarray(x, dtype=object).ravel().tolist()], dtype=float)
 
 
 def entries(x) -> list:

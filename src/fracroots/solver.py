@@ -154,7 +154,8 @@ class IterationTrace:
     """Per-iterate history of one solve.
 
     Lengths are coupled: with n steps there are n+1 iterates (x0 included),
-    n step norms and n+1 residual norms.
+    n step norms and n+1 residual norms.  Each field is read by
+    :func:`~fracroots.kernel.point`, with its refusals, and keeps its shape.
     """
 
     iterates: np.ndarray
@@ -162,9 +163,8 @@ class IterationTrace:
     residual_norms: np.ndarray
 
     def __post_init__(self):
-        iterates = np.asarray(self.iterates, dtype=float)
-        steps = np.asarray(self.step_norms, dtype=float)
-        residuals = np.asarray(self.residual_norms, dtype=float)
+        iterates, steps, residuals = (point(v).reshape(np.shape(v)) for v in (
+            self.iterates, self.step_norms, self.residual_norms))
         if iterates.ndim != 2:
             raise ValueError("iterates must be a (n+1, dim) array")
         if steps.shape[0] != iterates.shape[0] - 1:
@@ -194,7 +194,11 @@ class SolveOutcome:
 
 @dataclass(frozen=True)
 class RootRecord:
-    """One distinct root found by a sweep, with the orders that reached it."""
+    """One distinct root found by a sweep, with the orders that reached it.
+
+    x is read by :func:`~fracroots.kernel.point`, with its refusals, as a
+    1-d array.
+    """
 
     x: np.ndarray
     alpha: float
@@ -202,7 +206,7 @@ class RootRecord:
     found_by: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
+        object.__setattr__(self, "x", point(self.x))
 
 
 @dataclass(frozen=True)
@@ -625,16 +629,29 @@ def same_root(a, b, tolerance: float) -> bool:
     rule "tolerance must be zero or positive": a NaN or negative one, under
     which no two points would be one root, a non-number, a complex value
     and an integer beyond the float range.  The difference is taken in
-    Python floats, which give numpy's bits, and one that overflows is
-    infinite without numpy's overflow warning.
+    Python floats, which give numpy's bits, without numpy's overflow
+    warning.  Where the sum of squares of the gap or of either point
+    overflows and every entry is finite, both points are first scaled by
+    one power of two, so that no square overflows: the answer then follows
+    the true relative gap, where an infinite bound would pass any gap.  The
+    scaling is exact for every entry that it leaves in the normal range.
     """
     tol = real(tolerance, "tolerance must be zero or positive", ok=lambda t: t >= 0.0)
     a, b = _point(a), _point(b)
     if a.size != b.size:
         raise ValueError(f"cannot compare points of {a.size} and {b.size} entries")
-    # Python floats, whose difference overflows to inf without numpy's warning.
-    gap = math.sqrt(_sum_squares([u - v for u, v in zip(a.tolist(), b.tolist())]))
-    return gap <= tol * (1.0 + max(norm2(a), norm2(b)))
+    xs, ys = a.tolist(), b.tolist()
+    one = 1.0
+    squares = [_sum_squares([u - v for u, v in zip(xs, ys)]), _sum_squares(xs), _sum_squares(ys)]
+    if math.inf in squares and all(map(math.isfinite, xs + ys)):
+        # 2**k scales the points, and the bound's 1 with them, to entries under 1.
+        k = -math.frexp(max(map(abs, xs + ys)))[1]
+        one = math.ldexp(1.0, k)
+        xs, ys = [math.ldexp(v, k) for v in xs], [math.ldexp(v, k) for v in ys]
+        squares = [_sum_squares([u - v for u, v in zip(xs, ys)]), _sum_squares(xs),
+                   _sum_squares(ys)]
+    gap, norm_a, norm_b = map(math.sqrt, squares)
+    return gap <= tol * (one + max(norm_a, norm_b))
 
 
 def collect_roots(converged, skipped, dedup_tolerance: float) -> RootSet:

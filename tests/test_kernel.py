@@ -510,8 +510,9 @@ class TestModuleBoundaries:
 
 class TestOutsideReaders:
     """Every number and point from outside is read by kernel.real or
-    kernel.point, so the refusal of an integer beyond the float range, and
-    the reading of a point, are written once."""
+    kernel.point, which reads its entries through kernel.real, so the
+    refusal of an integer beyond the float range, and the reading of a
+    point, are written once."""
 
     PACKAGE = Path(fracroots.__file__).parent
     REFUSAL = "too large for a float"
@@ -536,10 +537,10 @@ class TestOutsideReaders:
                       if node not in docstrings and found(node)]
         return sites
 
-    def test_the_refusal_is_written_only_in_the_two_readers(self):
+    def test_the_refusal_is_written_only_in_kernel_real(self):
         text = self.sites(lambda node: isinstance(node, ast.Constant)
                           and isinstance(node.value, str) and self.REFUSAL in node.value)
-        assert sorted(site[:2] for site in text) == [("kernel", "point"), ("kernel", "real")]
+        assert sorted(site[:2] for site in text) == [("kernel", "real")]
 
         def reraises_the_refusal(node):
             return (isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Name)
@@ -548,7 +549,7 @@ class TestOutsideReaders:
                             for s in node.body))
 
         assert sorted(site[:2] for site in self.sites(reraises_the_refusal)) == [
-            ("kernel", "point"), ("kernel", "real")]
+            ("kernel", "real")]
 
     def test_only_kernel_point_reads_a_point_inline(self):
         # np.asarray(<argument>, dtype=float), then ravel(): kernel.point

@@ -4,13 +4,15 @@ empty one), and the refusal of integers beyond the float range, of
 non-numbers, of complex values, of None entries and of masked entries."""
 
 import dataclasses
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import fracroots
-from fracroots import (EconomicPrimitives, FractionalOrder, InvalidPrimitives, ModelConstants,
-                       SolveOutcome, SolverSettings, ThresholdProblem, back_substitute,
+from fracroots import (EconomicPrimitives, FractionalOrder, InvalidPrimitives, IterationTrace,
+                       ModelConstants, RootRecord, SolveOutcome, SolverSettings, ThresholdProblem, back_substitute,
                        classify_income, default_alpha_grid, estimate_order, fd_jacobian,
                        fixed_point_solve, fpn_step, full_residual, full_residual_scale,
                        make_residual, newton_step, norm2, p_matrix, reduced_residual,
@@ -218,9 +220,9 @@ NUMBER_READERS = [
 ]
 
 
-#: (name, call(x)) for each reader of a point, for the None and the masked
-#: entry.  Every reader reads its point before it checks the point's length,
-#: so a point of any length is refused.
+#: (name, call(x)) for each reader of a point, for the refusal table below.
+#: Every reader reads its point before it checks the point's length or
+#: shape, so a point of any length is refused.
 POINT_READERS = [
     ("ThresholdProblem-x0", lambda x: ThresholdProblem(constants=ROW1, x0=x)),
     ("fixed_point_solve", lambda x: fixed_point_solve(square_minus_two, x, SolverSettings())),
@@ -240,39 +242,77 @@ POINT_READERS = [
     ("make_residual", lambda x: make_residual(ROW1)(x)),
     ("back_substitute", lambda x: back_substitute(ROW1, x)),
     ("label_root", lambda x: label_root(ROW1, x)),
+    ("RootRecord", lambda x: RootRecord(x=x, alpha=0.5, outcome=None, found_by=(0.5,))),
+    ("IterationTrace-iterates", lambda x: IterationTrace(
+        iterates=x, step_norms=[1.0], residual_norms=[1.0, 1.0])),
+    ("IterationTrace-step_norms", lambda x: IterationTrace(
+        iterates=[[1.0], [2.0], [3.0]], step_norms=x, residual_norms=[1.0, 1.0, 1.0])),
+    ("IterationTrace-residual_norms", lambda x: IterationTrace(
+        iterates=[[1.0], [2.0]], step_norms=[1.0], residual_norms=x)),
+]
+
+#: (id, point, the "got" part of its refusal) for each point that
+#: kernel.point refuses: numpy would read each of them as floats with at most
+#: a warning, or raise TypeError or OverflowError.
+REFUSED_POINTS = [
+    # numpy keeps a numpy complex's real part, with a ComplexWarning, where
+    # the point's numpy form has object dtype.
+    ("numpy-complex-object-array", np.array([np.complex128(1 + 2j), 1.0], dtype=object),
+     "np.complex128(1+2j)"),
+    ("numpy-complex-and-Decimal", [np.complex128(1 + 2j), Decimal(1)], "np.complex128(1+2j)"),
+    ("ragged-with-an-array", [np.array([1.0, 2.0]), 3.0], "array([1., 2.])"),
+    ("none", [None, 1.0], "None"),  # which numpy reads as NaN
+    ("masked-first", np.ma.array([15.0, 20.0], mask=[True, False]), "a masked entry"),
+    ("masked-second", np.ma.array([15.0, 20.0], mask=[False, True]), "a masked entry"),
+    ("complex-entry", [15.0 + 2j, 20.0], "(15+2j)"),
+    ("complex-ndarray", np.array([15.0 + 2j, 20.0]), "(15+2j)"),
+    ("big-integer", [10**400, 1.0], "an integer too large for a float"),
+    ("word", ["abc", 1.0], "'abc'"),
+    ("object-entry", [object(), 20.0], "<object object at "),
 ]
 
 
 @pytest.mark.parametrize("name, call", POINT_READERS,
                          ids=[r[0] for r in POINT_READERS])
-def test_a_none_entry_of_a_point_is_refused(name, call):
-    # np.asarray(x, dtype=float) reads None as NaN; kernel.point refuses it.
-    with pytest.raises(ValueError, match="a point's entries must be floats, got None"):
-        call([None, 1.0])
-
-
-@pytest.mark.parametrize("name, call", POINT_READERS,
-                         ids=[r[0] for r in POINT_READERS])
-@pytest.mark.parametrize("mask", [[True, False], [False, True]], ids=["first", "second"])
-def test_a_masked_entry_of_a_point_is_refused(name, call, mask):
-    # np.asarray(x, dtype=float) reads a masked entry as the value under the
-    # mask; kernel.point refuses it.
-    x = np.ma.array([15.0, 20.0], mask=mask)
-    with pytest.raises(ValueError, match="a point's entries must be floats, got a masked entry"):
+@pytest.mark.parametrize("x, got", [r[1:] for r in REFUSED_POINTS],
+                         ids=[r[0] for r in REFUSED_POINTS])
+def test_an_entry_that_is_not_a_real_number_is_refused(name, call, x, got):
+    with pytest.raises(ValueError) as raised:
         call(x)
+    assert str(raised.value).startswith(f"a point's entries must be floats, got {got}")
 
 
-@pytest.mark.parametrize("name, call", POINT_READERS,
-                         ids=[r[0] for r in POINT_READERS])
-@pytest.mark.parametrize("x", [[15.0 + 2j, 20.0], np.array([15.0 + 2j, 20.0]),
-                               [object(), 20.0]],
-                         ids=["complex-entry", "complex-ndarray", "object-entry"])
-def test_an_entry_that_is_not_a_real_number_is_refused(name, call, x):
-    # np.asarray(x, dtype=float) raises TypeError on a Python complex or an
-    # object entry, and keeps only the real part of a complex array with a
-    # ComplexWarning; kernel.point refuses all three.
-    with pytest.raises(ValueError, match="a point's entries must be floats, got "):
-        call(x)
+#: (id, point) for each form of a point that numpy reads as floats.
+READ_POINTS = [
+    ("tuple", (1.5, -2.25)), ("list", [0.1, 1e-310, -0.0]), ("column", np.array([[0.1], [0.7]])),
+    ("matrix", np.array([[1.0, 2.0], [3.0, 4.0]])), 
+    ("ndarray-subclass", np.array([[0.1, 0.2]]).view(type("Subclass", (np.ndarray,), {}))),
+    ("float32", np.array([0.1, 3.4e38], dtype=np.float32)),
+    ("int64", np.array([2**53 + 1, -(2**63)], dtype=np.int64)),
+    ("uint8", np.array([0, 255], dtype=np.uint8)), ("bool", np.array([True, False])),
+    ("big-endian-float64", np.array([0.1, -2.5], dtype=">f8")),
+    ("float16", np.array([0.1], dtype=np.float16)),
+    ("longdouble", np.array([0.1], dtype=np.longdouble)),
+    ("0-d-float", np.array(0.7)), ("python-float", 0.7), ("python-int", 2**60 + 1),
+    ("numpy-scalars", [np.float32(0.1), np.int64(2**53 + 1), np.float64(0.3), np.bool_(True)]),
+    ("numpy-scalar", np.float32(0.1)), ("Decimal", [Decimal("0.1"), Decimal("1e-400")]),
+    ("Fraction", [Fraction(1, 3), Fraction(-2, 7)]),
+    ("numeric-strings", ["0.1", " -1e-3 ", "inf", "-0.0", "nan"]),
+    ("big-integers", [2**53 + 1, 2**70 + 1, -(10**300)]),
+    ("nested-lists", [[1, 2.5], [Decimal("0.1"), "3"]]),
+    ("object-array", np.array([0.1, Fraction(1, 3), 2], dtype=object)),
+    ("string-array", np.array(["0.1", "2.5"])),
+    ("masked-nothing-masked", np.ma.array([1.5, -2.25], mask=[False, False])),
+    ("no-entries", []),
+]
+
+
+@pytest.mark.parametrize("x", [r[1] for r in READ_POINTS], ids=[r[0] for r in READ_POINTS])
+def test_a_point_reads_as_numpy_s_float_array_bit_for_bit(x):
+    expected = np.asarray(x, dtype=float).ravel()
+    for read in (point(x), np.array(entries(x))):
+        assert (read.dtype, read.shape, read.tobytes()) == (
+            expected.dtype, expected.shape, expected.tobytes())
 
 
 @pytest.mark.parametrize("x", [None, [[None], [1.0]], (1.0, None),
@@ -304,14 +344,37 @@ def test_a_masked_array_with_no_masked_entry_reads_as_its_data(mask):
     assert norm2(x) == norm2(data)
 
 
-def test_only_a_converted_point_with_a_nan_is_searched_for_none(monkeypatch):
-    # A float64 array is returned by np.asarray as it is: no search, NaN or not.
-    x = np.array([np.nan, 1.0])
-    monkeypatch.setattr(np, "isnan", None)
+def test_a_float64_array_is_read_as_it_is_nan_or_not(monkeypatch):
+    # kernel.point's first step returns a float64 array's own entries, before
+    # any conversion.
+    x = np.array([[np.nan], [1.0]])
+    monkeypatch.setattr(np, "asarray", None)
     assert np.shares_memory(point(x), x)
     monkeypatch.undo()
-    # A converted NaN that is no None stays a NaN.
+    # A converted NaN stays a NaN.
     assert np.isnan(point([float("nan"), "nan", np.float32("nan")])).tolist() == [True] * 3
+
+
+@pytest.mark.parametrize("iterates, steps, residuals", [
+    (np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5]), np.array([1.0, 0.0])),
+    ([[1, Decimal("0.1")], ["2.5", Fraction(1, 3)]], (0.5,), [np.float32(1.0), 0]),
+    (np.array([[0.1], [2.0]], dtype=np.float32), [1.0], np.array([1.0, 2.0], dtype=">f8")),
+], ids=["float64", "mixed", "float32"])
+def test_a_trace_reads_each_field_as_numpy_s_floats_in_its_shape(iterates, steps, residuals):
+    trace = IterationTrace(iterates=iterates, step_norms=steps, residual_norms=residuals)
+    for field, given in ((trace.iterates, iterates), (trace.step_norms, steps),
+                         (trace.residual_norms, residuals)):
+        expected = np.asarray(given, dtype=float)
+        assert (field.dtype, field.shape, field.tobytes()) == (
+            expected.dtype, expected.shape, expected.tobytes())
+
+
+@pytest.mark.parametrize("x", [[1.5, -2.25], np.array([[1.5], [-2.25]]), (Decimal("1.5"), -2.25)],
+                         ids=["list", "column", "tuple"])
+def test_a_root_record_reads_its_x_as_a_1d_point(x):
+    record = RootRecord(x=x, alpha=0.5, outcome=None, found_by=(0.5,))
+    assert record.x.tobytes() == np.array([1.5, -2.25]).tobytes()
+    assert record.x.shape == (2,)
 
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])

@@ -706,16 +706,44 @@ class TestSameRoot:
         with pytest.raises(ValueError, match="tolerance must be zero or positive"):
             same_root([1.0], [1.0], tolerance)
 
-    @pytest.mark.parametrize("a, b", [([1e308], [-1e308]), ([-1e308, 1.0], [1e308, 1.0]),
-                                      ([math.inf], [math.inf]), ([1.0, 2.0], [1.0, 2.0005]),
-                                      ([1.0, 2.0], [1.0, 2.5])],
-                             ids=["overflow", "overflow-pair", "inf-minus-inf", "near", "far"])
-    def test_the_difference_gives_numpy_s_answer_without_a_warning(self, a, b):
-        with np.errstate(over="ignore", invalid="ignore"):
-            expected = norm2(np.array(a) - np.array(b)) <= 1e-3 * (1.0 + max(norm2(a), norm2(b)))
+    @pytest.mark.parametrize("a, b, same", [([1e308], [-1e308], False),
+                                            ([-1e308, 1.0], [1e308, 1.0], False),
+                                            ([math.inf], [math.inf], None),
+                                            ([1.0, 2.0], [1.0, 2.0005], None),
+                                            ([1.0, 2.0], [1.0, 2.5], None),
+                                            ([3.0], [-1e-3], None),
+                                            ([1e150], [1.0001e150], None),
+                                            ([0.0, -0.0], [5e-324, 0.0], None)],
+                             ids=["overflow", "overflow-pair", "inf-minus-inf", "near", "far",
+                                  "sign", "large-no-overflow", "zeros"])
+    def test_the_difference_gives_numpy_s_answer_without_a_warning(self, a, b, same):
+        # Where a square overflows, numpy's bound is inf and passes any gap,
+        # so the two overflow cases expect the answer of the true relative
+        # gap (same) instead of numpy's True.
+        if same is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                same = norm2(np.array(a) - np.array(b)) <= 1e-3 * (1.0 + max(norm2(a), norm2(b)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert same_root(a, b, 1e-3) is expected
+            assert same_root(a, b, 1e-3) is same
+
+    @pytest.mark.parametrize("a, b, same", [
+        ([1e200], [2e200], False), ([1e200], [1e200 * (1 + 1e-6)], True),
+        ([1e308], [1e308], True), ([1e308, -1e308], [1e308, -1e308 * (1 - 1e-5)], True),
+        ([1e300, 1.0], [1e300, 1e298], False), ([1e160] * 4, [1e160] * 4, True),
+        ([1e154] * 4, [1e154 * (1 + 2e-3)] * 4, False)],
+        ids=["double", "near", "equal-max", "near-pair", "far-small-entry",
+             "squares-overflow-in-sum", "far-in-sum"])
+    def test_points_whose_squares_overflow_compare_by_the_relative_gap(self, a, b, same):
+        # Both points are scaled by one power of two, so that no square
+        # overflows; the answer is the one of the true relative gap, which
+        # decimal arithmetic, whose exponents do not overflow, gives.
+        def norm(v):
+            return sum(Decimal(e) ** 2 for e in v).sqrt()
+
+        gap = norm([Decimal(u) - Decimal(v) for u, v in zip(a, b)])
+        assert (gap <= Decimal("1e-3") * (1 + max(norm(a), norm(b)))) is same
+        assert same_root(a, b, 1e-3) is same
 
     @pytest.mark.parametrize("tolerance, same", [(0.0, True), (-0.0, True), (math.inf, True)])
     def test_zero_and_infinite_tolerances_compare(self, tolerance, same):
@@ -998,13 +1026,10 @@ class TestInlinedStepAndCheck:
         kernel_functions = {node.name: node for node in ast.walk(kernel_tree)
                             if isinstance(node, ast.FunctionDef)}
         reader = kernel_functions["point"].body
-        # Its try refuses a complex entry, then converts.
-        assert [ast.dump(node) for node in reader[1].body] == [
-            statement("if (type(x) is not np.ndarray or x.dtype is not FLOAT64)"
-                      " and np.iscomplexobj(x):\n"
-                      "    raise TypeError('a complex entry')"),
-            statement("a = np.asarray(x, dtype=float)")]
-        assert ast.dump(reader[-1]) == statement("return a.ravel()")
+        # Its first step returns a float64 array's own entries.
+        assert ast.dump(reader[1]) == statement(
+            "if type(x) is np.ndarray and x.dtype is FLOAT64:\n"
+            "    return x.ravel()")
 
         class Unhoist(ast.NodeTransformer):
             """Put each hoisted function's module attribute back in its place."""
