@@ -1,7 +1,8 @@
 """The threshold model's scalar hot loops, in plain interpreted Python.
 
 The reduced threshold residual lives here: the generic driver calls it
-through ``dixit_pindyck.KernelResidual.__call__``.  It is the elimination of
+through ``dixit_pindyck.KernelResidual.__call__``, which binds the seven
+constants to it once.  It is the elimination of
 the value-function coefficients in divided-difference form.  With lam the log
 of the smaller threshold over the larger (so lam <= 0) and
 e(a) = expm1(a * lam), every difference of powers in the elimination is a

@@ -14,6 +14,7 @@ checked independently.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidPrimitives, NonRealEvaluation, ThresholdSolveFailed
-from .kernel import FLOAT64, entries, point, real
+from .kernel import entries, point, real
 from .solver import (RootSet, SolverSettings, SolveOutcome, Status,
                      alpha_sweep, fixed_point_solve, norm2)
 
@@ -193,9 +194,9 @@ class ThresholdSolution:
 def reduced_residual(constants: ModelConstants, x) -> np.ndarray:
     """Two-variable residual whose zero is the threshold pair (H, L).
 
-    It is ``KernelResidual(constants)(x)``: x is read as
-    :func:`~fracroots.kernel.entries` reads a point and must have two
-    entries, else ValueError.  Both components must be positive and finite.
+    It is ``KernelResidual(constants)(x)``: x is read by
+    :func:`~fracroots.kernel.entries` and must have two entries, else
+    ValueError.  Both components must be positive and finite.
     Non-positive components raise NonRealEvaluation (real powers with
     non-integer exponents leave the real line there), and so do infinite
     ones.  The pair x1 = x2 is an ordinary point.
@@ -219,41 +220,37 @@ def make_residual(constants: ModelConstants):
 class KernelResidual:
     """The reduced residual, whose untraced default driver solve runs the scalar kernel.
 
-    Called, it is :func:`reduced_residual`: it reads x as
-    :func:`~fracroots.kernel.entries` reads a point, with that function's
-    statements written out (a test holds the two copies equal), so the
-    driver's 1-d float64 iterate is read with one ``tolist()``; it refuses
-    a point that is not a pair with ValueError and calls
-    ``_kernels.reduced_residual_checked`` on the seven constants, bound
-    once as a tuple when the residual is built.  ``fixed_point_solve`` hands
-    the plain pseudo-Newton iteration without a trace to :meth:`fused_solve`,
-    which runs ``_kernels.solve_reduced`` on the same tuple and gives the
-    driver's status, iteration count, final iterate and norms bit for bit; a
-    traced solve runs the driver loop over the same residual.
+    Called, it is :func:`reduced_residual`: it reads x by
+    :func:`~fracroots.kernel.entries`, refuses a point that is not a pair
+    with ValueError and calls ``_kernels.reduced_residual_checked`` with the
+    seven constants bound once, by ``functools.partial``, when the residual
+    is built.  ``fixed_point_solve`` hands the plain pseudo-Newton iteration
+    without a trace to :meth:`fused_solve`, which runs
+    ``_kernels.solve_reduced`` on the same constants and gives the driver's
+    status, iteration count, final iterate and norms bit for bit; a traced
+    solve runs the driver loop over the same residual.
     """
 
-    __slots__ = ("constants", "_args")
+    __slots__ = ("constants", "_checked")
 
     def __init__(self, constants: ModelConstants):
         c = self.constants = constants
-        self._args = (c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7)
+        self._checked = functools.partial(_kernels.reduced_residual_checked,
+                                          c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7)
 
     def __call__(self, x) -> np.ndarray:
-        if type(x) is np.ndarray and x.dtype is FLOAT64 and x.ndim == 1:
-            xs = x.tolist()
-        else:
-            xs = point(x).tolist()
+        xs = entries(x)
         if len(xs) != 2:
             raise ValueError("x must be a 2-vector")
-        return np.array(_kernels.reduced_residual_checked(*self._args, *xs))
+        return np.array(self._checked(*xs))
 
     def fused_solve(self, x0, settings: SolverSettings) -> SolveOutcome:
         if len(x0) != 2:
             # The fused loop takes two unknowns; the driver reports any other start.
             return fixed_point_solve(self.__call__, x0, settings)
         code, n, x1, x2, step_norm, res_norm = _kernels.solve_reduced(
-            *self._args, float(x0[0]), float(x0[1]), settings.alpha.value, settings.epsilon,
-            settings.tol_step, settings.tol_residual, settings.max_iter,
+            *self._checked.args, float(x0[0]), float(x0[1]), settings.alpha.value,
+            settings.epsilon, settings.tol_step, settings.tol_residual, settings.max_iter,
             settings.divergence_bound, None, None, None)
         return SolveOutcome(status=STATUS_FROM_CODE[code], x_final=np.array([x1, x2]),
                             iterations=n, final_step_norm=step_norm,

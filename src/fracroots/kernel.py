@@ -29,15 +29,15 @@ reader's documented error, never a raw TypeError or OverflowError: a
 non-number, a complex value, an integer beyond the float range and a float
 that breaks the rule its caller states, so each reader of a number states
 its rule once, in its call.  :func:`point` returns a float64 array as it
-is, converts another real ndarray with numpy and refuses a masked entry,
-which numpy would read as the value the mask hides; any other point it
-reads entry by entry through :func:`real`, under the one rule "a point's
-entries must be floats".  :func:`entries` gives a point's entries as a
-float list, and reads a 1-d float64 array with one ``tolist()``.  It also reads every residual's result: ``solver._evaluate``
-calls it, and the two hot loops that read a vector on every iteration,
-``solver.fixed_point_solve`` (the result ``f(x)``) and
-``dixit_pindyck.KernelResidual.__call__`` (the point), write its statements
-out; an AST test holds both copies to it.
+is, refuses a masked entry anywhere in the point, which numpy would read as
+the value the mask hides or as NaN, and converts another real ndarray with
+numpy; any other point it reads entry by entry through :func:`real`, under
+the one rule "a point's entries must be floats".  :func:`entries` gives a
+point's entries as a float list, and reads a 1-d float64 array with one
+``tolist()``.  ``dixit_pindyck.KernelResidual.__call__`` reads its point
+with it, and ``solver._evaluate`` every residual's result; the driver
+``solver.fixed_point_solve``, which reads the result ``f(x)`` on every
+iteration, writes its statements out, and an AST test holds that copy to it.
 """
 
 from __future__ import annotations
@@ -97,10 +97,12 @@ def point(x) -> np.ndarray:
     The point is read in three steps:
 
     1. an exact ``np.ndarray`` of dtype FLOAT64 is returned as ``x.ravel()``;
-    2. any other ndarray is refused if it is a masked array with a masked
-       entry, which ``np.asarray`` would read as the value under the mask
-       ("got a masked entry"); one of a float, integer or bool dtype is then
-       converted by ``np.asarray(x, dtype=float)``;
+    2. any other point is refused if it is a masked array with a masked
+       entry, or holds one at any depth of its lists, tuples and object
+       arrays ("got a masked entry"): ``np.asarray`` would read the value
+       under the mask, and ``np.ma.masked`` as NaN with only a UserWarning.
+       An ndarray of a float, integer or bool dtype is then converted by
+       ``np.asarray(x, dtype=float)``;
     3. anything else is read entry by entry, each entry of
        ``np.asarray(x, dtype=object)`` by :func:`real` under the rule "a
        point's entries must be floats".  So ``real`` refuses None, a Python
@@ -112,15 +114,32 @@ def point(x) -> np.ndarray:
     """
     if type(x) is np.ndarray and x.dtype is FLOAT64:
         return x.ravel()
-    if isinstance(x, np.ndarray):
-        # Only an ndarray subclass can be a masked array, so numpy.ma, which
-        # numpy imports only on first use, is not touched for anything else.
-        if type(x) is not np.ndarray and np.ma.is_masked(x):
-            raise ValueError("a point's entries must be floats, got a masked entry")
-        if x.dtype.kind in "fiub":
-            return np.asarray(x, dtype=float).ravel()
+    if _holds_masked(x):
+        raise ValueError("a point's entries must be floats, got a masked entry")
+    if isinstance(x, np.ndarray) and x.dtype.kind in "fiub":
+        return np.asarray(x, dtype=float).ravel()
     return np.array([real(v, "a point's entries must be floats")
                      for v in np.asarray(x, dtype=object).ravel().tolist()], dtype=float)
+
+
+def _holds_masked(x) -> bool:
+    """Whether x is, or its lists, tuples and object arrays hold at any depth,
+    a masked array with a masked entry (``np.ma.masked`` is one).
+
+    Only an ndarray subclass can be a masked array, so numpy.ma, which numpy
+    imports only on first use, is touched for nothing else.  Each container
+    is looked into once, so a list that holds itself ends the search.
+    """
+    stack, seen = [x], set()
+    while stack:
+        v = stack.pop()
+        if isinstance(v, (list, tuple)) or type(v) is np.ndarray and v.dtype.kind == "O":
+            if id(v) not in seen:
+                seen.add(id(v))
+                stack.extend(v.ravel().tolist() if isinstance(v, np.ndarray) else v)
+        elif isinstance(v, np.ndarray) and type(v) is not np.ndarray and np.ma.is_masked(v):
+            return True
+    return False
 
 
 def entries(x) -> list:
@@ -132,9 +151,8 @@ def entries(x) -> list:
     same doubles, and this one skips two numpy calls.  Any other ``x`` (a
     list, a column, another dtype, a byte-swapped or masked array, a
     subclass whose ``tolist`` may differ) is read by :func:`point`, with its
-    refusals.  ``solver.fixed_point_solve`` and
-    ``dixit_pindyck.KernelResidual.__call__`` write these statements out; a
-    test holds both copies to them.
+    refusals.  ``solver.fixed_point_solve`` writes these statements out; a
+    test holds the copy to them.
     """
     if type(x) is np.ndarray and x.dtype is FLOAT64 and x.ndim == 1:
         xs = x.tolist()

@@ -29,10 +29,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fracroots"
 ALLOWED = {
     ("_accel", "backend_name", 'return "numpy"'):
         "only the benchmark calls it, for its report's backend field",
-    ("solver", "newton_step", "except np.linalg.LinAlgError as exc:"):
-        "error handling kept: the condition check before it refuses a singular Jacobian",
-    ("solver", "newton_step", "raise SingularJacobian(str(exc)) from exc"):
-        "error handling kept: the condition check before it refuses a singular Jacobian",
 }
 
 _modules = {str(path): path.stem for path in PACKAGE.glob("*.py")}

@@ -307,26 +307,34 @@ class TestKernelResidualRead:
             assert read(x).tobytes() == self.general(x).tobytes() != first.tobytes()
 
     def test_the_call_reads_its_point_then_calls_the_kernel_once(self):
-        # KernelResidual.__call__ reads its point with kernel.entries'
-        # statements, written out in place of the call, so a driver
-        # iteration makes one Python call less; test_kernel's
-        # test_the_written_out_reads_are_kernel_entries holds that copy.
+        # KernelResidual.__call__ reads its point by kernel.entries and calls
+        # the checked residual that __init__ bound to the seven constants.
         def functions(module):
             tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
             return {node.name: node for node in ast.walk(tree)
                     if isinstance(node, ast.FunctionDef)}
 
         call = functions(dixit_pindyck)["__call__"].body
-        assert [ast.unparse(node) for node in call[1:]] == [
+        assert [ast.unparse(node) for node in call] == [
+            "xs = entries(x)",
             "if len(xs) != 2:\n    raise ValueError('x must be a 2-vector')",
-            "return np.array(_kernels.reduced_residual_checked(*self._args, *xs))"]
+            "return np.array(self._checked(*xs))"]
+        init = functions(dixit_pindyck)["__init__"].body
+        assert [ast.unparse(node) for node in init] == [
+            "c = self.constants = constants",
+            "self._checked = functools.partial(_kernels.reduced_residual_checked, "
+            "c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7)"]
+        checked = KernelResidual(self.C)._checked
+        c = self.C
+        assert checked.func is _kernels.reduced_residual_checked and not checked.keywords
+        assert checked.args == (c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.a7)
         # reduced_residual is the call, so the formula's call is written once.
         body = functions(dixit_pindyck)["reduced_residual"].body[1:]
         assert [ast.unparse(node) for node in body] == ["return KernelResidual(constants)(x)"]
         tree = ast.parse(Path(dixit_pindyck.__file__).read_text(encoding="utf-8"))
-        assert [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
-                and ast.unparse(node.func).endswith("reduced_residual_checked")] == [
-            "_kernels.reduced_residual_checked(*self._args, *xs)"]
+        assert [ast.unparse(node) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "reduced_residual_checked"
+                ] == ["_kernels.reduced_residual_checked"]
 
 
 def residual_by_orientation(a1, a2, a3, a4, a5, a6, a7, x1, x2):

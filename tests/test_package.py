@@ -264,6 +264,11 @@ REFUSED_POINTS = [
     ("none", [None, 1.0], "None"),  # which numpy reads as NaN
     ("masked-first", np.ma.array([15.0, 20.0], mask=[True, False]), "a masked entry"),
     ("masked-second", np.ma.array([15.0, 20.0], mask=[False, True]), "a masked entry"),
+    # numpy reads a masked array inside a list as its data, and np.ma.masked
+    # as NaN with only a UserWarning.
+    ("masked-arrays-in-a-list", [np.ma.array([1.0, 2.0], mask=[True, False])] * 2,
+     "a masked entry"),
+    ("masked-constant-in-a-list", [np.ma.masked, 1.0], "a masked entry"),
     ("complex-entry", [15.0 + 2j, 20.0], "(15+2j)"),
     ("complex-ndarray", np.array([15.0 + 2j, 20.0]), "(15+2j)"),
     ("big-integer", [10**400, 1.0], "an integer too large for a float"),
@@ -303,6 +308,7 @@ READ_POINTS = [
     ("object-array", np.array([0.1, Fraction(1, 3), 2], dtype=object)),
     ("string-array", np.array(["0.1", "2.5"])),
     ("masked-nothing-masked", np.ma.array([1.5, -2.25], mask=[False, False])),
+    ("masked-nothing-masked-in-a-list", [np.ma.array([1.5, -2.25]), np.ma.array([0.5, 1.0])]),
     ("no-entries", []),
 ]
 
@@ -326,12 +332,25 @@ def test_a_none_is_refused_in_every_form_of_a_point(x):
 @pytest.mark.parametrize("x", [np.ma.array([1.0, 2.0], mask=[False, True]),
                                np.ma.array([[1.0], [2.0]], mask=[[True], [False]]),
                                np.ma.array(1.0, mask=True),
-                               np.ma.array([1, 2], mask=[True, False])],
-                         ids=["1-d", "column", "0-d", "integer"])
+                               np.ma.array([1, 2], mask=[True, False]),
+                               [np.ma.array([1.0, 2.0], mask=[True, False])] * 2,
+                               [np.ma.masked, 1.0],
+                               ((1.0,), [(np.ma.masked,)]),
+                               np.array([1.0, np.ma.masked], dtype=object)],
+                         ids=["1-d", "column", "0-d", "integer", "arrays-in-a-list",
+                              "masked-constant-in-a-list", "nested", "object-array"])
 def test_a_masked_entry_is_refused_in_every_form_of_a_point(x):
     for read in (point, entries):
         with pytest.raises(ValueError, match="got a masked entry"):
             read(x)
+
+
+def test_a_list_that_holds_itself_is_refused():
+    # The search for a masked entry looks into each list once, so it ends.
+    x = [1.0]
+    x.append(x)
+    with pytest.raises(ValueError, match=r"got \[1\.0, \[\.\.\.\]\]"):
+        point(x)
 
 
 @pytest.mark.parametrize("mask", [False, [False, False], np.ma.nomask],

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hypothesis_settings, strategies as st
+from hypothesis import assume, example, given, settings as hypothesis_settings, strategies as st
 
 from fracroots import (FractionalOrder, InsufficientData, IterationTrace, NonRealEvaluation,
                        SingularJacobian, SolverSettings, Status, alpha_sweep,
@@ -21,6 +21,34 @@ from fracroots import (FractionalOrder, InsufficientData, IterationTrace, NonRea
 from fracroots import kernel, solver
 from fracroots.solver import (CYCLE_LAG, MAX_ITER, _evaluate, _with_order, collect_roots,
                               same_root)
+
+
+def decimal_gap_and_bound(a, b, tolerance):
+    """same_root's gap of a and b and its bound, in decimal arithmetic.
+
+    Decimal exponents do not overflow, so this is the true relative test
+    that same_root makes in floats.
+    """
+    def norm(v):
+        return sum((Decimal(e) ** 2 for e in v), Decimal(0)).sqrt()
+
+    gap = norm([Decimal(u) - Decimal(v) for u, v in zip(a, b)])
+    return gap, Decimal(tolerance) * (1 + max(norm(a), norm(b)))
+
+
+@st.composite
+def finite_point_pairs(draw):
+    """Two points of 1-4 finite floats of any magnitude; the second is most
+    often the first with each entry moved by a relative 4e-3 at most."""
+    a = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=1, max_size=4))
+    if draw(st.integers(0, 3)):
+        b = [v * (1.0 + draw(st.floats(-4e-3, 4e-3))) for v in a]
+        assume(all(map(math.isfinite, b)))
+    else:
+        b = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=len(a), max_size=len(a)))
+    return a, b
 
 
 def jump(x):
@@ -505,6 +533,19 @@ class TestNewtonStep:
             assert newton_step(lambda v: 0.5 * v + 1e308, np.array([-1e308])).tolist() == [
                 -math.inf]
 
+    def test_a_solve_that_numpy_finds_singular_raises_singular_jacobian(self, monkeypatch):
+        # The condition check passes x * x - 2 at 1.5, so only a LinAlgError
+        # from the solve itself reaches the handler.
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(SingularJacobian) as raised:
+            newton_step(lambda x: x * x - 2.0, np.array([1.5]))
+        assert type(raised.value) is SingularJacobian
+        assert str(raised.value) == "Singular matrix"
+        assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
+
     def test_non_finite_residual_at_x_raises(self):
         # A pole exactly at x: f(x) is inf while f(x +/- h) is finite.
         def f(x):
@@ -736,14 +777,23 @@ class TestSameRoot:
              "squares-overflow-in-sum", "far-in-sum"])
     def test_points_whose_squares_overflow_compare_by_the_relative_gap(self, a, b, same):
         # Both points are scaled by one power of two, so that no square
-        # overflows; the answer is the one of the true relative gap, which
-        # decimal arithmetic, whose exponents do not overflow, gives.
-        def norm(v):
-            return sum(Decimal(e) ** 2 for e in v).sqrt()
-
-        gap = norm([Decimal(u) - Decimal(v) for u, v in zip(a, b)])
-        assert (gap <= Decimal("1e-3") * (1 + max(norm(a), norm(b)))) is same
+        # overflows; the answer is the one of the true relative gap.
+        gap, bound = decimal_gap_and_bound(a, b, 1e-3)
+        assert (gap <= bound) is same
         assert same_root(a, b, 1e-3) is same
+
+    @hypothesis_settings(max_examples=500, deadline=None)
+    @given(pair=finite_point_pairs())
+    @example(pair=([1e308], [-1e308]))
+    @example(pair=([-1e308, 1.0], [1e308, 1.0]))
+    # Its norm exceeds DBL_MAX, so a norm taken without scaling (math.hypot,
+    # say) is inf, and an infinite bound passes any gap.
+    @example(pair=([0.0, 0.0, 0.0], [0.0, 1.2711610061536462e308, 1.2711610061536464e308]))
+    def test_finite_points_of_any_magnitude_compare_by_the_relative_gap(self, pair):
+        a, b = pair
+        gap, bound = decimal_gap_and_bound(a, b, 1e-3)
+        assume(abs(gap - bound) > Decimal("1e-9") * bound)
+        assert same_root(a, b, 1e-3) is (gap <= bound)
 
     @pytest.mark.parametrize("tolerance, same", [(0.0, True), (-0.0, True), (math.inf, True)])
     def test_zero_and_infinite_tolerances_compare(self, tolerance, same):
